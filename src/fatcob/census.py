@@ -31,12 +31,16 @@ DEFAULT_MAX_EDGES = 8
 
 def _edge_bound():
     raw = os.environ.get("FATCOB_MAX_EDGES")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_EDGES
+    if not raw:
+        return DEFAULT_MAX_EDGES
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise BoundExceeded(
+            "FATCOB_MAX_EDGES=%r is not a nonnegative integer" % raw)
+    return value
 
 
 @dataclass(frozen=True)

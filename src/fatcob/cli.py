@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import census as census_mod
@@ -39,6 +40,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, "%s: error: %s\n" % (self.prog, message))
+
+
+def _int_range(low, high=None):
+    """argparse type: an integer no less than ``low`` and, unless
+    ``high`` is None, no greater than ``high``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("%d is below %d" % (value, low))
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError("%d is above %d" % (value, high))
+        return value
+    parse.__name__ = "int"  # argparse reports bad text as "invalid int value"
+    return parse
 
 
 def _fmt_list(values):
@@ -218,19 +233,20 @@ def build_parser():
                    help="subdivide circles to matching sizes first")
     add("homology", cmd_homology, file=".fg file")
     p = add("degree", cmd_degree, file=".fg file")
-    p.add_argument("--dim", type=int, required=True,
+    p.add_argument("--dim", type=_int_range(0), required=True,
                    help="dimension of the underlying manifold")
     add("det-sign", cmd_det_sign, first="left .fg file",
         second="right .fg file")
     p = sub.add_parser("assoc-sign", parents=[common])
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int_range(0), required=True)
     p.set_defaults(fn=cmd_assoc_sign)
     p = sub.add_parser("enumerate", parents=[common])
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--one-vertex", action="store_true")
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--min-valence", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_int_range(1, os.cpu_count() or 1),
+                   default=None)
     p.set_defaults(fn=cmd_enumerate)
     add("canon", cmd_canon, file=".fg file")
     add("iso", cmd_iso, first="left .fg file", second="right .fg file")

@@ -50,16 +50,15 @@ class ChainComplexPair:
         self.d = differential
         assert len(self.d) == len(self.basis0)
         assert all(len(row) == len(self.basis1) for row in self.d)
-        self.h1_basis = linalg.kernel_basis(self.d, len(self.basis1))
-        _, piv = linalg.rref(self.d)
-        self._free1 = [j for j in range(len(self.basis1))
-                       if j not in set(piv)]
-        # cokernel: row-reduce the column space
+        self.h1_basis, piv = linalg.kernel_basis(self.d, len(self.basis1))
+        piv1 = set(piv)
+        self._free1 = [j for j in range(len(self.basis1)) if j not in piv1]
+        # cokernel: row-reduce the column space; its nonzero rows are the
+        # first len(pivots) rows
         cols = linalg.transpose(self.d)
         if cols:
-            self._rrefT, pivT = linalg.rref(cols)
-            self._rrefT = [row for row in self._rrefT if any(x != 0 for x in row)]
-            self._piv0 = list(pivT)
+            rrefT, self._piv0 = linalg.rref(cols)
+            self._rrefT = rrefT[:len(self._piv0)]
         else:
             self._rrefT, self._piv0 = [], []
         piv0 = set(self._piv0)
@@ -107,8 +106,7 @@ class ChainComplexPair:
     def h0_class(self, vec):
         """Coordinates of the class of ``vec`` in the cokernel basis."""
         w = list(vec)
-        for row in self._rrefT:
-            p = next(i for i, x in enumerate(row) if x != 0)
+        for row, p in zip(self._rrefT, self._piv0):
             if w[p] != 0:
                 f = w[p]
                 w = [a - f * b for a, b in zip(w, row)]
@@ -144,10 +142,7 @@ def relative_chain_complex(g):
 
 def relative_euler_char(g):
     """``|eV| - |eE|``, the degree-shift unit of the induced operation."""
-    part = incoming_partition(g)
-    cc = relative_chain_complex(g)
-    assert cc.rank_h0 - cc.rank_h1 == part.euler_difference
-    return part.euler_difference
+    return incoming_partition(g).euler_difference
 
 
 def operation_degree(g, dim):
@@ -257,14 +252,14 @@ def _induced_h1_matrix(A, B, f1):
     cols = []
     for vec in A.h1_basis:
         cols.append(B.h1_coords(linalg.matvec(f1, vec)))
-    return linalg.columns_matrix(cols)
+    return linalg.transpose(cols)
 
 
 def _induced_h0_matrix(A, B, f0):
     cols = []
     for rep in A.h0_basis:
         cols.append(B.h0_class(linalg.matvec(f0, rep)))
-    return linalg.columns_matrix(cols)
+    return linalg.transpose(cols)
 
 
 def _sign(x):
@@ -338,7 +333,7 @@ def morphism_det_sign(m):
         for idx, col in enumerate(k_cols):
             lift[col] -= x[idx]
         cols.append(A.h1_coords(lift))
-    det1_g = linalg.det(linalg.columns_matrix(cols))
+    det1_g = linalg.det(linalg.transpose(cols))
     det0_g = linalg.det(_induced_h0_matrix(B, A, g0))
     assert det1_g != 0 and det0_g != 0
     sign_g = _sign(det1_g) * _sign(det0_g)
@@ -349,6 +344,14 @@ def morphism_det_sign(m):
 
 # ---------------------------------------------------------------------------
 # the six-term sequence of an extension of complexes
+
+
+def _scatter(vec, index, n):
+    """Length-``n`` vector with ``vec[i]`` placed at ``index[i]``."""
+    out = [ZERO] * n
+    for i, x in enumerate(vec):
+        out[index[i]] = x
+    return out
 
 
 def _ses_det_scalar(A, B, C, incl1, incl0, proj1, proj0):
@@ -370,30 +373,6 @@ def _ses_det_scalar(A, B, C, incl1, incl0, proj1, proj0):
         if ci is not None:
             sect0[ci] = bi
 
-    def up1(vec):
-        out = [ZERO] * nB1
-        for i, x in enumerate(vec):
-            out[incl1[i]] = x
-        return out
-
-    def up0(vec):
-        out = [ZERO] * nB0
-        for i, x in enumerate(vec):
-            out[incl0[i]] = x
-        return out
-
-    def lift1(vec):
-        out = [ZERO] * nB1
-        for i, x in enumerate(vec):
-            out[sect1[i]] = x
-        return out
-
-    def lift0(vec):
-        out = [ZERO] * nB0
-        for i, x in enumerate(vec):
-            out[sect0[i]] = x
-        return out
-
     def a_part0(vec):
         out = [ZERO] * len(A.basis0)
         seen = set()
@@ -407,62 +386,55 @@ def _ses_det_scalar(A, B, C, incl1, incl0, proj1, proj0):
     # connecting map on H1(C)
     delta_cols = []
     for vec in C.h1_basis:
-        lifted = lift1(vec)
+        lifted = _scatter(vec, sect1, nB1)
         bdry = linalg.matvec(B.d, lifted)
         delta_cols.append(A.h0_class(a_part0(bdry)))
-    dM = linalg.columns_matrix(delta_cols)
-    if dM and dM[0]:
-        kerK = linalg.kernel_basis(dM, len(C.h1_basis))
-        _, piv = linalg.rref(dM)
-    else:
-        kerK = [[ONE if i == j else ZERO for i in range(len(C.h1_basis))]
-                for j in range(len(C.h1_basis))]
-        piv = []
+    kerK, piv = linalg.kernel_basis(linalg.transpose(delta_cols),
+                                    len(C.h1_basis))
     # s2: (kernel basis | chosen complements) against the H1(C) basis
     unitsW = []
     for p in piv:
         v = [ZERO] * len(C.h1_basis)
         v[p] = ONE
         unitsW.append(v)
-    s2 = linalg.det(linalg.columns_matrix(kerK + unitsW))
+    s2 = linalg.det(linalg.transpose(kerK + unitsW))
     # s3: (connecting images | greedy unit complement) in H0(A)
-    deltas = [[dM[i][p] for i in range(len(dM))] for p in piv] if piv else []
+    have = [delta_cols[p] for p in piv]
     comp_idx = []
-    have = list(deltas)
     for q in range(A.rank_h0):
         if len(have) == A.rank_h0:
             break
         unit = [ONE if i == q else ZERO for i in range(A.rank_h0)]
         trial = have + [unit]
-        if linalg.rank(linalg.columns_matrix(trial)) == len(trial):
+        if linalg.rank(linalg.transpose(trial)) == len(trial):
             have.append(unit)
             comp_idx.append(q)
     assert len(have) == A.rank_h0, "connecting image has no complement"
-    s3 = linalg.det(linalg.columns_matrix(have)) if have else ONE
+    s3 = linalg.det(linalg.transpose(have)) if have else ONE
     # s1: (H1(A) | corrected lifts of the kernel) in H1(B)
-    colsB = [B.h1_coords(up1(vec)) for vec in A.h1_basis]
+    colsB = [B.h1_coords(_scatter(vec, incl1, nB1)) for vec in A.h1_basis]
     for kvec in kerK:
         zC = [ZERO] * len(C.basis1)
         for c, bvec in zip(kvec, C.h1_basis):
             for i in range(len(zC)):
                 zC[i] += c * bvec[i]
-        lifted = lift1(zC)
+        lifted = _scatter(zC, sect1, nB1)
         defect = a_part0(linalg.matvec(B.d, lifted))
         y = linalg.solve(A.d, defect)
         assert y is not None, "kernel lift is not correctable"
-        corrected = [a - b for a, b in zip(lifted, up1(y))]
+        corrected = [a - b for a, b in zip(lifted, _scatter(y, incl1, nB1))]
         colsB.append(B.h1_coords(corrected))
     assert len(colsB) == B.rank_h1, "rank bookkeeping broken in degree 1"
-    s1 = linalg.det(linalg.columns_matrix(colsB))
+    s1 = linalg.det(linalg.transpose(colsB))
     # s4: (H0(A) complement | lifts of H0(C)) in H0(B)
     cols0 = []
     for q in comp_idx:
         rep = A.h0_basis[q]
-        cols0.append(B.h0_class(up0(rep)))
+        cols0.append(B.h0_class(_scatter(rep, incl0, nB0)))
     for rep in C.h0_basis:
-        cols0.append(B.h0_class(lift0(rep)))
+        cols0.append(B.h0_class(_scatter(rep, sect0, nB0)))
     assert len(cols0) == B.rank_h0, "rank bookkeeping broken in degree 0"
-    s4 = linalg.det(linalg.columns_matrix(cols0)) if cols0 else ONE
+    s4 = linalg.det(linalg.transpose(cols0)) if cols0 else ONE
     assert s1 != 0 and s2 != 0 and s3 != 0 and s4 != 0
     assert B.degree == A.degree + C.degree, "degrees fail to add"
     return (s1 * s4) / (s2 * s3)
@@ -629,10 +601,12 @@ def gluing_det_iso(g1, g2, match, d):
         scalar, ccG, _ = _gluing_scalar(g1, g2, match)
     except (ResultInvalid, AssertionError) as exc:
         raise NotGluable(str(exc)) from exc
-    cc1 = relative_chain_complex(g1)
-    cc2 = relative_chain_complex(g2)
-    assert ccG.degree == cc1.degree + cc2.degree
-    shuffle = -1 if (cc1.degree * cc2.degree * (d * (d - 1) // 2)) % 2 else 1
+    # a complex's degree is minus its relative Euler characteristic, as
+    # relative_chain_complex asserts for every complex it builds
+    deg1 = -relative_euler_char(g1)
+    deg2 = -relative_euler_char(g2)
+    assert ccG.degree == deg1 + deg2
+    shuffle = -1 if (deg1 * deg2 * (d * (d - 1) // 2)) % 2 else 1
     return GradedLine(d * ccG.degree, Fraction(shuffle) * scalar ** d)
 
 
@@ -698,7 +672,7 @@ def _composite_coefficient(inner, outer, in_slot):
     circles = [_circle_vertices(glued, v) for v in glued.in_leaves]
     gamma12 = _arc_class(ccG, glued, circles[0], circles[1])
     gamma23 = _arc_class(ccG, glued, circles[1], circles[2])
-    mat = linalg.columns_matrix([gamma12, gamma23])
+    mat = linalg.transpose([gamma12, gamma23])
     det_geo = linalg.det(mat)
     assert det_geo != 0, "arc classes fail to frame the glued homology"
     return scalar / det_geo

@@ -80,17 +80,14 @@ def rank(m):
     return len(rref(m)[1])
 
 
-def kernel_basis(m, cols=None):
-    """Basis of the null space, one vector per free column, in column
-    order; each vector has a 1 at its free column."""
-    rows = len(m)
-    if cols is None:
-        cols = len(m[0]) if rows else 0
+def kernel_basis(m, cols):
+    """``(basis, pivots)`` from one row reduction of ``m``: a null-space
+    basis, one vector per free column in column order with a 1 at its
+    free column, and the pivot columns of ``m``."""
     if cols == 0:
-        return []
-    if rows == 0:
-        return [[ONE if i == j else ZERO for i in range(cols)]
-                for j in range(cols)]
+        return [], []
+    if not m:
+        return identity(cols), []
     r, pivots = rref(m)
     pivot_set = set(pivots)
     free = [j for j in range(cols) if j not in pivot_set]
@@ -101,7 +98,7 @@ def kernel_basis(m, cols=None):
         for row_idx, pc in enumerate(pivots):
             v[pc] = -r[row_idx][j]
         basis.append(v)
-    return basis
+    return basis, pivots
 
 
 def solve(m, b):
@@ -148,11 +145,3 @@ def det(m):
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return sign * out
 
-
-def columns_matrix(vectors):
-    """Matrix whose columns are the given coordinate vectors."""
-    if not vectors:
-        return []
-    rows = len(vectors[0])
-    return [[vectors[j][i] for j in range(len(vectors))]
-            for i in range(rows)]

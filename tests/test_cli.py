@@ -57,6 +57,25 @@ class TestExitCodes:
             run_cli(["no-such-command"])
         assert info.value.code == 3
 
+    def test_negative_dim_is_usage_error(self):
+        for argv in (["degree", "--dim", "-1", data_path("pants.fg")],
+                     ["assoc-sign", "--dim", "-2"]):
+            with pytest.raises(SystemExit) as info:
+                run_cli(argv)
+            assert info.value.code == 3
+
+    def test_jobs_out_of_range_is_usage_error(self, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        for jobs in (0, -1, (os.cpu_count() or 1) + 1):
+            with pytest.raises(SystemExit) as info:
+                run_cli(["enumerate", "--edges", "1", "--jobs", str(jobs)])
+            assert info.value.code == 3
+
     def test_missing_file(self):
         code, _ = run_cli(["validate", "does-not-exist.fg"])
         assert code == 1
@@ -103,3 +122,14 @@ class TestGlueOutput:
         monkeypatch.setenv("FATCOB_MAX_EDGES", "2")
         code, _ = run_cli(["enumerate", "--edges", "2"])
         assert code == 0
+
+    def test_enumerate_bad_env_bound(self, monkeypatch, capsys):
+        from fatcob.census import enumerate_fat_graphs
+        from fatcob.errors import BoundExceeded
+        for raw in ("abc", "-1", "2.5"):
+            monkeypatch.setenv("FATCOB_MAX_EDGES", raw)
+            code, _ = run_cli(["enumerate", "--edges", "1"])
+            assert code == 1
+            assert "FATCOB_MAX_EDGES=%r" % raw in capsys.readouterr().err
+            with pytest.raises(BoundExceeded, match="FATCOB_MAX_EDGES"):
+                enumerate_fat_graphs(1)

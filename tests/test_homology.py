@@ -6,7 +6,9 @@ from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs
 from fatcob.errors import InvalidMorphism
 from fatcob.gluing import gluable, subdivision_match
+from fatcob import homology
 from fatcob.homology import (
+    ChainComplexPair,
     GradedLine,
     chain_map_of_morphism,
     gluing_det_iso,
@@ -320,6 +322,65 @@ class TestGluingDetIso:
         for d, line in ((2, l2), (3, l3)):
             kos = -1 if (d1 * d2 * (d * (d - 1) // 2)) % 2 else 1
             assert line.scalar == kos * l1.scalar ** d
+
+
+class TestBuildOnce:
+    """Each complex is built once and row-reduces its differential and
+    the transpose once each."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Records ``[graph or None, rref calls]`` per complex built."""
+        built = []
+        pending = []     # graphs handed to relative_chain_complex
+        inside = []      # complexes whose __init__ is running
+        rref = linalg.rref
+        init = ChainComplexPair.__init__
+        rcc = homology.relative_chain_complex
+
+        def counted_rref(m):
+            if inside:
+                inside[-1][1] += 1
+            return rref(m)
+
+        def counted_init(cc, basis1, basis0, differential):
+            entry = [pending.pop() if pending else None, 0]
+            built.append(entry)
+            inside.append(entry)
+            try:
+                init(cc, basis1, basis0, differential)
+            finally:
+                inside.pop()
+
+        def recorded_rcc(g):
+            pending.append(g)
+            return rcc(g)
+
+        monkeypatch.setattr(linalg, "rref", counted_rref)
+        monkeypatch.setattr(ChainComplexPair, "__init__", counted_init)
+        monkeypatch.setattr(homology, "relative_chain_complex", recorded_rcc)
+        return built
+
+    def test_at_most_two_rref_per_complex(self, built):
+        a, b, m = subdivision_match(fx.pants(), fx.cylinder())
+        gluing_det_iso(a, b, m, 1)
+        _, mor = collapse_edges(fx.pants(), ["r1"])
+        morphism_det_sign(mor)
+        assert len(built) > 5
+        assert max(calls for _, calls in built) <= 2
+
+    def test_degrees_build_no_complex(self, built):
+        for g in (fx.cylinder(), fx.pants(), fx.flaps()):
+            relative_euler_char(g)
+            operation_degree(g, 3)
+        assert built == []
+
+    def test_gluing_builds_each_graph_complex_once(self, built):
+        a, b, m = subdivision_match(fx.cylinder(), fx.cylinder())
+        gluing_det_iso(a, b, m, 1)
+        graphs = [g for g, _ in built if g is not None]
+        assert len(graphs) == 3  # the two inputs and the glued graph
+        assert len({id(g) for g in graphs}) == len(graphs)
 
 
 class TestCylinderIdentity:
