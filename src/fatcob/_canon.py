@@ -24,5 +24,7 @@ code_from = _impl.code_from
 is_connected = _impl.is_connected
 min_code = _impl.min_code
 census_code = _impl.census_code
+# the compiled kernel has no twin of this one
+min_valence_starts = _canon_py.min_valence_starts
 
 pure = _canon_py

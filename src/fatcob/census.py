@@ -9,11 +9,17 @@ class exactly once; the number of pairings that landed on a class is
 recorded (for one-vertex graphs this is the classical count of chord
 pairings of a ``2n``-gon realizing the class).
 
-The inner loop runs the canonical-labeling kernel once per pairing,
-which is why that kernel has a compiled backend.  Work is split by
-valence partition; partial tallies merge by summing counts and keeping
-the lexicographically smallest witness, a commutative merge that makes
-the parallel path schedule-independent.
+The inner loop runs the canonical-labeling kernel once per pairing
+(the kernel tries only the starts at minimum-valence vertices and
+drops a start once its partial code exceeds the best; see
+:mod:`fatcob._canon_py`).  The pairings of ``2n`` slots do not depend
+on the partition, so the serial path generates them once per edge
+count.  Work is split by valence partition; partial tallies merge by
+summing counts and keeping the lexicographically smallest witness, a
+commutative merge that makes the parallel path schedule-independent.
+Each class is checked by orbit-stabilizer: its pairing count times its
+automorphism count is the order of the slot-symmetry group, or
+:class:`~fatcob.errors.InvariantViolation` is raised.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import _canon
-from .errors import BoundExceeded
+from .errors import BoundExceeded, FatcobError, InvariantViolation
 from .graphs import new_fat_graph
 
 DEFAULT_MAX_EDGES = 8
@@ -138,13 +144,18 @@ def _centralizer_order(parts):
     return out
 
 
-def _tally_partition(task):
-    """Census tally for one valence partition: code -> [count, witness]."""
+def _tally_partition(task, pairings=None):
+    """Census tally for one valence partition: code -> [count, witness].
+
+    ``pairings`` is ``_involutions(2 * n)`` when the caller has it.
+    """
     n, parts = task
     sigma = _sigma_of_partition(parts)
     n2 = 2 * n
+    if pairings is None:
+        pairings = _involutions(n2)
     tally = {}
-    for m in _involutions(n2):
+    for m in pairings:
         code = _canon.census_code(sigma, m, n2)
         if code is None:
             continue
@@ -211,8 +222,13 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
             for n, tally in pool.imap_unordered(_tally_partition, tasks):
                 _merge(merged, n, tally)
     else:
+        # tasks come grouped by edge count; one pairing list at a time
+        pairings, pairings_n = None, None
         for task in tasks:
-            n, tally = _tally_partition(task)
+            if task[0] != pairings_n:
+                pairings_n = task[0]
+                pairings = _involutions(2 * pairings_n)
+            n, tally = _tally_partition(task, pairings)
             _merge(merged, n, tally)
     out = []
     for (n, code), (count, (parts, pairing)) in merged.items():
@@ -222,8 +238,11 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
         _, aut, _ = _canon.min_code(sigma, pairing, 2 * n)
         # orbit-stabilizer: pairings realizing the class, times the
         # automorphism count, is the slot-symmetry order
-        assert count * aut == _centralizer_order(parts), \
-            "census bookkeeping broken for %r" % (code,)
+        want = _centralizer_order(parts)
+        if count * aut != want:
+            raise InvariantViolation(
+                "census bookkeeping broken for %r: %d pairings times %d "
+                "automorphisms is not %d" % (code, count, aut, want))
         out.append(CensusEntry(
             canon=code, graph=graph, n_edges=n, n_vertices=len(parts),
             genus=comp.genus, boundary_count=comp.boundary_count,
@@ -273,7 +292,7 @@ def admissible_decorations(graph, max_leaves=6):
         closed = {v for v, r in assign if r in ("I", "O")}
         try:
             oc = decorate(graph, ins, outs, closed)
-        except Exception:
+        except FatcobError:
             continue
         if not is_admissible(oc)[0]:
             continue

@@ -138,3 +138,9 @@ class ParseError(FatcobError):
 
 class SemanticError(FatcobError):
     """The document parsed but the described graph is invalid."""
+
+
+# -- internal checks ---------------------------------------------------------
+
+class InvariantViolation(FatcobError):
+    """An internal consistency check failed: a bug, not bad input."""

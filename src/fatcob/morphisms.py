@@ -10,9 +10,10 @@ the collapsed half-edges deleted.  Decorated graphs additionally
 require order-preserving bijections on the In/Out lists and a
 bijection on the closed subset.
 
-Canonical forms are computed per connected component by exhaustive-
-start breadth-first relabelling (see :mod:`fatcob._canon`); two graphs
-are isomorphic exactly when their canonical byte strings agree.
+Canonical forms are computed per connected component by breadth-first
+relabelling from every start at a vertex of minimum valence (see
+:mod:`fatcob._canon`); two graphs are isomorphic exactly when their
+canonical byte strings agree.
 """
 
 from __future__ import annotations
@@ -306,7 +307,8 @@ def _component_codes(g):
             continue
         entries = _decoration_entries(g, hs)
         best = None
-        for h0 in range(n):
+        # the undecorated prefix decides first, so other starts lose
+        for h0 in _canon.min_valence_starts(sigma, n):
             nl, _, _ = _canon.relabel_from(sigma, inv, n, h0)
             undec = _canon.code_from(sigma, inv, n, h0)
             dec = b"".join(

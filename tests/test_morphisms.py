@@ -352,3 +352,135 @@ class TestBackendParity:
                 for m in _involutions(2 * n):
                     assert _canon.census_code(sigma, m, 2 * n) == \
                         _canon_py.census_code(sigma, m, 2 * n)
+
+
+def _reference_relabel(sigma, inv, n, h0):
+    """Code and new labels of the relabelling from ``h0``, straight from
+    the definition: label each fan as it is reached, partners
+    first-in-first-out.  The code is ``None`` when some half-edge is
+    not reached."""
+    nl = [-1] * n
+    order, valences = [], []
+    queue = [h0]
+    while queue:
+        h = queue.pop(0)
+        if nl[h] >= 0:
+            continue
+        fan = [h]
+        while sigma[fan[-1]] != h:
+            fan.append(sigma[fan[-1]])
+        for f in fan:
+            nl[f] = len(order)
+            order.append(f)
+            queue.append(inv[f])
+        valences.append(len(fan))
+    if len(order) != n:
+        return None, nl
+    code = bytes([len(valences)] + valences + [nl[inv[o]] for o in order])
+    return code, nl
+
+
+def _reference_min_code(sigma, inv, n):
+    """``(code, aut, best_start)`` by trying every start."""
+    codes = [_reference_relabel(sigma, inv, n, h0)[0] for h0 in range(n)]
+    best = min(codes)
+    return best, codes.count(best), codes.index(best)
+
+
+class TestPrunedKernel:
+    """The kernel tries only minimum-valence starts and drops a start
+    once it loses; it must agree with trying every start in full."""
+
+    @staticmethod
+    def _census_cases():
+        from fatcob.census import _involutions, _partitions, \
+            _sigma_of_partition
+        for n in (1, 2, 3, 4):
+            pairings = _involutions(2 * n)
+            for parts in _partitions(2 * n, 2 * n, 1):
+                yield _sigma_of_partition(parts), pairings, 2 * n
+        yield _sigma_of_partition((10,)), _involutions(10), 10
+
+    def test_census_code_and_min_code_match_all_starts(self):
+        from fatcob import _canon_py
+        connected = 0
+        for sigma, pairings, n2 in self._census_cases():
+            for m in pairings:
+                want, _ = _reference_relabel(sigma, m, n2, 0)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        _canon_py.min_code(sigma, m, n2)
+                else:
+                    want = _reference_min_code(sigma, m, n2)
+                    assert _canon_py.min_code(sigma, m, n2) == want, m
+                    want = want[0]
+                    connected += 1
+                assert _canon_py.census_code(sigma, m, n2) == want, m
+        assert connected > 2000
+
+    def test_decorated_canonical_forms_match_all_starts(self):
+        from fatcob.census import admissible_decorations
+        decorated = [oc for e in enumerate_fat_graphs(3)
+                     for oc in admissible_decorations(e.graph)]
+        assert len(decorated) > 100
+        for oc in decorated:
+            assert canonical_form(oc) == _reference_canonical_form(oc)
+
+
+def _reference_canonical_form(g):
+    """``canonical_form`` of a decorated graph, trying every start."""
+    from fatcob.morphisms import _decoration_entries, _dense
+    codes = []
+    for _, hs in g.base.connected_components():
+        if not hs:
+            codes.append(b"\x00|")
+            continue
+        idx, sigma, inv = _dense(g.base, hs)
+        cands = []
+        for h0 in range(len(hs)):
+            code, nl = _reference_relabel(sigma, inv, len(hs), h0)
+            cands.append(code + b"|" + b"".join(
+                bytes([kind, gi, nl[idx[h]], fl])
+                for kind, gi, h, fl in _decoration_entries(g, hs)))
+        codes.append(min(cands))
+    return b"".join(len(c).to_bytes(2, "big") + c for c in sorted(codes))
+
+
+class TestCensusChecks:
+    def test_orbit_stabilizer_check_survives_optimize(self):
+        import os
+        import subprocess
+        import sys
+
+        import fatcob
+        script = (
+            "import fatcob._canon as k\n"
+            "from fatcob.census import enumerate_fat_graphs\n"
+            "from fatcob.errors import InvariantViolation\n"
+            "assert False, 'asserts are on'\n"
+            "real = k.min_code\n"
+            "def wrong(*a):\n"
+            "    code, aut, start = real(*a)\n"
+            "    return code, aut + 1, start\n"
+            "k.min_code = wrong\n"
+            "try:\n"
+            "    enumerate_fat_graphs(2)\n"
+            "except InvariantViolation as exc:\n"
+            "    print('raised', exc)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(fatcob.__file__))))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("raised census bookkeeping broken")
+
+    def test_decorate_bug_propagates(self, monkeypatch):
+        from fatcob import openclosed
+        from fatcob.census import admissible_decorations
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in decorate")
+
+        monkeypatch.setattr(openclosed, "decorate", broken)
+        with pytest.raises(RuntimeError, match="bug in decorate"):
+            admissible_decorations(fx.flaps().base)
