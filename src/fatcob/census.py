@@ -12,9 +12,10 @@ pairings of a ``2n``-gon realizing the class).
 The inner loop runs the canonical-labeling kernel once per pairing
 (the kernel tries only the starts at minimum-valence vertices and
 drops a start once its partial code exceeds the best; see
-:mod:`fatcob._canon_py`).  The pairings of ``2n`` slots do not depend
-on the partition, so the serial path generates them once per edge
-count.  Work is split by valence partition; partial tallies merge by
+:mod:`fatcob._canon`).  Those starts depend only on the partition, so
+they are computed once per partition; the pairings of ``2n`` slots do
+not depend on it at all, so the serial path generates them once per
+edge count.  Work is split by valence partition; partial tallies merge by
 summing counts and keeping the lexicographically smallest witness, a
 commutative merge that makes the parallel path schedule-independent.
 Each class is checked by orbit-stabilizer: its pairing count times its
@@ -154,9 +155,10 @@ def _tally_partition(task, pairings=None):
     n2 = 2 * n
     if pairings is None:
         pairings = _involutions(n2)
+    starts = _canon.min_valence_starts(sigma, n2)
     tally = {}
     for m in pairings:
-        code = _canon.census_code(sigma, m, n2)
+        code = _canon.census_code(sigma, m, n2, starts)
         if code is None:
             continue
         hit = tally.get(code)

@@ -274,12 +274,13 @@ def _decoration_entries(g, comp_halves):
     """(kind, global index, leaf half, closed flag) for special leaves
     whose edge lies in this component."""
     base = g.base
-    hset = set(comp_halves)
+    # a special leaf carries one half-edge, so this is its leaf half
+    half_at = {base.source(h): h for h in comp_halves}
     entries = []
     for kind, leaves in ((0, g.in_leaves), (1, g.out_leaves)):
         for i, v in enumerate(leaves):
-            h = base.leaf_half(v)
-            if h in hset:
+            h = half_at.get(v)
+            if h is not None:
                 entries.append((kind, i, h, 1 if v in g.closed else 0))
     return entries
 
@@ -306,15 +307,17 @@ def _component_codes(g):
             out.append((code + b"|", {h: nl[idx[h]] for h in hs}))
             continue
         entries = _decoration_entries(g, hs)
+        # a narrow entry string has 4k bytes and a wide one 2 mod 4, so
+        # the two never coincide
+        top = max([n - 1] + [gi for _, gi, _, _ in entries])
         best = None
         # the undecorated prefix decides first, so other starts lose
         for h0 in _canon.min_valence_starts(sigma, n):
-            nl, _, _ = _canon.relabel_from(sigma, inv, n, h0)
-            undec = _canon.code_from(sigma, inv, n, h0)
-            dec = b"".join(
-                bytes([kind, gi, nl[idx[h]], fl])
-                for kind, gi, h, fl in entries)
-            cand = undec + b"|" + dec
+            nl, order, valences = _canon.relabel_from(sigma, inv, n, h0)
+            dec = _canon.encode(
+                [x for kind, gi, h, fl in entries
+                 for x in (kind, gi, nl[idx[h]], fl)], top)
+            cand = _canon.code_of(inv, nl, order, valences) + b"|" + dec
             if best is None or cand < best[0]:
                 best = (cand, {h: nl[idx[h]] for h in hs})
         out.append(best)
@@ -330,7 +333,14 @@ def canonical_form(g):
     concatenation is unambiguous.
     """
     codes = sorted(code for code, _ in _component_codes(g))
-    return b"".join(len(c).to_bytes(2, "big") + c for c in codes)
+    return b"".join(_length_prefix(len(c)) + c for c in codes)
+
+
+def _length_prefix(k):
+    # two bytes; 0xffff escapes to eight, for codes of 64 KiB and more
+    if k < 0xFFFF:
+        return k.to_bytes(2, "big")
+    return b"\xff\xff" + k.to_bytes(8, "big")
 
 
 def is_isomorphic(g1, g2):

@@ -248,6 +248,88 @@ class TestCanonicalForm:
         assert find_isomorphism(g, fx.figure4()) is None
 
 
+def _plane_forest(edges, n_vertices=None):
+    """Fat graph on vertices ``t000..`` (a tree's ``len(edges) + 1`` by
+    default) from ``(a, b)`` index pairs; each vertex orders its
+    half-edges by edge index."""
+    if n_vertices is None:
+        n_vertices = len(edges) + 1
+    names = ["t%03d" % i for i in range(n_vertices)]
+    orders = {v: [] for v in names}
+    triples = []
+    for i, (a, b) in enumerate(edges):
+        triples.append(("x%03d" % i, names[a], names[b]))
+        orders[names[a]].append("x%03d.0" % i)
+        orders[names[b]].append("x%03d.1" % i)
+    return new_fat_graph(names, triples, orders)
+
+
+class TestLargeGraphs:
+    """Canonical codes above 255 half-edges use wider entries."""
+
+    EDGES = 130
+
+    def path(self):
+        return _plane_forest([(i, i + 1) for i in range(self.EDGES)])
+
+    def test_path_relabel_invariance(self):
+        rng = random.Random(130)
+        g = self.path()
+        want = canonical_form(g)
+        for _ in range(3):
+            assert canonical_form(random_relabel(g, rng)) == want
+
+    def test_path_isomorphism_is_valid(self):
+        g = self.path()
+        h = random_relabel(g, random.Random(7))
+        m = find_isomorphism(g, h)
+        assert m is not None
+        ok, why = validate_morphism(m)
+        assert ok, why
+
+    def test_path_and_other_tree_differ(self):
+        # a path of 129 edges with one more edge hanging off vertex 1
+        other = _plane_forest([(i, i + 1) for i in range(self.EDGES - 1)]
+                      + [(1, self.EDGES)])
+        assert not is_isomorphic(self.path(), other)
+        assert find_isomorphism(self.path(), other) is None
+
+    def test_code_longer_than_64_kib(self):
+        g = _plane_forest([(i, i + 1) for i in range(11000)])
+        want = canonical_form(g)
+        assert len(want) > 0x10000
+        assert canonical_form(random_relabel(g, random.Random(3))) == want
+
+    def test_leaf_indices_above_255(self):
+        # 300 decorated intervals: every component is small, but the
+        # In/Out indices of the leaves run past 255
+        from fatcob.openclosed import OpenClosedFatGraph
+        g = _plane_forest([(2 * i, 2 * i + 1) for i in range(300)], 600)
+        names = sorted(g.vertices)
+        ins, outs = names[0::2], names[1::2]
+        want = canonical_form(OpenClosedFatGraph(g, ins, outs))
+        h = random_relabel(g, random.Random(300))
+        iso = find_isomorphism(g, h)
+        relabeled = OpenClosedFatGraph(h, [iso.vertex_map[v] for v in ins],
+                                       [iso.vertex_map[v] for v in outs])
+        assert canonical_form(relabeled) == want
+        swapped = outs[:]
+        swapped[0], swapped[299] = swapped[299], swapped[0]
+        assert canonical_form(OpenClosedFatGraph(g, ins, swapped)) != want
+
+    def test_decorated_path_relabel_invariance(self):
+        from fatcob.openclosed import OpenClosedFatGraph
+        g = self.path()
+        ends = ("t000", "t%03d" % self.EDGES)
+        want = canonical_form(OpenClosedFatGraph(g, ends[:1], ends[1:]))
+        h = random_relabel(g, random.Random(11))
+        iso = find_isomorphism(g, h)
+        relabeled = OpenClosedFatGraph(h, [iso.vertex_map[ends[0]]],
+                                       [iso.vertex_map[ends[1]]])
+        assert canonical_form(relabeled) == want
+        assert canonical_form(g) != want
+
+
 class TestCensus:
     def test_one_vertex_pairing_counts(self):
         for n, total, dist in ((1, 1, {0: 1}), (2, 3, {0: 2, 1: 1}),
@@ -339,21 +421,6 @@ class TestCensus:
         assert all((e.genus, e.boundary_count) == (1, 1) for e in entries)
 
 
-class TestBackendParity:
-    def test_kernels_agree_on_census_graphs(self):
-        from fatcob import _canon_py
-        from fatcob import _canon
-        if _canon.BACKEND == "python":
-            pytest.skip("compiled kernel not built")
-        from fatcob.census import _involutions, _sigma_of_partition, _partitions
-        for n in (1, 2, 3):
-            for parts in _partitions(2 * n, 2 * n, 1):
-                sigma = _sigma_of_partition(parts)
-                for m in _involutions(2 * n):
-                    assert _canon.census_code(sigma, m, 2 * n) == \
-                        _canon_py.census_code(sigma, m, 2 * n)
-
-
 def _reference_relabel(sigma, inv, n, h0):
     """Code and new labels of the relabelling from ``h0``, straight from
     the definition: label each fan as it is reached, partners
@@ -402,20 +469,22 @@ class TestPrunedKernel:
         yield _sigma_of_partition((10,)), _involutions(10), 10
 
     def test_census_code_and_min_code_match_all_starts(self):
-        from fatcob import _canon_py
+        from fatcob import _canon
         connected = 0
         for sigma, pairings, n2 in self._census_cases():
+            # as in the census: the starts once per partition
+            starts = _canon.min_valence_starts(sigma, n2)
             for m in pairings:
                 want, _ = _reference_relabel(sigma, m, n2, 0)
                 if want is None:
                     with pytest.raises(ValueError):
-                        _canon_py.min_code(sigma, m, n2)
+                        _canon.min_code(sigma, m, n2)
                 else:
                     want = _reference_min_code(sigma, m, n2)
-                    assert _canon_py.min_code(sigma, m, n2) == want, m
+                    assert _canon.min_code(sigma, m, n2) == want, m
                     want = want[0]
                     connected += 1
-                assert _canon_py.census_code(sigma, m, n2) == want, m
+                assert _canon.census_code(sigma, m, n2, starts) == want, m
         assert connected > 2000
 
     def test_decorated_canonical_forms_match_all_starts(self):
