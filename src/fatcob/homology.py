@@ -6,7 +6,10 @@ half-edge, one 0-cell per extra edge midpoint and per extra vertex,
 with ``d(h) = [midpoint of h's edge] - [source of h]`` and the source
 term dropped when it lies on the incoming part.  Kernel and cokernel
 bases are chosen by row reduction with leftmost pivots, so every sign
-below is reproducible.
+below is reproducible.  The differential is a dense matrix; a chain
+map between two complexes is a cell map, which sends each source cell
+to a sum of target cells with coefficient +1, stored as the tuple of
+their indices (empty for a cell sent to zero).
 
 The determinant line of a complex is the top exterior power of its
 degree-1 homology tensored with the dual top power of its degree-0
@@ -25,12 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import InvalidMorphism, NotGluable, ResultInvalid
+from .errors import (InvalidMorphism, InvariantViolation, NotGluable,
+                     ResultInvalid)
 from .morphisms import validate_morphism
 from .openclosed import incoming_partition, require_admissible
 
 ZERO = linalg.ZERO
 ONE = linalg.ONE
+
+
+def _check(ok, message):
+    """Raise :class:`InvariantViolation` unless ``ok``, also under -O."""
+    if not ok:
+        raise InvariantViolation(message)
 
 
 class ChainComplexPair:
@@ -48,8 +58,9 @@ class ChainComplexPair:
         self.basis1 = tuple(basis1)
         self.basis0 = tuple(basis0)
         self.d = differential
-        assert len(self.d) == len(self.basis0)
-        assert all(len(row) == len(self.basis1) for row in self.d)
+        _check(len(self.d) == len(self.basis0) and all(
+            len(row) == len(self.basis1) for row in self.d),
+            "differential has the wrong shape")
         self.h1_basis, piv = linalg.kernel_basis(self.d, len(self.basis1))
         piv1 = set(piv)
         self._free1 = [j for j in range(len(self.basis1)) if j not in piv1]
@@ -93,14 +104,14 @@ class ChainComplexPair:
 
     def h1_coords(self, vec):
         """Coordinates of a kernel vector in the chosen H1 basis."""
-        assert all(x == 0 for x in linalg.matvec(self.d, vec)), \
-            "vector is not a cycle"
+        _check(all(x == 0 for x in linalg.matvec(self.d, vec)),
+               "vector is not a cycle")
         coords = [vec[j] for j in self._free1]
         check = [ZERO] * len(self.basis1)
         for c, b in zip(coords, self.h1_basis):
             for i in range(len(check)):
                 check[i] += c * b[i]
-        assert check == list(vec), "kernel coordinates failed to reproduce"
+        _check(check == list(vec), "kernel coordinates failed to reproduce")
         return coords
 
     def h0_class(self, vec):
@@ -110,7 +121,7 @@ class ChainComplexPair:
             if w[p] != 0:
                 f = w[p]
                 w = [a - f * b for a, b in zip(w, row)]
-        assert all(w[i] == 0 for i in self._piv0)
+        _check(all(w[i] == 0 for i in self._piv0), "cokernel reduction failed")
         return [w[i] for i in self._free0]
 
     def index1(self, label):
@@ -135,8 +146,8 @@ def relative_chain_complex(g):
         if v in ev:
             d[pos0[("V", v)]][j] -= ONE
     cc = ChainComplexPair(basis1, basis0, d)
-    assert cc.rank_h0 - cc.rank_h1 == part.euler_difference, \
-        "homology ranks disagree with the cell count"
+    _check(cc.rank_h0 - cc.rank_h1 == part.euler_difference,
+           "homology ranks disagree with the cell count")
     return cc
 
 
@@ -190,9 +201,33 @@ def power(line, d):
 # chain maps of morphisms
 
 
+def _scatter(vec, cell_map, n):
+    """Image of ``vec`` under a cell map, as a length-``n`` vector.
+
+    ``cell_map[i]`` holds the target indices that source cell ``i`` maps
+    to with coefficient +1; ``vec[i]`` is added at each of them.
+    """
+    out = [ZERO] * n
+    for x, targets in zip(vec, cell_map):
+        if x:
+            for t in targets:
+                out[t] += x
+    return out
+
+
+def _check_chain_map(F, T, f1, f0):
+    """Raise unless ``f0 . F.d == T.d . f1``, compared column by column."""
+    n0 = len(T.basis0)
+    for j, targets in enumerate(f1):
+        lhs = _scatter([row[j] for row in F.d], f0, n0)
+        rhs = [sum(row[t] for t in targets) for row in T.d]
+        _check(lhs == rhs, "chain map does not commute with the differentials")
+
+
 @dataclass
 class ChainMap:
-    """Matrices of a morphism on the relative complexes."""
+    """A morphism's cell maps between the relative complexes: ``f_eH``
+    on the 1-cells, ``f_eEV`` on the 0-cells."""
     source_cc: ChainComplexPair
     target_cc: ChainComplexPair
     f_eH: list
@@ -219,46 +254,33 @@ def chain_map_of_morphism(m):
     sbase, tbase = src.base, tgt.base
     pos1 = {h: i for i, h in enumerate(B.basis1)}
     pos0 = {c: i for i, c in enumerate(B.basis0)}
-    f1 = linalg.zeros(len(B.basis1), len(A.basis1))
-    for j, h in enumerate(A.basis1):
-        img = m.half_map[h]
-        if img is not None and img in pos1:
-            f1[pos1[img]][j] += ONE
-    f0 = linalg.zeros(len(B.basis0), len(A.basis0))
-    for j, cell in enumerate(A.basis0):
-        kind, name = cell
+    f1 = [(pos1[m.half_map[h]],) if m.half_map[h] in pos1 else ()
+          for h in A.basis1]
+    f0 = []
+    for kind, name in A.basis0:
         if kind == "V":
-            w = m.vertex_map[name]
-            if ("V", w) in pos0:
-                f0[pos0[("V", w)]][j] += ONE
+            img = ("V", m.vertex_map[name])
         else:
             h0, _ = sbase.edge_halves(name)
-            img = m.half_map[h0]
-            if img is None:
-                w = m.vertex_map[sbase.source(h0)]
-                if ("V", w) in pos0:
-                    f0[pos0[("V", w)]][j] += ONE
-            else:
-                e1 = tbase.edge_of(img)
-                if ("E", e1) in pos0:
-                    f0[pos0[("E", e1)]][j] += ONE
-    lhs = linalg.matmul(f0, A.d)
-    rhs = linalg.matmul(B.d, f1)
-    assert lhs == rhs, "chain map does not commute with the differentials"
+            h1 = m.half_map[h0]
+            img = (("V", m.vertex_map[sbase.source(h0)]) if h1 is None
+                   else ("E", tbase.edge_of(h1)))
+        f0.append((pos0[img],) if img in pos0 else ())
+    _check_chain_map(A, B, f1, f0)
     return ChainMap(A, B, f_eH=f1, f_eEV=f0)
 
 
-def _induced_h1_matrix(A, B, f1):
+def _induced_h1_matrix(A, B, cell_map):
     cols = []
     for vec in A.h1_basis:
-        cols.append(B.h1_coords(linalg.matvec(f1, vec)))
+        cols.append(B.h1_coords(_scatter(vec, cell_map, len(B.basis1))))
     return linalg.transpose(cols)
 
 
-def _induced_h0_matrix(A, B, f0):
+def _induced_h0_matrix(A, B, cell_map):
     cols = []
     for rep in A.h0_basis:
-        cols.append(B.h0_class(linalg.matvec(f0, rep)))
+        cols.append(B.h0_class(_scatter(rep, cell_map, len(B.basis0))))
     return linalg.transpose(cols)
 
 
@@ -294,9 +316,7 @@ def morphism_det_sign(m):
         if img is not None:
             pre_half[img] = h
     posA1 = {h: i for i, h in enumerate(A.basis1)}
-    g1 = linalg.zeros(len(A.basis1), len(B.basis1))
-    for j, h in enumerate(B.basis1):
-        g1[posA1[pre_half[h]]][j] += ONE
+    g1 = [(posA1[pre_half[h]],) for h in B.basis1]
     # section on 0-cells: preimage edge, or the collapsed tree's cells
     posA0 = {c: i for i, c in enumerate(A.basis0)}
     collapsed_by_vertex = {}
@@ -307,17 +327,14 @@ def morphism_det_sign(m):
                 ("E", sbase.edge_of(h)))
     for v, w in m.vertex_map.items():
         collapsed_by_vertex.setdefault(w, set()).add(("V", v))
-    g0 = linalg.zeros(len(A.basis0), len(B.basis0))
-    for j, cell in enumerate(B.basis0):
-        kind, name = cell
+    g0 = []
+    for kind, name in B.basis0:
         if kind == "E":
             h0, _ = tbase.edge_halves(name)
-            pre_e = sbase.edge_of(pre_half[h0])
-            g0[posA0[("E", pre_e)]][j] += ONE
+            g0.append((posA0[("E", sbase.edge_of(pre_half[h0]))],))
         else:
-            for c in collapsed_by_vertex.get(name, ()):
-                if c in posA0:
-                    g0[posA0[c]][j] += ONE
+            cells = collapsed_by_vertex.get(name, ())
+            g0.append(tuple(sorted(posA0[c] for c in cells if c in posA0)))
     # H1 action of the section: lift and correct inside the collapsed
     # cells, which the forward map kills and which carry no homology
     k_cols = [posA1[h] for h, img in m.half_map.items()
@@ -326,19 +343,18 @@ def morphism_det_sign(m):
     d_restricted = [[A.d[i][j] for j in k_cols] for i in range(len(A.basis0))]
     cols = []
     for vec in B.h1_basis:
-        lift = linalg.matvec(g1, vec)
+        lift = _scatter(vec, g1, len(A.basis1))
         defect = linalg.matvec(A.d, lift)
         x = linalg.solve(d_restricted, defect)
-        assert x is not None, "collapsed cells failed to absorb the defect"
+        _check(x is not None, "collapsed cells failed to absorb the defect")
         for idx, col in enumerate(k_cols):
             lift[col] -= x[idx]
         cols.append(A.h1_coords(lift))
     det1_g = linalg.det(linalg.transpose(cols))
     det0_g = linalg.det(_induced_h0_matrix(B, A, g0))
-    assert det1_g != 0 and det0_g != 0
+    _check(det1_g != 0 and det0_g != 0, "section map on homology is singular")
     sign_g = _sign(det1_g) * _sign(det0_g)
-    assert sign_f == sign_g, \
-        "forward and section determinant signs disagree"
+    _check(sign_f == sign_g, "forward and section determinant signs disagree")
     return sign_f
 
 
@@ -346,32 +362,18 @@ def morphism_det_sign(m):
 # the six-term sequence of an extension of complexes
 
 
-def _scatter(vec, index, n):
-    """Length-``n`` vector with ``vec[i]`` placed at ``index[i]``."""
-    out = [ZERO] * n
-    for i, x in enumerate(vec):
-        out[index[i]] = x
-    return out
-
-
-def _ses_det_scalar(A, B, C, incl1, incl0, proj1, proj0):
+def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     """Scalar of det(H A) (x) det(H C) -> det(H B) for an extension.
 
-    ``incl*`` map A-indices to B-indices; ``proj*`` map B-indices to
-    C-indices (None off the quotient).  The scalar is assembled from
+    ``incl*`` map A-indices to B-indices and ``sect*`` map C-indices to
+    the B-indices of the cells over them.  The scalar is assembled from
     four base changes: splitting H1(B) over H1(A) and the kernel of the
     connecting map, splitting H1(C) over that kernel, splitting H0(A)
     over the connecting image, and splitting H0(B) under H0(C).
     """
     nB1, nB0 = len(B.basis1), len(B.basis0)
-    sect1 = {}
-    for bi, ci in enumerate(proj1):
-        if ci is not None:
-            sect1[ci] = bi
-    sect0 = {}
-    for bi, ci in enumerate(proj0):
-        if ci is not None:
-            sect0[ci] = bi
+    inc1, inc0, sec1, sec0 = ([(b,) for b in index]
+                              for index in (incl1, incl0, sect1, sect0))
 
     def a_part0(vec):
         out = [ZERO] * len(A.basis0)
@@ -379,14 +381,14 @@ def _ses_det_scalar(A, B, C, incl1, incl0, proj1, proj0):
         for i in range(len(A.basis0)):
             out[i] = vec[incl0[i]]
             seen.add(incl0[i])
-        assert all(vec[i] == 0 for i in range(nB0) if i not in seen), \
-            "boundary left the subcomplex"
+        _check(all(vec[i] == 0 for i in range(nB0) if i not in seen),
+               "boundary left the subcomplex")
         return out
 
     # connecting map on H1(C)
     delta_cols = []
     for vec in C.h1_basis:
-        lifted = _scatter(vec, sect1, nB1)
+        lifted = _scatter(vec, sec1, nB1)
         bdry = linalg.matvec(B.d, lifted)
         delta_cols.append(A.h0_class(a_part0(bdry)))
     kerK, piv = linalg.kernel_basis(linalg.transpose(delta_cols),
@@ -409,52 +411,44 @@ def _ses_det_scalar(A, B, C, incl1, incl0, proj1, proj0):
         if linalg.rank(linalg.transpose(trial)) == len(trial):
             have.append(unit)
             comp_idx.append(q)
-    assert len(have) == A.rank_h0, "connecting image has no complement"
+    _check(len(have) == A.rank_h0, "connecting image has no complement")
     s3 = linalg.det(linalg.transpose(have)) if have else ONE
     # s1: (H1(A) | corrected lifts of the kernel) in H1(B)
-    colsB = [B.h1_coords(_scatter(vec, incl1, nB1)) for vec in A.h1_basis]
+    colsB = [B.h1_coords(_scatter(vec, inc1, nB1)) for vec in A.h1_basis]
     for kvec in kerK:
         zC = [ZERO] * len(C.basis1)
         for c, bvec in zip(kvec, C.h1_basis):
             for i in range(len(zC)):
                 zC[i] += c * bvec[i]
-        lifted = _scatter(zC, sect1, nB1)
+        lifted = _scatter(zC, sec1, nB1)
         defect = a_part0(linalg.matvec(B.d, lifted))
         y = linalg.solve(A.d, defect)
-        assert y is not None, "kernel lift is not correctable"
-        corrected = [a - b for a, b in zip(lifted, _scatter(y, incl1, nB1))]
+        _check(y is not None, "kernel lift is not correctable")
+        corrected = [a - b for a, b in zip(lifted, _scatter(y, inc1, nB1))]
         colsB.append(B.h1_coords(corrected))
-    assert len(colsB) == B.rank_h1, "rank bookkeeping broken in degree 1"
+    _check(len(colsB) == B.rank_h1, "rank bookkeeping broken in degree 1")
     s1 = linalg.det(linalg.transpose(colsB))
     # s4: (H0(A) complement | lifts of H0(C)) in H0(B)
     cols0 = []
     for q in comp_idx:
         rep = A.h0_basis[q]
-        cols0.append(B.h0_class(_scatter(rep, incl0, nB0)))
+        cols0.append(B.h0_class(_scatter(rep, inc0, nB0)))
     for rep in C.h0_basis:
-        cols0.append(B.h0_class(_scatter(rep, sect0, nB0)))
-    assert len(cols0) == B.rank_h0, "rank bookkeeping broken in degree 0"
+        cols0.append(B.h0_class(_scatter(rep, sec0, nB0)))
+    _check(len(cols0) == B.rank_h0, "rank bookkeeping broken in degree 0")
     s4 = linalg.det(linalg.transpose(cols0)) if cols0 else ONE
-    assert s1 != 0 and s2 != 0 and s3 != 0 and s4 != 0
-    assert B.degree == A.degree + C.degree, "degrees fail to add"
+    _check(s1 and s2 and s3 and s4, "six-term base change is singular")
+    _check(B.degree == A.degree + C.degree, "degrees fail to add")
     return (s1 * s4) / (s2 * s3)
 
 
 def _chain_iso_scalar(F, T, map1, map0):
-    """Determinant-line scalar of a cell bijection between complexes."""
-    for i in range(len(F.basis0)):
-        for j in range(len(F.basis1)):
-            assert T.d[map0[i]][map1[j]] == F.d[i][j], \
-                "cell bijection is not a chain map"
-    f1 = linalg.zeros(len(T.basis1), len(F.basis1))
-    for j in range(len(F.basis1)):
-        f1[map1[j]][j] = ONE
-    f0 = linalg.zeros(len(T.basis0), len(F.basis0))
-    for i in range(len(F.basis0)):
-        f0[map0[i]][i] = ONE
-    det1 = linalg.det(_induced_h1_matrix(F, T, f1))
-    det0 = linalg.det(_induced_h0_matrix(F, T, f0))
-    assert det1 != 0 and det0 != 0
+    """Determinant-line scalar of a cell bijection between complexes,
+    given as cell maps ``map1`` and ``map0``."""
+    _check_chain_map(F, T, map1, map0)
+    det1 = linalg.det(_induced_h1_matrix(F, T, map1))
+    det0 = linalg.det(_induced_h0_matrix(F, T, map0))
+    _check(det1 != 0 and det0 != 0, "cell bijection is not a quasi-iso")
     return det1 / det0
 
 
@@ -493,13 +487,7 @@ def _drop_scalar(cc, dropped_halves, dropped_cells):
     quot = _quotient_complex(cc, drop1, drop0)
     if quot.rank_h1 or quot.rank_h0:
         raise ResultInvalid("dropped cells are not acyclic")
-    proj1 = [None] * len(cc.basis1)
-    for qi, bi in enumerate(drop1):
-        proj1[bi] = qi
-    proj0 = [None] * len(cc.basis0)
-    for qi, bi in enumerate(drop0):
-        proj0[bi] = qi
-    scalar = _ses_det_scalar(sub, cc, quot, idx1, idx0, proj1, proj0)
+    scalar = _ses_det_scalar(sub, cc, quot, idx1, idx0, drop1, drop0)
     return sub, scalar
 
 
@@ -560,11 +548,10 @@ def _gluing_scalar(g1, g2, match):
     else:
         cc1p, s_drop = cc1, ONE
     ccB = _glued_extension(cc1p, cc2, match, data)
-    incl1 = list(range(len(cc1p.basis1)))
-    incl0 = list(range(len(cc1p.basis0)))
-    proj1 = [None] * len(cc1p.basis1) + list(range(len(cc2.basis1)))
-    proj0 = [None] * len(cc1p.basis0) + list(range(len(cc2.basis0)))
-    s_ses = _ses_det_scalar(cc1p, ccB, cc2, incl1, incl0, proj1, proj0)
+    n1, n0 = len(cc1p.basis1), len(cc1p.basis0)
+    s_ses = _ses_det_scalar(cc1p, ccB, cc2, range(n1), range(n0),
+                            range(n1, n1 + len(cc2.basis1)),
+                            range(n0, n0 + len(cc2.basis0)))
     ccG = relative_chain_complex(glued)
 
     def glued_half(tag, h):
@@ -576,13 +563,14 @@ def _gluing_scalar(g1, g2, match):
         return (kind, ("1:" if tag == "1" else "2:") + name)
 
     try:
-        map1 = [ccG.index1(glued_half(tag, h)) for tag, h in ccB.basis1]
-        map0 = [ccG.index0(glued_cell(tag, c)) for tag, c in ccB.basis0]
+        map1 = [(ccG.index1(glued_half(tag, h)),) for tag, h in ccB.basis1]
+        map0 = [(ccG.index0(glued_cell(tag, c)),) for tag, c in ccB.basis0]
     except ValueError as exc:
         raise ResultInvalid(
             "glued cells disagree with the extension cells: %s" % exc)
-    assert sorted(map1) == list(range(len(ccG.basis1)))
-    assert sorted(map0) == list(range(len(ccG.basis0)))
+    _check(sorted(map1) == [(i,) for i in range(len(ccG.basis1))]
+           and sorted(map0) == [(i,) for i in range(len(ccG.basis0))],
+           "glued cells are not a bijection")
     s_perm = _chain_iso_scalar(ccB, ccG, map1, map0)
     return (s_ses * s_perm) / s_drop, ccG, glued
 
@@ -599,13 +587,13 @@ def gluing_det_iso(g1, g2, match, d):
         raise ValueError("tensor powers need d >= 0")
     try:
         scalar, ccG, _ = _gluing_scalar(g1, g2, match)
-    except (ResultInvalid, AssertionError) as exc:
+    except (ResultInvalid, InvariantViolation) as exc:
         raise NotGluable(str(exc)) from exc
     # a complex's degree is minus its relative Euler characteristic, as
-    # relative_chain_complex asserts for every complex it builds
+    # relative_chain_complex checks for every complex it builds
     deg1 = -relative_euler_char(g1)
     deg2 = -relative_euler_char(g2)
-    assert ccG.degree == deg1 + deg2
+    _check(ccG.degree == deg1 + deg2, "glued degree is not the sum")
     shuffle = -1 if (deg1 * deg2 * (d * (d - 1) // 2)) % 2 else 1
     return GradedLine(d * ccG.degree, Fraction(shuffle) * scalar ** d)
 
@@ -645,7 +633,7 @@ def _arc_class(cc, g, from_vertices, to_vertices):
             if w not in prev:
                 prev[w] = (u, e)
                 queue.append(w)
-    assert found is not None, "incoming circles are not linked by extra edges"
+    _check(found is not None, "incoming circles are not linked by extra edges")
     chain = [ZERO] * len(cc.basis1)
     cur = found
     while prev[cur] is not None:
@@ -674,7 +662,7 @@ def _composite_coefficient(inner, outer, in_slot):
     gamma23 = _arc_class(ccG, glued, circles[1], circles[2])
     mat = linalg.transpose([gamma12, gamma23])
     det_geo = linalg.det(mat)
-    assert det_geo != 0, "arc classes fail to frame the glued homology"
+    _check(det_geo != 0, "arc classes fail to frame the glued homology")
     return scalar / det_geo
 
 
@@ -696,5 +684,5 @@ def skew_associativity_sign(d):
     c_left = _composite_coefficient(inner, outer, 0)
     c_right = _composite_coefficient(inner, outer, 1)
     ratio = c_left / c_right
-    assert ratio in (ONE, -ONE), "stacking comparison is not a sign"
+    _check(ratio in (ONE, -ONE), "stacking comparison is not a sign")
     return 1 if (ratio ** d) > 0 else -1

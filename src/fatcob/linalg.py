@@ -8,6 +8,8 @@ identical bases and signs.
 
 from fractions import Fraction
 
+from .errors import InvariantViolation
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -31,14 +33,6 @@ def transpose(m):
 
 def matvec(m, v):
     return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m]
-
-
-def matmul(a, b):
-    if not a or not b:
-        return []
-    bt = transpose(b)
-    return [[sum((ra[k] * cb[k] for k in range(len(ra))), ZERO) for cb in bt]
-            for ra in a]
 
 
 def copy(m):
@@ -122,7 +116,8 @@ def det(m):
     n = len(m)
     if n == 0:
         return ONE
-    assert all(len(row) == n for row in m), "determinant needs a square matrix"
+    if any(len(row) != n for row in m):
+        raise InvariantViolation("determinant needs a square matrix")
     a = copy(m)
     sign = ONE
     out = ONE

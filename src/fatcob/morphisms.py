@@ -116,31 +116,35 @@ def validate_morphism(m):
         if hits.get(h1, 0) != 1:
             return False, ("target half-edge %s has %d preimages"
                            % (h1, hits.get(h1, 0)))
-    # vertex preimages are trees
+    # vertex preimages are trees: with one edge fewer than vertices and
+    # no loop, a preimage is connected
+    pre_v, pre_e = {}, {}
+    for v in src.vertices:
+        pre_v.setdefault(vmap[v], []).append(v)
+    for h, img in hmap.items():
+        if img is None:
+            pre_e.setdefault(vmap[src.source(h)], set()).add(src.edge_of(h))
+    parent = {v: v for v in src.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for v1 in tgt.vertices:
-        pre_v = [v for v in src.vertices if vmap[v] == v1]
-        if not pre_v:
+        verts = pre_v.get(v1, [])
+        if not verts:
             return False, "target vertex %s has no preimage" % v1
-        pre_e = {src.edge_of(h) for h, img in hmap.items() if img is None
-                 and vmap[src.source(h)] == v1}
-        if len(pre_e) != len(pre_v) - 1:
+        edges = sorted(pre_e.get(v1, ()))
+        if len(edges) != len(verts) - 1:
             return False, ("preimage of %s is not a tree: %d vertices, "
-                           "%d collapsed edges" % (v1, len(pre_v), len(pre_e)))
-        parent = {v: v for v in pre_v}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in pre_e:
+                           "%d collapsed edges" % (v1, len(verts), len(edges)))
+        for e in edges:
             a, b = (find(x) for x in src.edge_ends(e))
             if a == b:
                 return False, "preimage of %s contains a loop at %s" % (v1, a)
             parent[a] = b
-        if len({find(v) for v in pre_v}) != 1:
-            return False, "preimage of %s is disconnected" % v1
     # boundary cycles: target walk = source walk minus collapsed cells
     for h in src.half_edges:
         if hmap[h] is None:

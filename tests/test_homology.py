@@ -180,8 +180,8 @@ class TestGradedLines:
 class TestChainMaps:
     def test_identity(self):
         cm = chain_map_of_morphism(identity_morphism(fx.pants()))
-        assert cm.f_eH == linalg.identity(len(cm.source_cc.basis1))
-        assert cm.f_eEV == linalg.identity(len(cm.source_cc.basis0))
+        assert cm.f_eH == [(i,) for i in range(len(cm.source_cc.basis1))]
+        assert cm.f_eEV == [(i,) for i in range(len(cm.source_cc.basis0))]
 
     def test_collapse_commutes_and_is_quasi_iso(self):
         oc = fx.pants()
@@ -197,6 +197,106 @@ class TestChainMaps:
         bad.half_map["a1.0"], bad.half_map["a1.1"] = "a1.1", "a1.0"
         with pytest.raises(InvalidMorphism):
             chain_map_of_morphism(bad)
+
+    def test_commutation_check_survives_optimize(self):
+        # the pants identity with p1 and q swapped passes a patched
+        # validate_morphism, but its cell maps do not commute with d
+        import os
+        import subprocess
+        import sys
+
+        import fatcob
+        script = (
+            "from fatcob import fixtures as fx, homology\n"
+            "from fatcob.errors import InvariantViolation\n"
+            "from fatcob.morphisms import Morphism\n"
+            "assert False, 'asserts are on'\n"
+            "g = fx.pants()\n"
+            "vmap = {v: v for v in g.base.vertices}\n"
+            "vmap['p1'], vmap['q'] = 'q', 'p1'\n"
+            "m = Morphism(g, g, vmap, {h: h for h in g.base.half_edges})\n"
+            "homology.validate_morphism = lambda m: (True, None)\n"
+            "try:\n"
+            "    homology.chain_map_of_morphism(m)\n"
+            "except InvariantViolation as exc:\n"
+            "    print('raised', exc)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(fatcob.__file__))))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("raised chain map does not commute")
+
+    def test_cell_maps_match_dense_reference(self):
+        singles, composites = census_collapses(3)
+        assert len(singles) > 100 and len(composites) > 30
+        for m in singles + composites:
+            cm = chain_map_of_morphism(m)
+            A, B = cm.source_cc, cm.target_cc
+            f1, f0 = dense_chain_map(m, A, B)
+            assert densify(cm.f_eH, len(B.basis1)) == f1
+            assert densify(cm.f_eEV, len(B.basis0)) == f0
+            n1 = len(A.basis1)
+            assert dense_product(f0, A.d, n1) == dense_product(B.d, f1, n1)
+
+
+def census_collapses(max_edges):
+    """Every admissible collapse of a nonempty forest off the special
+    leaves, on the admissible census decorations with at most
+    ``max_edges`` edges, and every composite of two such collapses."""
+    from test_morphisms import _forests
+
+    def collapses(oc):
+        special = {oc.base.edge_of(oc.base.leaf_half(v)) for v in oc.special}
+        for f in _forests(oc.base):
+            if f and not set(f) & special:
+                out, m = collapse_edges(oc, f)
+                if is_admissible(out)[0]:
+                    yield out, m
+
+    singles, composites = [], []
+    for oc in admissible_census_decorations(max_edges):
+        for mid, m1 in collapses(oc):
+            singles.append(m1)
+            composites.extend(compose(m2, m1) for _, m2 in collapses(mid))
+    return singles, composites
+
+
+def dense_chain_map(m, A, B):
+    """``(f1, f0)`` of ``m`` as dense 0/1 matrices (rows over ``B``'s
+    cells): a half-edge goes to its image, a midpoint to its image
+    edge's midpoint or, when collapsed, to its far end's image vertex,
+    a vertex to its image; cells landing off ``B``'s basis go to 0."""
+    sbase, tbase = m.source.base, m.target.base
+    f1 = [[0] * len(A.basis1) for _ in B.basis1]
+    for j, h in enumerate(A.basis1):
+        if m.half_map[h] in B.basis1:
+            f1[B.index1(m.half_map[h])][j] = 1
+    f0 = [[0] * len(A.basis0) for _ in B.basis0]
+    for j, (kind, name) in enumerate(A.basis0):
+        if kind == "V":
+            cell = ("V", m.vertex_map[name])
+        else:
+            far = sbase.edge_halves(name)[1]
+            img = m.half_map[far]
+            cell = (("V", m.vertex_map[sbase.source(far)]) if img is None
+                    else ("E", tbase.edge_of(img)))
+        if cell in B.basis0:
+            f0[B.index0(cell)][j] = 1
+    return f1, f0
+
+
+def densify(cell_map, rows):
+    out = [[0] * len(cell_map) for _ in range(rows)]
+    for j, targets in enumerate(cell_map):
+        for t in targets:
+            out[t][j] += 1
+    return out
+
+
+def dense_product(a, b, cols):
+    return [[sum(row[k] * b[k][j] for k in range(len(b)))
+             for j in range(cols)] for row in a]
 
 
 def census_morphism_pairs(max_edges=3):

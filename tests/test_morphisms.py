@@ -51,6 +51,45 @@ class TestValidate:
         assert not ok
         assert "tree" in why or "loop" in why
 
+    @staticmethod
+    def _onto_point(g):
+        """Every vertex of ``g`` to one isolated ``u``, every edge
+        collapsed."""
+        point = new_fat_graph(["u"], [], {}, isolated=["u"])
+        return Morphism(g, point, {v: "u" for v in g.vertices},
+                        {h: None for h in g.half_edges})
+
+    def test_vertex_without_preimage(self):
+        g = new_fat_graph(["u"], [], {}, isolated=["u"])
+        two = new_fat_graph(["u", "w"], [], {}, isolated=["u", "w"])
+        ok, why = validate_morphism(Morphism(g, two, {"u": "u"}, {}))
+        assert (ok, why) == (False, "target vertex w has no preimage")
+
+    def test_preimage_with_a_cycle_is_not_a_tree(self):
+        g = new_fat_graph(["a", "b"], [("x", "a", "b"), ("y", "a", "b")],
+                          {"a": ["x.0", "y.0"], "b": ["x.1", "y.1"]})
+        ok, why = validate_morphism(self._onto_point(g))
+        assert (ok, why) == (False, "preimage of u is not a tree: "
+                             "2 vertices, 2 collapsed edges")
+
+    def test_preimage_loop_witness_is_the_first_edge(self):
+        # two loops and one isolated vertex: the edge count is right,
+        # and the witness is the loop of the first edge by name
+        g = new_fat_graph(["a", "b", "c"], [("M", "b", "b"), ("L", "a", "a")],
+                          {"a": ["L.0", "L.1"], "b": ["M.0", "M.1"]},
+                          isolated=["c"])
+        ok, why = validate_morphism(self._onto_point(g))
+        assert (ok, why) == (False, "preimage of u contains a loop at a")
+
+    def test_disconnected_preimage_is_not_a_tree(self):
+        # a disconnected forest has too few edges, so the count catches
+        # it before any union-find
+        g = new_fat_graph(["a", "b", "c"], [("x", "a", "b")],
+                          {"a": ["x.0"], "b": ["x.1"]}, isolated=["c"])
+        ok, why = validate_morphism(self._onto_point(g))
+        assert (ok, why) == (False, "preimage of u is not a tree: "
+                             "3 vertices, 1 collapsed edges")
+
     def test_boundary_walk_violation_detected(self):
         # swap the images of two parallel edges at one end only
         g = fx.figure4()
