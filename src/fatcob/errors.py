@@ -34,6 +34,10 @@ class UnknownEdge(FatcobError):
     """An operation referenced an edge that does not exist."""
 
 
+class IsolatedVertex(FatcobError, ValueError):
+    """Surface invariants were asked of a graph with isolated vertices."""
+
+
 class NonIntegerGenus(FatcobError):
     """`2 - chi - b` came out odd; the graph data is corrupted."""
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .errors import (
     EdgeCountMismatch,
+    FatcobError,
     InvalidMatch,
     NotGluablePairMorphism,
     ResultInvalid,
@@ -310,7 +311,7 @@ def glue(g1, g2, match, with_data=False):
         {p2 + v for v in b2.isolated_vertices}
     try:
         base = FatGraph(source, involution, sigma, isolated=isolated)
-    except Exception as exc:
+    except FatcobError as exc:
         raise ResultInvalid("glued graph failed validation: %s" % exc) from exc
     matched_in = {p.in_leaf for p in match.pairs}
     matched_out = {p.out_leaf for p in match.pairs}
@@ -322,7 +323,7 @@ def glue(g1, g2, match, with_data=False):
         {p2 + v for v in g2.closed if v not in matched_in}
     try:
         out = OpenClosedFatGraph(base, in_leaves, out_leaves, closed)
-    except Exception as exc:
+    except FatcobError as exc:
         raise ResultInvalid("glued decorations failed: %s" % exc) from exc
     require_admissible(out)
     return (out, data) if with_data else out

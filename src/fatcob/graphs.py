@@ -30,6 +30,7 @@ from .errors import (
     DanglingHalfEdge,
     DuplicateName,
     FixedPointInvolution,
+    IsolatedVertex,
     NonIntegerGenus,
     UnknownEdge,
     WrongVertexOrder,
@@ -286,7 +287,7 @@ class FatGraph:
         genus ``g >= 0``; anything else trips :class:`NonIntegerGenus`.
         """
         if self._isolated:
-            raise ValueError(
+            raise IsolatedVertex(
                 "surface invariants are undefined for isolated vertices: %s"
                 % sorted(self._isolated))
         bc = self.boundary_cycles()

@@ -4,12 +4,16 @@ For an admissible decorated graph the pair (graph, incoming boundary)
 is computed by a two-term rational complex: one 1-cell per extra
 half-edge, one 0-cell per extra edge midpoint and per extra vertex,
 with ``d(h) = [midpoint of h's edge] - [source of h]`` and the source
-term dropped when it lies on the incoming part.  Kernel and cokernel
-bases are chosen by row reduction with leftmost pivots, so every sign
-below is reproducible.  The differential is a dense matrix; a chain
-map between two complexes is a cell map, which sends each source cell
-to a sum of target cells with coefficient +1, stored as the tuple of
-their indices (empty for a cell sent to zero).
+term dropped when it lies on the incoming part.  Every differential
+here is the incidence matrix of a graph on the 0-cells plus one ground
+node (the incoming part), so kernel and cokernel bases come from a
+union-find spanning forest instead of row reduction; they are the
+bases leftmost-pivot row reduction would pick, so every sign below is
+reproducible.  The differential is also kept as a dense matrix for the
+lift corrections, which still solve by row reduction.  A chain map
+between two complexes is a cell map, which sends each source cell to a
+sum of target cells with coefficient +1, stored as the tuple of their
+indices (empty for a cell sent to zero).
 
 The determinant line of a complex is the top exterior power of its
 degree-1 homology tensored with the dual top power of its degree-0
@@ -24,6 +28,7 @@ pants detects the dimension-parity sign of the composition product.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,33 +52,67 @@ class ChainComplexPair:
     """A two-term complex ``C1 -> C0`` with chosen homology bases.
 
     ``basis1`` labels the 1-cells, ``basis0`` the 0-cells; the
-    differential is a dense rational matrix (rows over ``basis0``).
-    ``h1_basis`` is the reduced kernel basis (one vector per free
-    column, identity on the free coordinates); the degree-0 homology is
-    the cokernel, coordinatized by the unit vectors at the non-pivot
-    rows of the column space.
+    differential ``d`` is a dense rational matrix (rows over ``basis0``)
+    with at most one +1 and at most one -1 in each column.  So the
+    complex is the incidence complex of a graph: its nodes are the
+    0-cells and a ground node (index ``len(basis0)``) standing in for a
+    missing endpoint, and 1-cell ``j`` is an arc from ``minus[j]`` to
+    ``plus[j]``.
+
+    The bases are the ones leftmost-pivot row reduction would choose,
+    read off a union-find scan of the arcs in basis order.  An arc that
+    joins two components is a pivot; every other arc is free, and its
+    ``h1_basis`` vector is its fundamental cycle in the spanning forest
+    of the pivots (a 1 at the free column, entries in {0, +-1}).  The
+    degree-0 homology is the cokernel, coordinatized by the unit vectors
+    at the free 0-cells: the last 0-cell of each component not joined
+    to ground.  The class of a 0-chain sums it over those components.
     """
 
     def __init__(self, basis1, basis0, differential):
         self.basis1 = tuple(basis1)
         self.basis0 = tuple(basis0)
         self.d = differential
-        _check(len(self.d) == len(self.basis0) and all(
-            len(row) == len(self.basis1) for row in self.d),
-            "differential has the wrong shape")
-        self.h1_basis, piv = linalg.kernel_basis(self.d, len(self.basis1))
-        piv1 = set(piv)
-        self._free1 = [j for j in range(len(self.basis1)) if j not in piv1]
-        # cokernel: row-reduce the column space; its nonzero rows are the
-        # first len(pivots) rows
-        cols = linalg.transpose(self.d)
-        if cols:
-            rrefT, self._piv0 = linalg.rref(cols)
-            self._rrefT = rrefT[:len(self._piv0)]
-        else:
-            self._rrefT, self._piv0 = [], []
-        piv0 = set(self._piv0)
-        self._free0 = [i for i in range(len(self.basis0)) if i not in piv0]
+        n1, n0 = len(self.basis1), len(self.basis0)
+        _check(len(self.d) == n0 and all(len(row) == n1 for row in self.d),
+               "differential has the wrong shape")
+        self.plus, self.minus = _arcs(self.d, n1, n0)
+        # union-find over the 0-cells and ground, arcs in basis order
+        root = list(range(n0 + 1))
+
+        def find(u):
+            while root[u] != u:
+                root[u] = root[root[u]]
+                u = root[u]
+            return u
+
+        forest = [[] for _ in range(n0 + 1)]
+        self._free1 = []
+        for j, (p, m) in enumerate(zip(self.plus, self.minus)):
+            a, b = find(p), find(m)
+            if a == b:
+                self._free1.append(j)
+            else:
+                root[a] = b
+                forest[p].append((m, j, -ONE))
+                forest[m].append((p, j, ONE))
+        ground = find(n0)
+        last = {}
+        for i in range(n0):
+            last[find(i)] = i
+        self._free0 = sorted(i for r, i in last.items() if r != ground)
+        slot = {find(i): k for k, i in enumerate(self._free0)}
+        self._class0 = [slot.get(find(i)) for i in range(n0)]
+        up, depth = _root_forest(forest)
+        self._cycles = [
+            _fundamental_cycle(up, depth, j, self.plus[j], self.minus[j])
+            for j in self._free1]
+        self.h1_basis = []
+        for cycle in self._cycles:
+            v = [ZERO] * n1
+            for j, x in cycle.items():
+                v[j] = x
+            self.h1_basis.append(v)
 
     # -- ranks ------------------------------------------------------------
 
@@ -102,33 +141,98 @@ class ChainComplexPair:
 
     # -- coordinates -------------------------------------------------------
 
+    def boundary(self, vec):
+        """The differential applied to a 1-chain, as a list over
+        ``basis0``."""
+        out = [ZERO] * (len(self.basis0) + 1)
+        for x, p, m in zip(vec, self.plus, self.minus):
+            if x:
+                out[p] += x
+                out[m] -= x
+        out.pop()
+        return out
+
     def h1_coords(self, vec):
         """Coordinates of a kernel vector in the chosen H1 basis."""
-        _check(all(x == 0 for x in linalg.matvec(self.d, vec)),
-               "vector is not a cycle")
+        _check(not any(self.boundary(vec)), "vector is not a cycle")
         coords = [vec[j] for j in self._free1]
         check = [ZERO] * len(self.basis1)
-        for c, b in zip(coords, self.h1_basis):
-            for i in range(len(check)):
-                check[i] += c * b[i]
+        for c, cycle in zip(coords, self._cycles):
+            if c:
+                for j, x in cycle.items():
+                    check[j] += c * x
         _check(check == list(vec), "kernel coordinates failed to reproduce")
         return coords
 
     def h0_class(self, vec):
         """Coordinates of the class of ``vec`` in the cokernel basis."""
-        w = list(vec)
-        for row, p in zip(self._rrefT, self._piv0):
-            if w[p] != 0:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        _check(all(w[i] == 0 for i in self._piv0), "cokernel reduction failed")
-        return [w[i] for i in self._free0]
+        out = [ZERO] * len(self._free0)
+        for x, k in zip(vec, self._class0):
+            if x and k is not None:
+                out[k] += x
+        return out
 
     def index1(self, label):
         return self.basis1.index(label)
 
     def index0(self, label):
         return self.basis0.index(label)
+
+
+def _arcs(d, n1, ground):
+    """``(plus, minus)``: the rows of each column's +1 and -1 entry, with
+    ``ground`` for a missing one; any other column shape raises."""
+    plus = [ground] * n1
+    minus = [ground] * n1
+    for i, row in enumerate(d):
+        for j in [j for j, x in enumerate(row) if x is not ZERO and x]:
+            x = row[j]
+            if x == 1 and plus[j] == ground:
+                plus[j] = i
+            elif x == -1 and minus[j] == ground:
+                minus[j] = i
+            else:
+                raise InvariantViolation(
+                    "column %d of the differential is not an arc" % j)
+    return plus, minus
+
+
+def _root_forest(forest):
+    """``(up, depth)`` of the spanning forest, rooted at ground (the last
+    node) and at the first node of every other tree.  ``up[u]`` is
+    ``(parent, arc, sign)``, where ``sign`` times the arc's boundary is
+    ``[u] - [parent]``."""
+    n = len(forest)
+    up = [None] * n
+    depth = [-1] * n
+    for r in [n - 1] + list(range(n - 1)):
+        if depth[r] >= 0:
+            continue
+        depth[r] = 0
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            for w, arc, sign in forest[u]:
+                if depth[w] < 0:
+                    depth[w] = depth[u] + 1
+                    up[w] = (u, arc, sign)
+                    stack.append(w)
+    return up, depth
+
+
+def _fundamental_cycle(up, depth, j, p, m):
+    """The kernel vector of the free arc ``j`` from ``m`` to ``p``, as a
+    ``{column: value}`` dict: 1 at ``j`` minus the forest path from
+    ``m`` to ``p``, each arc signed by its direction on the path."""
+    out = {j: ONE}
+    while p != m:
+        if depth[p] >= depth[m]:
+            p, arc, sign = up[p]
+            out[arc] = -sign
+        else:
+            m, arc, sign = up[m]
+            out[arc] = sign
+    return out
 
 
 def relative_chain_complex(g):
@@ -216,11 +320,17 @@ def _scatter(vec, cell_map, n):
 
 
 def _check_chain_map(F, T, f1, f0):
-    """Raise unless ``f0 . F.d == T.d . f1``, compared column by column."""
-    n0 = len(T.basis0)
+    """Raise unless ``f0 . F.d == T.d . f1``, compared 1-cell by 1-cell on
+    the arc endpoints; the ground node maps to and counts as zero."""
+    f0 = list(f0) + [()]
+    ground = len(T.basis0)
     for j, targets in enumerate(f1):
-        lhs = _scatter([row[j] for row in F.d], f0, n0)
-        rhs = [sum(row[t] for t in targets) for row in T.d]
+        lhs = Counter(f0[F.plus[j]])
+        lhs.subtract(f0[F.minus[j]])
+        rhs = Counter(T.plus[t] for t in targets)
+        rhs.subtract(T.minus[t] for t in targets)
+        rhs.pop(ground, None)
+        # Counter equality counts a missing key as zero
         _check(lhs == rhs, "chain map does not commute with the differentials")
 
 
@@ -344,7 +454,7 @@ def morphism_det_sign(m):
     cols = []
     for vec in B.h1_basis:
         lift = _scatter(vec, g1, len(A.basis1))
-        defect = linalg.matvec(A.d, lift)
+        defect = A.boundary(lift)
         x = linalg.solve(d_restricted, defect)
         _check(x is not None, "collapsed cells failed to absorb the defect")
         for idx, col in enumerate(k_cols):
@@ -389,8 +499,7 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     delta_cols = []
     for vec in C.h1_basis:
         lifted = _scatter(vec, sec1, nB1)
-        bdry = linalg.matvec(B.d, lifted)
-        delta_cols.append(A.h0_class(a_part0(bdry)))
+        delta_cols.append(A.h0_class(a_part0(B.boundary(lifted))))
     kerK, piv = linalg.kernel_basis(linalg.transpose(delta_cols),
                                     len(C.h1_basis))
     # s2: (kernel basis | chosen complements) against the H1(C) basis
@@ -421,7 +530,7 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
             for i in range(len(zC)):
                 zC[i] += c * bvec[i]
         lifted = _scatter(zC, sec1, nB1)
-        defect = a_part0(linalg.matvec(B.d, lifted))
+        defect = a_part0(B.boundary(lifted))
         y = linalg.solve(A.d, defect)
         _check(y is not None, "kernel lift is not correctable")
         corrected = [a - b for a, b in zip(lifted, _scatter(y, inc1, nB1))]
@@ -456,11 +565,9 @@ def _subcomplex(cc, keep1, keep0):
     """Restrict to the given cells; they must span a subcomplex."""
     idx1 = [i for i, lab in enumerate(cc.basis1) if lab in keep1]
     idx0 = [i for i, lab in enumerate(cc.basis0) if lab in keep0]
-    set0 = set(idx0)
-    for j in idx1:
-        for i in range(len(cc.basis0)):
-            if cc.d[i][j] != 0 and i not in set0:
-                raise ResultInvalid("cells do not span a subcomplex")
+    set0 = set(idx0) | {len(cc.basis0)}
+    if any(cc.plus[j] not in set0 or cc.minus[j] not in set0 for j in idx1):
+        raise ResultInvalid("cells do not span a subcomplex")
     d = [[cc.d[i][j] for j in idx1] for i in idx0]
     sub = ChainComplexPair([cc.basis1[i] for i in idx1],
                            [cc.basis0[i] for i in idx0], d)

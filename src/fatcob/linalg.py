@@ -1,9 +1,12 @@
 """Small exact-rational matrix routines used by the homology module.
 
-Matrices are lists of rows of :class:`fractions.Fraction`.  Everything
-is deterministic: row reduction always picks the leftmost usable pivot
-column and the first nonzero row below it, so repeated runs give
-identical bases and signs.
+Matrices are lists of rows of :class:`fractions.Fraction`.  The homology
+bases themselves come from graph computations in :mod:`fatcob.homology`;
+what is left here are the determinants of the small induced matrices,
+the lift corrections (:func:`solve`) and the kernel of the connecting
+map.  Everything is deterministic: row reduction always picks the
+leftmost usable pivot column and the first nonzero row below it, so
+repeated runs give identical bases and signs.
 """
 
 from fractions import Fraction
@@ -31,16 +34,17 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def matvec(m, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m]
-
-
 def copy(m):
     return [list(row) for row in m]
 
 
 def rref(m):
-    """Reduced row echelon form; returns ``(R, pivot_columns)``."""
+    """Reduced row echelon form; returns ``(R, pivot_columns)``.
+
+    Each step divides and subtracts only at the columns where the pivot
+    row is nonzero: every other entry would be divided or have zero
+    subtracted, which leaves its value unchanged.
+    """
     r = copy(m)
     rows = len(r)
     cols = len(r[0]) if rows else 0
@@ -49,23 +53,34 @@ def rref(m):
     for col in range(cols):
         pivot_row = None
         for i in range(lead, rows):
-            if r[i][col] != 0:
+            if _nonzero(r[i][col]):
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         r[lead], r[pivot_row] = r[pivot_row], r[lead]
-        pv = r[lead][col]
-        r[lead] = [x / pv for x in r[lead]]
+        prow = r[lead]
+        support = [k for k, x in enumerate(prow) if _nonzero(x)]
+        pv = prow[col]
+        if pv != 1:
+            for k in support:
+                prow[k] = prow[k] / pv
         for i in range(rows):
-            if i != lead and r[i][col] != 0:
-                f = r[i][col]
-                r[i] = [a - f * b for a, b in zip(r[i], r[lead])]
+            row = r[i]
+            f = row[col]
+            if i != lead and _nonzero(f):
+                for k in support:
+                    row[k] -= f * prow[k]
         pivots.append(col)
         lead += 1
         if lead == rows:
             break
     return r, pivots
+
+
+def _nonzero(x):
+    # the identity test skips Fraction.__eq__ for the shared ZERO entries
+    return x is not ZERO and x != 0
 
 
 def rank(m):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from .errors import (
     DecorationDestroyed,
+    FatcobError,
     ForestContainsCycle,
     InvalidMorphism,
     Mismatch,
@@ -246,7 +247,7 @@ def collapse_edges(g, forest):
                 out, [vmap[v] for v in g.in_leaves],
                 [vmap[v] for v in g.out_leaves],
                 {vmap[v] for v in g.closed})
-        except Exception as exc:
+        except FatcobError as exc:
             raise DecorationDestroyed(str(exc)) from exc
     morph = Morphism(g, out, vmap, hmap)
     return out, require_valid(morph)

@@ -20,6 +20,7 @@ from .errors import (
     ClosedNotSpecial,
     ClosedSharesCycle,
     InOutOverlap,
+    InvariantViolation,
     NotAdmissible,
     NotALeaf,
 )
@@ -111,7 +112,9 @@ class OpenClosedFatGraph:
         cyc = g.boundary_cycles().cycle_of(beta)
         i = cyc.index(beta)
         rot = cyc[i:] + cyc[:i]
-        assert rot[1] == alpha
+        if rot[1] != alpha:
+            raise InvariantViolation(
+                "boundary walk leaves the edge of leaf %r early" % v)
         return rot
 
     def circle_edges(self, v):
@@ -262,8 +265,8 @@ def incoming_partition(g):
         e_h=tuple(sorted(set(base.half_edges) - h_in)),
     )
     n_open_in = sum(1 for v in g.in_leaves if v not in g.closed)
-    assert part.euler_difference == base.euler_characteristic() - n_open_in, \
-        "incoming partition out of balance"
+    if part.euler_difference != base.euler_characteristic() - n_open_in:
+        raise InvariantViolation("incoming partition out of balance")
     return part
 
 
@@ -344,7 +347,10 @@ def cobordism_signature(g):
         n_in_i = sum(len(c.open_in) for c in local)
         n_out_i = sum(len(c.open_out) for c in local)
         n_free = sum(1 for c in local if c.kind == "free")
-        assert len(local) == comp.boundary_count
+        if len(local) != comp.boundary_count:
+            raise InvariantViolation(
+                "component %r has %d boundary cycles, not %d"
+                % (comp.vertices[0], len(local), comp.boundary_count))
         comps.append(ComponentCobordism(
             genus=comp.genus,
             euler_characteristic=comp.euler_characteristic,

@@ -87,7 +87,8 @@ def band_surface_invariants(g):
         chi = len(comp_nodes[r]) - comp_edges[r] + comp_faces[r]
         b = len(comp_boundary[r])
         two_g = 2 - chi - b
-        assert two_g >= 0 and two_g % 2 == 0, "band model is inconsistent"
+        if two_g < 0 or two_g % 2:  # a raise, so it also holds under -O
+            raise AssertionError("band model is inconsistent")
         out.append((two_g // 2, b, chi))
     out.sort()
     return out

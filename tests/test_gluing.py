@@ -2,10 +2,13 @@ import pytest
 
 from fatcob import fixtures as fx
 from fatcob.errors import (
+    DanglingHalfEdge,
     EdgeCountMismatch,
     NotGluablePairMorphism,
+    ResultInvalid,
     SignatureMismatch,
 )
+from fatcob.graphs import FatGraph
 from fatcob.gluing import gluable, glue, glue_morphisms, subdivision_match
 from fatcob.morphisms import (
     canonical_form,
@@ -14,7 +17,11 @@ from fatcob.morphisms import (
     is_isomorphic,
     validate_morphism,
 )
-from fatcob.openclosed import cobordism_signature, is_admissible
+from fatcob.openclosed import (
+    OpenClosedFatGraph,
+    cobordism_signature,
+    is_admissible,
+)
 
 
 def composed_signature_oracle(g1, g2, match):
@@ -332,6 +339,28 @@ def strip_names(oc):
     return type(oc)(renamed, [vmap[v] for v in oc.in_leaves],
                     [vmap[v] for v in oc.out_leaves],
                     {vmap[v] for v in oc.closed})
+
+
+class TestGlueChecks:
+    """``glue`` turns a FatcobError of the glued graph or of its
+    decorations into ResultInvalid, and lets any other exception (a
+    bug) propagate."""
+
+    @pytest.mark.parametrize("cls", [FatGraph, OpenClosedFatGraph])
+    @pytest.mark.parametrize("error, expected", [
+        (DanglingHalfEdge("bad glued graph"), ResultInvalid),
+        (RuntimeError("bug in validation"), RuntimeError)],
+        ids=["fatcob-error", "bug"])
+    def test_validation_errors(self, monkeypatch, cls, error, expected):
+        c = fx.cylinder()
+        match = gluable(c, c)
+
+        def broken(self):
+            raise error
+
+        monkeypatch.setattr(cls, "_validate", broken)
+        with pytest.raises(expected, match=str(error)):
+            glue(c, c, match)
 
 
 class TestRandomCompositions:

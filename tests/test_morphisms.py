@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from conftest import run_optimized
 from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs, genus_distribution
 from fatcob.errors import BoundExceeded, ForestContainsCycle, Mismatch
@@ -17,7 +18,7 @@ from fatcob.morphisms import (
     is_isomorphic,
     validate_morphism,
 )
-from fatcob.openclosed import cobordism_signature
+from fatcob.openclosed import OpenClosedFatGraph, cobordism_signature
 
 
 def random_relabel(g, rng):
@@ -556,11 +557,6 @@ def _reference_canonical_form(g):
 
 class TestCensusChecks:
     def test_orbit_stabilizer_check_survives_optimize(self):
-        import os
-        import subprocess
-        import sys
-
-        import fatcob
         script = (
             "import fatcob._canon as k\n"
             "from fatcob.census import enumerate_fat_graphs\n"
@@ -575,10 +571,7 @@ class TestCensusChecks:
             "    enumerate_fat_graphs(2)\n"
             "except InvariantViolation as exc:\n"
             "    print('raised', exc)\n")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(os.path.abspath(fatcob.__file__))))
-        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
+        out = run_optimized(script)
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("raised census bookkeeping broken")
 
@@ -592,3 +585,15 @@ class TestCensusChecks:
         monkeypatch.setattr(openclosed, "decorate", broken)
         with pytest.raises(RuntimeError, match="bug in decorate"):
             admissible_decorations(fx.flaps().base)
+
+    def test_collapse_decoration_bug_propagates(self, monkeypatch):
+        # only a FatcobError of the collapsed decoration becomes
+        # DecorationDestroyed; a bug in its validation propagates
+        g = fx.pants()
+
+        def broken(self):
+            raise RuntimeError("bug in validation")
+
+        monkeypatch.setattr(OpenClosedFatGraph, "_validate", broken)
+        with pytest.raises(RuntimeError, match="bug in validation"):
+            collapse_edges(g, ["r1"])

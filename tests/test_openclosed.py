@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import run_optimized
 from fatcob import fixtures as fx
 from fatcob.errors import (
     ClosedSharesCycle,
@@ -189,3 +190,24 @@ class TestPositiveBoundary:
         assert not check_positive_boundary(oc)
         oc2 = fx.oc_disjoint_union(fx.cylinder(), fx.cylinder())
         assert check_positive_boundary(oc2)
+
+
+class TestInternalChecks:
+    def test_partition_balance_check_survives_optimize(self):
+        # an Euler characteristic off by one unbalances the partition
+        script = (
+            "from fatcob import fixtures as fx\n"
+            "from fatcob.errors import InvariantViolation\n"
+            "from fatcob.graphs import FatGraph\n"
+            "from fatcob.openclosed import incoming_partition\n"
+            "assert False, 'asserts are on'\n"
+            "g = fx.pants()\n"
+            "chi = FatGraph.euler_characteristic\n"
+            "FatGraph.euler_characteristic = lambda self: chi(self) + 1\n"
+            "try:\n"
+            "    incoming_partition(g)\n"
+            "except InvariantViolation as exc:\n"
+            "    print('raised', exc)\n")
+        out = run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("raised incoming partition out of balance")
