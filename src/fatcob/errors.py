@@ -123,6 +123,13 @@ class NotGluablePairMorphism(FatcobError):
     cycle but not the corresponding edge on the other side."""
 
 
+# -- homology ----------------------------------------------------------------
+
+class InvalidParameter(FatcobError, ValueError):
+    """A numeric argument lies outside its domain: a negative manifold
+    dimension or tensor power, or a zero graded-line scalar."""
+
+
 # -- file format -------------------------------------------------------------
 
 class ParseError(FatcobError):

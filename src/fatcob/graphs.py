@@ -52,7 +52,7 @@ class FatGraph:
     """
 
     __slots__ = ("_vertices", "_halves", "_source", "_involution", "_sigma",
-                 "_edge_of", "_edge_ends", "_isolated", "_bcycles")
+                 "_fibers", "_edge_of", "_edge_ends", "_isolated", "_bcycles")
 
     def __init__(self, source, involution, sigma, isolated=()):
         self._source = dict(source)
@@ -80,10 +80,11 @@ class FatGraph:
             if hbar not in halves or self._involution.get(hbar) != h:
                 raise FixedPointInvolution(
                     "involution orbit of %r is not a 2-cycle" % h)
-        # sigma orbits must equal the source fibers
+        # sigma orbits must equal the source fibers; each fiber is kept,
+        # in half-edge order, for the per-vertex queries below
         fibers = {}
         for h in self._halves:
-            fibers.setdefault(self._source[h], set()).add(h)
+            fibers.setdefault(self._source[h], []).append(h)
         seen = set()
         for h in self._halves:
             if h in seen:
@@ -95,11 +96,12 @@ class FatGraph:
                 cur = self._sigma[cur]
                 if cur not in halves:
                     raise DanglingHalfEdge("sigma leaves the half-edge set")
-            if cur != h or orbit != fibers[self._source[h]]:
+            if cur != h or orbit != set(fibers[self._source[h]]):
                 raise WrongVertexOrder(
                     "orbit of sigma through %r differs from the half-edge "
                     "fan at %r" % (h, self._source[h]))
             seen |= orbit
+        self._fibers = {v: tuple(hs) for v, hs in fibers.items()}
         for v in self._isolated:
             if v in fibers:
                 raise WrongVertexOrder(
@@ -167,18 +169,18 @@ class FatGraph:
 
     def fan(self, v):
         """Half-edges at ``v`` in cyclic order, starting at the smallest."""
-        hs = sorted(h for h in self._halves if self._source[h] == v)
-        if not hs:
+        if v not in self._fibers:
             return ()
-        out = [hs[0]]
-        cur = self._sigma[hs[0]]
-        while cur != hs[0]:
+        start = self._fibers[v][0]
+        out = [start]
+        cur = self._sigma[start]
+        while cur != start:
             out.append(cur)
             cur = self._sigma[cur]
         return tuple(out)
 
     def valence(self, v):
-        return sum(1 for h in self._halves if self._source[h] == v)
+        return len(self._fibers.get(v, ()))
 
     def is_leaf(self, v):
         return self.valence(v) == 1
@@ -187,11 +189,11 @@ class FatGraph:
         return tuple(v for v in self._vertices if self.is_leaf(v))
 
     def leaf_half(self, v):
-        """The unique half-edge at the leaf ``v``."""
-        for h in self._halves:
-            if self._source[h] == v:
-                return h
-        raise UnknownEdge("vertex %r carries no half-edge" % v)
+        """The unique half-edge at the leaf ``v`` (the smallest one at any
+        other vertex)."""
+        if v not in self._fibers:
+            raise UnknownEdge("vertex %r carries no half-edge" % v)
+        return self._fibers[v][0]
 
     def euler_characteristic(self):
         return len(self._vertices) - len(self._edge_ends)
@@ -364,7 +366,7 @@ class FatGraph:
             for v in g._vertices:
                 if g.valence(v) != 2:
                     continue
-                ha, hb = sorted(h for h in g._halves if g._source[h] == v)
+                ha, hb = g._fibers[v]
                 if g._edge_of[ha] != g._edge_of[hb]:
                     target = (v, ha, hb)
                     break

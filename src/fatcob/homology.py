@@ -5,15 +5,16 @@ is computed by a two-term rational complex: one 1-cell per extra
 half-edge, one 0-cell per extra edge midpoint and per extra vertex,
 with ``d(h) = [midpoint of h's edge] - [source of h]`` and the source
 term dropped when it lies on the incoming part.  Every differential
-here is the incidence matrix of a graph on the 0-cells plus one ground
-node (the incoming part), so kernel and cokernel bases come from a
-union-find spanning forest instead of row reduction; they are the
-bases leftmost-pivot row reduction would pick, so every sign below is
-reproducible.  The differential is also kept as a dense matrix for the
-lift corrections, which still solve by row reduction.  A chain map
-between two complexes is a cell map, which sends each source cell to a
-sum of target cells with coefficient +1, stored as the tuple of their
-indices (empty for a cell sent to zero).
+is the incidence matrix of a graph on the 0-cells plus one ground
+node (the incoming part), and it is stored only as that graph's arcs,
+one ``(plus, minus)`` pair of endpoints per 1-cell.  Kernel and
+cokernel bases come from a union-find spanning forest instead of row
+reduction; they are the bases leftmost-pivot row reduction would pick,
+so every sign below is reproducible.  Only the lift corrections still
+solve by row reduction, on a dense copy of the columns they need.  A
+chain map between two complexes is a cell map, which sends each source
+cell to a sum of target cells with coefficient +1, stored as the tuple
+of their indices (empty for a cell sent to zero).
 
 The determinant line of a complex is the top exterior power of its
 degree-1 homology tensored with the dual top power of its degree-0
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import (InvalidMorphism, InvariantViolation, NotGluable,
-                     ResultInvalid)
+from .errors import (InvalidMorphism, InvalidParameter, InvariantViolation,
+                     NotGluable, ResultInvalid)
 from .morphisms import validate_morphism
 from .openclosed import incoming_partition, require_admissible
 
@@ -51,13 +52,13 @@ def _check(ok, message):
 class ChainComplexPair:
     """A two-term complex ``C1 -> C0`` with chosen homology bases.
 
-    ``basis1`` labels the 1-cells, ``basis0`` the 0-cells; the
-    differential ``d`` is a dense rational matrix (rows over ``basis0``)
-    with at most one +1 and at most one -1 in each column.  So the
-    complex is the incidence complex of a graph: its nodes are the
-    0-cells and a ground node (index ``len(basis0)``) standing in for a
-    missing endpoint, and 1-cell ``j`` is an arc from ``minus[j]`` to
-    ``plus[j]``.
+    ``basis1`` labels the 1-cells, ``basis0`` the 0-cells.  The complex
+    is the incidence complex of a graph: its nodes are the 0-cells and a
+    ground node (index ``len(basis0)``) standing in for a missing
+    endpoint, and 1-cell ``j`` is an arc from ``minus[j]`` to
+    ``plus[j]``, so ``d[j] = [plus[j]] - [minus[j]]`` with the ground
+    term dropped.  The arcs are the only stored form of the
+    differential; an endpoint outside ``0..len(basis0)`` raises.
 
     The bases are the ones leftmost-pivot row reduction would choose,
     read off a union-find scan of the arcs in basis order.  An arc that
@@ -69,14 +70,14 @@ class ChainComplexPair:
     to ground.  The class of a 0-chain sums it over those components.
     """
 
-    def __init__(self, basis1, basis0, differential):
+    def __init__(self, basis1, basis0, plus, minus):
         self.basis1 = tuple(basis1)
         self.basis0 = tuple(basis0)
-        self.d = differential
+        self.plus, self.minus = list(plus), list(minus)
         n1, n0 = len(self.basis1), len(self.basis0)
-        _check(len(self.d) == n0 and all(len(row) == n1 for row in self.d),
-               "differential has the wrong shape")
-        self.plus, self.minus = _arcs(self.d, n1, n0)
+        _check(len(self.plus) == len(self.minus) == n1
+               and all(0 <= u <= n0 for u in self.plus + self.minus),
+               "arc endpoints do not lie on the 0-cells and ground")
         # union-find over the 0-cells and ground, arcs in basis order
         root = list(range(n0 + 1))
 
@@ -179,24 +180,6 @@ class ChainComplexPair:
         return self.basis0.index(label)
 
 
-def _arcs(d, n1, ground):
-    """``(plus, minus)``: the rows of each column's +1 and -1 entry, with
-    ``ground`` for a missing one; any other column shape raises."""
-    plus = [ground] * n1
-    minus = [ground] * n1
-    for i, row in enumerate(d):
-        for j in [j for j, x in enumerate(row) if x is not ZERO and x]:
-            x = row[j]
-            if x == 1 and plus[j] == ground:
-                plus[j] = i
-            elif x == -1 and minus[j] == ground:
-                minus[j] = i
-            else:
-                raise InvariantViolation(
-                    "column %d of the differential is not an arc" % j)
-    return plus, minus
-
-
 def _root_forest(forest):
     """``(up, depth)`` of the spanning forest, rooted at ground (the last
     node) and at the first node of every other tree.  ``up[u]`` is
@@ -242,14 +225,9 @@ def relative_chain_complex(g):
     basis1 = list(part.e_h)
     basis0 = [("E", e) for e in part.e_e] + [("V", v) for v in part.e_v]
     pos0 = {c: i for i, c in enumerate(basis0)}
-    ev = set(part.e_v)
-    d = linalg.zeros(len(basis0), len(basis1))
-    for j, h in enumerate(basis1):
-        d[pos0[("E", base.edge_of(h))]][j] += ONE
-        v = base.source(h)
-        if v in ev:
-            d[pos0[("V", v)]][j] -= ONE
-    cc = ChainComplexPair(basis1, basis0, d)
+    plus = [pos0[("E", base.edge_of(h))] for h in basis1]
+    minus = [pos0.get(("V", base.source(h)), len(basis0)) for h in basis1]
+    cc = ChainComplexPair(basis1, basis0, plus, minus)
     _check(cc.rank_h0 - cc.rank_h1 == part.euler_difference,
            "homology ranks disagree with the cell count")
     return cc
@@ -263,7 +241,7 @@ def relative_euler_char(g):
 def operation_degree(g, dim):
     """Degree shift of the operation on a ``dim``-manifold's loop homology."""
     if dim < 0:
-        raise ValueError("manifold dimension must be nonnegative")
+        raise InvalidParameter("manifold dimension must be nonnegative")
     return dim * relative_euler_char(g)
 
 
@@ -279,7 +257,7 @@ class GradedLine:
 
     def __post_init__(self):
         if self.scalar == 0:
-            raise ValueError("graded line scalar must be nonzero")
+            raise InvalidParameter("graded line scalar must be nonzero")
 
     @property
     def sign(self):
@@ -297,7 +275,7 @@ def swap(l1, l2):
 
 def power(line, d):
     if d < 0:
-        raise ValueError("tensor powers need d >= 0")
+        raise InvalidParameter("tensor powers need d >= 0")
     return GradedLine(d * line.degree, line.scalar ** d)
 
 
@@ -320,7 +298,7 @@ def _scatter(vec, cell_map, n):
 
 
 def _check_chain_map(F, T, f1, f0):
-    """Raise unless ``f0 . F.d == T.d . f1``, compared 1-cell by 1-cell on
+    """Raise unless ``f0 . dF == dT . f1``, compared 1-cell by 1-cell on
     the arc endpoints; the ground node maps to and counts as zero."""
     f0 = list(f0) + [()]
     ground = len(T.basis0)
@@ -381,17 +359,27 @@ def chain_map_of_morphism(m):
 
 
 def _induced_h1_matrix(A, B, cell_map):
-    cols = []
-    for vec in A.h1_basis:
-        cols.append(B.h1_coords(_scatter(vec, cell_map, len(B.basis1))))
-    return linalg.transpose(cols)
+    """The induced H1 map as its list of columns, which has the same
+    determinant as the matrix."""
+    return [B.h1_coords(_scatter(vec, cell_map, len(B.basis1)))
+            for vec in A.h1_basis]
 
 
 def _induced_h0_matrix(A, B, cell_map):
-    cols = []
-    for rep in A.h0_basis:
-        cols.append(B.h0_class(_scatter(rep, cell_map, len(B.basis0))))
-    return linalg.transpose(cols)
+    """The induced H0 map as its list of columns."""
+    return [B.h0_class(_scatter(rep, cell_map, len(B.basis0)))
+            for rep in A.h0_basis]
+
+
+def _dense(cc, cols):
+    """The differential's columns ``cols`` as dense ``Fraction`` rows over
+    ``basis0``, for :func:`linalg.solve`."""
+    rows = [[ZERO] * len(cols) for _ in range(len(cc.basis0) + 1)]
+    for k, j in enumerate(cols):
+        rows[cc.plus[j]][k] += ONE
+        rows[cc.minus[j]][k] -= ONE
+    rows.pop()
+    return rows
 
 
 def _sign(x):
@@ -450,7 +438,7 @@ def morphism_det_sign(m):
     k_cols = [posA1[h] for h, img in m.half_map.items()
               if img is None and h in posA1]
     k_cols.sort()
-    d_restricted = [[A.d[i][j] for j in k_cols] for i in range(len(A.basis0))]
+    d_restricted = _dense(A, k_cols)
     cols = []
     for vec in B.h1_basis:
         lift = _scatter(vec, g1, len(A.basis1))
@@ -460,7 +448,7 @@ def morphism_det_sign(m):
         for idx, col in enumerate(k_cols):
             lift[col] -= x[idx]
         cols.append(A.h1_coords(lift))
-    det1_g = linalg.det(linalg.transpose(cols))
+    det1_g = linalg.det(cols)
     det0_g = linalg.det(_induced_h0_matrix(B, A, g0))
     _check(det1_g != 0 and det0_g != 0, "section map on homology is singular")
     sign_g = _sign(det1_g) * _sign(det0_g)
@@ -508,20 +496,18 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
         v = [ZERO] * len(C.h1_basis)
         v[p] = ONE
         unitsW.append(v)
-    s2 = linalg.det(linalg.transpose(kerK + unitsW))
-    # s3: (connecting images | greedy unit complement) in H0(A)
+    s2 = linalg.det(kerK + unitsW)
+    # s3: (connecting images | greedy unit complement) in H0(A); the
+    # pivots of [images | I] among the unit columns are the units a
+    # left-to-right greedy scan would add
     have = [delta_cols[p] for p in piv]
-    comp_idx = []
-    for q in range(A.rank_h0):
-        if len(have) == A.rank_h0:
-            break
-        unit = [ONE if i == q else ZERO for i in range(A.rank_h0)]
-        trial = have + [unit]
-        if linalg.rank(linalg.transpose(trial)) == len(trial):
-            have.append(unit)
-            comp_idx.append(q)
-    _check(len(have) == A.rank_h0, "connecting image has no complement")
-    s3 = linalg.det(linalg.transpose(have)) if have else ONE
+    units = linalg.identity(A.rank_h0)
+    _, pivots = linalg.rref([[v[i] for v in have] + unit
+                             for i, unit in enumerate(units)])
+    comp_idx = [c - len(have) for c in pivots if c >= len(have)]
+    _check(len(have) + len(comp_idx) == A.rank_h0,
+           "connecting image has no complement")
+    s3 = linalg.det(have + [units[q] for q in comp_idx])
     # s1: (H1(A) | corrected lifts of the kernel) in H1(B)
     colsB = [B.h1_coords(_scatter(vec, inc1, nB1)) for vec in A.h1_basis]
     for kvec in kerK:
@@ -531,12 +517,12 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
                 zC[i] += c * bvec[i]
         lifted = _scatter(zC, sec1, nB1)
         defect = a_part0(B.boundary(lifted))
-        y = linalg.solve(A.d, defect)
+        y = linalg.solve(_dense(A, range(len(A.basis1))), defect)
         _check(y is not None, "kernel lift is not correctable")
         corrected = [a - b for a, b in zip(lifted, _scatter(y, inc1, nB1))]
         colsB.append(B.h1_coords(corrected))
     _check(len(colsB) == B.rank_h1, "rank bookkeeping broken in degree 1")
-    s1 = linalg.det(linalg.transpose(colsB))
+    s1 = linalg.det(colsB)
     # s4: (H0(A) complement | lifts of H0(C)) in H0(B)
     cols0 = []
     for q in comp_idx:
@@ -545,7 +531,7 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     for rep in C.h0_basis:
         cols0.append(B.h0_class(_scatter(rep, sec0, nB0)))
     _check(len(cols0) == B.rank_h0, "rank bookkeeping broken in degree 0")
-    s4 = linalg.det(linalg.transpose(cols0)) if cols0 else ONE
+    s4 = linalg.det(cols0)
     _check(s1 and s2 and s3 and s4, "six-term base change is singular")
     _check(B.degree == A.degree + C.degree, "degrees fail to add")
     return (s1 * s4) / (s2 * s3)
@@ -561,6 +547,17 @@ def _chain_iso_scalar(F, T, map1, map0):
     return det1 / det0
 
 
+def _restrict(cc, idx1, idx0):
+    """The complex on the 1-cells ``idx1`` and 0-cells ``idx0`` of ``cc``,
+    endpoints re-indexed; an endpoint outside ``idx0`` goes to ground."""
+    ground = len(idx0)
+    pos = {i: k for k, i in enumerate(idx0)}
+    return ChainComplexPair([cc.basis1[j] for j in idx1],
+                            [cc.basis0[i] for i in idx0],
+                            [pos.get(cc.plus[j], ground) for j in idx1],
+                            [pos.get(cc.minus[j], ground) for j in idx1])
+
+
 def _subcomplex(cc, keep1, keep0):
     """Restrict to the given cells; they must span a subcomplex."""
     idx1 = [i for i, lab in enumerate(cc.basis1) if lab in keep1]
@@ -568,16 +565,7 @@ def _subcomplex(cc, keep1, keep0):
     set0 = set(idx0) | {len(cc.basis0)}
     if any(cc.plus[j] not in set0 or cc.minus[j] not in set0 for j in idx1):
         raise ResultInvalid("cells do not span a subcomplex")
-    d = [[cc.d[i][j] for j in idx1] for i in idx0]
-    sub = ChainComplexPair([cc.basis1[i] for i in idx1],
-                           [cc.basis0[i] for i in idx0], d)
-    return sub, idx1, idx0
-
-
-def _quotient_complex(cc, drop1_idx, drop0_idx):
-    d = [[cc.d[i][j] for j in drop1_idx] for i in drop0_idx]
-    return ChainComplexPair([cc.basis1[i] for i in drop1_idx],
-                            [cc.basis0[i] for i in drop0_idx], d)
+    return _restrict(cc, idx1, idx0), idx1, idx0
 
 
 def _drop_scalar(cc, dropped_halves, dropped_cells):
@@ -591,7 +579,7 @@ def _drop_scalar(cc, dropped_halves, dropped_cells):
     sub, idx1, idx0 = _subcomplex(cc, set(keep1), set(keep0))
     drop1 = [i for i, lab in enumerate(cc.basis1) if lab in dropped_halves]
     drop0 = [i for i, lab in enumerate(cc.basis0) if lab in dropped_cells]
-    quot = _quotient_complex(cc, drop1, drop0)
+    quot = _restrict(cc, drop1, drop0)
     if quot.rank_h1 or quot.rank_h0:
         raise ResultInvalid("dropped cells are not acyclic")
     scalar = _ses_det_scalar(sub, cc, quot, idx1, idx0, drop1, drop0)
@@ -605,17 +593,17 @@ def _glued_extension(cc1, cc2, match, data):
     a matched incoming circle (or matched incoming leaf) to the glued
     vertex of the first graph, when that vertex is an extra cell there.
     """
-    g1, g2 = match.g1, match.g2
+    g2 = match.g2
     basis1 = [("1", h) for h in cc1.basis1] + [("2", h) for h in cc2.basis1]
     basis0 = [("1", c) for c in cc1.basis0] + [("2", c) for c in cc2.basis0]
     n1_1, n1_0 = len(cc1.basis1), len(cc1.basis0)
-    d = linalg.zeros(len(basis0), len(basis1))
-    for i in range(n1_0):
-        for j in range(n1_1):
-            d[i][j] = cc1.d[i][j]
-    for i in range(len(cc2.basis0)):
-        for j in range(len(cc2.basis1)):
-            d[n1_0 + i][n1_1 + j] = cc2.d[i][j]
+    ground = len(basis0)
+    # the second block's endpoints shift past the first's 0-cells, which
+    # also carries its ground node to the glued ground
+    plus = ([p if p < n1_0 else ground for p in cc1.plus]
+            + [n1_0 + p for p in cc2.plus])
+    minus = ([m if m < n1_0 else ground for m in cc1.minus]
+             + [n1_0 + m for m in cc2.minus])
     pos1_0 = {c: i for i, c in enumerate(cc1.basis0)}
     for j, h in enumerate(cc2.basis1):
         v = g2.base.source(h)
@@ -624,8 +612,10 @@ def _glued_extension(cc1, cc2, match, data):
             continue
         cell = ("V", img[len(data.prefix1):])
         if cell in pos1_0:
-            d[pos1_0[cell]][n1_1 + j] -= ONE
-    return ChainComplexPair(basis1, basis0, d)
+            _check(minus[n1_1 + j] == ground,
+                   "coupled half-edge already has a source cell")
+            minus[n1_1 + j] = pos1_0[cell]
+    return ChainComplexPair(basis1, basis0, plus, minus)
 
 
 def _gluing_scalar(g1, g2, match):
@@ -691,7 +681,7 @@ def gluing_det_iso(g1, g2, match, d):
     Koszul sign of interleaving the d copies of the two factors.
     """
     if d < 0:
-        raise ValueError("tensor powers need d >= 0")
+        raise InvalidParameter("tensor powers need d >= 0")
     try:
         scalar, ccG, _ = _gluing_scalar(g1, g2, match)
     except (ResultInvalid, InvariantViolation) as exc:
@@ -767,8 +757,7 @@ def _composite_coefficient(inner, outer, in_slot):
     circles = [_circle_vertices(glued, v) for v in glued.in_leaves]
     gamma12 = _arc_class(ccG, glued, circles[0], circles[1])
     gamma23 = _arc_class(ccG, glued, circles[1], circles[2])
-    mat = linalg.transpose([gamma12, gamma23])
-    det_geo = linalg.det(mat)
+    det_geo = linalg.det([gamma12, gamma23])
     _check(det_geo != 0, "arc classes fail to frame the glued homology")
     return scalar / det_geo
 
@@ -783,7 +772,7 @@ def skew_associativity_sign(d):
     of the three-input composite; the ratio is -1 to the d-th power.
     """
     if d < 0:
-        raise ValueError("dimension must be nonnegative")
+        raise InvalidParameter("dimension must be nonnegative")
     from .fixtures import pants, subdivided_incoming
     inner = pants()
     k_out = len(inner.leaf_cycle_normal_form(inner.out_leaves[0])) - 2

@@ -1,12 +1,15 @@
 """Small exact-rational matrix routines used by the homology module.
 
 Matrices are lists of rows of :class:`fractions.Fraction`.  The homology
-bases themselves come from graph computations in :mod:`fatcob.homology`;
-what is left here are the determinants of the small induced matrices,
-the lift corrections (:func:`solve`) and the kernel of the connecting
-map.  Everything is deterministic: row reduction always picks the
-leftmost usable pivot column and the first nonzero row below it, so
-repeated runs give identical bases and signs.
+bases and differentials themselves are integer graph data in
+:mod:`fatcob.homology`; what is left here are the determinants of the
+small induced matrices (an exact determinant does not change under
+transposition, so callers pass lists of columns), the lift corrections
+(:func:`solve`), the kernel of the connecting map and the unit
+complement of its image (:func:`rref`).  Everything is deterministic:
+row reduction always picks the leftmost usable pivot column and the
+first nonzero row below it, so repeated runs give identical bases and
+signs.
 """
 
 from fractions import Fraction
@@ -81,12 +84,6 @@ def rref(m):
 def _nonzero(x):
     # the identity test skips Fraction.__eq__ for the shared ZERO entries
     return x is not ZERO and x != 0
-
-
-def rank(m):
-    if not m or not m[0]:
-        return 0
-    return len(rref(m)[1])
 
 
 def kernel_basis(m, cols):

@@ -170,3 +170,31 @@ class TestSubdivideSmooth:
         g, _ = fx.single_loop().subdivide_edge("a")
         s, _ = g.smooth_bivalent()
         assert len(s.vertices) == 1
+
+
+class TestVertexQueries:
+    def test_queries_agree_with_a_half_edge_scan(self):
+        from fatcob.census import enumerate_fat_graphs
+        graphs = [e.graph for e in enumerate_fat_graphs(3)]
+        graphs += [fx.figure4(), fx.pants().base, fx.flaps().base]
+        for g in graphs:
+            for v in g.vertices:
+                at_v = sorted(h for h in g.half_edges if g.source(h) == v)
+                fan = g.fan(v)
+                assert g.valence(v) == len(at_v)
+                assert g.leaf_half(v) == at_v[0]
+                assert sorted(fan) == at_v and fan[0] == at_v[0]
+                assert [g.next_at_vertex(h) for h in fan] == \
+                    list(fan[1:] + fan[:1])
+            assert g.leaves() == tuple(
+                v for v in g.vertices if g.valence(v) == 1)
+            assert g.bivalent_vertices() == tuple(
+                v for v in g.vertices if g.valence(v) == 2)
+
+    def test_bare_vertex(self):
+        g = new_fat_graph(["u", "v"], [("e", "u", "u")],
+                          {"u": ["e.0", "e.1"]}, isolated=["v"])
+        assert g.valence("v") == 0 and g.fan("v") == ()
+        assert not g.is_leaf("v") and g.leaves() == ()
+        with pytest.raises(UnknownEdge):
+            g.leaf_half("v")
