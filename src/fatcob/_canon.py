@@ -36,6 +36,8 @@ pruning of a branch whose partial code already exceeds the best):
   best, so the count of starts equal to the minimum is exact.
 """
 
+from .errors import DisconnectedGraph
+
 # the implementation, as recorded with every perfbench run
 BACKEND = "python"
 
@@ -192,11 +194,12 @@ def min_code(sigma, inv, n):
     Returns ``(code, aut, best_start)``; ``aut`` is the number of
     starting half-edges whose code equals the minimum, i.e. the order
     of the automorphism group of the connected fat graph, and
-    ``best_start`` the smallest of them.
+    ``best_start`` the smallest of them.  A disconnected graph raises
+    :class:`~fatcob.errors.DisconnectedGraph`.
     """
     found = _search(sigma, inv, n, min_valence_starts(sigma, n))
     if found is None:
-        raise ValueError("graph is not connected")
+        raise DisconnectedGraph("graph is not connected")
     return found
 
 

@@ -9,18 +9,28 @@ class exactly once; the number of pairings that landed on a class is
 recorded (for one-vertex graphs this is the classical count of chord
 pairings of a ``2n``-gon realizing the class).
 
-The inner loop runs the canonical-labeling kernel once per pairing
-(the kernel tries only the starts at minimum-valence vertices and
-drops a start once its partial code exceeds the best; see
-:mod:`fatcob._canon`).  Those starts depend only on the partition, so
-they are computed once per partition; the pairings of ``2n`` slots do
-not depend on it at all, so the serial path generates them once per
-edge count.  Work is split by valence partition; partial tallies merge by
-summing counts and keeping the lexicographically smallest witness, a
-commutative merge that makes the parallel path schedule-independent.
-Each class is checked by orbit-stabilizer: its pairing count times its
-automorphism count is the order of the slot-symmetry group, or
-:class:`~fatcob.errors.InvariantViolation` is raised.
+Two pairings give isomorphic graphs exactly when they lie in one orbit
+of the slot group C(parts), the permutations of the slots that commute
+with the block rotations (rotations within blocks, permutations of
+equal-size blocks), and the stabilizer of a connected pairing is the
+automorphism group of its graph.  So the tally walks the pairings in
+order and runs the canonical-labeling kernel (see :mod:`fatcob._canon`)
+once on each pairing not yet seen: once per class, plus once per
+disconnected pairing.  For a connected pairing it then closes the orbit
+under a few generators of C(parts), marking each member seen by its
+position in the pairing list; the orbit size is the class's pairing
+count and its first member the witness.  The kernel's starts are
+computed once per partition, and the serial path generates the
+pairings of ``2n`` slots and their index once per edge count.
+
+Work is split by valence partition.  A class lies in one partition, so
+partial tallies are disjoint and merge in any order: the parallel path
+is schedule-independent.  When a class is materialised, the kernel
+(``min_code``) counts its automorphisms, and orbit-stabilizer checks
+the generator closure against the kernel: the orbit size times the
+automorphism count must be the order of C(parts).  That check, a code
+reached by a second orbit, and a generator image that is not a pairing
+each raise :class:`~fatcob.errors.InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 
 from . import _canon
 from .errors import BoundExceeded, FatcobError, InvariantViolation
@@ -145,39 +156,99 @@ def _centralizer_order(parts):
     return out
 
 
-def _tally_partition(task, pairings=None):
+def _generators(parts):
+    """A generating set of the slot group C(parts), as slot permutations.
+
+    ``parts`` is weakly decreasing, so equal blocks are adjacent.  For
+    each block size: the rotation of its first block and, when the size
+    repeats, the swap of its first two blocks and the cycle of all its
+    blocks.  Conjugating the rotation by block permutations rotates the
+    other blocks of the size.
+    """
+    n2 = sum(parts)
+
+    def shift(off, width, by):
+        g = list(range(n2))
+        g[off:off + width] = [off + (t + by) % width for t in range(width)]
+        return tuple(g)
+
+    out = []
+    off = 0
+    for k in sorted(set(parts), reverse=True):
+        a = parts.count(k)
+        if k > 1:
+            out.append(shift(off, k, 1))
+        if a > 1:
+            out.append(shift(off, 2 * k, k))
+        if a > 2:
+            out.append(shift(off, a * k, k))
+        off += a * k
+    return out
+
+
+def _indexed_pairings(n2):
+    """``_involutions(n2)`` and the map from each pairing to its position."""
+    pairings = _involutions(n2)
+    return pairings, {m: i for i, m in enumerate(pairings)}
+
+
+def _second_orbit(parts, code):
+    return InvariantViolation(
+        "census code %r of partition %r is reached by a second orbit of "
+        "the slot group" % (code, parts))
+
+
+def _tally_partition(task, indexed=None):
     """Census tally for one valence partition: code -> [count, witness].
 
-    ``pairings`` is ``_involutions(2 * n)`` when the caller has it.
+    ``indexed`` is ``_indexed_pairings(2 * n)`` when the caller has it.
     """
     n, parts = task
     sigma = _sigma_of_partition(parts)
     n2 = 2 * n
-    if pairings is None:
-        pairings = _involutions(n2)
+    pairings, index = indexed or _indexed_pairings(n2)
     starts = _canon.min_valence_starts(sigma, n2)
+    gens = []
+    for g in _generators(parts):
+        ginv = [0] * n2
+        for s, t in enumerate(g):
+            ginv[t] = s
+        gens.append((g, itemgetter(*ginv)))
+    seen = bytearray(len(pairings))
     tally = {}
-    for m in pairings:
+    for i, m in enumerate(pairings):
+        if seen[i]:
+            continue
         code = _canon.census_code(sigma, m, n2, starts)
         if code is None:
             continue
-        hit = tally.get(code)
-        if hit is None:
-            tally[code] = [1, (parts, m)]
-        else:
-            hit[0] += 1
+        if code in tally:
+            raise _second_orbit(parts, code)
+        seen[i] = 1
+        orbit = [m]
+        for p in orbit:
+            for g, at_ginv in gens:
+                # the conjugate g p g^-1 sends g(s) to g(p(s)): its
+                # entry j is g[p[ginv[j]]]
+                image = itemgetter(*at_ginv(p))(g)
+                j = index.get(image)
+                if j is None:
+                    raise InvariantViolation(
+                        "image %r of pairing %r is not a pairing: a "
+                        "generator of the slot group of %r is not a "
+                        "permutation of the slots" % (image, p, parts))
+                if not seen[j]:
+                    seen[j] = 1
+                    orbit.append(image)
+        tally[code] = [len(orbit), (parts, m)]
     return n, tally
 
 
 def _merge(target, n, tally):
-    for code, (count, witness) in tally.items():
-        hit = target.get((n, code))
-        if hit is None:
-            target[(n, code)] = [count, witness]
-        else:
-            hit[0] += count
-            if witness < hit[1]:
-                hit[1] = witness
+    for code, hit in tally.items():
+        if (n, code) in target:
+            raise _second_orbit(hit[1][0], code)
+        target[(n, code)] = hit
     return target
 
 
@@ -225,12 +296,12 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
                 _merge(merged, n, tally)
     else:
         # tasks come grouped by edge count; one pairing list at a time
-        pairings, pairings_n = None, None
+        indexed, indexed_n = None, None
         for task in tasks:
-            if task[0] != pairings_n:
-                pairings_n = task[0]
-                pairings = _involutions(2 * pairings_n)
-            n, tally = _tally_partition(task, pairings)
+            if task[0] != indexed_n:
+                indexed_n = task[0]
+                indexed = _indexed_pairings(2 * indexed_n)
+            n, tally = _tally_partition(task, indexed)
             _merge(merged, n, tally)
     out = []
     for (n, code), (count, (parts, pairing)) in merged.items():

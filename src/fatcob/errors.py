@@ -38,6 +38,10 @@ class IsolatedVertex(FatcobError, ValueError):
     """Surface invariants were asked of a graph with isolated vertices."""
 
 
+class DisconnectedGraph(FatcobError, ValueError):
+    """The canonical-labelling kernel was handed a disconnected graph."""
+
+
 class NonIntegerGenus(FatcobError):
     """`2 - chi - b` came out odd; the graph data is corrupted."""
 

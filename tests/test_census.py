@@ -1,0 +1,162 @@
+"""The census tally by slot-group orbits.
+
+The tally runs the canonical-labelling kernel once per orbit of the
+slot group C(parts) and counts the pairings of a class by closing its
+orbit under ``census._generators``.  These tests hold it to the
+per-pairing tally it replaced, which runs the kernel on every pairing,
+and make each of its internal checks fire, also under ``python -O``.
+"""
+
+from itertools import groupby
+from operator import itemgetter
+
+import pytest
+
+from conftest import run_optimized
+from fatcob import _canon, census
+from fatcob.census import (
+    _centralizer_order,
+    _generators,
+    _indexed_pairings,
+    _partitions,
+    _sigma_of_partition,
+    _tally_partition,
+    _vertex_of_slot,
+    enumerate_fat_graphs,
+)
+from fatcob.errors import InvariantViolation
+
+
+def reference_tally(task, pairings):
+    """The per-pairing tally: the kernel on every pairing; per code, the
+    number of pairings and the first of them in list order."""
+    n, parts = task
+    sigma = _sigma_of_partition(parts)
+    starts = _canon.min_valence_starts(sigma, 2 * n)
+    tally = {}
+    for m in pairings:
+        code = _canon.census_code(sigma, m, 2 * n, starts)
+        if code is None:
+            continue
+        hit = tally.get(code)
+        if hit is None:
+            tally[code] = [1, (parts, m)]
+        else:
+            hit[0] += 1
+    return tally
+
+
+def census_tasks():
+    """Every partition through 5 edges, and the one-vertex 6-edge one."""
+    for n in range(1, 6):
+        for parts in _partitions(2 * n, 2 * n, 1):
+            yield n, parts
+    yield 6, (12,)
+
+
+class TestOrbitTally:
+    def test_matches_per_pairing_reference(self):
+        classes = 0
+        for n, tasks in groupby(census_tasks(), key=itemgetter(0)):
+            indexed = _indexed_pairings(2 * n)
+            for task in tasks:
+                _, tally = _tally_partition(task, indexed)
+                assert tally == reference_tally(task, indexed[0]), task
+                classes += len(tally)
+        assert classes == 1004 + 902
+
+    def test_generators_generate_the_slot_group(self):
+        for n in (1, 2, 3):
+            n2 = 2 * n
+            for parts in _partitions(n2, n2, 1):
+                sigma = _sigma_of_partition(parts)
+                gens = _generators(parts)
+                for g in gens:
+                    assert sorted(g) == list(range(n2))
+                    assert all(g[sigma[s]] == sigma[g[s]] for s in range(n2))
+                group = [tuple(range(n2))]
+                members = set(group)
+                for h in group:
+                    for g in gens:
+                        gh = tuple(g[s] for s in h)
+                        if gh not in members:
+                            members.add(gh)
+                            group.append(gh)
+                assert len(group) == _centralizer_order(parts), parts
+
+
+class TestOrbitChecks:
+    def test_second_orbit_raises_under_optimize(self):
+        # a kernel that gives every pairing one code: the second orbit
+        # to be closed reaches that code again
+        script = (
+            "import fatcob._canon as k\n"
+            "from fatcob.census import enumerate_fat_graphs\n"
+            "from fatcob.errors import InvariantViolation\n"
+            "assert False, 'asserts are on'\n"
+            "k.census_code = lambda *a: b'same'\n"
+            "try:\n"
+            "    enumerate_fat_graphs(2)\n"
+            "except InvariantViolation as exc:\n"
+            "    print('raised', exc)\n")
+        out = run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("raised census code b'same'")
+        assert "reached by a second orbit" in out.stdout
+
+    def test_code_of_two_partitions_raises(self, monkeypatch):
+        # one edge: each partition has a single pairing, so the repeat
+        # shows only when the tallies of (2,) and (1, 1) merge
+        monkeypatch.setattr(_canon, "census_code", lambda *a: b"same")
+        with pytest.raises(InvariantViolation,
+                           match=r"partition \(1, 1\) is reached by a "
+                                 "second orbit"):
+            enumerate_fat_graphs(1)
+
+    def test_image_outside_the_pairings_raises_under_optimize(self):
+        # a generator that is not a permutation of the slots sends a
+        # pairing to a tuple that is not a pairing
+        script = (
+            "import fatcob.census as c\n"
+            "from fatcob.errors import InvariantViolation\n"
+            "assert False, 'asserts are on'\n"
+            "c._generators = lambda parts: [(0,) * sum(parts)]\n"
+            "try:\n"
+            "    c.enumerate_fat_graphs(1)\n"
+            "except InvariantViolation as exc:\n"
+            "    print('raised', exc)\n")
+        out = run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("raised image (0, 0) of pairing (1, 0)")
+
+    def test_rotations_alone_are_caught(self, monkeypatch):
+        # without the block permutations a class splits into several
+        # orbits; the second one reaches the class's code again, before
+        # the orbit-stabilizer check could see the short count
+        real = census._generators
+
+        def rotations(parts):
+            block = _vertex_of_slot(parts)
+            return [g for g in real(parts)
+                    if all(block[t] == block[s] for s, t in enumerate(g))]
+
+        monkeypatch.setattr(census, "_generators", rotations)
+        with pytest.raises(InvariantViolation, match="second orbit"):
+            enumerate_fat_graphs(3)
+
+    def test_non_symmetry_breaks_orbit_stabilizer(self, monkeypatch):
+        # swapping two slots of one vertex does not commute with its
+        # rotation; the orbits it closes merge classes, so the count
+        # times the kernel's automorphism count overshoots |C(parts)|
+        real = census._generators
+
+        def with_swap(parts):
+            n2 = sum(parts)
+            swap = list(range(n2))
+            swap[0], swap[parts[0] - 1] = swap[parts[0] - 1], swap[0]
+            return real(parts) + [tuple(swap)]
+
+        monkeypatch.setattr(census, "_generators", with_swap)
+        with pytest.raises(InvariantViolation,
+                           match="census bookkeeping broken"):
+            enumerate_fat_graphs(2, one_vertex=True, exact_edges=True)

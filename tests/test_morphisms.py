@@ -2,11 +2,19 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_optimized
 from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs, genus_distribution
-from fatcob.errors import BoundExceeded, ForestContainsCycle, Mismatch
+from fatcob.errors import (
+    BoundExceeded,
+    DisconnectedGraph,
+    FatcobError,
+    ForestContainsCycle,
+    Mismatch,
+)
+from fatcob.fgformat import serialize
 from fatcob.graphs import new_fat_graph
 from fatcob.morphisms import (
     Morphism,
@@ -228,7 +236,27 @@ class TestMorphismInvariants:
                 assert before == after
 
 
+@pytest.fixture(scope="module")
+def relabel_cases():
+    """``(graph, canonical form)`` pairs: first a graph with 530
+    half-edges, whose codes take two bytes per entry, then fixtures, a
+    disconnected graph and the census through 3 edges."""
+    graphs = [fx.subdivided_incoming(fx.pants(), 130).base,
+              fx.figure4(), fx.two_loops_planar(), fx.mouthpiece().base,
+              fx.oc_disjoint_union(fx.pants(), fx.cylinder()).base]
+    graphs += [e.graph for e in enumerate_fat_graphs(3)]
+    assert len(graphs) == 32
+    return [(g, canonical_form(g)) for g in graphs]
+
+
 class TestCanonicalForm:
+    @settings(max_examples=60, deadline=None)
+    @example(which=0, rng=random.Random(0))
+    @given(which=st.integers(0, 31), rng=st.randoms(use_true_random=False))
+    def test_relabel_invariance_property(self, relabel_cases, which, rng):
+        g, want = relabel_cases[which]
+        assert canonical_form(random_relabel(g, rng)) == want
+
     def test_relabel_invariance_fixtures(self):
         rng = random.Random(20240811)
         for g in (fx.figure4(), fx.single_loop(), fx.two_loops_torus(),
@@ -436,10 +464,12 @@ class TestCensus:
         assert enumerate_fat_graphs(0) == []
 
     def test_parallel_merge_matches_serial(self):
-        serial = enumerate_fat_graphs(4)
-        parallel = enumerate_fat_graphs(4, jobs=2)
-        assert [(e.canon, e.n_pairings, e.aut_size) for e in serial] == \
-            [(e.canon, e.n_pairings, e.aut_size) for e in parallel]
+        def key(entries):
+            return [(e.canon, e.n_pairings, e.aut_size, serialize(e.graph))
+                    for e in entries]
+
+        assert key(enumerate_fat_graphs(4)) == \
+            key(enumerate_fat_graphs(4, jobs=2))
 
     def test_cobordism_filter(self):
         from fatcob.openclosed import cobordism_signature
@@ -526,6 +556,14 @@ class TestPrunedKernel:
                     connected += 1
                 assert _canon.census_code(sigma, m, n2, starts) == want, m
         assert connected > 2000
+
+    def test_disconnected_graph_raises_a_fatcob_error(self):
+        from fatcob import _canon
+        # two one-loop vertices
+        with pytest.raises(DisconnectedGraph) as info:
+            _canon.min_code([1, 0, 3, 2], [1, 0, 3, 2], 4)
+        assert isinstance(info.value, FatcobError)
+        assert isinstance(info.value, ValueError)
 
     def test_decorated_canonical_forms_match_all_starts(self):
         from fatcob.census import admissible_decorations
