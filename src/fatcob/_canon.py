@@ -204,12 +204,13 @@ def min_code(sigma, inv, n):
 
 
 def census_code(sigma, inv, n, starts):
-    """Minimal code, or ``None`` when the graph is disconnected.
+    """``(code, aut)`` as in :func:`min_code`, or ``None`` when the
+    graph is disconnected.
 
     ``starts`` is ``min_valence_starts(sigma, n)``, which the census
     computes once for all the pairings on one ``sigma``.
     """
     if n == 0:
-        return b"\x00"
+        return b"\x00", 1
     found = _search(sigma, inv, n, starts)
-    return None if found is None else found[0]
+    return None if found is None else found[:2]

@@ -19,29 +19,41 @@ once on each pairing not yet seen: once per class, plus once per
 disconnected pairing.  For a connected pairing it then closes the orbit
 under a few generators of C(parts), marking each member seen by its
 position in the pairing list; the orbit size is the class's pairing
-count and its first member the witness.  The kernel's starts are
-computed once per partition, and the serial path generates the
-pairings of ``2n`` slots and their index once per edge count.
+count, its first member the witness, and the kernel's count of the
+witness's minimal starts its automorphism count.  The kernel's starts
+are computed once per partition, and the pairings of ``2n`` slots and
+their index once per edge count: by the serial path, and by each
+worker of the parallel path.
 
 Work is split by valence partition.  A class lies in one partition, so
 partial tallies are disjoint and merge in any order: the parallel path
-is schedule-independent.  When a class is materialised, the kernel
-(``min_code``) counts its automorphisms, and orbit-stabilizer checks
-the generator closure against the kernel: the orbit size times the
-automorphism count must be the order of C(parts).  That check, a code
-reached by a second orbit, and a generator image that is not a pairing
-each raise :class:`~fatcob.errors.InvariantViolation`.
+is schedule-independent.  A class is materialised from integers alone.
+Orbit-stabilizer checks the generator closure against the kernel: the
+orbit size times the automorphism count must be the order of C(parts).
+The boundary count is the number of cycles of ``sigma∘pairing`` on the
+slots, ``chi`` is vertices minus edges and the genus follows from
+``2 - 2g = chi + b``.  No named graph is built: a :class:`CensusEntry`
+keeps its witness and builds its graph on first use, checking the
+graph's surface invariants against the counted ones.  The
+orbit-stabilizer check, that graph check, a code reached by a second
+orbit, and a generator image that is not a pairing each raise
+:class:`~fatcob.errors.InvariantViolation`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from math import factorial
 from operator import itemgetter
 
 from . import _canon
-from .errors import BoundExceeded, FatcobError, InvariantViolation
+from .errors import (
+    BoundExceeded,
+    FatcobError,
+    InvariantViolation,
+    NonIntegerGenus,
+)
 from .graphs import new_fat_graph
 
 DEFAULT_MAX_EDGES = 8
@@ -63,9 +75,18 @@ def _edge_bound():
 
 @dataclass(frozen=True)
 class CensusEntry:
-    """One isomorphism class of connected fat graphs."""
+    """One isomorphism class of connected fat graphs.
+
+    ``witness`` is ``(parts, pairing)``: a valence partition and a
+    pairing of its slots that realises the class.  It determines the
+    graph, so entries compare and hash by it and by the numbers, never
+    by a graph.  :attr:`graph` builds the named graph from the witness
+    on first use and keeps it.  An entry of a ``cobordism=`` census
+    carries its decorated graph in ``decorated`` and hands that out
+    instead.
+    """
     canon: bytes
-    graph: object
+    witness: tuple
     n_edges: int
     n_vertices: int
     genus: int
@@ -73,6 +94,34 @@ class CensusEntry:
     euler_characteristic: int
     n_pairings: int
     aut_size: int
+    decorated: object = None
+    _built: object = field(default=None, init=False, repr=False,
+                           compare=False)
+
+    @property
+    def graph(self):
+        """The fat graph of the class, built and checked on first use.
+
+        The graph goes through the full validation of
+        :func:`~fatcob.graphs.new_fat_graph`, and its surface invariants
+        must be one component equal to the entry's; otherwise
+        :class:`~fatcob.errors.InvariantViolation` is raised.
+        """
+        if self.decorated is not None:
+            return self.decorated
+        if self._built is None:
+            graph = _build_graph(*self.witness)
+            got = [(c.genus, c.boundary_count, c.euler_characteristic)
+                   for c in graph.surface_invariants().components]
+            want = (self.genus, self.boundary_count,
+                    self.euler_characteristic)
+            if got != [want]:
+                raise InvariantViolation(
+                    "graph of census class %r has invariants %r, not the "
+                    "(genus, boundary, chi) %r counted from its pairing"
+                    % (self.canon, got, want))
+            object.__setattr__(self, "_built", graph)
+        return self._built
 
 
 def _partitions(total, max_part, min_part):
@@ -145,6 +194,28 @@ def _build_graph(parts, pairing):
     return new_fat_graph(vnames, edges, orders)
 
 
+def _invariants(sigma, pairing, n_vertices):
+    """``(genus, boundary count, Euler characteristic)`` of a connected
+    pairing: the boundary cycles are the cycles of ``sigma∘pairing`` on
+    the slots, and ``chi`` is vertices minus edges."""
+    n2 = len(pairing)
+    seen = bytearray(n2)
+    b = 0
+    for s in range(n2):
+        if seen[s]:
+            continue
+        b += 1
+        while not seen[s]:
+            seen[s] = 1
+            s = sigma[pairing[s]]
+    chi = n_vertices - n2 // 2
+    two_g = 2 - chi - b
+    if two_g < 0 or two_g % 2:
+        raise NonIntegerGenus(
+            "pairing %r has 2-chi-b = %d" % (pairing, two_g))
+    return two_g // 2, b, chi
+
+
 def _centralizer_order(parts):
     """Order of the symmetry group of the reference slot structure."""
     mult = {}
@@ -198,15 +269,32 @@ def _second_orbit(parts, code):
         "the slot group" % (code, parts))
 
 
-def _tally_partition(task, indexed=None):
-    """Census tally for one valence partition: code -> [count, witness].
+# ``_indexed_pairings`` of the last edge count, memoised by each worker
+# process of the ``jobs`` path; the calling process never fills it
+_worker_indexed = {}
 
-    ``indexed`` is ``_indexed_pairings(2 * n)`` when the caller has it.
+
+def _worker_tally(task):
+    """``_tally_partition`` in a worker, building the pairing list once
+    per edge count (tasks arrive in increasing edge count)."""
+    n = task[0]
+    indexed = _worker_indexed.get(n)
+    if indexed is None:
+        _worker_indexed.clear()
+        indexed = _worker_indexed[n] = _indexed_pairings(2 * n)
+    return _tally_partition(task, indexed)
+
+
+def _tally_partition(task, indexed):
+    """Census tally for one valence partition:
+    code -> [count, aut, witness].
+
+    ``indexed`` is ``_indexed_pairings(2 * n)``.
     """
     n, parts = task
     sigma = _sigma_of_partition(parts)
     n2 = 2 * n
-    pairings, index = indexed or _indexed_pairings(n2)
+    pairings, index = indexed
     starts = _canon.min_valence_starts(sigma, n2)
     gens = []
     for g in _generators(parts):
@@ -219,9 +307,10 @@ def _tally_partition(task, indexed=None):
     for i, m in enumerate(pairings):
         if seen[i]:
             continue
-        code = _canon.census_code(sigma, m, n2, starts)
-        if code is None:
+        found = _canon.census_code(sigma, m, n2, starts)
+        if found is None:
             continue
+        code, aut = found
         if code in tally:
             raise _second_orbit(parts, code)
         seen[i] = 1
@@ -240,14 +329,14 @@ def _tally_partition(task, indexed=None):
                 if not seen[j]:
                     seen[j] = 1
                     orbit.append(image)
-        tally[code] = [len(orbit), (parts, m)]
+        tally[code] = [len(orbit), aut, (parts, m)]
     return n, tally
 
 
 def _merge(target, n, tally):
     for code, hit in tally.items():
         if (n, code) in target:
-            raise _second_orbit(hit[1][0], code)
+            raise _second_orbit(hit[2][0], code)
         target[(n, code)] = hit
     return target
 
@@ -292,7 +381,7 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
     if jobs and jobs > 1:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
-            for n, tally in pool.imap_unordered(_tally_partition, tasks):
+            for n, tally in pool.imap_unordered(_worker_tally, tasks):
                 _merge(merged, n, tally)
     else:
         # tasks come grouped by edge count; one pairing list at a time
@@ -304,11 +393,8 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
             n, tally = _tally_partition(task, indexed)
             _merge(merged, n, tally)
     out = []
-    for (n, code), (count, (parts, pairing)) in merged.items():
-        graph = _build_graph(parts, pairing)
-        comp = graph.surface_invariants().components[0]
-        sigma = _sigma_of_partition(parts)
-        _, aut, _ = _canon.min_code(sigma, pairing, 2 * n)
+    for (n, code), (count, aut, witness) in merged.items():
+        parts, pairing = witness
         # orbit-stabilizer: pairings realizing the class, times the
         # automorphism count, is the slot-symmetry order
         want = _centralizer_order(parts)
@@ -316,10 +402,11 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
             raise InvariantViolation(
                 "census bookkeeping broken for %r: %d pairings times %d "
                 "automorphisms is not %d" % (code, count, aut, want))
+        g, b, chi = _invariants(_sigma_of_partition(parts), pairing,
+                                len(parts))
         out.append(CensusEntry(
-            canon=code, graph=graph, n_edges=n, n_vertices=len(parts),
-            genus=comp.genus, boundary_count=comp.boundary_count,
-            euler_characteristic=comp.euler_characteristic,
+            canon=code, witness=witness, n_edges=n, n_vertices=len(parts),
+            genus=g, boundary_count=b, euler_characteristic=chi,
             n_pairings=count, aut_size=aut))
     if genus is not None:
         out = [e for e in out if e.genus == genus]
@@ -383,12 +470,7 @@ def _decorated_census(entries, cobordism):
     for e in entries:
         for oc in admissible_decorations(e.graph):
             if _signature_key(cobordism_signature(oc)) == want:
-                out.append(CensusEntry(
-                    canon=e.canon, graph=oc, n_edges=e.n_edges,
-                    n_vertices=e.n_vertices, genus=e.genus,
-                    boundary_count=e.boundary_count,
-                    euler_characteristic=e.euler_characteristic,
-                    n_pairings=e.n_pairings, aut_size=e.aut_size))
+                out.append(replace(e, decorated=oc))
     return out
 
 

@@ -2,7 +2,8 @@
 
 Every subcommand is a thin adapter over exactly one library operation;
 ``--json`` wraps the same result in a ``{command, inputs, result,
-warnings}`` report with stable key order.  Exit codes: 0 success, 1
+warnings}`` report with stable key order; ``warnings`` names an edge
+bound taken from ``FATCOB_MAX_EDGES``.  Exit codes: 0 success, 1
 domain failure (invalid, inadmissible, not gluable), 2 parse error, 3
 usage error.
 """
@@ -173,6 +174,9 @@ def cmd_enumerate(args):
     entries = census_mod.enumerate_fat_graphs(
         args.edges, genus=args.genus, one_vertex=args.one_vertex,
         min_valence=args.min_valence, jobs=args.jobs)
+    if os.environ.get("FATCOB_MAX_EDGES"):
+        args.warnings.append("edge bound %d taken from FATCOB_MAX_EDGES"
+                             % census_mod._edge_bound())
     lines = ["classes=%d" % len(entries)]
     rows = []
     for e in entries:
@@ -258,6 +262,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     inputs = [getattr(args, name) for name in ("file", "first", "second")
               if hasattr(args, name)]
+    args.warnings = []
     try:
         text, result, code = args.fn(args)
     except ParseError as exc:
@@ -271,7 +276,7 @@ def main(argv=None):
         return DOMAIN_EXIT
     if args.json:
         report = {"command": args.command, "inputs": inputs,
-                  "result": result, "warnings": []}
+                  "result": result, "warnings": args.warnings}
         print(json.dumps(report, indent=2, sort_keys=False))
     else:
         print(text)

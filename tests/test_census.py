@@ -1,10 +1,15 @@
-"""The census tally by slot-group orbits.
+"""The census tally by slot-group orbits, and its classes from integers.
 
 The tally runs the canonical-labelling kernel once per orbit of the
 slot group C(parts) and counts the pairings of a class by closing its
 orbit under ``census._generators``.  These tests hold it to the
 per-pairing tally it replaced, which runs the kernel on every pairing,
 and make each of its internal checks fire, also under ``python -O``.
+
+A class is materialised without a named graph: its automorphism count
+comes from the tally's kernel call and its invariants from the face
+permutation of the witness.  The tests recompute both from scratch on
+every class, and hold the graph to being built only on first use.
 """
 
 from itertools import groupby
@@ -29,19 +34,22 @@ from fatcob.errors import InvariantViolation
 
 def reference_tally(task, pairings):
     """The per-pairing tally: the kernel on every pairing; per code, the
-    number of pairings and the first of them in list order."""
+    number of pairings, the automorphism count, which every pairing of
+    the class must agree on, and the first pairing in list order."""
     n, parts = task
     sigma = _sigma_of_partition(parts)
     starts = _canon.min_valence_starts(sigma, 2 * n)
     tally = {}
     for m in pairings:
-        code = _canon.census_code(sigma, m, 2 * n, starts)
-        if code is None:
+        found = _canon.census_code(sigma, m, 2 * n, starts)
+        if found is None:
             continue
+        code, aut = found
         hit = tally.get(code)
         if hit is None:
-            tally[code] = [1, (parts, m)]
+            tally[code] = [1, aut, (parts, m)]
         else:
+            assert hit[1] == aut, (code, m)
             hit[0] += 1
     return tally
 
@@ -94,7 +102,7 @@ class TestOrbitChecks:
             "from fatcob.census import enumerate_fat_graphs\n"
             "from fatcob.errors import InvariantViolation\n"
             "assert False, 'asserts are on'\n"
-            "k.census_code = lambda *a: b'same'\n"
+            "k.census_code = lambda *a: (b'same', 1)\n"
             "try:\n"
             "    enumerate_fat_graphs(2)\n"
             "except InvariantViolation as exc:\n"
@@ -107,7 +115,7 @@ class TestOrbitChecks:
     def test_code_of_two_partitions_raises(self, monkeypatch):
         # one edge: each partition has a single pairing, so the repeat
         # shows only when the tallies of (2,) and (1, 1) merge
-        monkeypatch.setattr(_canon, "census_code", lambda *a: b"same")
+        monkeypatch.setattr(_canon, "census_code", lambda *a: (b"same", 1))
         with pytest.raises(InvariantViolation,
                            match=r"partition \(1, 1\) is reached by a "
                                  "second orbit"):
@@ -160,3 +168,69 @@ class TestOrbitChecks:
         with pytest.raises(InvariantViolation,
                            match="census bookkeeping broken"):
             enumerate_fat_graphs(2, one_vertex=True, exact_edges=True)
+
+
+def small_census():
+    """Every class through 5 edges and the one-vertex 6-edge classes."""
+    return enumerate_fat_graphs(5) + enumerate_fat_graphs(
+        6, one_vertex=True, exact_edges=True)
+
+
+class TestClassesFromIntegers:
+    def test_aut_and_invariants_match_recomputation(self):
+        entries = small_census()
+        assert len(entries) == 1004 + 902
+        for e in entries:
+            parts, pairing = e.witness
+            sigma = _sigma_of_partition(parts)
+            code, aut, _ = _canon.min_code(sigma, pairing, 2 * e.n_edges)
+            assert (code, aut) == (e.canon, e.aut_size), e.witness
+            comps = e.graph.surface_invariants().components
+            assert [(c.genus, c.boundary_count, c.euler_characteristic)
+                    for c in comps] == [
+                (e.genus, e.boundary_count, e.euler_characteristic)]
+
+    def test_graph_is_built_on_first_use_only(self, monkeypatch):
+        calls = []
+        real = census._build_graph
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(census, "_build_graph", counted)
+        entries = enumerate_fat_graphs(3)
+        assert sum(e.genus + e.boundary_count + e.euler_characteristic
+                   + e.aut_size + e.n_pairings for e in entries) > 0
+        assert calls == []
+        e = entries[-1]
+        assert e.graph is e.graph
+        assert calls == [e.witness]
+
+    def test_two_enumerations_compare_equal(self):
+        first, second = enumerate_fat_graphs(4), enumerate_fat_graphs(4)
+        first[-1].graph
+        assert first == second
+        assert set(first) == set(second)
+        assert len(set(first)) == len(first)
+
+    def test_wrong_graph_raises_under_optimize(self):
+        # a builder that always returns the one-vertex torus: the entry
+        # of the two-edge one-vertex sphere must refuse it
+        script = (
+            "import fatcob.census as c\n"
+            "from fatcob.errors import InvariantViolation\n"
+            "assert False, 'asserts are on'\n"
+            "real = c._build_graph\n"
+            "c._build_graph = lambda parts, m: real((4,), (2, 3, 0, 1))\n"
+            "entries = c.enumerate_fat_graphs(2, one_vertex=True,\n"
+            "                                 exact_edges=True)\n"
+            "sphere = [e for e in entries if e.genus == 0][0]\n"
+            "try:\n"
+            "    sphere.graph\n"
+            "except InvariantViolation as exc:\n"
+            "    print('raised', exc)\n")
+        out = run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("raised graph of census class")
+        assert "has invariants [(1, 1, -1)], not the" in out.stdout

@@ -103,6 +103,16 @@ class TestJson:
         code, out = run_cli(["--json", "enumerate", "--edges", "1"])
         report = json.loads(out)
         assert report["result"]["classes"] == 2
+        assert report["warnings"] == []
+
+    def test_enumerate_env_bound_is_a_warning(self, monkeypatch):
+        monkeypatch.setenv("FATCOB_MAX_EDGES", "3")
+        code, out = run_cli(["--json", "enumerate", "--edges", "2"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"]["classes"] == 7
+        assert report["warnings"] == [
+            "edge bound 3 taken from FATCOB_MAX_EDGES"]
 
 
 class TestGlueOutput:

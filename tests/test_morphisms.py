@@ -470,6 +470,9 @@ class TestCensus:
 
         assert key(enumerate_fat_graphs(4)) == \
             key(enumerate_fat_graphs(4, jobs=2))
+        # the workers memoise the pairing list; the caller keeps none
+        from fatcob import census
+        assert census._worker_indexed == {}
 
     def test_cobordism_filter(self):
         from fatcob.openclosed import cobordism_signature
@@ -552,7 +555,7 @@ class TestPrunedKernel:
                 else:
                     want = _reference_min_code(sigma, m, n2)
                     assert _canon.min_code(sigma, m, n2) == want, m
-                    want = want[0]
+                    want = want[:2]
                     connected += 1
                 assert _canon.census_code(sigma, m, n2, starts) == want, m
         assert connected > 2000
@@ -600,11 +603,11 @@ class TestCensusChecks:
             "from fatcob.census import enumerate_fat_graphs\n"
             "from fatcob.errors import InvariantViolation\n"
             "assert False, 'asserts are on'\n"
-            "real = k.min_code\n"
+            "real = k.census_code\n"
             "def wrong(*a):\n"
-            "    code, aut, start = real(*a)\n"
-            "    return code, aut + 1, start\n"
-            "k.min_code = wrong\n"
+            "    found = real(*a)\n"
+            "    return found and (found[0], found[1] + 1)\n"
+            "k.census_code = wrong\n"
             "try:\n"
             "    enumerate_fat_graphs(2)\n"
             "except InvariantViolation as exc:\n"
