@@ -4,9 +4,10 @@ The package models surfaces-with-boundary combinatorially: a fat graph
 (a graph with cyclic half-edge orders at the vertices) thickens to an
 oriented surface, leaf decorations turn it into an open-closed
 cobordism, and admissible graphs compose by gluing outgoing to incoming
-boundary.  On top of the combinatorics sits the two-term rational chain
+boundary.  On top of the combinatorics sits the two-term integer chain
 complex of a graph relative to its incoming boundary, whose determinant
-line carries the degree and sign bookkeeping of the induced operations.
+line carries the degree and sign bookkeeping of the induced operations
+as exact rational scalars.
 """
 
 from .errors import *  # noqa: F401,F403

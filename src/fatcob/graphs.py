@@ -117,10 +117,12 @@ class FatGraph:
             if self._edge_of[self._involution[h]] != e:
                 raise FixedPointInvolution(
                     "halves of edge %r are not paired together" % e)
+        # keys go in sorted, so edges() reads them in order
         for e in sorted(set(self._edge_of.values())):
-            self._edge_ends[e] = (half_id(e, 0), half_id(e, 1))
-            if half_id(e, 0) not in halves or half_id(e, 1) not in halves:
+            h0, h1 = half_id(e, 0), half_id(e, 1)
+            if h0 not in halves or h1 not in halves:
                 raise DanglingHalfEdge("edge %r is missing a half" % e)
+            self._edge_ends[e] = (h0, h1)
 
     # -- basic accessors --------------------------------------------------
 
@@ -133,7 +135,7 @@ class FatGraph:
         return self._halves
 
     def edges(self):
-        return tuple(sorted(self._edge_ends))
+        return tuple(self._edge_ends)
 
     def num_edges(self):
         return len(self._edge_ends)

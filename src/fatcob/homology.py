@@ -1,7 +1,7 @@
 """Relative chain complexes, determinant lines and the sign calculus.
 
 For an admissible decorated graph the pair (graph, incoming boundary)
-is computed by a two-term rational complex: one 1-cell per extra
+is computed by a two-term integer complex: one 1-cell per extra
 half-edge, one 0-cell per extra edge midpoint and per extra vertex,
 with ``d(h) = [midpoint of h's edge] - [source of h]`` and the source
 term dropped when it lies on the incoming part.  Every differential
@@ -14,7 +14,11 @@ so every sign below is reproducible.  Only the lift corrections still
 solve by row reduction, on a dense copy of the columns they need.  A
 chain map between two complexes is a cell map, which sends each source
 cell to a sum of target cells with coefficient +1, stored as the tuple
-of their indices (empty for a cell sent to zero).
+of their indices (empty for a cell sent to zero).  Every chain, basis
+vector and coordinate vector holds Python ``int``s: incidence matrices
+are totally unimodular, so even the lift corrections stay integral.
+``Fraction`` enters only through :func:`linalg.det`, the kernel of the
+connecting map, and the scalars built from their ratios.
 
 The determinant line of a complex is the top exterior power of its
 degree-1 homology tensored with the dual top power of its degree-0
@@ -38,9 +42,6 @@ from .errors import (InvalidMorphism, InvalidParameter, InvariantViolation,
                      NotGluable, ResultInvalid)
 from .morphisms import validate_morphism
 from .openclosed import incoming_partition, require_admissible
-
-ZERO = linalg.ZERO
-ONE = linalg.ONE
 
 
 def _check(ok, message):
@@ -95,8 +96,8 @@ class ChainComplexPair:
                 self._free1.append(j)
             else:
                 root[a] = b
-                forest[p].append((m, j, -ONE))
-                forest[m].append((p, j, ONE))
+                forest[p].append((m, j, -1))
+                forest[m].append((p, j, 1))
         ground = find(n0)
         last = {}
         for i in range(n0):
@@ -110,7 +111,7 @@ class ChainComplexPair:
             for j in self._free1]
         self.h1_basis = []
         for cycle in self._cycles:
-            v = [ZERO] * n1
+            v = [0] * n1
             for j, x in cycle.items():
                 v[j] = x
             self.h1_basis.append(v)
@@ -135,8 +136,8 @@ class ChainComplexPair:
         """Unit-vector representatives of the cokernel basis classes."""
         out = []
         for i in self._free0:
-            v = [ZERO] * len(self.basis0)
-            v[i] = ONE
+            v = [0] * len(self.basis0)
+            v[i] = 1
             out.append(v)
         return out
 
@@ -145,7 +146,7 @@ class ChainComplexPair:
     def boundary(self, vec):
         """The differential applied to a 1-chain, as a list over
         ``basis0``."""
-        out = [ZERO] * (len(self.basis0) + 1)
+        out = [0] * (len(self.basis0) + 1)
         for x, p, m in zip(vec, self.plus, self.minus):
             if x:
                 out[p] += x
@@ -157,7 +158,7 @@ class ChainComplexPair:
         """Coordinates of a kernel vector in the chosen H1 basis."""
         _check(not any(self.boundary(vec)), "vector is not a cycle")
         coords = [vec[j] for j in self._free1]
-        check = [ZERO] * len(self.basis1)
+        check = [0] * len(self.basis1)
         for c, cycle in zip(coords, self._cycles):
             if c:
                 for j, x in cycle.items():
@@ -167,7 +168,7 @@ class ChainComplexPair:
 
     def h0_class(self, vec):
         """Coordinates of the class of ``vec`` in the cokernel basis."""
-        out = [ZERO] * len(self._free0)
+        out = [0] * len(self._free0)
         for x, k in zip(vec, self._class0):
             if x and k is not None:
                 out[k] += x
@@ -207,7 +208,7 @@ def _fundamental_cycle(up, depth, j, p, m):
     """The kernel vector of the free arc ``j`` from ``m`` to ``p``, as a
     ``{column: value}`` dict: 1 at ``j`` minus the forest path from
     ``m`` to ``p``, each arc signed by its direction on the path."""
-    out = {j: ONE}
+    out = {j: 1}
     while p != m:
         if depth[p] >= depth[m]:
             p, arc, sign = up[p]
@@ -256,6 +257,10 @@ class GradedLine:
     scalar: Fraction
 
     def __post_init__(self):
+        # an int or a float here means an exact ratio was lost upstream
+        if not isinstance(self.scalar, Fraction):
+            raise InvalidParameter("graded line scalar %r is not a Fraction"
+                                   % (self.scalar,))
         if self.scalar == 0:
             raise InvalidParameter("graded line scalar must be nonzero")
 
@@ -289,7 +294,7 @@ def _scatter(vec, cell_map, n):
     ``cell_map[i]`` holds the target indices that source cell ``i`` maps
     to with coefficient +1; ``vec[i]`` is added at each of them.
     """
-    out = [ZERO] * n
+    out = [0] * n
     for x, targets in zip(vec, cell_map):
         if x:
             for t in targets:
@@ -372,12 +377,12 @@ def _induced_h0_matrix(A, B, cell_map):
 
 
 def _dense(cc, cols):
-    """The differential's columns ``cols`` as dense ``Fraction`` rows over
+    """The differential's columns ``cols`` as dense integer rows over
     ``basis0``, for :func:`linalg.solve`."""
-    rows = [[ZERO] * len(cols) for _ in range(len(cc.basis0) + 1)]
+    rows = [[0] * len(cols) for _ in range(len(cc.basis0) + 1)]
     for k, j in enumerate(cols):
-        rows[cc.plus[j]][k] += ONE
-        rows[cc.minus[j]][k] -= ONE
+        rows[cc.plus[j]][k] += 1
+        rows[cc.minus[j]][k] -= 1
     rows.pop()
     return rows
 
@@ -474,7 +479,7 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
                               for index in (incl1, incl0, sect1, sect0))
 
     def a_part0(vec):
-        out = [ZERO] * len(A.basis0)
+        out = [0] * len(A.basis0)
         seen = set()
         for i in range(len(A.basis0)):
             out[i] = vec[incl0[i]]
@@ -493,8 +498,8 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     # s2: (kernel basis | chosen complements) against the H1(C) basis
     unitsW = []
     for p in piv:
-        v = [ZERO] * len(C.h1_basis)
-        v[p] = ONE
+        v = [0] * len(C.h1_basis)
+        v[p] = 1
         unitsW.append(v)
     s2 = linalg.det(kerK + unitsW)
     # s3: (connecting images | greedy unit complement) in H0(A); the
@@ -511,7 +516,7 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     # s1: (H1(A) | corrected lifts of the kernel) in H1(B)
     colsB = [B.h1_coords(_scatter(vec, inc1, nB1)) for vec in A.h1_basis]
     for kvec in kerK:
-        zC = [ZERO] * len(C.basis1)
+        zC = [0] * len(C.basis1)
         for c, bvec in zip(kvec, C.h1_basis):
             for i in range(len(zC)):
                 zC[i] += c * bvec[i]
@@ -643,7 +648,7 @@ def _gluing_scalar(g1, g2, match):
     if dropped_halves or dropped_cells:
         cc1p, s_drop = _drop_scalar(cc1, dropped_halves, dropped_cells)
     else:
-        cc1p, s_drop = cc1, ONE
+        cc1p, s_drop = cc1, 1
     ccB = _glued_extension(cc1p, cc2, match, data)
     n1, n0 = len(cc1p.basis1), len(cc1p.basis0)
     s_ses = _ses_det_scalar(cc1p, ccB, cc2, range(n1), range(n0),
@@ -731,7 +736,7 @@ def _arc_class(cc, g, from_vertices, to_vertices):
                 prev[w] = (u, e)
                 queue.append(w)
     _check(found is not None, "incoming circles are not linked by extra edges")
-    chain = [ZERO] * len(cc.basis1)
+    chain = [0] * len(cc.basis1)
     cur = found
     while prev[cur] is not None:
         u, e = prev[cur]
@@ -740,8 +745,8 @@ def _arc_class(cc, g, from_vertices, to_vertices):
             near, far = h0, h1
         else:
             near, far = h1, h0
-        chain[cc.index1(near)] += ONE
-        chain[cc.index1(far)] -= ONE
+        chain[cc.index1(near)] += 1
+        chain[cc.index1(far)] -= 1
         cur = u
     return cc.h1_coords(chain)
 
@@ -780,5 +785,5 @@ def skew_associativity_sign(d):
     c_left = _composite_coefficient(inner, outer, 0)
     c_right = _composite_coefficient(inner, outer, 1)
     ratio = c_left / c_right
-    _check(ratio in (ONE, -ONE), "stacking comparison is not a sign")
+    _check(ratio in (1, -1), "stacking comparison is not a sign")
     return 1 if (ratio ** d) > 0 else -1

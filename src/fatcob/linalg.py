@@ -1,33 +1,35 @@
-"""Small exact-rational matrix routines used by the homology module.
+"""Small exact matrix routines used by the homology module.
 
-Matrices are lists of rows of :class:`fractions.Fraction`.  The homology
-bases and differentials themselves are integer graph data in
+Matrices are lists of rows of Python ``int``s; a ``Fraction`` appears
+only where a row reduction divides by a pivot other than +-1, and in
+the determinant, which is always returned as a ``Fraction`` so that
+ratios of determinants stay exact.  The homology bases and
+differentials themselves are integer graph data in
 :mod:`fatcob.homology`; what is left here are the determinants of the
 small induced matrices (an exact determinant does not change under
 transposition, so callers pass lists of columns), the lift corrections
 (:func:`solve`), the kernel of the connecting map and the unit
-complement of its image (:func:`rref`).  Everything is deterministic:
-row reduction always picks the leftmost usable pivot column and the
-first nonzero row below it, so repeated runs give identical bases and
-signs.
+complement of its image (:func:`rref`).  Incidence matrices are
+totally unimodular, so their row reductions meet only +-1 pivots and
+stay integral.  Everything is deterministic: row reduction always
+picks the leftmost usable pivot column and the first nonzero row below
+it, so repeated runs give identical bases and signs.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import InvariantViolation
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def zeros(rows, cols):
-    return [[ZERO] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def identity(n):
     out = zeros(n, n)
     for i in range(n):
-        out[i][i] = ONE
+        out[i][i] = 1
     return out
 
 
@@ -46,7 +48,9 @@ def rref(m):
 
     Each step divides and subtracts only at the columns where the pivot
     row is nonzero: every other entry would be divided or have zero
-    subtracted, which leaves its value unchanged.
+    subtracted, which leaves its value unchanged.  A pivot of 1 leaves
+    its row as it is and a pivot of -1 negates it, so integer rows stay
+    integers; only another pivot divides, through ``Fraction``.
     """
     r = copy(m)
     rows = len(r)
@@ -56,22 +60,26 @@ def rref(m):
     for col in range(cols):
         pivot_row = None
         for i in range(lead, rows):
-            if _nonzero(r[i][col]):
+            if r[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         r[lead], r[pivot_row] = r[pivot_row], r[lead]
         prow = r[lead]
-        support = [k for k, x in enumerate(prow) if _nonzero(x)]
+        support = [k for k, x in enumerate(prow) if x]
         pv = prow[col]
-        if pv != 1:
+        if pv == -1:
             for k in support:
-                prow[k] = prow[k] / pv
+                prow[k] = -prow[k]
+        elif pv != 1:
+            inv = 1 / Fraction(pv)
+            for k in support:
+                prow[k] = prow[k] * inv
         for i in range(rows):
             row = r[i]
             f = row[col]
-            if i != lead and _nonzero(f):
+            if i != lead and f:
                 for k in support:
                     row[k] -= f * prow[k]
         pivots.append(col)
@@ -79,11 +87,6 @@ def rref(m):
         if lead == rows:
             break
     return r, pivots
-
-
-def _nonzero(x):
-    # the identity test skips Fraction.__eq__ for the shared ZERO entries
-    return x is not ZERO and x != 0
 
 
 def kernel_basis(m, cols):
@@ -99,8 +102,8 @@ def kernel_basis(m, cols):
     free = [j for j in range(cols) if j not in pivot_set]
     basis = []
     for j in free:
-        v = [ZERO] * cols
-        v[j] = ONE
+        v = [0] * cols
+        v[j] = 1
         for row_idx, pc in enumerate(pivots):
             v[pc] = -r[row_idx][j]
         basis.append(v)
@@ -112,43 +115,54 @@ def solve(m, b):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if rows == 0:
-        return [ZERO] * cols if all(x == 0 for x in b) else None
+        return [0] * cols if all(x == 0 for x in b) else None
     aug = [list(row) + [b[i]] for i, row in enumerate(m)]
     r, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [ZERO] * cols
+    x = [0] * cols
     for row_idx, pc in enumerate(pivots):
         x[pc] = r[row_idx][cols]
     return x
 
 
 def det(m):
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return ONE
-    if any(len(row) != n for row in m):
-        raise InvariantViolation("determinant needs a square matrix")
-    a = copy(m)
-    sign = ONE
-    out = ONE
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pv = a[col][col]
-        out *= pv
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return sign * out
+    """Exact determinant of a square matrix of ints or ``Fraction``s, as a
+    :class:`Fraction`.
 
+    Each row is first scaled by the lcm of its entries' denominators, so
+    the elimination runs on integers; the product of the scales divides
+    out at the end.  Fraction-free Bareiss elimination (Bareiss 1968):
+    step ``k`` replaces every entry below and right of the pivot by the
+    2x2 minor with the pivot, divided by the previous pivot, a division
+    that is always exact.  The last pivot is then the determinant.
+    """
+    n = len(m)
+    a = []
+    scale = 1
+    for row in m:
+        if len(row) != n:
+            raise InvariantViolation("determinant needs a square matrix")
+        lcm = math.lcm(*[x.denominator for x in row])
+        a.append([x.numerator * (lcm // x.denominator) for x in row])
+        scale *= lcm
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        rowk = a[k]
+        pv = rowk[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pv * row[j] - f * rowk[j]) // prev
+        prev = pv
+    return Fraction(sign * prev, scale)

@@ -230,8 +230,8 @@ def collapse_edges(g, forest):
         sigma[h] = skip(h)
     # a component whose edges were all collapsed survives as a point
     isolated = {rep[v] for v in base.isolated_vertices}
-    isolated |= {r for r in set(rep.values())
-                 if r not in set(source.values())}
+    carrying = set(source.values())
+    isolated |= {r for r in set(rep.values()) if r not in carrying}
     out = FatGraph(source, involution, sigma, isolated=frozenset(isolated))
     vmap = dict(rep)
     hmap = {h: (None if h in collapsed else h) for h in base.half_edges}

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import run_optimized
 from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs
-from fatcob.errors import FatcobError, InvalidMorphism
+from fatcob.errors import (FatcobError, InvalidMorphism, InvalidParameter,
+                           InvariantViolation)
 from fatcob.gluing import gluable, subdivision_match
 from fatcob import homology
 from fatcob.homology import (
@@ -193,6 +194,12 @@ class TestGradedLines:
     def test_zero_scalar_rejected(self):
         with pytest.raises(ValueError):
             GradedLine(0, Fraction(0))
+
+    @pytest.mark.parametrize("scalar", [2.0, 2], ids=["float", "int"])
+    def test_inexact_scalar_rejected(self, scalar):
+        # a stray int / int upstream would leak a float into the output
+        with pytest.raises(InvalidParameter, match="is not a Fraction"):
+            GradedLine(1, scalar)
 
     @pytest.mark.parametrize("call", [
         lambda: operation_degree(fx.pants(), -1),
@@ -677,3 +684,126 @@ class TestSkewAssociativity:
         assert skew_associativity_sign(1) == -1
         assert skew_associativity_sign(2) == 1
         assert skew_associativity_sign(3) == -1
+
+
+def cofactor_det(m):
+    """Laplace expansion along the first row, in exact arithmetic."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * cofactor_det([row[:j] + row[j + 1:]
+                                             for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer, rational or mixed square matrices up to 6x6, often with
+    a zero leading pivot or a row that is a multiple of another."""
+    n = draw(st.integers(0, 6))
+    ints = st.integers(-4, 4)
+    fracs = st.fractions(-3, 3, max_denominator=4)
+    entry = draw(st.sampled_from([ints, fracs, st.one_of(ints, fracs)]))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        m[0][0] = 0
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(st.one_of(ints, fracs))
+        m[i] = [c * x for x in m[j]]
+    return m
+
+
+class TestIntegerArithmetic:
+    """Homology vectors are ints; ``Fraction`` appears only in the
+    determinants and the scalars built from them."""
+
+    FIXTURES = (fx.interval, fx.cylinder, fx.pants, fx.mouthpiece, fx.flaps,
+                fx.torus_with_out, fx.open_closed_example, fx.interval_in_in)
+
+    GLUINGS = ((fx.cylinder, fx.cylinder, None),
+               (fx.pants, fx.cylinder, None),
+               (fx.mouthpiece, fx.cylinder, None),
+               (fx.interval, fx.mouthpiece, None),
+               (fx.pants, lambda: fx.subdivided_incoming(fx.pants(), 6),
+                [(0, 0)]),
+               (fx.open_closed_example, fx.flaps, None),
+               (lambda: fx.oc_disjoint_union(fx.torus_with_out(),
+                                             fx.cylinder()),
+                fx.pants, None))
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices())
+    def test_det_matches_cofactor_expansion(self, m):
+        before = [list(row) for row in m]
+        d = linalg.det(m)
+        assert type(d) is Fraction
+        assert d == cofactor_det(m)
+        assert m == before
+
+    def test_det_edge_cases(self):
+        assert linalg.det([]) == 1
+        assert linalg.det([[0, 1], [1, 0]]) == -1
+        assert linalg.det([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
+        assert linalg.det([[Fraction(1, 2), 1], [1, 2]]) == 0
+        assert linalg.det([[0, 0], [0, 5]]) == 0
+        assert type(linalg.det([[3]])) is Fraction
+        for m in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+            with pytest.raises(InvariantViolation, match="square"):
+                linalg.det(m)
+
+    def test_fixture_complexes_hold_ints(self):
+        graphs = [mk() for mk in self.FIXTURES]
+        graphs.append(fx.subdivided_incoming(fx.pants(), 6))
+        graphs.append(fx.oc_disjoint_union(fx.torus_with_out(),
+                                           fx.cylinder()))
+        ranks = set()
+        for g in graphs:
+            cc = relative_chain_complex(g)
+            ranks.add((cc.rank_h1 > 0, cc.rank_h0 > 0))
+            n1 = len(cc.basis1)
+            units = [[int(k == j) for k in range(n1)] for j in range(n1)]
+            vecs = (cc.h1_basis + cc.h0_basis
+                    + [cc.boundary(v) for v in cc.h1_basis + units]
+                    + [cc.h0_class(cc.boundary(v)) for v in units]
+                    + [cc.h1_coords(v) for v in cc.h1_basis])
+            assert all(type(x) is int for v in vecs for x in v), g
+            # incidence columns are totally unimodular: solve meets only
+            # +-1 pivots and its solutions stay integral
+            dense = homology._dense(cc, range(n1))
+            for v in units:
+                x = linalg.solve(dense, cc.boundary(v))
+                assert x is not None
+                assert all(type(y) is int for y in x)
+        assert {(True, False), (True, True)} <= ranks
+
+    def test_gluing_scalars_are_fractions(self):
+        for mk1, mk2, pairs in self.GLUINGS:
+            a, b, m = subdivision_match(mk1(), mk2(), pairs)
+            for d in range(4):
+                assert type(gluing_det_iso(a, b, m, d).scalar) is Fraction
+
+    def test_no_fraction_while_building_or_mapping(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        singles, _ = census_morphism_pairs(3)
+        assert len(singles) >= 20
+        graphs = [mk() for mk in self.FIXTURES]
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        for g in graphs:
+            relative_chain_complex(g)
+        for m in singles:
+            cm = chain_map_of_morphism(m)
+            A, B = cm.source_cc, cm.target_cc
+            homology._induced_h1_matrix(A, B, cm.f_eH)
+            homology._induced_h0_matrix(A, B, cm.f_eEV)
+        assert made == []
+        # the counter does see the determinant's one Fraction
+        linalg.det([[2]])
+        assert made
