@@ -18,11 +18,18 @@ each ``reversal of B_i`` replaced by ``A_{k+1-i}``; the vertex fans are
 recovered from the walk.  Matching is partial: unmatched outgoing
 leaves of the first graph and unmatched incoming leaves of the second
 stay boundary of the composite.
+
+A :class:`GluingMatch` is frozen and its graphs are immutable, so a
+match glues once: :func:`glue` keeps the glued graph and its
+:class:`GlueData` on the match, and :mod:`fatcob.homology` keeps the
+d-independent part of the det-line gluing isomorphism there too.  The
+check that the graphs fit the match runs on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     EdgeCountMismatch,
@@ -71,9 +78,28 @@ class MatchPair:
 
 @dataclass(frozen=True)
 class GluingMatch:
+    """Matched pairs of g1's outgoing and g2's incoming leaves.
+
+    The two slots hold what a gluing along the match computed, filled
+    on first success and ignored by equality, hashing and ``repr``:
+    ``_glued`` is ``(glued graph, GlueData)`` from :func:`glue`, and
+    ``_det_line`` is the d-independent result of
+    :func:`fatcob.homology._gluing_scalar`.
+    """
     g1: OpenClosedFatGraph
     g2: OpenClosedFatGraph
     pairs: tuple
+    _glued: object = field(default=None, init=False, repr=False,
+                           compare=False)
+    _det_line: object = field(default=None, init=False, repr=False,
+                              compare=False)
+
+    def require_graphs(self, g1, g2):
+        """Raise :class:`InvalidMatch` unless the match was computed for
+        ``g1`` and ``g2``."""
+        if (self.g1 is not g1 and self.g1 != g1) or \
+           (self.g2 is not g2 and self.g2 != g2):
+            raise InvalidMatch("match was computed for different graphs")
 
     @property
     def closed_pairs(self):
@@ -140,7 +166,9 @@ def subdivision_match(g1, g2, pairs=None):
 
     The deficient side is subdivided one edge at a time, always at the
     first circle edge after the leaf anchor; any fixed rule gives
-    isomorphic results.  Returns ``(g1', g2', match)``.
+    isomorphic results.  The loop runs on the bare fat graphs, and each
+    side that changed is decorated once at the end.  Returns
+    ``(g1', g2', match)``.
     """
     if pairs is None:
         sig1 = cobordism_signature(g1)
@@ -150,6 +178,7 @@ def subdivision_match(g1, g2, pairs=None):
                 "outgoing %s does not match incoming %s"
                 % (list(sig1.target), list(sig2.source)))
         pairs = [(i, i) for i in range(len(g1.out_leaves))]
+    b1, b2 = g1.base, g2.base
     while True:
         deficit = None
         for oi, ii in pairs:
@@ -157,39 +186,44 @@ def subdivision_match(g1, g2, pairs=None):
             v_in = g2.in_leaves[ii]
             if _leaf_kind(g1, v_out) != CIRCLE:
                 continue
-            a = g1.leaf_cycle_normal_form(v_out)[2:]
-            b = g2.leaf_cycle_normal_form(v_in)[2:]
+            a = b1.leaf_cycle_normal_form(v_out)[2:]
+            b = b2.leaf_cycle_normal_form(v_in)[2:]
             if len(a) != len(b):
-                deficit = (oi, ii, a, b)
+                deficit = (oi, a, b)
                 break
         if deficit is None:
-            return g1, g2, gluable(g1, g2, pairs)
-        oi, ii, a, b = deficit
+            break
+        oi, a, b = deficit
         if len(a) < len(b):
             # grow g1's outgoing cycle; with no circle edge yet, split
             # the leaf edge itself
-            edge = g1.base.edge_of(a[0]) if a else \
-                g1.base.edge_of(g1.base.leaf_half(g1.out_leaves[oi]))
-            new_base, _ = g1.base.subdivide_edge(edge)
-            g1 = g1.with_base(new_base)
+            edge = b1.edge_of(a[0]) if a else \
+                b1.edge_of(b1.leaf_half(g1.out_leaves[oi]))
+            b1, _ = b1.subdivide_edge(edge)
         else:
-            edge = g2.base.edge_of(b[0])
-            new_base, _ = g2.base.subdivide_edge(edge)
-            g2 = g2.with_base(new_base)
+            b2, _ = b2.subdivide_edge(b2.edge_of(b[0]))
+    if b1 is not g1.base:
+        g1 = g1.with_base(b1)
+    if b2 is not g2.base:
+        g2 = g2.with_base(b2)
+    return g1, g2, gluable(g1, g2, pairs)
 
 
 @dataclass(frozen=True)
 class GlueData:
     """Where the cells went: renaming prefixes, dropped cells of both
-    sides, and the reattachment map for g2's matched circle vertices."""
+    sides, and the reattachment map for g2's matched circle vertices.
+
+    A match hands the same instance to every caller, so the two maps
+    are read-only views."""
     prefix1: str
     prefix2: str
     dropped_vertices1: frozenset
     dropped_edges1: frozenset
     dropped_vertices2: frozenset
     dropped_edges2: frozenset
-    reattach: dict          # g2 vertex name -> result vertex name
-    junctions: dict         # g2 open in-leaf -> result junction vertex
+    reattach: MappingProxyType   # g2 vertex name -> result vertex name
+    junctions: MappingProxyType  # g2 open in-leaf -> result junction vertex
 
     def vertex_image(self, side, v):
         """Result vertex carrying the given input vertex, or None."""
@@ -214,9 +248,20 @@ def glue(g1, g2, match, with_data=False):
     outgoing leaves of g1 followed by g2's outgoing list.  Cells are
     renamed with ``1:``/``2:`` prefixes.  The result is validated and
     is always admissible (its incoming circles are untouched copies).
+
+    The match glues once: the first success is kept on it and returned
+    by later calls, after :class:`InvalidMatch` is checked again.  A
+    gluing that raises keeps nothing.
     """
-    if match.g1 != g1 or match.g2 != g2:
-        raise InvalidMatch("match was computed for different graphs")
+    match.require_graphs(g1, g2)
+    if match._glued is None:
+        object.__setattr__(match, "_glued", _glue(g1, g2, match))
+    out, data = match._glued
+    return (out, data) if with_data else out
+
+
+def _glue(g1, g2, match):
+    """The glued graph and its :class:`GlueData`, computed afresh."""
     b1, b2 = g1.base, g2.base
     p1, p2 = "1:", "2:"
 
@@ -272,7 +317,7 @@ def glue(g1, g2, match, with_data=False):
         involution[rh1(h)] = rh1(b1.partner(h))
     data = GlueData(p1, p2, frozenset(dropped_v1), frozenset(dropped_e1),
                     frozenset(dropped_v2), frozenset(dropped_e2),
-                    reattach, junctions)
+                    MappingProxyType(reattach), MappingProxyType(junctions))
     for h in keep2:
         v = b2.source(h)
         source[rh2(h)] = data.vertex_image(2, v)
@@ -326,7 +371,7 @@ def glue(g1, g2, match, with_data=False):
     except FatcobError as exc:
         raise ResultInvalid("glued decorations failed: %s" % exc) from exc
     require_admissible(out)
-    return (out, data) if with_data else out
+    return out, data
 
 
 def glue_morphisms(m1, m2, match):

@@ -30,6 +30,7 @@ from .errors import (
     DanglingHalfEdge,
     DuplicateName,
     FixedPointInvolution,
+    InvariantViolation,
     IsolatedVertex,
     NonIntegerGenus,
     UnknownEdge,
@@ -196,6 +197,24 @@ class FatGraph:
         if v not in self._fibers:
             raise UnknownEdge("vertex %r carries no half-edge" % v)
         return self._fibers[v][0]
+
+    def leaf_cycle_normal_form(self, v):
+        """The boundary cycle of the leaf ``v`` rotated to
+        ``(h, hbar, A1..Ak)``.
+
+        ``h`` is the half of the leaf edge at the attachment vertex and
+        ``hbar`` the half at the leaf itself; the boundary walk always
+        traverses them consecutively.
+        """
+        alpha = self.leaf_half(v)        # at the leaf
+        beta = self._involution[alpha]   # at the attachment vertex
+        cyc = self.boundary_cycles().cycle_of(beta)
+        i = cyc.index(beta)
+        rot = cyc[i:] + cyc[:i]
+        if rot[1] != alpha:
+            raise InvariantViolation(
+                "boundary walk leaves the edge of leaf %r early" % v)
+        return rot
 
     def euler_characteristic(self):
         return len(self._vertices) - len(self._edge_ends)

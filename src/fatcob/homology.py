@@ -29,11 +29,14 @@ with the first graph's cells in front, and the six-term exact homology
 sequence of that extension produces the gluing isomorphism of
 determinant lines; composing the two ways of stacking three pairs of
 pants detects the dimension-parity sign of the composition product.
+That isomorphism on the d-th tensor power is the d=1 scalar to the
+d-th power times a Koszul sign, so a :class:`~fatcob.gluing.GluingMatch`
+glues and runs the six-term sequence once and keeps the result for
+every d.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -304,17 +307,26 @@ def _scatter(vec, cell_map, n):
 
 def _check_chain_map(F, T, f1, f0):
     """Raise unless ``f0 . dF == dT . f1``, compared 1-cell by 1-cell on
-    the arc endpoints; the ground node maps to and counts as zero."""
+    the arc endpoints; the ground node maps to and counts as zero.
+
+    With every coefficient +1, ``f0[p] - f0[m] == sum(T.plus - T.minus)``
+    over the targets is the equality of the nonnegative endpoint counts
+    ``f0[p] + T.minus == f0[m] + T.plus``, each read as a sorted list
+    of target 0-cells with ground left out."""
     f0 = list(f0) + [()]
     ground = len(T.basis0)
-    for j, targets in enumerate(f1):
-        lhs = Counter(f0[F.plus[j]])
-        lhs.subtract(f0[F.minus[j]])
-        rhs = Counter(T.plus[t] for t in targets)
-        rhs.subtract(T.minus[t] for t in targets)
-        rhs.pop(ground, None)
-        # Counter equality counts a missing key as zero
-        _check(lhs == rhs, "chain map does not commute with the differentials")
+    tplus, tminus = T.plus, T.minus
+    for targets, p, m in zip(f1, F.plus, F.minus):
+        lhs = list(f0[p])
+        rhs = list(f0[m])
+        for t in targets:
+            lhs.append(tminus[t])
+            rhs.append(tplus[t])
+        if lhs != rhs:
+            lhs = sorted(u for u in lhs if u != ground)
+            rhs = sorted(u for u in rhs if u != ground)
+            _check(lhs == rhs,
+                   "chain map does not commute with the differentials")
 
 
 @dataclass
@@ -626,14 +638,27 @@ def _glued_extension(cc1, cc2, match, data):
 def _gluing_scalar(g1, g2, match):
     """d=1 scalar of the gluing isomorphism, plus the glued complex.
 
-    Steps: cut the matched outgoing leaf cells out of the first
-    complex (an acyclic drop), form the blockwise extension, run the
-    six-term sequence, and re-express everything in the glued graph's
-    own canonical complex.
+    Returns ``(scalar, ccG, glued)``.  Steps: cut the matched outgoing
+    leaf cells out of the first complex (an acyclic drop), form the
+    blockwise extension, run the six-term sequence, and re-express
+    everything in the glued graph's own canonical complex.  None of it
+    depends on the tensor power, so a match computes it once and keeps
+    it, with the degrees of the two input complexes, in its
+    ``_det_line`` slot; admissibility and the match's graphs are
+    checked on every call, and a computation that raises keeps nothing.
     """
-    from .gluing import glue
     require_admissible(g1)
     require_admissible(g2)
+    match.require_graphs(g1, g2)
+    if match._det_line is None:
+        object.__setattr__(match, "_det_line",
+                           _compute_gluing_scalar(g1, g2, match))
+    return match._det_line[:3]
+
+
+def _compute_gluing_scalar(g1, g2, match):
+    """``(scalar, ccG, glued, degree of g1, degree of g2)``, afresh."""
+    from .gluing import glue
     cc1 = relative_chain_complex(g1)
     cc2 = relative_chain_complex(g2)
     glued, data = glue(g1, g2, match, with_data=True)
@@ -674,7 +699,7 @@ def _gluing_scalar(g1, g2, match):
            and sorted(map0) == [(i,) for i in range(len(ccG.basis0))],
            "glued cells are not a bijection")
     s_perm = _chain_iso_scalar(ccB, ccG, map1, map0)
-    return (s_ses * s_perm) / s_drop, ccG, glued
+    return (s_ses * s_perm) / s_drop, ccG, glued, cc1.degree, cc2.degree
 
 
 def gluing_det_iso(g1, g2, match, d):
@@ -683,7 +708,9 @@ def gluing_det_iso(g1, g2, match, d):
     Returns a :class:`GradedLine` whose degree is the degree of the
     glued line and whose scalar is the image of the canonical basis
     element of det(g1-line)^(x)d (x) det(g2-line)^(x)d, including the
-    Koszul sign of interleaving the d copies of the two factors.
+    Koszul sign of interleaving the d copies of the two factors.  The
+    scalar is the d=1 scalar to the d-th power, which the match
+    computes once for every d.
     """
     if d < 0:
         raise InvalidParameter("tensor powers need d >= 0")
@@ -691,10 +718,8 @@ def gluing_det_iso(g1, g2, match, d):
         scalar, ccG, _ = _gluing_scalar(g1, g2, match)
     except (ResultInvalid, InvariantViolation) as exc:
         raise NotGluable(str(exc)) from exc
-    # a complex's degree is minus its relative Euler characteristic, as
-    # relative_chain_complex checks for every complex it builds
-    deg1 = -relative_euler_char(g1)
-    deg2 = -relative_euler_char(g2)
+    # the degrees of the two input complexes, kept with the scalar
+    deg1, deg2 = match._det_line[3:]
     _check(ccG.degree == deg1 + deg2, "glued degree is not the sum")
     shuffle = -1 if (deg1 * deg2 * (d * (d - 1) // 2)) % 2 else 1
     return GradedLine(d * ccG.degree, Fraction(shuffle) * scalar ** d)

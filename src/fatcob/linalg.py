@@ -21,6 +21,8 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 
+_ONE = Fraction(1)
+
 
 def zeros(rows, cols):
     return [[0] * cols for _ in range(rows)]
@@ -136,8 +138,12 @@ def det(m):
     step ``k`` replaces every entry below and right of the pivot by the
     2x2 minor with the pivot, divided by the previous pivot, a division
     that is always exact.  The last pivot is then the determinant.
+    The empty matrix, whose determinant is 1, returns one shared
+    ``Fraction(1)`` at once.
     """
     n = len(m)
+    if not n:
+        return _ONE
     a = []
     scale = 1
     for row in m:

@@ -100,22 +100,9 @@ class OpenClosedFatGraph:
         return self._base.boundary_cycles().half_edge_to_cycle[h]
 
     def leaf_cycle_normal_form(self, v):
-        """The cycle of the leaf ``v`` rotated to ``(h, hbar, A1..Ak)``.
-
-        ``h`` is the half of the leaf edge at the attachment vertex and
-        ``hbar`` the half at the leaf itself; the boundary walk always
-        traverses them consecutively.
-        """
-        g = self._base
-        alpha = g.leaf_half(v)           # at the leaf
-        beta = g.partner(alpha)          # at the attachment vertex
-        cyc = g.boundary_cycles().cycle_of(beta)
-        i = cyc.index(beta)
-        rot = cyc[i:] + cyc[:i]
-        if rot[1] != alpha:
-            raise InvariantViolation(
-                "boundary walk leaves the edge of leaf %r early" % v)
-        return rot
+        """The cycle of the leaf ``v`` rotated to ``(h, hbar, A1..Ak)``;
+        see :meth:`FatGraph.leaf_cycle_normal_form`."""
+        return self._base.leaf_cycle_normal_form(v)
 
     def circle_edges(self, v):
         """Edge sequence ``A1..Ak`` of the cycle of the closed leaf ``v``

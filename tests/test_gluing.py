@@ -4,12 +4,16 @@ from fatcob import fixtures as fx
 from fatcob.errors import (
     DanglingHalfEdge,
     EdgeCountMismatch,
+    InvalidMatch,
+    NotGluable,
     NotGluablePairMorphism,
     ResultInvalid,
     SignatureMismatch,
 )
-from fatcob.graphs import FatGraph
+from fatcob.fgformat import serialize
+from fatcob.graphs import FatGraph, new_fat_graph
 from fatcob.gluing import gluable, glue, glue_morphisms, subdivision_match
+from fatcob.homology import gluing_det_iso, relative_chain_complex
 from fatcob.morphisms import (
     canonical_form,
     collapse_edges,
@@ -20,6 +24,7 @@ from fatcob.morphisms import (
 from fatcob.openclosed import (
     OpenClosedFatGraph,
     cobordism_signature,
+    decorate,
     is_admissible,
 )
 
@@ -257,6 +262,82 @@ class TestSubdivisionMatch:
             assert is_isomorphic(glue(a1, b1, m1), glue(a2, b2, m2))
 
 
+def cap():
+    """A disk with one closed outgoing circle: a bare leaf edge, so the
+    outgoing cycle has no circle edge."""
+    g = new_fat_graph(["p", "q"], [("e", "p", "q")],
+                      {"p": ["e.0"], "q": ["e.1"]})
+    return decorate(g, [], ["q"], {"q"})
+
+
+def reference_subdivision_match(g1, g2, pairs):
+    """The subdivision loop as it ran on decorated graphs, decorating
+    after every step; ``pairs`` must be given."""
+    while True:
+        deficit = None
+        for oi, ii in pairs:
+            v_out = g1.out_leaves[oi]
+            v_in = g2.in_leaves[ii]
+            if v_out not in g1.closed:
+                continue
+            a = g1.leaf_cycle_normal_form(v_out)[2:]
+            b = g2.leaf_cycle_normal_form(v_in)[2:]
+            if len(a) != len(b):
+                deficit = (oi, ii, a, b)
+                break
+        if deficit is None:
+            return g1, g2, gluable(g1, g2, pairs)
+        oi, ii, a, b = deficit
+        if len(a) < len(b):
+            edge = g1.base.edge_of(a[0]) if a else \
+                g1.base.edge_of(g1.base.leaf_half(g1.out_leaves[oi]))
+            new_base, _ = g1.base.subdivide_edge(edge)
+            g1 = g1.with_base(new_base)
+        else:
+            edge = g2.base.edge_of(b[0])
+            new_base, _ = g2.base.subdivide_edge(edge)
+            g2 = g2.with_base(new_base)
+
+
+class TestSubdivisionReference:
+    CASES = (
+        # g2 deficient
+        (fx.pants, fx.cylinder, [(0, 0)]),
+        (fx.pants, fx.pants, [(0, 1)]),
+        # g1 deficient
+        (fx.cylinder, lambda: fx.subdivided_incoming(fx.cylinder(), 3),
+         [(0, 0)]),
+        # no circle edge on the outgoing cycle: the leaf edge is split
+        (cap, fx.cylinder, [(0, 0)]),
+        (cap, fx.pants, [(0, 1)]),
+        # two and three matched pairs, deficient on both sides
+        (lambda: fx.oc_disjoint_union(fx.cylinder(), fx.pants()),
+         fx.pants, [(0, 0), (1, 1)]),
+        (lambda: fx.oc_disjoint_union(fx.pants(), fx.cylinder()),
+         lambda: fx.subdivided_incoming(fx.pants(), 3), [(1, 0), (0, 1)]),
+        (lambda: fx.oc_disjoint_union(
+            fx.oc_disjoint_union(cap(), fx.pants()), fx.cylinder()),
+         lambda: fx.oc_disjoint_union(fx.pants(), fx.cylinder()),
+         [(0, 2), (1, 0), (2, 1)]),
+        (lambda: fx.oc_disjoint_union(fx.torus_with_out(), fx.cylinder()),
+         fx.pants, [(0, 0), (1, 1)]),
+    )
+
+    def test_matches_the_decorated_loop(self):
+        grew = set()
+        for mk1, mk2, pairs in self.CASES:
+            g1, g2 = mk1(), mk2()
+            a, b, m = subdivision_match(g1, g2, pairs)
+            ra, rb, rm = reference_subdivision_match(g1, g2, pairs)
+            assert serialize(a) == serialize(ra)
+            assert serialize(b) == serialize(rb)
+            assert m == rm
+            grew.update(side for side, x, g in ((1, a, g1), (2, b, g2))
+                        if x != g)
+        assert grew == {1, 2}
+        assert cap().circle_edges("q") == ()
+
+
 class TestGlue:
     def test_cylinder_cylinder_is_cylinder(self):
         out = glue(fx.cylinder(), fx.cylinder(),
@@ -363,37 +444,119 @@ class TestGlueChecks:
             glue(c, c, match)
 
 
+def fuzz_compositions(count=60, seed=424242):
+    """Seeded random single-pair compositions of decorated census graphs,
+    as ``(g1, g2, pairs)`` with matching leaf kinds."""
+    import random
+    from fatcob.census import admissible_decorations, enumerate_fat_graphs
+    rng = random.Random(seed)
+    pool = []
+    for e in enumerate_fat_graphs(3):
+        pool.extend(admissible_decorations(e.graph))
+    with_out = [g for g in pool if g.out_leaves]
+    with_in = [g for g in pool if g.in_leaves]
+    out = []
+    while len(out) < count:
+        g1 = rng.choice(with_out)
+        g2 = rng.choice(with_in)
+        oi = rng.randrange(len(g1.out_leaves))
+        ii = rng.randrange(len(g2.in_leaves))
+        if (g1.out_leaves[oi] in g1.closed) != \
+                (g2.in_leaves[ii] in g2.closed):
+            continue
+        out.append((g1, g2, [(oi, ii)]))
+    return out
+
+
 class TestRandomCompositions:
     def test_seeded_fuzz_glues_and_measures(self):
         # random single-pair compositions of decorated census graphs;
         # glue() revalidates everything and the det-line pipeline keeps
         # its exactness assertions armed
-        import random
-        from fatcob.census import admissible_decorations, enumerate_fat_graphs
-        from fatcob.homology import gluing_det_iso, relative_chain_complex
-        rng = random.Random(424242)
         rcc = relative_chain_complex
-        pool = []
-        for e in enumerate_fat_graphs(3):
-            pool.extend(admissible_decorations(e.graph))
-        with_out = [g for g in pool if g.out_leaves]
-        with_in = [g for g in pool if g.in_leaves]
-        done = 0
-        while done < 60:
-            g1 = rng.choice(with_out)
-            g2 = rng.choice(with_in)
-            oi = rng.randrange(len(g1.out_leaves))
-            ii = rng.randrange(len(g2.in_leaves))
-            if (g1.out_leaves[oi] in g1.closed) != \
-                    (g2.in_leaves[ii] in g2.closed):
-                continue
-            a, b, m = subdivision_match(g1, g2, [(oi, ii)])
+        for g1, g2, pairs in fuzz_compositions():
+            a, b, m = subdivision_match(g1, g2, pairs)
             out = glue(a, b, m)
             assert glued_component_data(out) == \
                 composed_signature_oracle(a, b, m)
             line = gluing_det_iso(a, b, m, 1)
             assert line.degree == rcc(a).degree + rcc(b).degree
-            done += 1
+
+
+class TestGlueOnce:
+    """A match glues once and keeps the glued graph and the
+    d-independent det-line scalar."""
+
+    def test_det_iso_matches_a_fresh_match(self):
+        cases = [(a, b, [(p.out_index, p.in_index) for p in m.pairs])
+                 for a, b, m in composition_cases()]
+        cases += [subdivision_match(g1, g2, pairs)[:2] + (pairs,)
+                  for g1, g2, pairs in fuzz_compositions()]
+        assert len(cases) > 80
+        for a, b, pairs in cases:
+            m = gluable(a, b, pairs)
+            for d in range(4):
+                kept = gluing_det_iso(a, b, m, d)
+                assert m._det_line is not None
+                assert kept == gluing_det_iso(a, b, gluable(a, b, pairs), d)
+
+    def test_other_graphs_still_rejected(self):
+        a, b, m = subdivision_match(fx.pants(), fx.cylinder())
+        gluing_det_iso(a, b, m, 1)
+        assert m._glued is not None and m._det_line is not None
+        c = fx.cylinder()
+        other = fx.subdivided_incoming(c, 2)
+        with pytest.raises(InvalidMatch):
+            glue(a, other, m)
+        with pytest.raises(InvalidMatch):
+            glue(c, b, m)
+        with pytest.raises(InvalidMatch):
+            gluing_det_iso(a, other, m, 1)
+        # the kept result is untouched by the rejected calls
+        assert glue(a, b, m) is m._glued[0]
+
+    def test_failed_gluing_keeps_nothing(self, monkeypatch):
+        c = fx.cylinder()
+        m = gluable(c, c)
+
+        def broken(self):
+            raise DanglingHalfEdge("bad glued graph")
+
+        monkeypatch.setattr(FatGraph, "_validate", broken)
+        with pytest.raises(ResultInvalid):
+            glue(c, c, m)
+        with pytest.raises(NotGluable):
+            gluing_det_iso(c, c, m, 1)
+        assert m._glued is None and m._det_line is None
+        monkeypatch.undo()
+        assert glue(c, c, m) == glue(c, c, gluable(c, c))
+        assert gluing_det_iso(c, c, m, 2) == \
+            gluing_det_iso(c, c, gluable(c, c), 2)
+
+    def test_slots_leave_equality_hash_and_repr(self):
+        a, b, m = subdivision_match(fx.pants(), fx.cylinder())
+        fresh = gluable(a, b)
+        before = (repr(m), hash(m))
+        assert m == fresh
+        gluing_det_iso(a, b, m, 1)
+        assert m._glued is not None and m._det_line is not None
+        assert (repr(m), hash(m)) == before
+        assert m == fresh and hash(m) == hash(fresh)
+        assert repr(m) == repr(fresh)
+
+    def test_glue_data_is_read_only(self):
+        for g1, g2 in ((fx.pants(), fx.cylinder()),
+                       (fx.interval(), fx.mouthpiece())):
+            a, b, m = subdivision_match(g1, g2)
+            _, data = glue(a, b, m, with_data=True)
+            assert data.reattach or data.junctions
+            for view in (data.reattach, data.junctions):
+                with pytest.raises(TypeError):
+                    view["x"] = "y"
+                with pytest.raises(TypeError):
+                    del view["x"]
+            # every caller of the match is handed the same data
+            assert glue(a, b, m, with_data=True)[1] is data
 
 
 class TestGlueMorphisms:

@@ -8,6 +8,7 @@ from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs
 from fatcob.errors import (FatcobError, InvalidMorphism, InvalidParameter,
                            InvariantViolation)
+from fatcob import gluing
 from fatcob.gluing import gluable, subdivision_match
 from fatcob import homology
 from fatcob.homology import (
@@ -257,6 +258,57 @@ class TestChainMaps:
         out = run_optimized(script)
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("raised chain map does not commute")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_commutation_check_matches_counting(self, data):
+        # random arcs (ground included) and cell maps, random or a cell
+        # bijection onto a relabelled copy with at most one 0-cell moved:
+        # the check raises exactly when Counters of the signed endpoints
+        # of f0 . dF and dT . f1 differ at some 1-cell
+        from collections import Counter
+        n1, n0 = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        ends = st.lists(st.integers(0, n0), min_size=n1, max_size=n1)
+        F = ChainComplexPair(range(n1), range(n0), data.draw(ends),
+                             data.draw(ends))
+        if data.draw(st.booleans()):
+            p1 = data.draw(st.permutations(range(n1)))
+            p0 = data.draw(st.permutations(range(n0))) + [n0]
+            plus, minus = [0] * n1, [0] * n1
+            for j in range(n1):
+                plus[p1[j]] = p0[F.plus[j]]
+                minus[p1[j]] = p0[F.minus[j]]
+            T = ChainComplexPair(range(n1), range(n0), plus, minus)
+            f1 = [(p1[j],) for j in range(n1)]
+            f0 = [(p0[i],) for i in range(n0)]
+            if n0 and data.draw(st.booleans()):
+                f0[data.draw(st.integers(0, n0 - 1))] = tuple(data.draw(
+                    st.lists(st.integers(0, n0 - 1), max_size=2)))
+        else:
+            m1, m0 = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+            ends = st.lists(st.integers(0, m0), min_size=m1, max_size=m1)
+            T = ChainComplexPair(range(m1), range(m0), data.draw(ends),
+                                 data.draw(ends))
+            to0 = st.lists(st.integers(0, m0 - 1), max_size=2) if m0 \
+                else st.just([])
+            to1 = st.lists(st.integers(0, m1 - 1), max_size=2) if m1 \
+                else st.just([])
+            f0 = [tuple(data.draw(to0)) for _ in range(n0)]
+            f1 = [tuple(data.draw(to1)) for _ in range(n1)]
+        ext = f0 + [()]
+        agree = True
+        for j, targets in enumerate(f1):
+            lhs = Counter(ext[F.plus[j]])
+            lhs.subtract(ext[F.minus[j]])
+            rhs = Counter(T.plus[t] for t in targets)
+            rhs.subtract(T.minus[t] for t in targets)
+            rhs.pop(len(T.basis0), None)
+            agree = agree and lhs == rhs
+        if agree:
+            homology._check_chain_map(F, T, f1, f0)
+        else:
+            with pytest.raises(InvariantViolation, match="does not commute"):
+                homology._check_chain_map(F, T, f1, f0)
 
     def test_cell_maps_match_dense_reference(self):
         singles, composites = census_collapses(3)
@@ -513,6 +565,29 @@ class TestBuildOnce:
         graphs = [g for g, _ in built if g is not None]
         assert len(graphs) == 3  # the two inputs and the glued graph
         assert len({id(g) for g in graphs}) == len(graphs)
+
+    def test_three_degrees_glue_once(self, built, monkeypatch):
+        # d = 1, 2, 3 on one match: one glue and the six complexes of a
+        # single pass, three of them graph complexes (the two inputs and
+        # the glued graph), the others the subcomplex and quotient of the
+        # dropped cells and the extension
+        glued = []
+        glue = gluing.glue
+
+        def counted_glue(*args, **kwargs):
+            glued.append(args)
+            return glue(*args, **kwargs)
+
+        monkeypatch.setattr(gluing, "glue", counted_glue)
+        a, b, m = subdivision_match(fx.pants(), fx.cylinder())
+        once = len(built)
+        lines = [gluing_det_iso(a, b, m, d) for d in (1, 2, 3)]
+        assert len(glued) == 1
+        graphs = [g for g, _ in built[once:] if g is not None]
+        assert graphs == [a, b, gluing.glue(a, b, m)]
+        assert len(built) - once == 6
+        assert [line.degree for line in lines] == \
+            [d * lines[0].degree for d in (1, 2, 3)]
 
 
 def reference_rref(m):
