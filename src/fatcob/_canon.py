@@ -13,10 +13,12 @@ produced by a breadth-first relabelling: starting at ``h0`` we label
 the whole fan of its vertex in sigma-order, then process the partners
 of the labelled half-edges first-in-first-out, labelling each untouched
 fan as it is reached.  Two connected graphs are isomorphic exactly when
-their minimal codes agree, and the number of starts achieving the
-minimum is the order of the automorphism group.  The sequence is
-written one byte per entry up to 255 half-edges and in wider entries
-above (:func:`encode`).
+their minimal codes agree.  The starts achieving the minimum are the
+*winners*; each winner's relabelling is a canonical labelling, and
+mapping one winner's labels onto another's is an automorphism, so
+there are as many winners as automorphisms.  The sequence is written
+one byte per entry up to 255 half-edges and in wider entries above
+(:func:`encode`).
 
 The search skips the starts that cannot reach the minimum (McKay's
 pruning of a branch whose partial code already exceeds the best):
@@ -30,10 +32,10 @@ pruning of a branch whose partial code already exceeds the best):
   first larger one.  When all valences are equal, the relabelled
   ``inv`` is compared entry by entry up to the first difference.  The
   code bytes are built only for a start that wins.
-- Starts are tried in increasing order and only a strictly smaller
-  code replaces the best, so ``min_code`` reports the smallest start
-  achieving the minimum; a dropped start is strictly greater than the
-  best, so the count of starts equal to the minimum is exact.
+- Starts are tried in increasing order.  A strictly smaller code
+  resets the winners, an equal one joins them, so the winners come in
+  increasing start order; a dropped start is strictly greater than the
+  best, so no winner is missed.
 """
 
 from .errors import DisconnectedGraph
@@ -53,44 +55,6 @@ def encode(values, top):
         return bytes(values)
     w = (top.bit_length() + 7) // 8
     return bytes([0, w]) + b"".join(v.to_bytes(w, "big") for v in values)
-
-
-def relabel_from(sigma, inv, n, h0):
-    """BFS relabelling started at ``h0``.
-
-    Returns ``(new_label, visit_order, valences)`` where ``new_label``
-    maps old index -> new index (-1 when unreachable) and
-    ``visit_order`` is its inverse list.
-    """
-    nl = [-1] * n
-    order = []
-    valences = []
-
-    def sweep(h):
-        cnt = 0
-        cur = h
-        while nl[cur] < 0:
-            nl[cur] = len(order)
-            order.append(cur)
-            cur = sigma[cur]
-            cnt += 1
-        valences.append(cnt)
-
-    sweep(h0)
-    i = 0
-    while i < len(order):
-        p = inv[order[i]]
-        if nl[p] < 0:
-            sweep(p)
-        i += 1
-    return nl, order, valences
-
-
-def code_of(inv, nl, order, valences):
-    """Code of a relabelling from :func:`relabel_from` that reached
-    every half-edge."""
-    return encode([len(valences)] + valences + [nl[inv[o]] for o in order],
-                  len(order))
 
 
 def min_valence_starts(sigma, n):
@@ -120,11 +84,15 @@ def min_valence_starts(sigma, n):
 
 
 def _search(sigma, inv, n, starts):
-    """``(code, aut, best_start)`` over ``starts``, or ``None`` when the
-    graph is disconnected (see the module docstring).
+    """``(code, winners)`` over ``starts``, or ``None`` when the graph
+    is disconnected or empty (see the module docstring).
+
+    ``winners`` lists ``(start, new_label)`` for each start reaching
+    the minimal code, in increasing start order; ``new_label`` maps old
+    index -> canonical label.
     """
     best_vals = best_tail = None
-    best_start = aut = 0
+    winners = []
     for h0 in starts:
         nl = [-1] * n
         order = []
@@ -169,33 +137,32 @@ def _search(sigma, inv, n, starts):
                 if t != b:
                     break
             else:
-                aut += 1
+                winners.append((h0, nl))
                 continue
             if t > b:
                 continue
-        best_vals, best_start, aut = vals, h0, 1
+        best_vals, winners = vals, [(h0, nl)]
         if n < 256:
             best_tail = bytes(map(inv.__getitem__, order)).translate(
                 bytes(nl).ljust(256, b"\0"))
         else:
             best_tail = [nl[inv[o]] for o in order]
     if best_vals is None:
-        return None, 0, 0
+        return None
     if n < 256:
         code = bytes([len(best_vals)]) + bytes(best_vals) + best_tail
     else:
         code = encode([len(best_vals)] + best_vals + best_tail, n)
-    return code, aut, best_start
+    return code, winners
 
 
 def min_code(sigma, inv, n):
-    """Minimal code over all starts, with automorphism count.
+    """Minimal code over all starts, with its winners.
 
-    Returns ``(code, aut, best_start)``; ``aut`` is the number of
-    starting half-edges whose code equals the minimum, i.e. the order
-    of the automorphism group of the connected fat graph, and
-    ``best_start`` the smallest of them.  A disconnected graph raises
-    :class:`~fatcob.errors.DisconnectedGraph`.
+    Returns ``(code, winners)`` as in :func:`_search`: one
+    ``(start, new_label)`` pair per automorphism of the connected fat
+    graph, in increasing start order.  A disconnected or empty graph
+    raises :class:`~fatcob.errors.DisconnectedGraph`.
     """
     found = _search(sigma, inv, n, min_valence_starts(sigma, n))
     if found is None:
@@ -204,13 +171,11 @@ def min_code(sigma, inv, n):
 
 
 def census_code(sigma, inv, n, starts):
-    """``(code, aut)`` as in :func:`min_code`, or ``None`` when the
-    graph is disconnected.
+    """``(code, aut)``, ``aut`` the number of winners of
+    :func:`min_code`, or ``None`` when the graph is disconnected.
 
     ``starts`` is ``min_valence_starts(sigma, n)``, which the census
     computes once for all the pairings on one ``sigma``.
     """
-    if n == 0:
-        return b"\x00", 1
     found = _search(sigma, inv, n, starts)
-    return None if found is None else found[:2]
+    return None if found is None else (found[0], len(found[1]))

@@ -42,13 +42,12 @@ from .errors import (
 from .graphs import FatGraph, half_id
 from .morphisms import Morphism, require_valid
 from .openclosed import (
+    CIRCLE,
+    INTERVAL,
     OpenClosedFatGraph,
     cobordism_signature,
     require_admissible,
 )
-
-CIRCLE = "circle"
-INTERVAL = "interval"
 
 
 @dataclass(frozen=True)
@@ -225,6 +224,13 @@ class GlueData:
     reattach: MappingProxyType   # g2 vertex name -> result vertex name
     junctions: MappingProxyType  # g2 open in-leaf -> result junction vertex
 
+    def half_image(self, side, h):
+        """Name of the result half-edge made from input half-edge ``h``
+        of ``side`` (1 or 2): its edge name takes the side's prefix."""
+        e, end = h.rsplit(".", 1)
+        return half_id((self.prefix1 if side == 1 else self.prefix2) + e,
+                       int(end))
+
     def vertex_image(self, side, v):
         """Result vertex carrying the given input vertex, or None."""
         if side == 1:
@@ -264,18 +270,11 @@ def _glue(g1, g2, match):
     """The glued graph and its :class:`GlueData`, computed afresh."""
     b1, b2 = g1.base, g2.base
     p1, p2 = "1:", "2:"
-
-    def r1(h):
-        return p1 + h
-
-    def r2(h):
-        return p2 + h
-
     dropped_v1, dropped_e1 = set(), set()
     dropped_v2, dropped_e2 = set(), set()
     reattach = {}
     junctions = {}
-    subst = {}     # renamed g2 half -> renamed g1 half (circle replacement)
+    subst = {}     # g2 half -> the g1 half replacing it in the walk
     for pair in match.closed_pairs:
         a, b = pair.a_halves, pair.b_halves
         k = pair.k
@@ -287,41 +286,33 @@ def _glue(g1, g2, match):
             dropped_e2.add(b2.edge_of(b[bi]))
             # s(B_i) -> s(reversal of A_{k+1-i}); 0-based: partner(a[k-1-bi])
             tgt = b1.source(b1.partner(a[(k - 1 - bi) % k]))
-            reattach[b2.source(b[bi])] = r1(tgt)
+            reattach[b2.source(b[bi])] = p1 + tgt
             # walk replacement: reversal of B_i -> A_{k+1-i}
-            subst[r2(b2.partner(b[bi]))] = r1(a[(k - 1 - bi) % k])
+            subst[b2.partner(b[bi])] = a[(k - 1 - bi) % k]
         for bi in range(k):
             dropped_v2.add(b2.source(b[bi]))
     for pair in match.open_pairs:
         dropped_v2.add(pair.in_leaf)
-        junctions[pair.in_leaf] = r1(pair.out_leaf)
+        junctions[pair.in_leaf] = p1 + pair.out_leaf
+    data = GlueData(p1, p2, frozenset(dropped_v1), frozenset(dropped_e1),
+                    frozenset(dropped_v2), frozenset(dropped_e2),
+                    MappingProxyType(reattach), MappingProxyType(junctions))
+    rh = data.half_image
 
     dropped_h1 = {h for h in b1.half_edges if b1.edge_of(h) in dropped_e1}
     dropped_h2 = {h for h in b2.half_edges if b2.edge_of(h) in dropped_e2}
     keep1 = [h for h in b1.half_edges if h not in dropped_h1]
     keep2 = [h for h in b2.half_edges if h not in dropped_h2]
 
-    # half-edge renaming: prefix the edge part
-    def rh1(h):
-        e, end = h.rsplit(".", 1)
-        return half_id(p1 + e, int(end))
-
-    def rh2(h):
-        e, end = h.rsplit(".", 1)
-        return half_id(p2 + e, int(end))
-
     source = {}
     involution = {}
     for h in keep1:
-        source[rh1(h)] = p1 + b1.source(h)
-        involution[rh1(h)] = rh1(b1.partner(h))
-    data = GlueData(p1, p2, frozenset(dropped_v1), frozenset(dropped_e1),
-                    frozenset(dropped_v2), frozenset(dropped_e2),
-                    MappingProxyType(reattach), MappingProxyType(junctions))
+        source[rh(1, h)] = p1 + b1.source(h)
+        involution[rh(1, h)] = rh(1, b1.partner(h))
     for h in keep2:
         v = b2.source(h)
-        source[rh2(h)] = data.vertex_image(2, v)
-        involution[rh2(h)] = rh2(b2.partner(h))
+        source[rh(2, h)] = data.vertex_image(2, v)
+        involution[rh(2, h)] = rh(2, b2.partner(h))
 
     # assemble the boundary walk of the composite
     matched_out_cycles = {g1.leaf_cycle_index(p.out_leaf)
@@ -332,13 +323,13 @@ def _glue(g1, g2, match):
     for ci, cyc in enumerate(b1.boundary_cycles().cycles):
         if ci in matched_out_cycles:
             continue
-        ren = [rh1(h) for h in cyc]
+        ren = [rh(1, h) for h in cyc]
         for i, h in enumerate(ren):
             omega[h] = ren[(i + 1) % len(ren)]
     for ci, cyc in enumerate(b2.boundary_cycles().cycles):
         if ci in matched_in_cycles:
             continue
-        ren = [subst.get(rh2(h), rh2(h)) for h in cyc]
+        ren = [rh(1, subst[h]) if h in subst else rh(2, h) for h in cyc]
         for i, h in enumerate(ren):
             omega[h] = ren[(i + 1) % len(ren)]
     if set(omega) != set(source):
@@ -348,8 +339,8 @@ def _glue(g1, g2, match):
     # sigma = omega . involution, then patch the open-pair junctions
     sigma = {h: omega[involution[h]] for h in source}
     for pair in match.open_pairs:
-        ha = rh1(b1.leaf_half(pair.out_leaf))
-        hb = rh2(b2.leaf_half(pair.in_leaf))
+        ha = rh(1, b1.leaf_half(pair.out_leaf))
+        hb = rh(2, b2.leaf_half(pair.in_leaf))
         sigma[ha] = hb
         sigma[hb] = ha
     isolated = {p1 + v for v in b1.isolated_vertices} | \
@@ -420,22 +411,12 @@ def glue_morphisms(m1, m2, match):
         if img.startswith(sdata.prefix2):
             vmap[img] = map_vertex2(m2.vertex_map[v])
     hmap = {}
-
-    def rh(prefix, h):
-        e, end = h.rsplit(".", 1)
-        return half_id(prefix + e, int(end))
-
-    for h in s1.base.half_edges:
-        if s1.base.edge_of(h) in sdata.dropped_edges1:
-            continue
-        img = m1.half_map[h]
-        hmap[rh("1:", h)] = None if img is None else rh("1:", img)
-    for h in s2.base.half_edges:
-        if s2.base.edge_of(h) in sdata.dropped_edges2:
-            continue
-        img = m2.half_map[h]
-        if img is None:
-            hmap[rh("2:", h)] = None
-        else:
-            hmap[rh("2:", h)] = rh("2:", img)
+    for side, s, m, dropped in ((1, s1, m1, sdata.dropped_edges1),
+                                (2, s2, m2, sdata.dropped_edges2)):
+        for h in s.base.half_edges:
+            if s.base.edge_of(h) in dropped:
+                continue
+            img = m.half_map[h]
+            hmap[sdata.half_image(side, h)] = \
+                None if img is None else tdata.half_image(side, img)
     return require_valid(Morphism(src, tgt, vmap, hmap))

@@ -611,8 +611,8 @@ def _glued_extension(cc1, cc2, match, data):
     vertex of the first graph, when that vertex is an extra cell there.
     """
     g2 = match.g2
-    basis1 = [("1", h) for h in cc1.basis1] + [("2", h) for h in cc2.basis1]
-    basis0 = [("1", c) for c in cc1.basis0] + [("2", c) for c in cc2.basis0]
+    basis1 = [(1, h) for h in cc1.basis1] + [(2, h) for h in cc2.basis1]
+    basis0 = [(1, c) for c in cc1.basis0] + [(2, c) for c in cc2.basis0]
     n1_1, n1_0 = len(cc1.basis1), len(cc1.basis0)
     ground = len(basis0)
     # the second block's endpoints shift past the first's 0-cells, which
@@ -681,17 +681,14 @@ def _compute_gluing_scalar(g1, g2, match):
                             range(n0, n0 + len(cc2.basis0)))
     ccG = relative_chain_complex(glued)
 
-    def glued_half(tag, h):
-        e, end = h.rsplit(".", 1)
-        return ("1:" if tag == "1" else "2:") + e + "." + end
-
-    def glued_cell(tag, cell):
+    def glued_cell(side, cell):
         kind, name = cell
-        return (kind, ("1:" if tag == "1" else "2:") + name)
+        return (kind, (data.prefix1 if side == 1 else data.prefix2) + name)
 
     try:
-        map1 = [(ccG.index1(glued_half(tag, h)),) for tag, h in ccB.basis1]
-        map0 = [(ccG.index0(glued_cell(tag, c)),) for tag, c in ccB.basis0]
+        map1 = [(ccG.index1(data.half_image(side, h)),)
+                for side, h in ccB.basis1]
+        map0 = [(ccG.index0(glued_cell(side, c)),) for side, c in ccB.basis0]
     except ValueError as exc:
         raise ResultInvalid(
             "glued cells disagree with the extension cells: %s" % exc)

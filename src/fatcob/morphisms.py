@@ -10,10 +10,12 @@ the collapsed half-edges deleted.  Decorated graphs additionally
 require order-preserving bijections on the In/Out lists and a
 bijection on the closed subset.
 
-Canonical forms are computed per connected component by breadth-first
-relabelling from every start at a vertex of minimum valence (see
-:mod:`fatcob._canon`); two graphs are isomorphic exactly when their
-canonical byte strings agree.
+Canonical forms are computed per connected component by one call of
+the canonical-labelling kernel (:mod:`fatcob._canon`).  A decorated
+component's code is the kernel code, ``|``, and the smallest decoration
+string over the kernel's winning starts, which are its automorphisms;
+two graphs are isomorphic exactly when their canonical byte strings
+agree.
 """
 
 from __future__ import annotations
@@ -306,26 +308,24 @@ def _component_codes(g):
             continue
         idx, sigma, inv = _dense(base, hs)
         n = len(hs)
-        if not decorated:
-            code, _aut, start = _canon.min_code(sigma, inv, n)
-            nl, _, _ = _canon.relabel_from(sigma, inv, n, start)
-            out.append((code + b"|", {h: nl[idx[h]] for h in hs}))
-            continue
-        entries = _decoration_entries(g, hs)
-        # a narrow entry string has 4k bytes and a wide one 2 mod 4, so
-        # the two never coincide
-        top = max([n - 1] + [gi for _, gi, _, _ in entries])
-        best = None
-        # the undecorated prefix decides first, so other starts lose
-        for h0 in _canon.min_valence_starts(sigma, n):
-            nl, order, valences = _canon.relabel_from(sigma, inv, n, h0)
-            dec = _canon.encode(
-                [x for kind, gi, h, fl in entries
-                 for x in (kind, gi, nl[idx[h]], fl)], top)
-            cand = _canon.code_of(inv, nl, order, valences) + b"|" + dec
-            if best is None or cand < best[0]:
-                best = (cand, {h: nl[idx[h]] for h in hs})
-        out.append(best)
+        code, winners = _canon.min_code(sigma, inv, n)
+        code += b"|"
+        nl = winners[0][1]
+        if decorated:
+            entries = _decoration_entries(g, hs)
+            # every winner has the kernel code, so the decoration
+            # decides; a narrow entry string has 4k bytes and a wide
+            # one 2 mod 4, so the two never coincide
+            top = max([n - 1] + [gi for _, gi, _, _ in entries])
+            decs = [_canon.encode([x for kind, gi, h, fl in entries
+                                   for x in (kind, gi, lab[idx[h]], fl)],
+                                  top)
+                    for _, lab in winners]
+            # the first winner takes a tie
+            best = min(decs)
+            nl = winners[decs.index(best)][1]
+            code += best
+        out.append((code, dict(zip(hs, nl))))
     return out
 
 

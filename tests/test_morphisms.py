@@ -499,6 +499,7 @@ def _reference_relabel(sigma, inv, n, h0):
     the definition: label each fan as it is reached, partners
     first-in-first-out.  The code is ``None`` when some half-edge is
     not reached."""
+    from fatcob._canon import encode
     nl = [-1] * n
     order, valences = [], []
     queue = [h0]
@@ -516,15 +517,18 @@ def _reference_relabel(sigma, inv, n, h0):
         valences.append(len(fan))
     if len(order) != n:
         return None, nl
-    code = bytes([len(valences)] + valences + [nl[inv[o]] for o in order])
+    code = encode([len(valences)] + valences + [nl[inv[o]] for o in order],
+                  n)
     return code, nl
 
 
 def _reference_min_code(sigma, inv, n):
-    """``(code, aut, best_start)`` by trying every start."""
-    codes = [_reference_relabel(sigma, inv, n, h0)[0] for h0 in range(n)]
-    best = min(codes)
-    return best, codes.count(best), codes.index(best)
+    """``(code, winners)`` by trying every start: the minimal code, and
+    each start reaching it with its new labels, in start order."""
+    relabels = [_reference_relabel(sigma, inv, n, h0) for h0 in range(n)]
+    best = min(code for code, _ in relabels)
+    return best, [(h0, nl) for h0, (code, nl) in enumerate(relabels)
+                  if code == best]
 
 
 class TestPrunedKernel:
@@ -542,6 +546,8 @@ class TestPrunedKernel:
         yield _sigma_of_partition((10,)), _involutions(10), 10
 
     def test_census_code_and_min_code_match_all_starts(self):
+        # the winner starts are exactly the starts reaching the minimum,
+        # each with the labels of its own relabelling
         from fatcob import _canon
         connected = 0
         for sigma, pairings, n2 in self._census_cases():
@@ -555,7 +561,7 @@ class TestPrunedKernel:
                 else:
                     want = _reference_min_code(sigma, m, n2)
                     assert _canon.min_code(sigma, m, n2) == want, m
-                    want = want[:2]
+                    want = want[0], len(want[1])
                     connected += 1
                 assert _canon.census_code(sigma, m, n2, starts) == want, m
         assert connected > 2000
@@ -576,6 +582,29 @@ class TestPrunedKernel:
         for oc in decorated:
             assert canonical_form(oc) == _reference_canonical_form(oc)
 
+    def test_winners_are_the_automorphisms(self):
+        # mapping each winner's labels onto the first winner's is an
+        # automorphism, and the winners give each automorphism once
+        from fatcob import _canon
+        from fatcob.morphisms import _dense
+        entries = enumerate_fat_graphs(5)
+        assert len(entries) == 1004
+        for e in entries:
+            g = e.graph
+            hs = sorted(g.half_edges)
+            idx, sigma, inv = _dense(g, hs)
+            code, winners = _canon.min_code(sigma, inv, len(hs))
+            assert code == e.canon
+            back = dict(zip(winners[0][1], hs))
+            maps = set()
+            for _, nl in winners:
+                hmap = {h: back[nl[idx[h]]] for h in hs}
+                vmap = {g.source(h): g.source(hmap[h]) for h in hs}
+                ok, why = validate_morphism(Morphism(g, g, vmap, hmap))
+                assert ok, (e.witness, why)
+                maps.add(tuple(sorted(hmap.items())))
+            assert len(winners) == len(maps) == e.aut_size, e.witness
+
 
 def _reference_canonical_form(g):
     """``canonical_form`` of a decorated graph, trying every start."""
@@ -594,6 +623,71 @@ def _reference_canonical_form(g):
                 for kind, gi, h, fl in _decoration_entries(g, hs)))
         codes.append(min(cands))
     return b"".join(len(c).to_bytes(2, "big") + c for c in sorted(codes))
+
+
+def _all_starts_component_codes(g):
+    """``morphisms._component_codes`` of a decorated graph by its former
+    loop: relabel in full from every minimum-valence start and keep the
+    smallest code with decorations, the first start taking a tie."""
+    from fatcob import _canon
+    from fatcob.morphisms import _decoration_entries, _dense
+    out = []
+    for _, hs in g.base.connected_components():
+        if not hs:
+            out.append((b"\x00|", {}))
+            continue
+        idx, sigma, inv = _dense(g.base, hs)
+        n = len(hs)
+        entries = _decoration_entries(g, hs)
+        top = max([n - 1] + [gi for _, gi, _, _ in entries])
+        best = None
+        for h0 in _canon.min_valence_starts(sigma, n):
+            code, nl = _reference_relabel(sigma, inv, n, h0)
+            dec = _canon.encode(
+                [x for kind, gi, h, fl in entries
+                 for x in (kind, gi, nl[idx[h]], fl)], top)
+            cand = code + b"|" + dec
+            if best is None or cand < best[0]:
+                best = (cand, {h: nl[idx[h]] for h in hs})
+        out.append(best)
+    return out
+
+
+class TestDecoratedCodes:
+    """Decorations are compared only at the kernel's winning starts; the
+    codes and relabellings must be those of trying every start.  Equal
+    component codes give equal ``canonical_form`` bytes."""
+
+    @staticmethod
+    def check(g):
+        from fatcob.morphisms import _component_codes
+        assert _component_codes(g) == _all_starts_component_codes(g)
+
+    def test_census_decorations(self):
+        from fatcob.census import admissible_decorations
+        decorated = [oc for e in enumerate_fat_graphs(4)
+                     for oc in admissible_decorations(e.graph)]
+        assert len(decorated) == 688
+        for oc in decorated:
+            self.check(oc)
+
+    def test_glued_pants(self):
+        from fatcob.gluing import glue, subdivision_match
+        for other, pairs in ((fx.pants(), [(0, 0)]), (fx.pants(), [(0, 1)]),
+                             (fx.cylinder(), None)):
+            g1, g2, match = subdivision_match(fx.pants(), other, pairs)
+            for g in (g1, g2, glue(g1, g2, match)):
+                self.check(g)
+
+    def test_wide_codes(self):
+        # a 260-half-edge path, and 300 intervals whose leaf indices run
+        # past 255
+        path = TestLargeGraphs().path()
+        ends = ("t000", "t%03d" % TestLargeGraphs.EDGES)
+        self.check(OpenClosedFatGraph(path, ends[:1], ends[1:]))
+        g = _plane_forest([(2 * i, 2 * i + 1) for i in range(300)], 600)
+        names = sorted(g.vertices)
+        self.check(OpenClosedFatGraph(g, names[0::2], names[1::2]))
 
 
 class TestCensusChecks:
