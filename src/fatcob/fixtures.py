@@ -7,7 +7,7 @@ hanging off that vertex, and the remaining structure attached so that
 the loop's two sides land on the intended boundary cycles.
 """
 
-from .graphs import new_fat_graph
+from .graphs import _circle_growth, _grow_circle, new_fat_graph
 from .openclosed import OpenClosedFatGraph, decorate
 
 
@@ -162,20 +162,19 @@ def interval_in_in():
 
 
 def subdivided_incoming(g, k):
-    """Subdivide every closed incoming circle of ``g`` up to ``k`` edges."""
-    while True:
-        grown = None
-        for v in g.in_leaves:
-            if v not in g.closed:
-                continue
-            circle = g.circle_edges(v)
-            if len(circle) < k:
-                grown = g.base.edge_of(circle[0])
-                break
-        if grown is None:
-            return g
-        base, _ = g.base.subdivide_edge(grown)
-        g = g.with_base(base)
+    """Subdivide every closed incoming circle of ``g`` up to ``k`` edges.
+
+    Each circle is grown at its first edge after the leaf anchor, in
+    one run; a circle only grows, so one pass over the leaves does it.
+    """
+    base = g.base
+    for v in g.in_leaves:
+        if v in g.closed:
+            c, n, step = _circle_growth(base, v)
+            if n < k:
+                # steps of step.count(c) edges each, rounded up
+                base = _grow_circle(base, v, -((n - k) // step.count(c)))
+    return g if base is g.base else g.with_base(base)
 
 
 def oc_disjoint_union(g1, g2, prefix1="A:", prefix2="B:"):

@@ -39,7 +39,7 @@ from .errors import (
     ResultInvalid,
     SignatureMismatch,
 )
-from .graphs import FatGraph, half_id
+from .graphs import FatGraph, _circle_growth, _grow_circle, half_id
 from .morphisms import Morphism, require_valid
 from .openclosed import (
     CIRCLE,
@@ -113,6 +113,21 @@ def _leaf_kind(g, v):
     return CIRCLE if v in g.closed else INTERVAL
 
 
+def _pair_leaves(g1, g2, idx, oi, ii):
+    """The leaves of pair ``idx`` and their common kind."""
+    try:
+        v_out = g1.out_leaves[oi]
+        v_in = g2.in_leaves[ii]
+    except IndexError:
+        raise InvalidMatch("pair %d is out of range" % idx) from None
+    k_out = _leaf_kind(g1, v_out)
+    k_in = _leaf_kind(g2, v_in)
+    if k_out != k_in:
+        raise SignatureMismatch(
+            "pair %d matches a %s against a %s" % (idx, k_out, k_in))
+    return v_out, v_in, k_out
+
+
 def gluable(g1, g2, pairs=None):
     """Match g1's outgoing leaves against g2's incoming leaves.
 
@@ -139,17 +154,8 @@ def gluable(g1, g2, pairs=None):
             raise InvalidMatch("an outgoing or incoming slot is matched twice")
     out = []
     for idx, (oi, ii) in enumerate(pairs):
-        try:
-            v_out = g1.out_leaves[oi]
-            v_in = g2.in_leaves[ii]
-        except IndexError:
-            raise InvalidMatch("pair %d is out of range" % idx) from None
-        k_out = _leaf_kind(g1, v_out)
-        k_in = _leaf_kind(g2, v_in)
-        if k_out != k_in:
-            raise SignatureMismatch(
-                "pair %d matches a %s against a %s" % (idx, k_out, k_in))
-        if k_out == CIRCLE:
+        v_out, v_in, kind = _pair_leaves(g1, g2, idx, oi, ii)
+        if kind == CIRCLE:
             a = g1.leaf_cycle_normal_form(v_out)[2:]
             b = g2.leaf_cycle_normal_form(v_in)[2:]
             if len(a) != len(b):
@@ -163,11 +169,15 @@ def gluable(g1, g2, pairs=None):
 def subdivision_match(g1, g2, pairs=None):
     """Subdivide circle edges until the matched cycles have equal size.
 
-    The deficient side is subdivided one edge at a time, always at the
-    first circle edge after the leaf anchor; any fixed rule gives
-    isomorphic results.  The loop runs on the bare fat graphs, and each
-    side that changed is decorated once at the end.  Returns
-    ``(g1', g2', match)``.
+    The rule is a loop of single steps: find the first matched pair
+    whose circles differ in size, subdivide the smaller side's first
+    circle edge after the leaf anchor (the leaf edge itself while that
+    circle has no edge), and look again from the first pair.  Any fixed
+    rule gives isomorphic results.  The loop is played out on the cycle
+    sizes alone (see :func:`_subdivision_runs`), then each run of steps
+    on one circle is made at once on the bare fat graph, and each side
+    that changed is decorated once at the end.  Returns
+    ``(g1', g2', match)``; :func:`gluable` checks every pair again.
     """
     if pairs is None:
         sig1 = cobordism_signature(g1)
@@ -177,35 +187,69 @@ def subdivision_match(g1, g2, pairs=None):
                 "outgoing %s does not match incoming %s"
                 % (list(sig1.target), list(sig2.source)))
         pairs = [(i, i) for i in range(len(g1.out_leaves))]
+    circles = []
+    for idx, (oi, ii) in enumerate(pairs):
+        v_out, v_in, kind = _pair_leaves(g1, g2, idx, oi, ii)
+        if kind == CIRCLE:
+            circles.append((idx, v_out, v_in))
     b1, b2 = g1.base, g2.base
-    while True:
-        deficit = None
-        for oi, ii in pairs:
-            v_out = g1.out_leaves[oi]
-            v_in = g2.in_leaves[ii]
-            if _leaf_kind(g1, v_out) != CIRCLE:
-                continue
-            a = b1.leaf_cycle_normal_form(v_out)[2:]
-            b = b2.leaf_cycle_normal_form(v_in)[2:]
-            if len(a) != len(b):
-                deficit = (oi, a, b)
-                break
-        if deficit is None:
-            break
-        oi, a, b = deficit
-        if len(a) < len(b):
-            # grow g1's outgoing cycle; with no circle edge yet, split
-            # the leaf edge itself
-            edge = b1.edge_of(a[0]) if a else \
-                b1.edge_of(b1.leaf_half(g1.out_leaves[oi]))
-            b1, _ = b1.subdivide_edge(edge)
-        else:
-            b2, _ = b2.subdivide_edge(b2.edge_of(b[0]))
+    runs1, runs2 = _subdivision_runs(b1, b2, circles)
+    for v, j in runs1:
+        b1 = _grow_circle(b1, v, j)
+    for v, j in runs2:
+        b2 = _grow_circle(b2, v, j)
     if b1 is not g1.base:
         g1 = g1.with_base(b1)
     if b2 is not g2.base:
         g2 = g2.with_base(b2)
     return g1, g2, gluable(g1, g2, pairs)
+
+
+def _subdivision_runs(b1, b2, circles):
+    """The steps of the single-step loop, as ``[leaf, count]`` runs on
+    each side, from one walk of each matched cycle.
+
+    ``circles`` lists the matched circles in order, as ``(pair index,
+    outgoing leaf, incoming leaf)``.  A step on a circle adds one edge
+    to each of its two step cycles (:func:`fatcob.graphs._circle_growth`),
+    which may be the circle itself twice or another matched circle of
+    that side, so an earlier pair can fall out of balance again.  When
+    both circles of a pair grow by two and differ by an odd number, the
+    loop would never end, and :class:`EdgeCountMismatch` is raised.
+    """
+    sides = []
+    for b, leaves in ((b1, [p[1] for p in circles]),
+                      (b2, [p[2] for p in circles])):
+        size, cycle, step = {}, [], []
+        for v in leaves:
+            c, n, grows = _circle_growth(b, v)
+            size[c] = n
+            cycle.append(c)
+            step.append(grows)
+        sides.append((size, cycle, step))
+    (size1, cycle1, step1), (size2, cycle2, step2) = sides
+    runs = ([], [])
+    while True:
+        for i in range(len(circles)):
+            n1, n2 = size1[cycle1[i]], size2[cycle2[i]]
+            if n1 != n2:
+                break
+        else:
+            return runs
+        if (n1 - n2) % 2 and step1[i] == (cycle1[i],) * 2 and \
+                step2[i] == (cycle2[i],) * 2:
+            raise EdgeCountMismatch(circles[i][0], n1, n2)
+        side = 0 if n1 < n2 else 1
+        size, _, step = sides[side]
+        for c in step[i]:
+            if c in size:
+                size[c] += 1
+        leaf = circles[i][side + 1]
+        run = runs[side]
+        if run and run[-1][0] == leaf:
+            run[-1][1] += 1
+        else:
+            run.append([leaf, 1])
 
 
 @dataclass(frozen=True)

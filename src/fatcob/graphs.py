@@ -20,10 +20,23 @@ Half-edge identifiers are derived from edge names: the edge ``e`` from
 ``u`` to ``v`` owns the half-edges ``e.0`` (at ``u``) and ``e.1`` (at
 ``v``).  All orderings exposed by this module are keyed to identifier
 order so that equal inputs give byte-identical outputs.
+
+Validation.  Every graph built from maps is validated in full:
+``FatGraph(...)``, :func:`new_fat_graph` (and so the ``.fg`` parser),
+:meth:`FatGraph.relabel`, :func:`disjoint_union` and the gluing of
+:mod:`fatcob.gluing`.  The moves are local edits of a graph that
+already passed: :meth:`FatGraph.subdivide_edge`,
+:meth:`FatGraph.smooth_bivalent` and the circle growth used to match
+boundary sizes (:func:`_grow_circle`) copy the maps, change only the
+half-edges they touch, update the kept fibers and edge names, and check
+only the touched cells, the new edges' pairing and the fans at the
+vertices that gained or lost a half-edge.  A failed check raises a
+:class:`~fatcob.errors.FatcobError` subclass, also under ``python -O``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -49,7 +62,8 @@ class FatGraph:
     Instances are normally built through :func:`new_fat_graph` (or the
     ``.fg`` parser), which derives the half-edge maps from an edge list
     and per-vertex cyclic orders.  Direct construction from the three
-    maps is allowed and fully validated.
+    maps is allowed and fully validated; the local moves build their
+    results through ``_Edit`` instead.
     """
 
     __slots__ = ("_vertices", "_halves", "_source", "_involution", "_sigma",
@@ -86,23 +100,11 @@ class FatGraph:
         fibers = {}
         for h in self._halves:
             fibers.setdefault(self._source[h], []).append(h)
-        seen = set()
-        for h in self._halves:
-            if h in seen:
-                continue
-            orbit = set()
-            cur = h
-            while cur not in orbit:
-                orbit.add(cur)
-                cur = self._sigma[cur]
-                if cur not in halves:
-                    raise DanglingHalfEdge("sigma leaves the half-edge set")
-            if cur != h or orbit != set(fibers[self._source[h]]):
-                raise WrongVertexOrder(
-                    "orbit of sigma through %r differs from the half-edge "
-                    "fan at %r" % (h, self._source[h]))
-            seen |= orbit
+        if not halves.issuperset(self._sigma.values()):
+            raise DanglingHalfEdge("sigma leaves the half-edge set")
         self._fibers = {v: tuple(hs) for v, hs in fibers.items()}
+        for v, fan in self._fibers.items():
+            _check_fan(self._source, self._sigma, v, fan)
         for v in self._isolated:
             if v in fibers:
                 raise WrongVertexOrder(
@@ -294,11 +296,12 @@ class FatGraph:
         groups = {}
         for v in self._vertices:
             groups.setdefault(find(v), []).append(v)
-        comps = []
-        for vs in groups.values():
-            vset = set(vs)
-            hs = sorted(h for h in self._halves if self._source[h] in vset)
-            comps.append((tuple(sorted(vs)), tuple(hs)))
+        halves = {}
+        for h in self._halves:
+            halves.setdefault(find(self._source[h]), []).append(h)
+        # both lists are filled in sorted order
+        comps = [(tuple(vs), tuple(halves.get(r, ())))
+                 for r, vs in groups.items()]
         comps.sort(key=lambda c: c[0][0])
         return tuple(comps)
 
@@ -338,33 +341,17 @@ class FatGraph:
 
         Returns ``(graph, correspondence)``.  The move does not change
         the boundary cycle count, the Euler characteristic or the genus.
+        It is a local edit: only the cells it touches are checked.
         """
-        h0, h1 = self.edge_halves(e)
-        mid = self._fresh_vertex("%s:m" % e)
-        e_a = self._fresh_edge("%s:a" % e)
-        e_b = self._fresh_edge("%s:b" % e)
-        a0, a1 = half_id(e_a, 0), half_id(e_a, 1)
-        b0, b1 = half_id(e_b, 0), half_id(e_b, 1)
-        ren = {h0: a0, h1: b1}
-        source = {ren.get(h, h): self._source[h] for h in self._halves}
-        source.update({a1: mid, b0: mid})
-        involution = {}
-        for h in self._halves:
-            if h in (h0, h1):
-                continue
-            involution[h] = self._involution[h]
-        involution.update({a0: a1, a1: a0, b0: b1, b1: b0})
-        sigma = {}
-        for h in self._halves:
-            sigma[ren.get(h, h)] = ren.get(self._sigma[h], self._sigma[h])
-        sigma.update({a1: b0, b0: a1})
-        g = FatGraph(source, involution, sigma, isolated=self._isolated)
+        self.edge_halves(e)     # UnknownEdge before any copying
+        ed = _Edit(self)
+        e_a, e_b, mid = ed.split(e)
         corr = CellCorrespondence(
             vertex_map={v: v for v in self._vertices},
             edge_map={x: ((e_a, e_b) if x == e else (x,))
                       for x in self._edge_ends},
             new_vertices=(mid,))
-        return g, corr
+        return ed.result(), corr
 
     def bivalent_vertices(self):
         return tuple(v for v in self._vertices if self.valence(v) == 2)
@@ -376,58 +363,40 @@ class FatGraph:
         edge (the single vertex of a bare circle) cannot be removed and
         is kept.  Returns ``(graph, correspondence)``; the invariants
         chi, b and genus are unchanged.
-        """
-        g = self
-        corr = CellCorrespondence(
-            vertex_map={v: v for v in self._vertices},
-            edge_map={e: (e,) for e in self._edge_ends},
-            new_vertices=())
-        while True:
-            target = None
-            for v in g._vertices:
-                if g.valence(v) != 2:
-                    continue
-                ha, hb = g._fibers[v]
-                if g._edge_of[ha] != g._edge_of[hb]:
-                    target = (v, ha, hb)
-                    break
-            if target is None:
-                return g, corr
-            g, step = g._smooth_one(*target)
-            corr = corr.then(step)
 
-    def _smooth_one(self, v, ha, hb):
-        # v is bivalent with distinct incident edges; join them.
-        pa, pb = self._involution[ha], self._involution[hb]
-        ea, eb = self._edge_of[ha], self._edge_of[hb]
-        name = self._fresh_edge(min(ea, eb), removed={ea, eb})
-        n0, n1 = half_id(name, 0), half_id(name, 1)
-        # the merged edge runs between source(pa) and source(pb)
-        lo, hi = (pa, pb) if pa < pb else (pb, pa)
-        ren = {lo: n0, hi: n1}
-        drop = {ha, hb}
-        source = {ren.get(h, h): self._source[h]
-                  for h in self._halves if h not in drop}
-        involution = {}
-        for h in self._halves:
-            if h in drop or h in (pa, pb):
+        The vertices are removed in identifier order, each joined edge
+        taking the smaller of the two names, and the graph is built
+        once at the end.  Removing a vertex never makes another one
+        removable or keeps it from being removed, unless the two are
+        the last vertices of a circle, so one sweep of the bivalent
+        vertices in order, each checked when it is reached, removes the
+        same vertices in the same order as rescanning after every
+        removal.
+        """
+        ed = _Edit(self)
+        at = {v: list(self._fibers[v]) for v in self.bivalent_vertices()}
+        chain = {}      # joined edge -> the edges of self it covers
+        smoothed = set()
+        for v, halves in at.items():
+            ha, hb = sorted(halves)
+            ea, eb = _edge_name(ha), _edge_name(hb)
+            if ea == eb:
                 continue
-            involution[h] = self._involution[h]
-        involution.update({n0: n1, n1: n0})
-        sigma = {}
-        for h in self._halves:
-            if h in drop:
-                continue
-            nxt = self._sigma[h]
-            # pa and pb keep their slots; v's fan disappears entirely
-            sigma[ren.get(h, h)] = ren.get(nxt, nxt)
-        g = FatGraph(source, involution, sigma, isolated=self._isolated)
-        vmap = {u: u for u in self._vertices if u != v}
-        vmap[v] = None
-        emap = {e: (e,) for e in self._edge_ends}
-        emap[ea] = (name,)
-        emap[eb] = (name,)
-        return g, CellCorrespondence(vmap, emap, ())
+            name, renamed = ed.join(ha, hb)
+            covered = chain.pop(ea, [ea]) + chain.pop(eb, [eb])
+            chain[name] = covered
+            smoothed.add(v)
+            for old, new in renamed:
+                w = ed.source[new]
+                if old != new and w in at:
+                    at[w][at[w].index(old)] = new
+        cover = {e: name for name, es in chain.items() for e in es}
+        corr = CellCorrespondence(
+            vertex_map={v: None if v in smoothed else v
+                        for v in self._vertices},
+            edge_map={e: (cover.get(e, e),) for e in self._edge_ends},
+            new_vertices=())
+        return (ed.result() if smoothed else self), corr
 
     # -- renaming ----------------------------------------------------------
 
@@ -449,23 +418,241 @@ class FatGraph:
         return FatGraph(source, involution, sigma,
                         isolated=frozenset(rv(v) for v in self._isolated))
 
-    def _fresh_vertex(self, base):
-        name = base
-        k = 0
-        names = set(self._vertices)
-        while name in names:
-            k += 1
-            name = "%s%d" % (base, k)
-        return name
 
-    def _fresh_edge(self, base, removed=frozenset()):
-        name = base
-        k = 0
-        taken = set(self._edge_ends) - set(removed)
-        while name in taken:
-            k += 1
-            name = "%s~%d" % (base, k)
-        return name
+def _edge_name(h):
+    return h.rpartition(".")[0]
+
+
+def _fresh(base, fmt, taken):
+    name = base
+    k = 0
+    while name in taken:
+        k += 1
+        name = fmt % (base, k)
+    return name
+
+
+def _check_fan(source, sigma, v, fan):
+    """Raise unless ``sigma`` runs once around the half-edges ``fan``,
+    all of which start at ``v``."""
+    seen = set()
+    cur = fan[0]
+    while cur not in seen:
+        if source.get(cur) != v:
+            break
+        seen.add(cur)
+        cur = sigma.get(cur)
+    if cur != fan[0] or len(seen) != len(fan) or not seen.issuperset(fan):
+        raise WrongVertexOrder(
+            "orbit of sigma through %r differs from the half-edge fan at %r"
+            % (fan[0], v))
+
+
+class _Edit:
+    """A run of local moves on working copies of a validated graph's
+    maps; :meth:`result` builds the edited graph once.
+
+    Each move changes the maps as the same move on the graph built so
+    far would, names included; the fresh-name sets are made once per
+    run.
+    """
+
+    def __init__(self, g):
+        self.graph = g
+        self.source = dict(g._source)
+        self.involution = dict(g._involution)
+        self.sigma = dict(g._sigma)
+        self.vertex_names = set(g._vertices)
+        self.edge_names = set(g._edge_ends)
+        self.gone = set()   # edges of the graph that left, or were remade
+        self.made = set()   # edges the run made that are still there
+
+    def _replace(self, old_edges, new_edges):
+        for e in old_edges:
+            if e in self.made:
+                self.made.remove(e)
+            else:
+                self.gone.add(e)
+            self.edge_names.discard(e)
+        self.made.update(new_edges)
+        self.edge_names.update(new_edges)
+
+    def _rename(self, ren):
+        """Give the half-edges ``ren`` maps new names: each keeps its
+        source and its slot in its fan; its partner entry is dropped."""
+        source, sigma = self.source, self.sigma
+        touched = list(ren)
+        for h in ren:
+            cur = h
+            while sigma[cur] != h:
+                cur = sigma[cur]
+            touched.append(cur)
+        nxt = {ren.get(h, h): ren.get(sigma[h], sigma[h]) for h in touched}
+        starts = {new: source[old] for old, new in ren.items()}
+        for h in ren:
+            del source[h], sigma[h], self.involution[h]
+        sigma.update(nxt)
+        source.update(starts)
+
+    def split(self, e):
+        """Subdivide ``e``: ``e.0`` becomes ``e_a.0``, ``e.1`` becomes
+        ``e_b.1``, and ``e_a.1``, ``e_b.0`` meet at the new bivalent
+        vertex.  Returns ``(e_a, e_b, mid)``."""
+        mid = _fresh("%s:m" % e, "%s%d", self.vertex_names)
+        e_a = _fresh("%s:a" % e, "%s~%d", self.edge_names)
+        e_b = _fresh("%s:b" % e, "%s~%d", self.edge_names)
+        a0, a1 = half_id(e_a, 0), half_id(e_a, 1)
+        b0, b1 = half_id(e_b, 0), half_id(e_b, 1)
+        self._rename({half_id(e, 0): a0, half_id(e, 1): b1})
+        self.source[a1] = self.source[b0] = mid
+        self.sigma[a1], self.sigma[b0] = b0, a1
+        self.involution.update({a0: a1, a1: a0, b0: b1, b1: b0})
+        self.vertex_names.add(mid)
+        self._replace((e,), (e_a, e_b))
+        return e_a, e_b, mid
+
+    def join(self, ha, hb):
+        """Smooth the bivalent vertex of ``ha`` and ``hb``, which lie on
+        different edges.  The joined edge takes the smaller name and runs
+        from the smaller far half to the larger one.  Returns the name
+        and the ``(old, new)`` names of the two far halves."""
+        source, inv = self.source, self.involution
+        pa, pb = inv[ha], inv[hb]
+        ea, eb = _edge_name(ha), _edge_name(hb)
+        name = min(ea, eb)
+        n0, n1 = half_id(name, 0), half_id(name, 1)
+        lo, hi = (pa, pb) if pa < pb else (pb, pa)
+        self.vertex_names.discard(source[ha])
+        for h in (ha, hb):
+            del source[h], self.sigma[h], inv[h]
+        self._rename({lo: n0, hi: n1})
+        inv[n0], inv[n1] = n1, n0
+        self._replace((ea, eb), (name,))
+        return name, ((lo, n0), (hi, n1))
+
+    def result(self):
+        """The edited graph.
+
+        The halves of the ``gone`` edges left the maps and those of the
+        ``made`` edges came in (a name in both was made again), and no
+        half-edge at any other vertex changed.  The graph's half-edge,
+        vertex and edge lists, fibers and edge names are updated rather
+        than rebuilt, and only the touched cells are checked: the
+        pairing of each made edge and the fan at every vertex that
+        gained or lost a half-edge.
+        """
+        g = self.graph
+        source, involution, sigma = self.source, self.involution, self.sigma
+        ends = g._edge_ends
+        removed = {h for e in self.gone for h in ends[e]}
+        added = [half_id(e, end) for e in self.made for end in (0, 1)]
+        n = len(g._halves) - len(removed) + len(added)
+        if not len(source) == len(involution) == len(sigma) == n:
+            raise DanglingHalfEdge(
+                "edited maps hold %d/%d/%d half-edges, expected %d"
+                % (len(source), len(involution), len(sigma), n))
+        at = {}
+        for h in added:
+            if h in g._source and h not in removed:
+                raise DuplicateName("edit makes existing half-edge %r" % h)
+            if h not in source or h not in sigma:
+                raise DanglingHalfEdge("edit leaves %r without a vertex" % h)
+            at.setdefault(source[h], []).append(h)
+        for h in removed.difference(added):
+            if h in source or h in involution or h in sigma:
+                raise DanglingHalfEdge("edit keeps removed half-edge %r" % h)
+        for e in self.made:
+            h0, h1 = half_id(e, 0), half_id(e, 1)
+            if involution.get(h0) != h1 or involution.get(h1) != h0:
+                raise FixedPointInvolution(
+                    "halves of edge %r are not paired together" % e)
+        fibers = dict(g._fibers)
+        vertices = list(g._vertices)
+        born = []
+        for v in {g._source[h] for h in removed}.union(at):
+            hs = [h for h in fibers.get(v, ()) if h not in removed]
+            hs += at.get(v, ())
+            if not hs:
+                del fibers[v]
+                del vertices[bisect_left(vertices, v)]
+                continue
+            if v not in fibers:
+                if v in g._isolated:
+                    raise WrongVertexOrder(
+                        "vertex %r flagged isolated but carries half-edges"
+                        % v)
+                born.append(v)
+            fibers[v] = fan = tuple(sorted(hs))
+            _check_fan(source, sigma, v, fan)
+        vertices += born
+        vertices.sort()
+        halves = list(g._halves)
+        for h in removed:
+            del halves[bisect_left(halves, h)]
+        halves += added
+        halves.sort()
+        edge_of = dict(g._edge_of)
+        for h in removed:
+            del edge_of[h]
+        names = list(ends)
+        for e in self.gone:
+            del names[bisect_left(names, e)]
+        made = {}
+        for e in self.made:
+            made[e] = pair = (half_id(e, 0), half_id(e, 1))
+            edge_of[pair[0]] = edge_of[pair[1]] = e
+        names += made
+        names.sort()
+        out = FatGraph.__new__(FatGraph)
+        out._source, out._involution, out._sigma = source, involution, sigma
+        out._halves, out._vertices = tuple(halves), tuple(vertices)
+        out._isolated = g._isolated
+        out._fibers, out._edge_of = fibers, edge_of
+        out._edge_ends = {e: made.get(e) or ends[e] for e in names}
+        out._bcycles = None
+        return out
+
+
+def _circle_growth(g, v):
+    """The circle of the leaf ``v`` as ``(cycle, length, step)``.
+
+    ``cycle`` indexes the leaf's boundary cycle and ``length`` counts
+    its circle edges.  Each subdivision made by :func:`_grow_circle`
+    adds one half-edge to each of the two cycles in ``step``, the
+    cycles of the halves of the edge it splits, and every later one
+    adds to the same two: the renamed first half keeps its cycle, and
+    its new partner takes the cycle of the old one.
+    """
+    cyc = g.leaf_cycle_normal_form(v)
+    h2c = g.boundary_cycles().half_edge_to_cycle
+    first = g.next_at_vertex(cyc[0])
+    c = h2c[cyc[0]]
+    return c, len(cyc) - 2, (c, h2c[g.partner(first)])
+
+
+def _grow_circle(g, v, j):
+    """``g`` after ``j`` subdivisions of the first circle edge after the
+    anchor of the leaf ``v``, made in one run and built once.
+
+    The first circle half-edge is the one after the anchor in the fan
+    at the attachment vertex; with no circle edge yet that is the
+    anchor itself, and the leaf edge is split.  The result has exactly
+    the names and maps of ``j`` calls of :meth:`FatGraph.subdivide_edge`
+    on those edges, each move following the last one's renaming: after
+    splitting ``E`` at its ``.0`` half the next edge is ``E:a``, and
+    otherwise ``E:b``.
+    """
+    if j <= 0:
+        return g
+    ed = _Edit(g)
+    leaf = g.leaf_half(v)
+    for _ in range(j):
+        e = _edge_name(ed.sigma[ed.involution[leaf]])
+        e_a, e_b, _ = ed.split(e)
+        if _edge_name(leaf) == e:
+            leaf = half_id(e_a, 0) if leaf == half_id(e, 0) else \
+                half_id(e_b, 1)
+    return ed.result()
 
 
 @dataclass(frozen=True)

@@ -277,18 +277,27 @@ def _dense(base, halves):
     return idx, sigma, inv
 
 
-def _decoration_entries(g, comp_halves):
+def _special_leaves(g):
+    """Each special leaf of ``g`` with its (kind, global index, closed
+    flag)."""
+    return {v: (kind, i, 1 if v in g.closed else 0)
+            for kind, leaves in ((0, g.in_leaves), (1, g.out_leaves))
+            for i, v in enumerate(leaves)}
+
+
+def _decoration_entries(g, comp_halves, special):
     """(kind, global index, leaf half, closed flag) for special leaves
-    whose edge lies in this component."""
-    base = g.base
-    # a special leaf carries one half-edge, so this is its leaf half
-    half_at = {base.source(h): h for h in comp_halves}
+    whose edge lies in this component, in (kind, index) order, from
+    :func:`_special_leaves`."""
+    source = g.base.source
     entries = []
-    for kind, leaves in ((0, g.in_leaves), (1, g.out_leaves)):
-        for i, v in enumerate(leaves):
-            h = half_at.get(v)
-            if h is not None:
-                entries.append((kind, i, h, 1 if v in g.closed else 0))
+    # a special leaf carries one half-edge, so this is its leaf half
+    for h in comp_halves:
+        dec = special.get(source(h))
+        if dec is not None:
+            kind, i, flag = dec
+            entries.append((kind, i, h, flag))
+    entries.sort()
     return entries
 
 
@@ -301,6 +310,7 @@ def _component_codes(g):
     """
     base = base_of(g)
     decorated = isinstance(g, OpenClosedFatGraph)
+    special = _special_leaves(g) if decorated else None
     out = []
     for vs, hs in base.connected_components():
         if not hs:
@@ -312,7 +322,7 @@ def _component_codes(g):
         code += b"|"
         nl = winners[0][1]
         if decorated:
-            entries = _decoration_entries(g, hs)
+            entries = _decoration_entries(g, hs, special)
             # every winner has the kernel code, so the decoration
             # decides; a narrow entry string has 4k bytes and a wide
             # one 2 mod 4, so the two never coincide

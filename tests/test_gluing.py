@@ -226,6 +226,24 @@ class TestSubdivisionMatch:
         assert m.pairs[0].k == 3
         assert gluable(a, b).pairs[0].k == 3
 
+    def test_circle_against_interval_is_refused_first(self):
+        # the outgoing circle would grow by two per step against the
+        # interval's cycle of odd size, so matching sizes never ends
+        with pytest.raises(SignatureMismatch):
+            subdivision_match(fx.pants(), fx.open_closed_example(), [(0, 1)])
+        with pytest.raises(InvalidMatch):
+            subdivision_match(fx.pants(), fx.cylinder(), [(0, 1)])
+
+    def test_odd_gap_between_circles_growing_by_two_is_refused(self):
+        # the pants' outgoing circle grows by two per step at r1, and
+        # with a1 split it has 7 edges; the bare leaf edge of the
+        # inadmissible disk also grows by two, so no size fits both
+        base, _ = fx.pants().base.subdivide_edge("a1")
+        g1 = fx.pants().with_base(base)
+        assert len(g1.circle_edges("q")) == 7
+        with pytest.raises(EdgeCountMismatch):
+            subdivision_match(g1, fx.disk_closed_in(), [(0, 0)])
+
     def test_subdivision_policy_is_immaterial(self):
         # growing the deficient cycle at its last edge instead of its
         # first must give an isomorphic composite
@@ -310,6 +328,7 @@ class TestSubdivisionReference:
         # no circle edge on the outgoing cycle: the leaf edge is split
         (cap, fx.cylinder, [(0, 0)]),
         (cap, fx.pants, [(0, 1)]),
+        (cap, lambda: fx.subdivided_incoming(fx.cylinder(), 5), [(0, 0)]),
         # two and three matched pairs, deficient on both sides
         (lambda: fx.oc_disjoint_union(fx.cylinder(), fx.pants()),
          fx.pants, [(0, 0), (1, 1)]),
@@ -321,6 +340,11 @@ class TestSubdivisionReference:
          [(0, 2), (1, 0), (2, 1)]),
         (lambda: fx.oc_disjoint_union(fx.torus_with_out(), fx.cylinder()),
          fx.pants, [(0, 0), (1, 1)]),
+        # the pants' outgoing circle starts at r1, whose two halves both
+        # lie on it: each step there adds two edges, so at odd k the
+        # other side grows once more
+        (fx.pants, lambda: fx.subdivided_incoming(fx.pants(), 9), [(0, 0)]),
+        (fx.pants, lambda: fx.subdivided_incoming(fx.pants(), 12), [(0, 0)]),
     )
 
     def test_matches_the_decorated_loop(self):
@@ -336,6 +360,45 @@ class TestSubdivisionReference:
                         if x != g)
         assert grew == {1, 2}
         assert cap().circle_edges("q") == ()
+
+
+def reference_subdivided_incoming(g, k):
+    """The single-step rule: split the first circle edge of the first
+    closed incoming circle short of ``k`` edges, then look again."""
+    while True:
+        for v in g.in_leaves:
+            circle = g.circle_edges(v) if v in g.closed else ()
+            if v in g.closed and len(circle) < k:
+                base, _ = g.base.subdivide_edge(g.base.edge_of(circle[0]))
+                g = g.with_base(base)
+                break
+        else:
+            return g
+
+
+class TestLargeSubdivision:
+    def test_runs_match_single_steps_at_60(self):
+        outer = fx.subdivided_incoming(fx.pants(), 60)
+        ref = reference_subdivided_incoming(fx.pants(), 60)
+        assert serialize(outer) == serialize(ref)
+        a, b, m = subdivision_match(fx.pants(), outer, [(0, 0)])
+        ra, rb, rm = reference_subdivision_match(fx.pants(), outer, [(0, 0)])
+        assert serialize(a) == serialize(ra)
+        assert serialize(b) == serialize(rb)
+        assert m == rm and m.pairs[0].k == 60
+
+    def test_thousand_edge_pants_gluing(self):
+        outer = fx.subdivided_incoming(fx.pants(), 1000)
+        assert all(len(outer.circle_edges(v)) == 1000
+                   for v in outer.in_leaves)
+        a, b, m = subdivision_match(fx.pants(), outer, [(0, 0)])
+        assert b is outer
+        assert m.pairs[0].k == 1000
+        assert len(a.circle_edges(a.out_leaves[0])) == 1000
+        line = gluing_det_iso(a, b, m, 1)
+        assert line.degree == \
+            relative_chain_complex(a).degree + relative_chain_complex(b).degree
+        assert line.scalar != 0
 
 
 class TestGlue:

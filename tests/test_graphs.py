@@ -1,13 +1,22 @@
+import random
+
 import pytest
 
 from fatcob import fixtures as fx
 from fatcob.errors import (
     DanglingHalfEdge,
     DuplicateName,
+    FixedPointInvolution,
     UnknownEdge,
     WrongVertexOrder,
 )
-from fatcob.graphs import disjoint_union, new_fat_graph
+from fatcob.graphs import (
+    CellCorrespondence,
+    FatGraph,
+    _Edit,
+    disjoint_union,
+    new_fat_graph,
+)
 from fatcob.morphisms import canonical_form, is_isomorphic
 
 from band_oracle import band_surface_invariants
@@ -198,3 +207,169 @@ class TestVertexQueries:
         assert not g.is_leaf("v") and g.leaves() == ()
         with pytest.raises(UnknownEdge):
             g.leaf_half("v")
+
+
+def rebuilt_subdivision(g, e):
+    """One subdivision built from whole maps and fully validated: the
+    reference for the local edit."""
+    h0, h1 = g.edge_halves(e)
+    names = set(g.vertices)
+    mid, k = "%s:m" % e, 0
+    while mid in names:
+        k += 1
+        mid = "%s:m%d" % (e, k)
+
+    def fresh(base):
+        name, k = base, 0
+        while name in g.edges():
+            k += 1
+            name = "%s~%d" % (base, k)
+        return name
+
+    e_a, e_b = fresh("%s:a" % e), fresh("%s:b" % e)
+    a0, a1, b0, b1 = e_a + ".0", e_a + ".1", e_b + ".0", e_b + ".1"
+    ren = {h0: a0, h1: b1}
+    source = {ren.get(h, h): g.source(h) for h in g.half_edges}
+    source.update({a1: mid, b0: mid})
+    involution = {h: g.partner(h) for h in g.half_edges if h not in ren}
+    involution.update({a0: a1, a1: a0, b0: b1, b1: b0})
+    sigma = {ren.get(h, h): ren.get(g.next_at_vertex(h), g.next_at_vertex(h))
+             for h in g.half_edges}
+    sigma.update({a1: b0, b0: a1})
+    out = FatGraph(source, involution, sigma, g.isolated_vertices)
+    corr = CellCorrespondence(
+        {v: v for v in g.vertices},
+        {x: ((e_a, e_b) if x == e else (x,)) for x in g.edges()}, (mid,))
+    return out, corr
+
+
+def rebuilt_smoothing(g):
+    """Smoothing one vertex at a time, rescanning all vertices and
+    building and validating a whole graph after each: the reference
+    for the one-sweep local edit."""
+    corr = CellCorrespondence({v: v for v in g.vertices},
+                              {e: (e,) for e in g.edges()}, ())
+    while True:
+        target = None
+        for v in g.vertices:
+            if g.valence(v) == 2:
+                ha, hb = sorted(g.fan(v))
+                if g.edge_of(ha) != g.edge_of(hb):
+                    target = (v, ha, hb)
+                    break
+        if target is None:
+            return g, corr
+        v, ha, hb = target
+        pa, pb = g.partner(ha), g.partner(hb)
+        ea, eb = g.edge_of(ha), g.edge_of(hb)
+        name = min(ea, eb)
+        lo, hi = sorted((pa, pb))
+        ren = {lo: name + ".0", hi: name + ".1"}
+        keep = [h for h in g.half_edges if h not in (ha, hb)]
+        source = {ren.get(h, h): g.source(h) for h in keep}
+        involution = {h: g.partner(h) for h in keep if h not in (pa, pb)}
+        involution.update({name + ".0": name + ".1",
+                           name + ".1": name + ".0"})
+        sigma = {ren.get(h, h): ren.get(g.next_at_vertex(h),
+                                        g.next_at_vertex(h)) for h in keep}
+        vmap = {u: u for u in g.vertices}
+        vmap[v] = None
+        emap = {e: (e,) for e in g.edges()}
+        emap[ea] = emap[eb] = (name,)
+        g = FatGraph(source, involution, sigma, g.isolated_vertices)
+        corr = corr.then(CellCorrespondence(vmap, emap, ()))
+
+
+def assert_as_built_afresh(g):
+    fresh = FatGraph(g._source, g._involution, g._sigma, g.isolated_vertices)
+    assert g == fresh
+    assert g.half_edges == fresh.half_edges
+    assert g.vertices == fresh.vertices
+    assert g.edges() == fresh.edges()
+    assert g._fibers == fresh._fibers
+    assert g._edge_of == fresh._edge_of
+    assert g._edge_ends == fresh._edge_ends
+
+
+def same_correspondence(c1, c2):
+    return (list(c1.vertex_map.items()) == list(c2.vertex_map.items())
+            and list(c1.edge_map.items()) == list(c2.edge_map.items())
+            and c1.new_vertices == c2.new_vertices)
+
+
+class TestLocalEdits:
+    def graphs(self):
+        from fatcob.census import enumerate_fat_graphs
+        out = [fx.figure4(), fx.single_loop(), fx.two_loops_torus(),
+               fx.two_loops_planar(), fx.embedded_circle_example()]
+        out += [f().base for f in (fx.cylinder, fx.pants, fx.mouthpiece,
+                                   fx.flaps, fx.torus_with_out,
+                                   fx.open_closed_example)]
+        out.append(new_fat_graph(["u", "v"], [("e", "u", "u")],
+                                 {"u": ["e.0", "e.1"]}, isolated=["v"]))
+        out += [e.graph for e in enumerate_fat_graphs(4)]
+        return out
+
+    def test_local_edit_equals_a_full_rebuild(self):
+        rng = random.Random(13)
+        smoothed = 0
+        for g0 in self.graphs():
+            for _ in range(2):
+                g = g0
+                for _ in range(6):
+                    if rng.random() < 0.7:
+                        e = rng.choice(g.edges())
+                        got, corr = g.subdivide_edge(e)
+                        ref, ref_corr = rebuilt_subdivision(g, e)
+                    else:
+                        got, corr = g.smooth_bivalent()
+                        ref, ref_corr = rebuilt_smoothing(g)
+                        smoothed += got.num_edges() < g.num_edges()
+                    assert got == ref
+                    assert same_correspondence(corr, ref_corr)
+                    assert_as_built_afresh(got)
+                    g = got
+        assert smoothed > 100
+
+    def test_fresh_names_avoid_taken_ones(self):
+        g = new_fat_graph(["u", "e:m"], [("e", "u", "u"), ("e:a", "u", "e:m")],
+                          {"u": ["e.0", "e.1", "e:a.0"], "e:m": ["e:a.1"]})
+        got, corr = g.subdivide_edge("e")
+        assert corr.edge_map["e"] == ("e:a~1", "e:b")
+        assert corr.new_vertices == ("e:m1",)
+        assert (got, corr) == rebuilt_subdivision(g, "e")
+        assert_as_built_afresh(got)
+
+    def test_smoothing_a_long_chain(self):
+        g = fx.subdivided_incoming(fx.pants(), 40).base
+        for e in ("M", "r2", "L1"):
+            for _ in range(5):
+                g, _ = g.subdivide_edge(e)
+                e = e + ":a"
+        got, corr = g.smooth_bivalent()
+        ref, ref_corr = rebuilt_smoothing(g)
+        assert got == ref and same_correspondence(corr, ref_corr)
+        assert_as_built_afresh(got)
+        assert is_isomorphic(got, fx.pants().base)
+
+    def test_a_broken_fan_is_caught(self):
+        ed = _Edit(fx.figure4())
+        e_a, e_b, mid = ed.split("A")
+        ed.sigma[e_a + ".1"] = e_a + ".1"
+        with pytest.raises(WrongVertexOrder):
+            ed.result()
+
+    def test_a_broken_pairing_is_caught(self):
+        ed = _Edit(fx.figure4())
+        e_a, e_b, mid = ed.split("A")
+        ed.involution[e_a + ".0"] = e_b + ".1"
+        ed.involution[e_b + ".1"] = e_a + ".0"
+        with pytest.raises(FixedPointInvolution):
+            ed.result()
+
+    def test_a_stray_half_edge_is_caught(self):
+        ed = _Edit(fx.figure4())
+        ed.split("A")
+        del ed.source["B.0"]
+        with pytest.raises(DanglingHalfEdge):
+            ed.result()

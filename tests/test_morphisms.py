@@ -608,7 +608,8 @@ class TestPrunedKernel:
 
 def _reference_canonical_form(g):
     """``canonical_form`` of a decorated graph, trying every start."""
-    from fatcob.morphisms import _decoration_entries, _dense
+    from fatcob.morphisms import _decoration_entries, _dense, _special_leaves
+    special = _special_leaves(g)
     codes = []
     for _, hs in g.base.connected_components():
         if not hs:
@@ -620,7 +621,7 @@ def _reference_canonical_form(g):
             code, nl = _reference_relabel(sigma, inv, len(hs), h0)
             cands.append(code + b"|" + b"".join(
                 bytes([kind, gi, nl[idx[h]], fl])
-                for kind, gi, h, fl in _decoration_entries(g, hs)))
+                for kind, gi, h, fl in _decoration_entries(g, hs, special)))
         codes.append(min(cands))
     return b"".join(len(c).to_bytes(2, "big") + c for c in sorted(codes))
 
@@ -630,7 +631,7 @@ def _all_starts_component_codes(g):
     loop: relabel in full from every minimum-valence start and keep the
     smallest code with decorations, the first start taking a tie."""
     from fatcob import _canon
-    from fatcob.morphisms import _decoration_entries, _dense
+    from fatcob.morphisms import _decoration_entries, _dense, _special_leaves
     out = []
     for _, hs in g.base.connected_components():
         if not hs:
@@ -638,7 +639,7 @@ def _all_starts_component_codes(g):
             continue
         idx, sigma, inv = _dense(g.base, hs)
         n = len(hs)
-        entries = _decoration_entries(g, hs)
+        entries = _decoration_entries(g, hs, _special_leaves(g))
         top = max([n - 1] + [gi for _, gi, _, _ in entries])
         best = None
         for h0 in _canon.min_valence_starts(sigma, n):
