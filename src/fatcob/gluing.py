@@ -128,6 +128,28 @@ def _pair_leaves(g1, g2, idx, oi, ii):
     return v_out, v_in, k_out
 
 
+def _slot_pairs(g1, g2, pairs):
+    """The ``(out_index, in_index)`` pairs of a match.
+
+    With ``pairs=None`` these are the positions of ``g1``'s outgoing
+    leaves, and the ordered boundary 1-manifolds must agree; given
+    pairs must use every slot at most once.
+    """
+    if pairs is None:
+        sig1 = cobordism_signature(g1)
+        sig2 = cobordism_signature(g2)
+        if sig1.target != sig2.source:
+            raise SignatureMismatch(
+                "outgoing %s does not match incoming %s"
+                % (list(sig1.target), list(sig2.source)))
+        return [(i, i) for i in range(len(g1.out_leaves))]
+    pairs = [tuple(p) for p in pairs]
+    if len({o for o, _ in pairs}) != len(pairs) or \
+       len({i for _, i in pairs}) != len(pairs):
+        raise InvalidMatch("an outgoing or incoming slot is matched twice")
+    return pairs
+
+
 def gluable(g1, g2, pairs=None):
     """Match g1's outgoing leaves against g2's incoming leaves.
 
@@ -139,21 +161,8 @@ def gluable(g1, g2, pairs=None):
     of circle edges, or :class:`EdgeCountMismatch` is raised.
     """
     require_admissible(g2)
-    if pairs is None:
-        sig1 = cobordism_signature(g1)
-        sig2 = cobordism_signature(g2)
-        if sig1.target != sig2.source:
-            raise SignatureMismatch(
-                "outgoing %s does not match incoming %s"
-                % (list(sig1.target), list(sig2.source)))
-        pairs = [(i, i) for i in range(len(g1.out_leaves))]
-    else:
-        pairs = [tuple(p) for p in pairs]
-        if len({o for o, _ in pairs}) != len(pairs) or \
-           len({i for _, i in pairs}) != len(pairs):
-            raise InvalidMatch("an outgoing or incoming slot is matched twice")
     out = []
-    for idx, (oi, ii) in enumerate(pairs):
+    for idx, (oi, ii) in enumerate(_slot_pairs(g1, g2, pairs)):
         v_out, v_in, kind = _pair_leaves(g1, g2, idx, oi, ii)
         if kind == CIRCLE:
             a = g1.leaf_cycle_normal_form(v_out)[2:]
@@ -179,14 +188,7 @@ def subdivision_match(g1, g2, pairs=None):
     that changed is decorated once at the end.  Returns
     ``(g1', g2', match)``; :func:`gluable` checks every pair again.
     """
-    if pairs is None:
-        sig1 = cobordism_signature(g1)
-        sig2 = cobordism_signature(g2)
-        if sig1.target != sig2.source:
-            raise SignatureMismatch(
-                "outgoing %s does not match incoming %s"
-                % (list(sig1.target), list(sig2.source)))
-        pairs = [(i, i) for i in range(len(g1.out_leaves))]
+    pairs = _slot_pairs(g1, g2, pairs)
     circles = []
     for idx, (oi, ii) in enumerate(pairs):
         v_out, v_in, kind = _pair_leaves(g1, g2, idx, oi, ii)
@@ -213,9 +215,15 @@ def _subdivision_runs(b1, b2, circles):
     outgoing leaf, incoming leaf)``.  A step on a circle adds one edge
     to each of its two step cycles (:func:`fatcob.graphs._circle_growth`),
     which may be the circle itself twice or another matched circle of
-    that side, so an earlier pair can fall out of balance again.  When
-    both circles of a pair grow by two and differ by an odd number, the
-    loop would never end, and :class:`EdgeCountMismatch` is raised.
+    that side, so an earlier pair can fall out of balance again.
+
+    The next step depends only on the gaps ``n1 - n2`` of the pairs.
+    Each closed leaf owns its cycle and each slot is matched once, so a
+    step never raises the sum of the absolute gaps: it moves its own
+    gap one or two towards zero (or from 1 to -1) and at most one other
+    gap by one.  So the loop either ends or comes back to gaps it has
+    seen, and would then repeat them forever; that raises
+    :class:`EdgeCountMismatch`.
     """
     sides = []
     for b, leaves in ((b1, [p[1] for p in circles]),
@@ -227,19 +235,19 @@ def _subdivision_runs(b1, b2, circles):
             cycle.append(c)
             step.append(grows)
         sides.append((size, cycle, step))
-    (size1, cycle1, step1), (size2, cycle2, step2) = sides
+    (size1, cycle1, _), (size2, cycle2, _) = sides
     runs = ([], [])
+    seen = set()
     while True:
-        for i in range(len(circles)):
-            n1, n2 = size1[cycle1[i]], size2[cycle2[i]]
-            if n1 != n2:
-                break
-        else:
+        gaps = tuple(size1[c1] - size2[c2] for c1, c2 in zip(cycle1, cycle2))
+        i = next((i for i, gap in enumerate(gaps) if gap), None)
+        if i is None:
             return runs
-        if (n1 - n2) % 2 and step1[i] == (cycle1[i],) * 2 and \
-                step2[i] == (cycle2[i],) * 2:
-            raise EdgeCountMismatch(circles[i][0], n1, n2)
-        side = 0 if n1 < n2 else 1
+        if gaps in seen:
+            raise EdgeCountMismatch(circles[i][0], size1[cycle1[i]],
+                                    size2[cycle2[i]])
+        seen.add(gaps)
+        side = 0 if gaps[i] < 0 else 1
         size, _, step = sides[side]
         for c in step[i]:
             if c in size:

@@ -21,22 +21,19 @@ Half-edge identifiers are derived from edge names: the edge ``e`` from
 ``v``).  All orderings exposed by this module are keyed to identifier
 order so that equal inputs give byte-identical outputs.
 
-Validation.  Every graph built from maps is validated in full:
+Validation.  Every graph is validated in full once it is built:
 ``FatGraph(...)``, :func:`new_fat_graph` (and so the ``.fg`` parser),
-:meth:`FatGraph.relabel`, :func:`disjoint_union` and the gluing of
-:mod:`fatcob.gluing`.  The moves are local edits of a graph that
-already passed: :meth:`FatGraph.subdivide_edge`,
-:meth:`FatGraph.smooth_bivalent` and the circle growth used to match
-boundary sizes (:func:`_grow_circle`) copy the maps, change only the
-half-edges they touch, update the kept fibers and edge names, and check
-only the touched cells, the new edges' pairing and the fans at the
-vertices that gained or lost a half-edge.  A failed check raises a
-:class:`~fatcob.errors.FatcobError` subclass, also under ``python -O``.
+:meth:`FatGraph.relabel`, :func:`disjoint_union`, the gluing of
+:mod:`fatcob.gluing` and the moves.  A move edits working copies of
+the maps of a graph that already passed, renaming only the half-edges
+it touches; :meth:`FatGraph.subdivide_edge` builds its result after one
+move, while :meth:`FatGraph.smooth_bivalent` and the circle growth used
+to match boundary sizes (:func:`_grow_circle`) make a whole run of
+moves and build and validate the result once, not once per move.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -62,8 +59,7 @@ class FatGraph:
     Instances are normally built through :func:`new_fat_graph` (or the
     ``.fg`` parser), which derives the half-edge maps from an edge list
     and per-vertex cyclic orders.  Direct construction from the three
-    maps is allowed and fully validated; the local moves build their
-    results through ``_Edit`` instead.
+    maps is allowed and fully validated.
     """
 
     __slots__ = ("_vertices", "_halves", "_source", "_involution", "_sigma",
@@ -100,11 +96,23 @@ class FatGraph:
         fibers = {}
         for h in self._halves:
             fibers.setdefault(self._source[h], []).append(h)
-        if not halves.issuperset(self._sigma.values()):
-            raise DanglingHalfEdge("sigma leaves the half-edge set")
+        seen = set()
+        for h in self._halves:
+            if h in seen:
+                continue
+            orbit = set()
+            cur = h
+            while cur not in orbit:
+                orbit.add(cur)
+                cur = self._sigma[cur]
+                if cur not in halves:
+                    raise DanglingHalfEdge("sigma leaves the half-edge set")
+            if cur != h or orbit != set(fibers[self._source[h]]):
+                raise WrongVertexOrder(
+                    "orbit of sigma through %r differs from the half-edge "
+                    "fan at %r" % (h, self._source[h]))
+            seen |= orbit
         self._fibers = {v: tuple(hs) for v, hs in fibers.items()}
-        for v, fan in self._fibers.items():
-            _check_fan(self._source, self._sigma, v, fan)
         for v in self._isolated:
             if v in fibers:
                 raise WrongVertexOrder(
@@ -341,7 +349,6 @@ class FatGraph:
 
         Returns ``(graph, correspondence)``.  The move does not change
         the boundary cycle count, the Euler characteristic or the genus.
-        It is a local edit: only the cells it touches are checked.
         """
         self.edge_halves(e)     # UnknownEdge before any copying
         ed = _Edit(self)
@@ -432,25 +439,9 @@ def _fresh(base, fmt, taken):
     return name
 
 
-def _check_fan(source, sigma, v, fan):
-    """Raise unless ``sigma`` runs once around the half-edges ``fan``,
-    all of which start at ``v``."""
-    seen = set()
-    cur = fan[0]
-    while cur not in seen:
-        if source.get(cur) != v:
-            break
-        seen.add(cur)
-        cur = sigma.get(cur)
-    if cur != fan[0] or len(seen) != len(fan) or not seen.issuperset(fan):
-        raise WrongVertexOrder(
-            "orbit of sigma through %r differs from the half-edge fan at %r"
-            % (fan[0], v))
-
-
 class _Edit:
     """A run of local moves on working copies of a validated graph's
-    maps; :meth:`result` builds the edited graph once.
+    maps; :meth:`result` builds and validates the edited graph once.
 
     Each move changes the maps as the same move on the graph built so
     far would, names included; the fresh-name sets are made once per
@@ -458,24 +449,12 @@ class _Edit:
     """
 
     def __init__(self, g):
-        self.graph = g
+        self.isolated = g._isolated
         self.source = dict(g._source)
         self.involution = dict(g._involution)
         self.sigma = dict(g._sigma)
         self.vertex_names = set(g._vertices)
         self.edge_names = set(g._edge_ends)
-        self.gone = set()   # edges of the graph that left, or were remade
-        self.made = set()   # edges the run made that are still there
-
-    def _replace(self, old_edges, new_edges):
-        for e in old_edges:
-            if e in self.made:
-                self.made.remove(e)
-            else:
-                self.gone.add(e)
-            self.edge_names.discard(e)
-        self.made.update(new_edges)
-        self.edge_names.update(new_edges)
 
     def _rename(self, ren):
         """Give the half-edges ``ren`` maps new names: each keeps its
@@ -508,7 +487,8 @@ class _Edit:
         self.sigma[a1], self.sigma[b0] = b0, a1
         self.involution.update({a0: a1, a1: a0, b0: b1, b1: b0})
         self.vertex_names.add(mid)
-        self._replace((e,), (e_a, e_b))
+        self.edge_names.discard(e)
+        self.edge_names.update((e_a, e_b))
         return e_a, e_b, mid
 
     def join(self, ha, hb):
@@ -527,90 +507,14 @@ class _Edit:
             del source[h], self.sigma[h], inv[h]
         self._rename({lo: n0, hi: n1})
         inv[n0], inv[n1] = n1, n0
-        self._replace((ea, eb), (name,))
+        self.edge_names.difference_update((ea, eb))
+        self.edge_names.add(name)
         return name, ((lo, n0), (hi, n1))
 
     def result(self):
-        """The edited graph.
-
-        The halves of the ``gone`` edges left the maps and those of the
-        ``made`` edges came in (a name in both was made again), and no
-        half-edge at any other vertex changed.  The graph's half-edge,
-        vertex and edge lists, fibers and edge names are updated rather
-        than rebuilt, and only the touched cells are checked: the
-        pairing of each made edge and the fan at every vertex that
-        gained or lost a half-edge.
-        """
-        g = self.graph
-        source, involution, sigma = self.source, self.involution, self.sigma
-        ends = g._edge_ends
-        removed = {h for e in self.gone for h in ends[e]}
-        added = [half_id(e, end) for e in self.made for end in (0, 1)]
-        n = len(g._halves) - len(removed) + len(added)
-        if not len(source) == len(involution) == len(sigma) == n:
-            raise DanglingHalfEdge(
-                "edited maps hold %d/%d/%d half-edges, expected %d"
-                % (len(source), len(involution), len(sigma), n))
-        at = {}
-        for h in added:
-            if h in g._source and h not in removed:
-                raise DuplicateName("edit makes existing half-edge %r" % h)
-            if h not in source or h not in sigma:
-                raise DanglingHalfEdge("edit leaves %r without a vertex" % h)
-            at.setdefault(source[h], []).append(h)
-        for h in removed.difference(added):
-            if h in source or h in involution or h in sigma:
-                raise DanglingHalfEdge("edit keeps removed half-edge %r" % h)
-        for e in self.made:
-            h0, h1 = half_id(e, 0), half_id(e, 1)
-            if involution.get(h0) != h1 or involution.get(h1) != h0:
-                raise FixedPointInvolution(
-                    "halves of edge %r are not paired together" % e)
-        fibers = dict(g._fibers)
-        vertices = list(g._vertices)
-        born = []
-        for v in {g._source[h] for h in removed}.union(at):
-            hs = [h for h in fibers.get(v, ()) if h not in removed]
-            hs += at.get(v, ())
-            if not hs:
-                del fibers[v]
-                del vertices[bisect_left(vertices, v)]
-                continue
-            if v not in fibers:
-                if v in g._isolated:
-                    raise WrongVertexOrder(
-                        "vertex %r flagged isolated but carries half-edges"
-                        % v)
-                born.append(v)
-            fibers[v] = fan = tuple(sorted(hs))
-            _check_fan(source, sigma, v, fan)
-        vertices += born
-        vertices.sort()
-        halves = list(g._halves)
-        for h in removed:
-            del halves[bisect_left(halves, h)]
-        halves += added
-        halves.sort()
-        edge_of = dict(g._edge_of)
-        for h in removed:
-            del edge_of[h]
-        names = list(ends)
-        for e in self.gone:
-            del names[bisect_left(names, e)]
-        made = {}
-        for e in self.made:
-            made[e] = pair = (half_id(e, 0), half_id(e, 1))
-            edge_of[pair[0]] = edge_of[pair[1]] = e
-        names += made
-        names.sort()
-        out = FatGraph.__new__(FatGraph)
-        out._source, out._involution, out._sigma = source, involution, sigma
-        out._halves, out._vertices = tuple(halves), tuple(vertices)
-        out._isolated = g._isolated
-        out._fibers, out._edge_of = fibers, edge_of
-        out._edge_ends = {e: made.get(e) or ends[e] for e in names}
-        out._bcycles = None
-        return out
+        """The edited graph, built from the maps and validated in full."""
+        return FatGraph(self.source, self.involution, self.sigma,
+                        isolated=self.isolated)
 
 
 def _circle_growth(g, v):
@@ -708,26 +612,6 @@ class CellCorrespondence:
     vertex_map: dict
     edge_map: dict
     new_vertices: tuple = ()
-
-    def then(self, later):
-        vmap = {}
-        for v, w in self.vertex_map.items():
-            vmap[v] = None if w is None else later.vertex_map.get(w, w)
-        emap = {}
-        for e, parts in self.edge_map.items():
-            out = []
-            for p in parts:
-                out.extend(later.edge_map.get(p, (p,)))
-            # collapse duplicates from merged chains, keep order
-            dedup = []
-            for p in out:
-                if not dedup or dedup[-1] != p:
-                    dedup.append(p)
-            emap[e] = tuple(dedup)
-        new_vs = tuple(x for x in
-                       [later.vertex_map.get(v, v) for v in self.new_vertices]
-                       if x is not None) + tuple(later.new_vertices)
-        return CellCorrespondence(vmap, emap, new_vs)
 
 
 def new_fat_graph(vertices, edges, vertex_orders, isolated=()):

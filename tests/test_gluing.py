@@ -244,6 +244,28 @@ class TestSubdivisionMatch:
         with pytest.raises(EdgeCountMismatch):
             subdivision_match(g1, fx.disk_closed_in(), [(0, 0)])
 
+    def test_circles_growing_each_other_in_turn_are_refused(self):
+        # a loop at c with the leaf p on one side and q on the other, so
+        # a step on either circle also grows the other; on g1 a tail on
+        # q's side makes q grow by two, alone.  The gaps (p, q) run
+        # (0, 2), (-1, 1), (0, 2), ... and never reach (0, 0).
+        def two_sided(tail):
+            vs = ["c", "p", "q"] + ["r"] * tail
+            es = [("a", "c", "c"), ("l", "c", "p"), ("m", "c", "q")] \
+                + [("t", "c", "r")] * tail
+            orders = {"c": ["a.0", "l.0", "a.1", "m.0"] + ["t.0"] * tail,
+                      "p": ["l.1"], "q": ["m.1"]}
+            if tail:
+                orders["r"] = ["t.1"]
+            return new_fat_graph(vs, es, orders)
+
+        g1 = decorate(two_sided(1), [], ["p", "q"], ["p", "q"])
+        g2 = decorate(two_sided(0), ["p", "q"], [], ["p", "q"])
+        assert [len(g.circle_edges(v)) for g in (g1, g2) for v in "pq"] \
+            == [1, 3, 1, 1]
+        with pytest.raises(EdgeCountMismatch):
+            subdivision_match(g1, g2)
+
     def test_subdivision_policy_is_immaterial(self):
         # growing the deficient cycle at its last edge instead of its
         # first must give an isomorphic composite

@@ -247,8 +247,8 @@ def rebuilt_smoothing(g):
     """Smoothing one vertex at a time, rescanning all vertices and
     building and validating a whole graph after each: the reference
     for the one-sweep local edit."""
-    corr = CellCorrespondence({v: v for v in g.vertices},
-                              {e: (e,) for e in g.edges()}, ())
+    vmap = {v: v for v in g.vertices}
+    emap = {e: e for e in g.edges()}
     while True:
         target = None
         for v in g.vertices:
@@ -258,7 +258,8 @@ def rebuilt_smoothing(g):
                     target = (v, ha, hb)
                     break
         if target is None:
-            return g, corr
+            return g, CellCorrespondence(
+                vmap, {e: (x,) for e, x in emap.items()}, ())
         v, ha, hb = target
         pa, pb = g.partner(ha), g.partner(hb)
         ea, eb = g.edge_of(ha), g.edge_of(hb)
@@ -272,12 +273,9 @@ def rebuilt_smoothing(g):
                            name + ".1": name + ".0"})
         sigma = {ren.get(h, h): ren.get(g.next_at_vertex(h),
                                         g.next_at_vertex(h)) for h in keep}
-        vmap = {u: u for u in g.vertices}
-        vmap[v] = None
-        emap = {e: (e,) for e in g.edges()}
-        emap[ea] = emap[eb] = (name,)
         g = FatGraph(source, involution, sigma, g.isolated_vertices)
-        corr = corr.then(CellCorrespondence(vmap, emap, ()))
+        vmap = {u: None if w == v else w for u, w in vmap.items()}
+        emap = {e: name if x in (ea, eb) else x for e, x in emap.items()}
 
 
 def assert_as_built_afresh(g):
