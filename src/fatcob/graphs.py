@@ -35,6 +35,7 @@ moves and build and validate the result once, not once per move.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     DanglingHalfEdge,
@@ -150,6 +151,16 @@ class FatGraph:
 
     def num_edges(self):
         return len(self._edge_ends)
+
+    @property
+    def source_map(self):
+        """``{half-edge: source vertex}``, read-only."""
+        return MappingProxyType(self._source)
+
+    @property
+    def edge_map(self):
+        """``{half-edge: edge name}``, read-only."""
+        return MappingProxyType(self._edge_of)
 
     def source(self, h):
         return self._source[h]

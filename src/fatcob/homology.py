@@ -10,11 +10,17 @@ node (the incoming part), and it is stored only as that graph's arcs,
 one ``(plus, minus)`` pair of endpoints per 1-cell.  Kernel and
 cokernel bases come from a union-find spanning forest instead of row
 reduction; they are the bases leftmost-pivot row reduction would pick,
-so every sign below is reproducible.  Only the lift corrections still
-solve by row reduction, on a dense copy of the columns they need.  A
-chain map between two complexes is a cell map, which sends each source
-cell to a sum of target cells with coefficient +1, stored as the tuple
-of their indices (empty for a cell sent to zero).  Every chain, basis
+so every sign below is reproducible.  The kernel lifts of the six-term
+sequence are corrected on the same forest, leaves first
+(:meth:`ChainComplexPair.forest_preimage`), which is the solution row
+reduction gives with the free arcs at zero.  Only the section lift of
+:func:`morphism_det_sign` still calls :func:`linalg.solve`, on a dense
+copy of the collapsed cells' columns.  Each complex is read off the
+graph's maps through name-to-position dicts, and a morphism that
+:func:`fatcob.morphisms.require_valid` already checked is not validated
+again.  A chain map between two complexes is a cell map, which sends
+each source cell to a sum of target cells with coefficient +1, stored
+as the tuple of their indices (empty for a cell sent to zero).  Every chain, basis
 vector and coordinate vector holds Python ``int``s: incidence matrices
 are totally unimodular, so even the lift corrections stay integral.
 ``Fraction`` enters only through :func:`linalg.det`, the kernel of the
@@ -79,39 +85,48 @@ class ChainComplexPair:
         self.basis0 = tuple(basis0)
         self.plus, self.minus = list(plus), list(minus)
         n1, n0 = len(self.basis1), len(self.basis0)
+        ends = self.plus + self.minus
         _check(len(self.plus) == len(self.minus) == n1
-               and all(0 <= u <= n0 for u in self.plus + self.minus),
+               and (not ends or (min(ends) >= 0 and max(ends) <= n0)),
                "arc endpoints do not lie on the 0-cells and ground")
+        self._pos1 = self._pos0 = None
         # union-find over the 0-cells and ground, arcs in basis order
         root = list(range(n0 + 1))
-
-        def find(u):
-            while root[u] != u:
-                root[u] = root[root[u]]
-                u = root[u]
-            return u
-
         forest = [[] for _ in range(n0 + 1)]
-        self._free1 = []
+        free1 = self._free1 = []
         for j, (p, m) in enumerate(zip(self.plus, self.minus)):
-            a, b = find(p), find(m)
+            a = p
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            b = m
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
             if a == b:
-                self._free1.append(j)
+                free1.append(j)
             else:
                 root[a] = b
                 forest[p].append((m, j, -1))
                 forest[m].append((p, j, 1))
-        ground = find(n0)
+        # every node straight to its root
+        for u in range(n0 + 1):
+            r = root[u]
+            while root[r] != r:
+                r = root[r]
+            root[u] = r
+        ground = root[n0]
         last = {}
         for i in range(n0):
-            last[find(i)] = i
+            last[root[i]] = i
         self._free0 = sorted(i for r, i in last.items() if r != ground)
-        slot = {find(i): k for k, i in enumerate(self._free0)}
-        self._class0 = [slot.get(find(i)) for i in range(n0)]
-        up, depth = _root_forest(forest)
+        slot = {root[i]: k for k, i in enumerate(self._free0)}
+        self._class0 = [slot.get(root[i]) for i in range(n0)]
+        self._up, self._depth = _root_forest(forest)
         self._cycles = [
-            _fundamental_cycle(up, depth, j, self.plus[j], self.minus[j])
-            for j in self._free1]
+            _fundamental_cycle(self._up, self._depth, j, self.plus[j],
+                               self.minus[j])
+            for j in free1]
         self.h1_basis = []
         for cycle in self._cycles:
             v = [0] * n1
@@ -177,11 +192,59 @@ class ChainComplexPair:
                 out[k] += x
         return out
 
+    def forest_preimage(self, vec):
+        """The 1-chain whose boundary is the 0-chain ``vec``, supported
+        on the spanning-forest arcs.
+
+        These arcs are the pivots of leftmost-pivot row reduction, so
+        this is the solution that reduction gives with the free arcs set
+        to zero.  Each node's residue, taken leaves first, fixes the arc
+        to its parent and moves on to the parent; ground absorbs what
+        reaches it.  A residue left at the root of a tree not joined to
+        ground means ``vec`` is not a boundary, which raises.
+        """
+        up = self._up
+        rest = list(vec) + [0]
+        _check(len(rest) == len(up), "0-chain has the wrong length")
+        out = [0] * len(self.basis1)
+        for u in sorted(range(len(up)), key=self._depth.__getitem__,
+                        reverse=True):
+            x = rest[u]
+            if not x:
+                continue
+            if up[u] is None:
+                _check(u == len(self.basis0),
+                       "kernel lift is not correctable: a tree not joined "
+                       "to ground keeps a residue")
+                continue
+            parent, arc, sign = up[u]
+            out[arc] = sign * x
+            rest[parent] += x
+        return out
+
+    def positions1(self):
+        """``{label: index}`` over ``basis1``, built on first use."""
+        if self._pos1 is None:
+            self._pos1 = {c: i for i, c in enumerate(self.basis1)}
+        return self._pos1
+
+    def positions0(self):
+        """``{label: index}`` over ``basis0``, built on first use."""
+        if self._pos0 is None:
+            self._pos0 = {c: i for i, c in enumerate(self.basis0)}
+        return self._pos0
+
     def index1(self, label):
-        return self.basis1.index(label)
+        try:
+            return self.positions1()[label]
+        except KeyError:
+            raise ValueError("%r is not a 1-cell" % (label,)) from None
 
     def index0(self, label):
-        return self.basis0.index(label)
+        try:
+            return self.positions0()[label]
+        except KeyError:
+            raise ValueError("%r is not a 0-cell" % (label,)) from None
 
 
 def _root_forest(forest):
@@ -226,12 +289,16 @@ def relative_chain_complex(g):
     """The two-term complex of ``g`` relative to its incoming boundary."""
     part = incoming_partition(g)
     base = g.base
-    basis1 = list(part.e_h)
+    n_e = len(part.e_e)
+    ground = n_e + len(part.e_v)
+    # edge and vertex names may coincide, so each kind has its own dict
+    epos = {e: i for i, e in enumerate(part.e_e)}
+    vpos = {v: i for i, v in enumerate(part.e_v, n_e)}
+    edge_of, source = base.edge_map, base.source_map
+    plus = [epos[edge_of[h]] for h in part.e_h]
+    minus = [vpos.get(source[h], ground) for h in part.e_h]
     basis0 = [("E", e) for e in part.e_e] + [("V", v) for v in part.e_v]
-    pos0 = {c: i for i, c in enumerate(basis0)}
-    plus = [pos0[("E", base.edge_of(h))] for h in basis1]
-    minus = [pos0.get(("V", base.source(h)), len(basis0)) for h in basis1]
-    cc = ChainComplexPair(basis1, basis0, plus, minus)
+    cc = ChainComplexPair(part.e_h, basis0, plus, minus)
     _check(cc.rank_h0 - cc.rank_h1 == part.euler_difference,
            "homology ranks disagree with the cell count")
     return cc
@@ -346,19 +413,20 @@ def chain_map_of_morphism(m):
     when the image lies on the incoming part); midpoints follow their
     edge, collapsed midpoints and vertices go to the image vertex, and
     anything landing on the incoming part is zero in the relative
-    complex.  The pair commutes with the differentials.
+    complex.  The pair commutes with the differentials.  Only a morphism
+    that :func:`~fatcob.morphisms.require_valid` has not checked, such
+    as one built with ``Morphism(...)``, is validated here.
     """
-    ok, why = validate_morphism(m)
-    if not ok:
-        raise InvalidMorphism(why)
+    if not m._checked:
+        ok, why = validate_morphism(m)
+        if not ok:
+            raise InvalidMorphism(why)
     src, tgt = m.source, m.target
-    require_admissible(src)
-    require_admissible(tgt)
+    # building each complex checks its graph's admissibility
     A = relative_chain_complex(src)
     B = relative_chain_complex(tgt)
     sbase, tbase = src.base, tgt.base
-    pos1 = {h: i for i, h in enumerate(B.basis1)}
-    pos0 = {c: i for i, c in enumerate(B.basis0)}
+    pos1, pos0 = B.positions1(), B.positions0()
     f1 = [(pos1[m.half_map[h]],) if m.half_map[h] in pos1 else ()
           for h in A.basis1]
     f0 = []
@@ -430,10 +498,10 @@ def morphism_det_sign(m):
     for h, img in m.half_map.items():
         if img is not None:
             pre_half[img] = h
-    posA1 = {h: i for i, h in enumerate(A.basis1)}
+    posA1 = A.positions1()
     g1 = [(posA1[pre_half[h]],) for h in B.basis1]
     # section on 0-cells: preimage edge, or the collapsed tree's cells
-    posA0 = {c: i for i, c in enumerate(A.basis0)}
+    posA0 = A.positions0()
     collapsed_by_vertex = {}
     for h, img in m.half_map.items():
         if img is None:
@@ -534,8 +602,7 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
                 zC[i] += c * bvec[i]
         lifted = _scatter(zC, sec1, nB1)
         defect = a_part0(B.boundary(lifted))
-        y = linalg.solve(_dense(A, range(len(A.basis1))), defect)
-        _check(y is not None, "kernel lift is not correctable")
+        y = A.forest_preimage(defect)
         corrected = [a - b for a, b in zip(lifted, _scatter(y, inc1, nB1))]
         colsB.append(B.h1_coords(corrected))
     _check(len(colsB) == B.rank_h1, "rank bookkeeping broken in degree 1")

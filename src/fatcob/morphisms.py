@@ -10,6 +10,14 @@ the collapsed half-edges deleted.  Decorated graphs additionally
 require order-preserving bijections on the In/Out lists and a
 bijection on the closed subset.
 
+Every morphism the library returns (:func:`collapse_edges`,
+:func:`compose`, :func:`find_isomorphism` and the gluing of
+:mod:`fatcob.gluing`) has passed :func:`require_valid` exactly once:
+that marks it checked and makes its ``vertex_map`` and ``half_map``
+read-only views, so the mark cannot go stale and nothing downstream
+validates it again.  A morphism built directly with ``Morphism(...)``
+or :func:`identity_morphism` is unchecked and keeps plain dicts.
+
 Canonical forms are computed per connected component by one call of
 the canonical-labelling kernel (:mod:`fatcob._canon`).  A decorated
 component's code is the kernel code, ``|``, and the smallest decoration
@@ -19,6 +27,8 @@ agree.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .errors import (
     DecorationDestroyed,
@@ -42,16 +52,18 @@ class Morphism:
     ``half_map[h]`` is the image half-edge, or ``None`` when the edge
     of ``h`` is collapsed; the image of a collapsed half-edge is then
     the image vertex of its source.  Isomorphisms are the morphisms
-    with no ``None`` values and bijective maps.
+    with no ``None`` values and bijective maps.  ``_checked`` is set
+    only by :func:`require_valid`, which also freezes the two maps.
     """
 
-    __slots__ = ("source", "target", "vertex_map", "half_map")
+    __slots__ = ("source", "target", "vertex_map", "half_map", "_checked")
 
     def __init__(self, source, target, vertex_map, half_map):
         self.source = source
         self.target = target
         self.vertex_map = dict(vertex_map)
         self.half_map = dict(half_map)
+        self._checked = False
 
     def __call__(self, cell):
         if cell in self.vertex_map:
@@ -174,9 +186,14 @@ def validate_morphism(m):
 
 
 def require_valid(m):
-    ok, why = validate_morphism(m)
-    if not ok:
-        raise InvalidMorphism(why)
+    """Validate ``m`` once, then mark it checked with read-only maps."""
+    if not m._checked:
+        ok, why = validate_morphism(m)
+        if not ok:
+            raise InvalidMorphism(why)
+        m.vertex_map = MappingProxyType(m.vertex_map)
+        m.half_map = MappingProxyType(m.half_map)
+        m._checked = True
     return m
 
 

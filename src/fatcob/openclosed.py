@@ -240,17 +240,19 @@ def incoming_partition(g):
             for h in g.circle_edges(v):
                 e_in.add(base.edge_of(h))
                 v_in.add(base.source(h))
-    h_in = set()
-    for e in e_in:
-        h_in.update(base.edge_halves(e))
+    # the graph keeps its cells sorted, so one filtering pass each
+    # splits them in order
+    vs, es, hs = ([], []), ([], []), ([], [])
+    for v in base.vertices:
+        vs[v in v_in].append(v)
+    for e in base.edges():
+        es[e in e_in].append(e)
+    edge_of = base.edge_map
+    for h in base.half_edges:
+        hs[edge_of[h] in e_in].append(h)
     part = IncomingPartition(
-        v_in=tuple(sorted(v_in)),
-        e_in=tuple(sorted(e_in)),
-        h_in=tuple(sorted(h_in)),
-        e_v=tuple(sorted(set(base.vertices) - v_in)),
-        e_e=tuple(sorted(set(base.edges()) - e_in)),
-        e_h=tuple(sorted(set(base.half_edges) - h_in)),
-    )
+        v_in=tuple(vs[1]), e_in=tuple(es[1]), h_in=tuple(hs[1]),
+        e_v=tuple(vs[0]), e_e=tuple(es[0]), e_h=tuple(hs[0]))
     n_open_in = sum(1 for v in g.in_leaves if v not in g.closed)
     if part.euler_difference != base.euler_characteristic() - n_open_in:
         raise InvariantViolation("incoming partition out of balance")

@@ -26,7 +26,7 @@ from fatcob.homology import (
     tensor,
     _composite_coefficient,
 )
-from fatcob import linalg
+from fatcob import linalg, morphisms
 from fatcob.morphisms import (
     Morphism,
     collapse_edges,
@@ -310,6 +310,57 @@ class TestChainMaps:
             with pytest.raises(InvariantViolation, match="does not commute"):
                 homology._check_chain_map(F, T, f1, f0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_forest_preimage_matches_solve(self, data):
+        # random arcs (ground and loops included) and a 0-chain that is
+        # a boundary or arbitrary: the forest lift is the solution with
+        # free variables zero, and raises exactly when there is none
+        n0, n1 = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 8))
+        ends = st.lists(st.integers(0, n0), min_size=n1, max_size=n1)
+        cc = ChainComplexPair(range(n1), range(n0), data.draw(ends),
+                              data.draw(ends))
+        if data.draw(st.booleans()):
+            vec = cc.boundary(data.draw(st.lists(
+                st.integers(-3, 3), min_size=n1, max_size=n1)))
+        else:
+            vec = data.draw(st.lists(st.integers(-3, 3), min_size=n0,
+                                     max_size=n0))
+        expected = linalg.solve(homology._dense(cc, range(n1)), vec)
+        if expected is None:
+            with pytest.raises(InvariantViolation, match="not correctable"):
+                cc.forest_preimage(vec)
+        else:
+            # with no rows, solve cannot see the column count
+            expected += [0] * (n1 - len(expected))
+            assert cc.forest_preimage(vec) == expected
+
+    def test_forest_preimage_check_survives_optimize(self):
+        # one arc from v to u, neither joined to ground: [1, -1] is its
+        # boundary, [1, 0] is no boundary
+        script = (
+            "from fatcob.errors import InvariantViolation\n"
+            "from fatcob.homology import ChainComplexPair\n"
+            "assert False, 'asserts are on'\n"
+            "cc = ChainComplexPair(['h'], ['u', 'v'], [0], [1])\n"
+            "print(cc.forest_preimage([1, -1]))\n"
+            "try:\n"
+            "    cc.forest_preimage([1, 0])\n"
+            "except InvariantViolation as exc:\n"
+            "    print('raised', exc)\n")
+        out = run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "[1]", "raised kernel lift is not correctable: a tree not "
+            "joined to ground keeps a residue"]
+
+    def test_index_lookups(self):
+        cc = relative_chain_complex(fx.pants())
+        for basis, index in ((cc.basis1, cc.index1), (cc.basis0, cc.index0)):
+            assert [index(c) for c in basis] == list(range(len(basis)))
+            with pytest.raises(ValueError):
+                index("no such cell")
+
     def test_cell_maps_match_dense_reference(self):
         singles, composites = census_collapses(3)
         assert len(singles) > 100 and len(composites) > 30
@@ -442,6 +493,53 @@ class TestMorphismDetSign:
         assert len(singles) >= 20
         for m in singles:
             assert morphism_det_sign(m) in (1, -1)
+
+
+class TestValidateOnce:
+    """A morphism the library returns is validated once, when made."""
+
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        """The morphisms passed to ``validate_morphism``, in order."""
+        calls = []
+        original = morphisms.validate_morphism
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(morphisms, "validate_morphism", counted)
+        monkeypatch.setattr(homology, "validate_morphism", counted)
+        return calls
+
+    def test_signs_validate_nothing_again(self, validated):
+        _, pairs = census_morphism_pairs(3)
+        for m2, m1 in pairs[:10]:
+            del validated[:]
+            morphism_det_sign(m1)
+            morphism_det_sign(m2)
+            assert validated == []
+            m = compose(m2, m1)
+            morphism_det_sign(m)
+            # the one call is compose's own
+            assert validated == [m]
+
+    def test_unchecked_morphism_is_validated(self, validated):
+        m = identity_morphism(fx.pants())
+        assert morphism_det_sign(m) == 1
+        assert validated == [m]
+
+    def test_checked_maps_are_read_only(self):
+        _, m = collapse_edges(fx.pants(), ["r1"])
+        with pytest.raises(TypeError):
+            m.half_map["a1.0"] = "a1.1"
+        with pytest.raises(TypeError):
+            m.vertex_map["p1"] = "q"
+        with pytest.raises(TypeError):
+            del m.half_map["a1.0"]
+        # an unchecked morphism keeps plain dicts
+        m = identity_morphism(fx.pants())
+        m.half_map["a1.0"] = "a1.0"
 
 
 class TestGluingDetIso:
