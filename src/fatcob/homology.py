@@ -10,18 +10,14 @@ node (the incoming part), and it is stored only as that graph's arcs,
 one ``(plus, minus)`` pair of endpoints per 1-cell.  Kernel and
 cokernel bases come from a union-find spanning forest instead of row
 reduction; they are the bases leftmost-pivot row reduction would pick,
-so every sign below is reproducible.  The kernel lifts of the six-term
-sequence are corrected on the same forest, leaves first
-(:meth:`ChainComplexPair.forest_preimage`), which is the solution row
-reduction gives with the free arcs at zero.  Only the section lift of
-:func:`morphism_det_sign` still calls :func:`linalg.solve`, on a dense
-copy of the collapsed cells' columns.  Each complex is read off the
-graph's maps through name-to-position dicts, and a morphism that
-:func:`fatcob.morphisms.require_valid` already checked is not validated
-again.  A chain map between two complexes is a cell map, which sends
-each source cell to a sum of target cells with coefficient +1, stored
-as the tuple of their indices (empty for a cell sent to zero).  Every chain, basis
-vector and coordinate vector holds Python ``int``s: incidence matrices
+so every sign below is reproducible.  Only the lift corrections still
+solve by row reduction, on a dense copy of the columns they need.  Each
+complex is read off the graph's maps through name-to-position dicts,
+and a morphism that :func:`fatcob.morphisms.require_valid` already
+checked is not validated again.  A chain map between two complexes is
+a cell map, which sends each source cell to a sum of target cells with
+coefficient +1, stored as the tuple of their indices (empty for a cell
+sent to zero).  Every chain, basis vector and coordinate vector holds Python ``int``s: incidence matrices
 are totally unimodular, so even the lift corrections stay integral.
 ``Fraction`` enters only through :func:`linalg.det`, the kernel of the
 connecting map, and the scalars built from their ratios.
@@ -92,41 +88,35 @@ class ChainComplexPair:
         self._pos1 = self._pos0 = None
         # union-find over the 0-cells and ground, arcs in basis order
         root = list(range(n0 + 1))
+
+        def find(u):
+            while root[u] != u:
+                root[u] = root[root[u]]
+                u = root[u]
+            return u
+
         forest = [[] for _ in range(n0 + 1)]
-        free1 = self._free1 = []
+        self._free1 = []
         for j, (p, m) in enumerate(zip(self.plus, self.minus)):
-            a = p
-            while root[a] != a:
-                root[a] = root[root[a]]
-                a = root[a]
-            b = m
-            while root[b] != b:
-                root[b] = root[root[b]]
-                b = root[b]
+            a, b = find(p), find(m)
             if a == b:
-                free1.append(j)
+                self._free1.append(j)
             else:
                 root[a] = b
                 forest[p].append((m, j, -1))
                 forest[m].append((p, j, 1))
-        # every node straight to its root
-        for u in range(n0 + 1):
-            r = root[u]
-            while root[r] != r:
-                r = root[r]
-            root[u] = r
-        ground = root[n0]
+        top = [find(u) for u in range(n0 + 1)]
+        ground = top[n0]
         last = {}
         for i in range(n0):
-            last[root[i]] = i
+            last[top[i]] = i
         self._free0 = sorted(i for r, i in last.items() if r != ground)
-        slot = {root[i]: k for k, i in enumerate(self._free0)}
-        self._class0 = [slot.get(root[i]) for i in range(n0)]
-        self._up, self._depth = _root_forest(forest)
+        slot = {top[i]: k for k, i in enumerate(self._free0)}
+        self._class0 = [slot.get(top[i]) for i in range(n0)]
+        up, depth = _root_forest(forest)
         self._cycles = [
-            _fundamental_cycle(self._up, self._depth, j, self.plus[j],
-                               self.minus[j])
-            for j in free1]
+            _fundamental_cycle(up, depth, j, self.plus[j], self.minus[j])
+            for j in self._free1]
         self.h1_basis = []
         for cycle in self._cycles:
             v = [0] * n1
@@ -190,36 +180,6 @@ class ChainComplexPair:
         for x, k in zip(vec, self._class0):
             if x and k is not None:
                 out[k] += x
-        return out
-
-    def forest_preimage(self, vec):
-        """The 1-chain whose boundary is the 0-chain ``vec``, supported
-        on the spanning-forest arcs.
-
-        These arcs are the pivots of leftmost-pivot row reduction, so
-        this is the solution that reduction gives with the free arcs set
-        to zero.  Each node's residue, taken leaves first, fixes the arc
-        to its parent and moves on to the parent; ground absorbs what
-        reaches it.  A residue left at the root of a tree not joined to
-        ground means ``vec`` is not a boundary, which raises.
-        """
-        up = self._up
-        rest = list(vec) + [0]
-        _check(len(rest) == len(up), "0-chain has the wrong length")
-        out = [0] * len(self.basis1)
-        for u in sorted(range(len(up)), key=self._depth.__getitem__,
-                        reverse=True):
-            x = rest[u]
-            if not x:
-                continue
-            if up[u] is None:
-                _check(u == len(self.basis0),
-                       "kernel lift is not correctable: a tree not joined "
-                       "to ground keeps a residue")
-                continue
-            parent, arc, sign = up[u]
-            out[arc] = sign * x
-            rest[parent] += x
         return out
 
     def positions1(self):
@@ -602,7 +562,8 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
                 zC[i] += c * bvec[i]
         lifted = _scatter(zC, sec1, nB1)
         defect = a_part0(B.boundary(lifted))
-        y = A.forest_preimage(defect)
+        y = linalg.solve(_dense(A, range(len(A.basis1))), defect)
+        _check(y is not None, "kernel lift is not correctable")
         corrected = [a - b for a, b in zip(lifted, _scatter(y, inc1, nB1))]
         colsB.append(B.h1_coords(corrected))
     _check(len(colsB) == B.rank_h1, "rank bookkeeping broken in degree 1")

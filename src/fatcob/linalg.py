@@ -7,9 +7,9 @@ ratios of determinants stay exact.  The homology bases and
 differentials themselves are integer graph data in
 :mod:`fatcob.homology`; what is left here are the determinants of the
 small induced matrices (an exact determinant does not change under
-transposition, so callers pass lists of columns), the section lift of
-a morphism's determinant sign (:func:`solve`), the kernel of the
-connecting map and the unit complement of its image (:func:`rref`).  Incidence matrices are
+transposition, so callers pass lists of columns), the lift corrections
+(:func:`solve`), the kernel of the connecting map and the unit
+complement of its image (:func:`rref`).  Incidence matrices are
 totally unimodular, so their row reductions meet only +-1 pivots and
 stay integral.  Everything is deterministic: row reduction always
 picks the leftmost usable pivot column and the first nonzero row below

@@ -14,9 +14,12 @@ Every morphism the library returns (:func:`collapse_edges`,
 :func:`compose`, :func:`find_isomorphism` and the gluing of
 :mod:`fatcob.gluing`) has passed :func:`require_valid` exactly once:
 that marks it checked and makes its ``vertex_map`` and ``half_map``
-read-only views, so the mark cannot go stale and nothing downstream
-validates it again.  A morphism built directly with ``Morphism(...)``
-or :func:`identity_morphism` is unchecked and keeps plain dicts.
+read-only views, so their entries cannot change after the check and
+nothing downstream validates it again.  Only the entries are frozen:
+reassigning ``source``, ``target`` or a whole map of a checked
+morphism leaves the mark set, so build a new ``Morphism`` instead.  A
+morphism built directly with ``Morphism(...)`` or
+:func:`identity_morphism` is unchecked and keeps plain dicts.
 
 Canonical forms are computed per connected component by one call of
 the canonical-labelling kernel (:mod:`fatcob._canon`).  A decorated

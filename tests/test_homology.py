@@ -310,50 +310,6 @@ class TestChainMaps:
             with pytest.raises(InvariantViolation, match="does not commute"):
                 homology._check_chain_map(F, T, f1, f0)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_forest_preimage_matches_solve(self, data):
-        # random arcs (ground and loops included) and a 0-chain that is
-        # a boundary or arbitrary: the forest lift is the solution with
-        # free variables zero, and raises exactly when there is none
-        n0, n1 = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 8))
-        ends = st.lists(st.integers(0, n0), min_size=n1, max_size=n1)
-        cc = ChainComplexPair(range(n1), range(n0), data.draw(ends),
-                              data.draw(ends))
-        if data.draw(st.booleans()):
-            vec = cc.boundary(data.draw(st.lists(
-                st.integers(-3, 3), min_size=n1, max_size=n1)))
-        else:
-            vec = data.draw(st.lists(st.integers(-3, 3), min_size=n0,
-                                     max_size=n0))
-        expected = linalg.solve(homology._dense(cc, range(n1)), vec)
-        if expected is None:
-            with pytest.raises(InvariantViolation, match="not correctable"):
-                cc.forest_preimage(vec)
-        else:
-            # with no rows, solve cannot see the column count
-            expected += [0] * (n1 - len(expected))
-            assert cc.forest_preimage(vec) == expected
-
-    def test_forest_preimage_check_survives_optimize(self):
-        # one arc from v to u, neither joined to ground: [1, -1] is its
-        # boundary, [1, 0] is no boundary
-        script = (
-            "from fatcob.errors import InvariantViolation\n"
-            "from fatcob.homology import ChainComplexPair\n"
-            "assert False, 'asserts are on'\n"
-            "cc = ChainComplexPair(['h'], ['u', 'v'], [0], [1])\n"
-            "print(cc.forest_preimage([1, -1]))\n"
-            "try:\n"
-            "    cc.forest_preimage([1, 0])\n"
-            "except InvariantViolation as exc:\n"
-            "    print('raised', exc)\n")
-        out = run_optimized(script)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == [
-            "[1]", "raised kernel lift is not correctable: a tree not "
-            "joined to ground keeps a residue"]
-
     def test_index_lookups(self):
         cc = relative_chain_complex(fx.pants())
         for basis, index in ((cc.basis1, cc.index1), (cc.basis0, cc.index0)):
