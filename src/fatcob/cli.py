@@ -25,7 +25,7 @@ from .homology import (
     relative_chain_complex,
     skew_associativity_sign,
 )
-from .morphisms import canonical_form, is_isomorphic
+from .morphisms import base_of, canonical_form, is_isomorphic
 from .openclosed import (
     OpenClosedFatGraph,
     cobordism_signature,
@@ -78,7 +78,7 @@ def _require_decorated(g, what):
 
 def cmd_validate(args):
     g = _load(args.file)
-    base = g.base if isinstance(g, OpenClosedFatGraph) else g
+    base = base_of(g)
     text = "ok vertices=%d edges=%d" % (len(base.vertices), base.num_edges())
     return text, {"ok": True, "vertices": len(base.vertices),
                   "edges": base.num_edges()}, 0
@@ -86,7 +86,7 @@ def cmd_validate(args):
 
 def cmd_invariants(args):
     g = _load(args.file)
-    base = g.base if isinstance(g, OpenClosedFatGraph) else g
+    base = base_of(g)
     sig = base.surface_invariants()
     text = "components=%d chi=%d genus=%s boundary=%s" % (
         len(sig), sig.total_euler_characteristic,
@@ -99,7 +99,7 @@ def cmd_invariants(args):
 
 def cmd_boundary(args):
     g = _load(args.file)
-    base = g.base if isinstance(g, OpenClosedFatGraph) else g
+    base = base_of(g)
     cycles = base.boundary_cycles().cycles
     text = "\n".join("(%s)" % " ".join(c) for c in cycles)
     return text, [list(c) for c in cycles], 0

@@ -49,6 +49,15 @@ from .errors import (
 )
 
 
+def _find(parent, x):
+    """Root of ``x`` in the union-find ``parent`` (a dict or a list),
+    halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def half_id(edge, end):
     """Identifier of one half of ``edge``; ``end`` is 0 (source) or 1."""
     return "%s.%d" % (edge, end)
@@ -301,23 +310,17 @@ class FatGraph:
         Isolated vertices form singleton components.
         """
         parent = {v: v for v in self._vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        source, inv = self._source, self._involution
         for h in self._halves:
-            a, b = find(self._source[h]), find(self._source[self._involution[h]])
+            a, b = _find(parent, source[h]), _find(parent, source[inv[h]])
             if a != b:
                 parent[a] = b
         groups = {}
         for v in self._vertices:
-            groups.setdefault(find(v), []).append(v)
+            groups.setdefault(_find(parent, v), []).append(v)
         halves = {}
         for h in self._halves:
-            halves.setdefault(find(self._source[h]), []).append(h)
+            halves.setdefault(_find(parent, source[h]), []).append(h)
         # both lists are filled in sorted order
         comps = [(tuple(vs), tuple(halves.get(r, ())))
                  for r, vs in groups.items()]

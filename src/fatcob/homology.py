@@ -17,8 +17,9 @@ and a morphism that :func:`fatcob.morphisms.require_valid` already
 checked is not validated again.  A chain map between two complexes is
 a cell map, which sends each source cell to a sum of target cells with
 coefficient +1, stored as the tuple of their indices (empty for a cell
-sent to zero).  Every chain, basis vector and coordinate vector holds Python ``int``s: incidence matrices
-are totally unimodular, so even the lift corrections stay integral.
+sent to zero).  Every chain, basis vector and coordinate vector holds
+Python ``int``s: incidence matrices are totally unimodular, so even the
+lift corrections stay integral.
 ``Fraction`` enters only through :func:`linalg.det`, the kernel of the
 connecting map, and the scalars built from their ratios.
 
@@ -26,11 +27,12 @@ The determinant line of a complex is the top exterior power of its
 degree-1 homology tensored with the dual top power of its degree-0
 homology; it carries an integer degree (rank H1 - rank H0) and, once
 bases are fixed, morphisms and gluings act on it by explicit nonzero
-rationals.  Gluing two graphs splits the glued complex as an extension
-with the first graph's cells in front, and the six-term exact homology
-sequence of that extension produces the gluing isomorphism of
-determinant lines; composing the two ways of stacking three pairs of
-pants detects the dimension-parity sign of the composition product.
+rationals.  The first graph's cells span a subcomplex of the glued
+graph's own complex, with the second graph's complex as quotient, and
+the six-term exact homology sequence of that extension produces the
+gluing isomorphism of determinant lines; composing the two ways of
+stacking three pairs of pants detects the dimension-parity sign of the
+composition product.
 That isomorphism on the d-th tensor power is the d=1 scalar to the
 d-th power times a Koszul sign, so a :class:`~fatcob.gluing.GluingMatch`
 glues and runs the six-term sequence once and keeps the result for
@@ -45,6 +47,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (InvalidMorphism, InvalidParameter, InvariantViolation,
                      NotGluable, ResultInvalid)
+from .graphs import _find
 from .morphisms import validate_morphism
 from .openclosed import incoming_partition, require_admissible
 
@@ -88,24 +91,17 @@ class ChainComplexPair:
         self._pos1 = self._pos0 = None
         # union-find over the 0-cells and ground, arcs in basis order
         root = list(range(n0 + 1))
-
-        def find(u):
-            while root[u] != u:
-                root[u] = root[root[u]]
-                u = root[u]
-            return u
-
         forest = [[] for _ in range(n0 + 1)]
         self._free1 = []
         for j, (p, m) in enumerate(zip(self.plus, self.minus)):
-            a, b = find(p), find(m)
+            a, b = _find(root, p), _find(root, m)
             if a == b:
                 self._free1.append(j)
             else:
                 root[a] = b
                 forest[p].append((m, j, -1))
                 forest[m].append((p, j, 1))
-        top = [find(u) for u in range(n0 + 1)]
+        top = [_find(root, u) for u in range(n0 + 1)]
         ground = top[n0]
         last = {}
         for i in range(n0):
@@ -505,6 +501,34 @@ def morphism_det_sign(m):
 # the six-term sequence of an extension of complexes
 
 
+def _split_connecting(delta_cols, n0):
+    """``(kernel, pivots, complement)`` of a connecting map given as its
+    list of columns over an ``n0``-dimensional H0.
+
+    One row reduction of ``[delta | I]``, the map beside the ``n0`` unit
+    columns, gives all three.  Its pivots among the map's columns are
+    those of ``delta`` alone, and each free column there gives a kernel
+    vector with a 1 at that column.  Its pivots among the unit columns
+    index the units a left-to-right greedy scan adds to the image: every
+    free column of ``delta`` lies in the span of the pivot columns to
+    its left, so it changes no later pivot.
+    """
+    n = len(delta_cols)
+    r, pivots = linalg.rref([[v[i] for v in delta_cols]
+                             + [int(k == i) for k in range(n0)]
+                             for i in range(n0)])
+    piv = [p for p in pivots if p < n]
+    complement = [p - n for p in pivots if p >= n]
+    kernel = []
+    for j in sorted(set(range(n)) - set(piv)):
+        v = [0] * n
+        v[j] = 1
+        for row, p in zip(r, piv):
+            v[p] = -row[j]
+        kernel.append(v)
+    return kernel, piv, complement
+
+
 def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     """Scalar of det(H A) (x) det(H C) -> det(H B) for an extension.
 
@@ -512,29 +536,29 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     the B-indices of the cells over them.  The scalar is assembled from
     four base changes: splitting H1(B) over H1(A) and the kernel of the
     connecting map, splitting H1(C) over that kernel, splitting H0(A)
-    over the connecting image, and splitting H0(B) under H0(C).
+    over the connecting image, and splitting H0(B) under H0(C).  The
+    kernel, the image and its unit complement come from one row
+    reduction (:func:`_split_connecting`), and the kernel lifts solve
+    against one dense copy of A's differential.
     """
     nB1, nB0 = len(B.basis1), len(B.basis0)
     inc1, inc0, sec1, sec0 = ([(b,) for b in index]
                               for index in (incl1, incl0, sect1, sect0))
+    outside0 = sorted(set(range(nB0)) - set(incl0))
 
     def a_part0(vec):
-        out = [0] * len(A.basis0)
-        seen = set()
-        for i in range(len(A.basis0)):
-            out[i] = vec[incl0[i]]
-            seen.add(incl0[i])
-        _check(all(vec[i] == 0 for i in range(nB0) if i not in seen),
+        _check(not any(vec[i] for i in outside0),
                "boundary left the subcomplex")
-        return out
+        return [vec[i] for i in incl0]
 
     # connecting map on H1(C)
     delta_cols = []
     for vec in C.h1_basis:
         lifted = _scatter(vec, sec1, nB1)
         delta_cols.append(A.h0_class(a_part0(B.boundary(lifted))))
-    kerK, piv = linalg.kernel_basis(linalg.transpose(delta_cols),
-                                    len(C.h1_basis))
+    kerK, piv, comp_idx = _split_connecting(delta_cols, A.rank_h0)
+    _check(len(piv) + len(comp_idx) == A.rank_h0,
+           "connecting image has no complement")
     # s2: (kernel basis | chosen complements) against the H1(C) basis
     unitsW = []
     for p in piv:
@@ -542,19 +566,13 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
         v[p] = 1
         unitsW.append(v)
     s2 = linalg.det(kerK + unitsW)
-    # s3: (connecting images | greedy unit complement) in H0(A); the
-    # pivots of [images | I] among the unit columns are the units a
-    # left-to-right greedy scan would add
-    have = [delta_cols[p] for p in piv]
-    units = linalg.identity(A.rank_h0)
-    _, pivots = linalg.rref([[v[i] for v in have] + unit
-                             for i, unit in enumerate(units)])
-    comp_idx = [c - len(have) for c in pivots if c >= len(have)]
-    _check(len(have) + len(comp_idx) == A.rank_h0,
-           "connecting image has no complement")
-    s3 = linalg.det(have + [units[q] for q in comp_idx])
+    # s3: (connecting images | greedy unit complement) in H0(A)
+    s3 = linalg.det([delta_cols[p] for p in piv]
+                    + [[int(k == q) for k in range(A.rank_h0)]
+                       for q in comp_idx])
     # s1: (H1(A) | corrected lifts of the kernel) in H1(B)
     colsB = [B.h1_coords(_scatter(vec, inc1, nB1)) for vec in A.h1_basis]
+    dA = _dense(A, range(len(A.basis1)))
     for kvec in kerK:
         zC = [0] * len(C.basis1)
         for c, bvec in zip(kvec, C.h1_basis):
@@ -562,7 +580,7 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
                 zC[i] += c * bvec[i]
         lifted = _scatter(zC, sec1, nB1)
         defect = a_part0(B.boundary(lifted))
-        y = linalg.solve(_dense(A, range(len(A.basis1))), defect)
+        y = linalg.solve(dA, defect)
         _check(y is not None, "kernel lift is not correctable")
         corrected = [a - b for a, b in zip(lifted, _scatter(y, inc1, nB1))]
         colsB.append(B.h1_coords(corrected))
@@ -580,16 +598,6 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     _check(s1 and s2 and s3 and s4, "six-term base change is singular")
     _check(B.degree == A.degree + C.degree, "degrees fail to add")
     return (s1 * s4) / (s2 * s3)
-
-
-def _chain_iso_scalar(F, T, map1, map0):
-    """Determinant-line scalar of a cell bijection between complexes,
-    given as cell maps ``map1`` and ``map0``."""
-    _check_chain_map(F, T, map1, map0)
-    det1 = linalg.det(_induced_h1_matrix(F, T, map1))
-    det0 = linalg.det(_induced_h0_matrix(F, T, map0))
-    _check(det1 != 0 and det0 != 0, "cell bijection is not a quasi-iso")
-    return det1 / det0
 
 
 def _restrict(cc, idx1, idx0):
@@ -631,45 +639,14 @@ def _drop_scalar(cc, dropped_halves, dropped_cells):
     return sub, scalar
 
 
-def _glued_extension(cc1, cc2, match, data):
-    """Blockwise complex of the glued graph, first graph's cells first.
-
-    Couples an extra half-edge of the second graph whose source sat on
-    a matched incoming circle (or matched incoming leaf) to the glued
-    vertex of the first graph, when that vertex is an extra cell there.
-    """
-    g2 = match.g2
-    basis1 = [(1, h) for h in cc1.basis1] + [(2, h) for h in cc2.basis1]
-    basis0 = [(1, c) for c in cc1.basis0] + [(2, c) for c in cc2.basis0]
-    n1_1, n1_0 = len(cc1.basis1), len(cc1.basis0)
-    ground = len(basis0)
-    # the second block's endpoints shift past the first's 0-cells, which
-    # also carries its ground node to the glued ground
-    plus = ([p if p < n1_0 else ground for p in cc1.plus]
-            + [n1_0 + p for p in cc2.plus])
-    minus = ([m if m < n1_0 else ground for m in cc1.minus]
-             + [n1_0 + m for m in cc2.minus])
-    pos1_0 = {c: i for i, c in enumerate(cc1.basis0)}
-    for j, h in enumerate(cc2.basis1):
-        v = g2.base.source(h)
-        img = data.vertex_image(2, v)
-        if img is None or img.startswith(data.prefix2):
-            continue
-        cell = ("V", img[len(data.prefix1):])
-        if cell in pos1_0:
-            _check(minus[n1_1 + j] == ground,
-                   "coupled half-edge already has a source cell")
-            minus[n1_1 + j] = pos1_0[cell]
-    return ChainComplexPair(basis1, basis0, plus, minus)
-
-
 def _gluing_scalar(g1, g2, match):
     """d=1 scalar of the gluing isomorphism, plus the glued complex.
 
     Returns ``(scalar, ccG, glued)``.  Steps: cut the matched outgoing
-    leaf cells out of the first complex (an acyclic drop), form the
-    blockwise extension, run the six-term sequence, and re-express
-    everything in the glued graph's own canonical complex.  None of it
+    leaf cells out of the first complex (an acyclic drop), place that
+    complex and the second graph's complex on their cells in the glued
+    graph's own complex ``ccG``, check that they are its subcomplex and
+    quotient, and run the six-term sequence of that extension.  None of it
     depends on the tensor power, so a match computes it once and keeps
     it, with the degrees of the two input complexes, in its
     ``_det_line`` slot; admissibility and the match's graphs are
@@ -702,11 +679,6 @@ def _compute_gluing_scalar(g1, g2, match):
         cc1p, s_drop = _drop_scalar(cc1, dropped_halves, dropped_cells)
     else:
         cc1p, s_drop = cc1, 1
-    ccB = _glued_extension(cc1p, cc2, match, data)
-    n1, n0 = len(cc1p.basis1), len(cc1p.basis0)
-    s_ses = _ses_det_scalar(cc1p, ccB, cc2, range(n1), range(n0),
-                            range(n1, n1 + len(cc2.basis1)),
-                            range(n0, n0 + len(cc2.basis0)))
     ccG = relative_chain_complex(glued)
 
     def glued_cell(side, cell):
@@ -714,17 +686,28 @@ def _compute_gluing_scalar(g1, g2, match):
         return (kind, (data.prefix1 if side == 1 else data.prefix2) + name)
 
     try:
-        map1 = [(ccG.index1(data.half_image(side, h)),)
-                for side, h in ccB.basis1]
-        map0 = [(ccG.index0(glued_cell(side, c)),) for side, c in ccB.basis0]
+        incl1 = [ccG.index1(data.half_image(1, h)) for h in cc1p.basis1]
+        incl0 = [ccG.index0(glued_cell(1, c)) for c in cc1p.basis0]
+        sect1 = [ccG.index1(data.half_image(2, h)) for h in cc2.basis1]
+        sect0 = [ccG.index0(glued_cell(2, c)) for c in cc2.basis0]
     except ValueError as exc:
         raise ResultInvalid(
-            "glued cells disagree with the extension cells: %s" % exc)
-    _check(sorted(map1) == [(i,) for i in range(len(ccG.basis1))]
-           and sorted(map0) == [(i,) for i in range(len(ccG.basis0))],
+            "glued cells disagree with the two graphs' cells: %s" % exc)
+    _check(sorted(incl1 + sect1) == list(range(len(ccG.basis1)))
+           and sorted(incl0 + sect0) == list(range(len(ccG.basis0))),
            "glued cells are not a bijection")
-    s_perm = _chain_iso_scalar(ccB, ccG, map1, map0)
-    return (s_ses * s_perm) / s_drop, ccG, glued, cc1.degree, cc2.degree
+    # the first graph's cells span a subcomplex of the glued complex, and
+    # sending them to zero leaves the second graph's complex
+    _check_chain_map(cc1p, ccG, [(i,) for i in incl1],
+                     [(i,) for i in incl0])
+    proj1, proj0 = [()] * len(ccG.basis1), [()] * len(ccG.basis0)
+    for k, i in enumerate(sect1):
+        proj1[i] = (k,)
+    for k, i in enumerate(sect0):
+        proj0[i] = (k,)
+    _check_chain_map(ccG, cc2, proj1, proj0)
+    s_ses = _ses_det_scalar(cc1p, ccG, cc2, incl1, incl0, sect1, sect0)
+    return s_ses / s_drop, ccG, glued, cc1.degree, cc2.degree
 
 
 def gluing_det_iso(g1, g2, match, d):

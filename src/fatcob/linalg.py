@@ -8,8 +8,9 @@ differentials themselves are integer graph data in
 :mod:`fatcob.homology`; what is left here are the determinants of the
 small induced matrices (an exact determinant does not change under
 transposition, so callers pass lists of columns), the lift corrections
-(:func:`solve`), the kernel of the connecting map and the unit
-complement of its image (:func:`rref`).  Incidence matrices are
+(:func:`solve`), and the one reduction of a connecting map beside the
+unit columns (:func:`rref`), which gives its kernel and the unit
+complement of its image together.  Incidence matrices are
 totally unimodular, so their row reductions meet only +-1 pivots and
 stay integral.  Everything is deterministic: row reduction always
 picks the leftmost usable pivot column and the first nonzero row below
@@ -24,27 +25,6 @@ from .errors import InvariantViolation
 _ONE = Fraction(1)
 
 
-def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
-def transpose(m):
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
-
-
-def copy(m):
-    return [list(row) for row in m]
-
-
 def rref(m):
     """Reduced row echelon form; returns ``(R, pivot_columns)``.
 
@@ -54,7 +34,7 @@ def rref(m):
     its row as it is and a pivot of -1 negates it, so integer rows stay
     integers; only another pivot divides, through ``Fraction``.
     """
-    r = copy(m)
+    r = [list(row) for row in m]
     rows = len(r)
     cols = len(r[0]) if rows else 0
     pivots = []
@@ -89,27 +69,6 @@ def rref(m):
         if lead == rows:
             break
     return r, pivots
-
-
-def kernel_basis(m, cols):
-    """``(basis, pivots)`` from one row reduction of ``m``: a null-space
-    basis, one vector per free column in column order with a 1 at its
-    free column, and the pivot columns of ``m``."""
-    if cols == 0:
-        return [], []
-    if not m:
-        return identity(cols), []
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [0] * cols
-        v[j] = 1
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -r[row_idx][j]
-        basis.append(v)
-    return basis, pivots
 
 
 def solve(m, b):

@@ -40,7 +40,7 @@ from .errors import (
     InvalidMorphism,
     Mismatch,
 )
-from .graphs import FatGraph
+from .graphs import FatGraph, _find
 from .openclosed import OpenClosedFatGraph
 from . import _canon
 
@@ -143,13 +143,6 @@ def validate_morphism(m):
         if img is None:
             pre_e.setdefault(vmap[src.source(h)], set()).add(src.edge_of(h))
     parent = {v: v for v in src.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for v1 in tgt.vertices:
         verts = pre_v.get(v1, [])
         if not verts:
@@ -159,7 +152,7 @@ def validate_morphism(m):
             return False, ("preimage of %s is not a tree: %d vertices, "
                            "%d collapsed edges" % (v1, len(verts), len(edges)))
         for e in edges:
-            a, b = (find(x) for x in src.edge_ends(e))
+            a, b = (_find(parent, x) for x in src.edge_ends(e))
             if a == b:
                 return False, "preimage of %s contains a loop at %s" % (v1, a)
             parent[a] = b
@@ -213,21 +206,14 @@ def collapse_edges(g, forest):
         base.edge_halves(e)  # raises UnknownEdge
     # acyclicity via union-find
     parent = {v: v for v in base.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in sorted(forest):
-        a, b = (find(x) for x in base.edge_ends(e))
+        a, b = (_find(parent, x) for x in base.edge_ends(e))
         if a == b:
             raise ForestContainsCycle("collapsing %r closes a cycle" % e)
         parent[a] = b
     classes = {}
     for v in base.vertices:
-        classes.setdefault(find(v), []).append(v)
+        classes.setdefault(_find(parent, v), []).append(v)
     rep = {}
     for vs in classes.values():
         r = min(vs)

@@ -157,6 +157,42 @@ class AdmissibilityWitness:
         return "leaf %s: %s (%s)" % (self.leaf, self.reason, self.cell)
 
 
+def _incoming_circles(g):
+    """``(circles, witness)``: the vertex and edge sets of each closed
+    incoming leaf's circle, keyed by leaf, or ``None`` and the first
+    :class:`AdmissibilityWitness` found; one walk of each circle."""
+    base = g.base
+    circles = {}
+    for v in g.in_leaves:
+        if v not in g.closed:
+            continue
+        walk = g.circle_edges(v)
+        if not walk:
+            return None, AdmissibilityWitness(
+                v, "incoming cycle has no circle part", g.base.leaf_half(v))
+        edges = [base.edge_of(h) for h in walk]
+        if len(set(edges)) != len(edges):
+            dup = sorted(e for e in edges if edges.count(e) > 1)[0]
+            return None, AdmissibilityWitness(
+                v, "incoming cycle repeats an edge", dup)
+        verts = [base.source(h) for h in walk]
+        if len(set(verts)) != len(verts):
+            dup = sorted(w for w in verts if verts.count(w) > 1)[0]
+            return None, AdmissibilityWitness(
+                v, "incoming cycle repeats a vertex", dup)
+        circles[v] = (set(verts), set(edges))
+    leaves = sorted(circles)
+    for i, v in enumerate(leaves):
+        for w in leaves[i + 1:]:
+            shared = (circles[v][0] & circles[w][0]) \
+                | (circles[v][1] & circles[w][1])
+            if shared:
+                return None, AdmissibilityWitness(
+                    v, "incoming circles of %s and %s intersect" % (v, w),
+                    sorted(shared)[0])
+    return circles, None
+
+
 def is_admissible(g):
     """Check that the incoming boundary cycles are embedded circles.
 
@@ -167,36 +203,8 @@ def is_admissible(g):
     vertices and edges.  The leaf edge itself is exempt: the walk
     always crosses it twice.
     """
-    base = g.base
-    circles = {}
-    for v in g.in_leaves:
-        if v not in g.closed:
-            continue
-        walk = g.circle_edges(v)
-        if not walk:
-            return False, AdmissibilityWitness(
-                v, "incoming cycle has no circle part", g.base.leaf_half(v))
-        edges = [base.edge_of(h) for h in walk]
-        if len(set(edges)) != len(edges):
-            dup = sorted(e for e in edges if edges.count(e) > 1)[0]
-            return False, AdmissibilityWitness(
-                v, "incoming cycle repeats an edge", dup)
-        verts = [base.source(h) for h in walk]
-        if len(set(verts)) != len(verts):
-            dup = sorted(w for w in verts if verts.count(w) > 1)[0]
-            return False, AdmissibilityWitness(
-                v, "incoming cycle repeats a vertex", dup)
-        circles[v] = (set(verts), set(edges))
-    leaves = sorted(circles)
-    for i, v in enumerate(leaves):
-        for w in leaves[i + 1:]:
-            shared = (circles[v][0] & circles[w][0]) \
-                | (circles[v][1] & circles[w][1])
-            if shared:
-                return False, AdmissibilityWitness(
-                    v, "incoming circles of %s and %s intersect" % (v, w),
-                    sorted(shared)[0])
-    return True, None
+    _, witness = _incoming_circles(g)
+    return (True, None) if witness is None else (False, witness)
 
 
 def require_admissible(g):
@@ -230,16 +238,15 @@ class IncomingPartition:
 
 def incoming_partition(g):
     """Classify every cell of ``g`` as incoming or extra."""
-    require_admissible(g)
+    circles, witness = _incoming_circles(g)
+    if witness is not None:
+        raise NotAdmissible(str(witness))
     base = g.base
-    v_in, e_in = set(), set()
-    for v in g.in_leaves:
-        v_in.add(v)
-        if v in g.closed:
-            e_in.add(base.edge_of(base.leaf_half(v)))
-            for h in g.circle_edges(v):
-                e_in.add(base.edge_of(h))
-                v_in.add(base.source(h))
+    v_in, e_in = set(g.in_leaves), set()
+    for v, (verts, edges) in circles.items():
+        e_in.add(base.edge_of(base.leaf_half(v)))
+        e_in.update(edges)
+        v_in.update(verts)
     # the graph keeps its cells sorted, so one filtering pass each
     # splits them in order
     vs, es, hs = ([], []), ([], []), ([], [])

@@ -568,6 +568,36 @@ class TestRandomCompositions:
             assert line.degree == rcc(a).degree + rcc(b).degree
 
 
+class TestExactScalars:
+    """The exact d = 1 gluing scalars, ``(degree, scalar)`` per case."""
+
+    CASES = [
+        (0, 1), (0, 1), (1, 1), (1, 1), (0, 1), (1, 1), (4, 1), (1, 1), (3, 1),
+        (2, 1), (1, 1), (1, 1), (2, 1), (2, 1), (1, 1), (1, 1), (2, 1), (1, 1),
+        (2, 1), (2, 1), (4, 1), (4, 1),
+    ]
+
+    FUZZ = [
+        (0, 1), (2, -1), (-1, 1), (0, 1), (0, 1), (-1, 1), (1, 1), (1, 1),
+        (2, 1), (0, 1), (1, 1), (0, 1), (2, 1), (3, 1), (0, 1), (0, 1), (0, 1),
+        (1, 1), (1, 1), (2, 1), (1, 1), (2, -1), (0, 1), (0, 1), (0, 1),
+        (2, 1), (-1, 1), (0, -1), (0, 1), (1, 1), (1, 1), (-1, 1), (2, 1),
+        (0, 1), (0, 1), (-1, 1), (1, 1), (2, 1), (0, 1), (2, 1), (2, 1),
+        (1, 1), (0, 1), (0, 1), (1, 1), (2, -1), (1, -1), (0, 1), (2, 1),
+        (2, 1), (-1, 1), (-1, 1), (2, 1), (-1, 1), (1, 1), (-1, 1), (0, 1),
+        (0, 1), (3, -1), (0, 1),
+    ]
+
+    def test_composition_cases(self):
+        lines = [gluing_det_iso(a, b, m, 1) for a, b, m in composition_cases()]
+        assert [(line.degree, line.scalar) for line in lines] == self.CASES
+
+    def test_fuzz_compositions(self):
+        lines = [gluing_det_iso(*subdivision_match(g1, g2, pairs), 1)
+                 for g1, g2, pairs in fuzz_compositions()]
+        assert [(line.degree, line.scalar) for line in lines] == self.FUZZ
+
+
 class TestGlueOnce:
     """A match glues once and keeps the glued graph and the
     d-independent det-line scalar."""

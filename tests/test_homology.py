@@ -60,14 +60,14 @@ def simplicial_pair_ranks(triangles, sub_edges, sub_vertices):
     rel_v = [v for v in vertices if v not in sub_v]
     e_idx = {e: i for i, e in enumerate(rel_e)}
     v_idx = {v: i for i, v in enumerate(rel_v)}
-    d2 = linalg.zeros(len(rel_e), len(tris))
+    d2 = [[0] * len(tris) for _ in rel_e]
     for j, (x, y, z) in enumerate(tris):
         for sign, (a, b) in ((1, (y, z)), (-1, (x, z)), (1, (x, y))):
             if a > b:
                 sign = -sign
             if edge(a, b) in e_idx:
                 d2[e_idx[edge(a, b)]][j] += sign
-    d1 = linalg.zeros(len(rel_v), len(rel_e))
+    d1 = [[0] * len(rel_e) for _ in rel_v]
     for j, (a, b) in enumerate(rel_e):
         if b in v_idx:
             d1[v_idx[b]][j] += 1
@@ -621,10 +621,11 @@ class TestBuildOnce:
         assert len({id(g) for g in graphs}) == len(graphs)
 
     def test_three_degrees_glue_once(self, built, monkeypatch):
-        # d = 1, 2, 3 on one match: one glue and the six complexes of a
+        # d = 1, 2, 3 on one match: one glue and the five complexes of a
         # single pass, three of them graph complexes (the two inputs and
         # the glued graph), the others the subcomplex and quotient of the
-        # dropped cells and the extension
+        # dropped cells; the six-term sequence runs on the glued graph's
+        # own complex, so no separate extension complex is built
         glued = []
         glue = gluing.glue
 
@@ -639,7 +640,7 @@ class TestBuildOnce:
         assert len(glued) == 1
         graphs = [g for g, _ in built[once:] if g is not None]
         assert graphs == [a, b, gluing.glue(a, b, m)]
-        assert len(built) - once == 6
+        assert len(built) - once == 5
         assert [line.degree for line in lines] == \
             [d * lines[0].degree for d in (1, 2, 3)]
 
@@ -667,6 +668,26 @@ def reference_rref(m):
         if lead == rows:
             break
     return r, pivots
+
+
+def reference_connecting_split(cols, n0):
+    """``(kernel, pivots, complement)`` of the map with columns ``cols``
+    by two dense reductions: ``delta`` alone, then ``[delta_piv | I]``."""
+    n = len(cols)
+    delta = [[Fraction(v[i]) for v in cols] for i in range(n0)]
+    r, piv = reference_rref(delta) if n0 and n else ([], [])
+    kernel = []
+    for j in range(n):
+        if j not in piv:
+            v = [0] * n
+            v[j] = 1
+            for row, p in zip(r, piv):
+                v[p] = -row[j]
+            kernel.append(v)
+    _, pivots = reference_rref([[Fraction(cols[p][i]) for p in piv]
+                                + [int(k == i) for k in range(n0)]
+                                for i in range(n0)])
+    return kernel, piv, [c - len(piv) for c in pivots if c >= len(piv)]
 
 
 def assert_matches_reference(cc, d):
@@ -717,8 +738,8 @@ class TestDenseReference:
 
     def test_gluing_complexes(self, monkeypatch):
         # every complex a fixture gluing builds: the inputs, the
-        # subcomplex and quotient of the dropped cells, the glued
-        # extension and the glued graph's own complex
+        # subcomplex and quotient of the dropped cells and the glued
+        # graph's own complex
         built = []
         init = ChainComplexPair.__init__
 
@@ -734,7 +755,8 @@ class TestDenseReference:
                 (fx.interval(), fx.mouthpiece(), None),
                 (fx.pants(), fx.subdivided_incoming(fx.pants(), 6), [(0, 0)]),
                 (fx.oc_disjoint_union(fx.torus_with_out(), fx.cylinder()),
-                 fx.pants(), None)):
+                 fx.pants(), None),
+                (fx.cylinder(), fx.pants(), [(0, 1)])):
             a, b, m = subdivision_match(g1, g2, pairs)
             gluing_det_iso(a, b, m, 1)
         skew_associativity_sign(1)
@@ -762,6 +784,25 @@ class TestDenseReference:
                              min_size=4, max_size=4), max_size=4))
     def test_rref_matches_dense_rref(self, m):
         assert linalg.rref(m) == reference_rref(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_connecting_split_matches_two_reductions(self, data):
+        # the one reduction of [delta | I] against the kernel of delta's
+        # own reduction and the pivots of [delta_piv | I] over it
+        n0 = data.draw(st.integers(0, 5))
+        n = data.draw(st.integers(0, 6))
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+        cols = data.draw(st.lists(st.lists(entry, min_size=n0, max_size=n0),
+                                  min_size=n, max_size=n))
+        zero_row = data.draw(st.one_of(st.none(), st.integers(0, 4)))
+        zero_col = data.draw(st.one_of(st.none(), st.integers(0, 5)))
+        for j, col in enumerate(cols):
+            for i in range(n0):
+                if i == zero_row or j == zero_col:
+                    col[i] = 0
+        assert homology._split_connecting(cols, n0) == \
+            reference_connecting_split(cols, n0)
 
     def test_out_of_range_endpoints_raise_under_optimize(self):
         # one 0-cell, so ground is 1 and the endpoints must lie in 0..1
