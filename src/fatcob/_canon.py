@@ -2,7 +2,9 @@
 
 Works on a dense integer encoding of one connected fat graph: half-edges
 are ``0..n-1``, ``sigma[i]`` is the next half-edge counterclockwise at
-the same vertex and ``inv[i]`` the other half of the same edge.
+the same vertex and ``inv[i]`` the other half of the same edge.  Both
+may be any sequences of integers; the census passes ``inv`` as
+``bytes``, one pairing of its slots.
 
 The canonical code is the lexicographic minimum, over all starting
 half-edges, of the sequence

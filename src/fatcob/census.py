@@ -7,7 +7,15 @@ ordered.  Enumerating all pairings over all valence partitions of
 ``2n`` and deduplicating by canonical form yields every isomorphism
 class exactly once; the number of pairings that landed on a class is
 recorded (for one-vertex graphs this is the classical count of chord
-pairings of a ``2n``-gon realizing the class).
+pairings of a ``2n``-gon realizing the class).  A connected graph has
+``chi <= 1``, so only the partitions into at most ``n + 1`` parts are
+tallied.
+
+A pairing is a byte string, byte ``s`` the slot paired with ``s``; so
+a census reaches at most 128 edges (256 slots).  The pairings of
+``2n`` slots are built from those of ``2n - 2``: pairing slot 0 with
+each later slot in turn, the smaller pairings are relabelled onto the
+other slots by ``bytes.translate``.
 
 Two pairings give isomorphic graphs exactly when they lie in one orbit
 of the slot group C(parts), the permutations of the slots that commute
@@ -18,10 +26,11 @@ order and runs the canonical-labeling kernel (see :mod:`fatcob._canon`)
 once on each pairing not yet seen: once per class, plus once per
 disconnected pairing.  For a connected pairing it then closes the orbit
 under a few generators of C(parts), marking each member seen by its
-position in the pairing list; the orbit size is the class's pairing
-count, its first member the witness, and the kernel's count of the
-witness's minimal starts its automorphism count.  The kernel's starts
-are computed once per partition, and the pairings of ``2n`` slots and
+position in the pairing list; a conjugate costs one ``translate`` and
+one fixed ``itemgetter``.  The orbit size is the class's pairing count,
+its first member the witness, and the kernel's count of the witness's
+minimal starts its automorphism count.  The kernel's starts are
+computed once per partition, and the pairings of ``2n`` slots and
 their index once per edge count: by the serial path, and by each
 worker of the parallel path.
 
@@ -57,6 +66,8 @@ from .errors import (
 from .graphs import new_fat_graph
 
 DEFAULT_MAX_EDGES = 8
+# a pairing keeps its slot numbers in bytes: at most 256 slots
+MAX_PAIRING_EDGES = 128
 
 
 def _edge_bound():
@@ -78,7 +89,7 @@ class CensusEntry:
     """One isomorphism class of connected fat graphs.
 
     ``witness`` is ``(parts, pairing)``: a valence partition and a
-    pairing of its slots that realises the class.  It determines the
+    pairing of its slots, as ``bytes``, that realises the class.  It determines the
     graph, so entries compare and hash by it and by the numbers, never
     by a graph.  :attr:`graph` builds the named graph from the witness
     on first use and keeps it.  An entry of a ``cobordism=`` census
@@ -136,23 +147,27 @@ def _partitions(total, max_part, min_part):
 
 
 def _involutions(n2):
-    """All fixed-point-free pairings of ``0..n2-1`` as flat tuples."""
-    out = []
-    pairing = [-1] * n2
+    """All fixed-point-free pairings of ``0..n2-1``, ``n2`` even, as byte
+    strings.
 
-    def rec(free):
-        if not free:
-            out.append(tuple(pairing))
-            return
-        a = free[0]
-        for i in range(1, len(free)):
-            b = free[i]
-            pairing[a] = b
-            pairing[b] = a
-            rec(free[1:i] + free[i + 1:])
-        pairing[a] = -1
-    rec(tuple(range(n2)))
-    return out
+    The order is that of the recursion pairing slot 0 with each later
+    slot ``b`` in turn and the remaining slots among themselves, so the
+    list for ``m`` slots is built from the one for ``m - 2``: for each
+    ``b``, byte 0 is ``b``, byte ``b`` is 0, and the other bytes are a
+    smaller pairing relabelled onto the other slots by one
+    ``translate``.
+    """
+    pairings = [b""]
+    for m in range(2, n2 + 1, 2):
+        out = []
+        for b in range(1, m):
+            rest = (bytes(range(1, b)) + bytes(range(b + 1, m))).ljust(
+                256, b"\0")
+            head = bytes((b,))
+            out += [head + t[:b - 1] + b"\0" + t[b - 1:]
+                    for t in [q.translate(rest) for q in pairings]]
+        pairings = out
+    return pairings
 
 
 def _sigma_of_partition(parts):
@@ -212,7 +227,7 @@ def _invariants(sigma, pairing, n_vertices):
     two_g = 2 - chi - b
     if two_g < 0 or two_g % 2:
         raise NonIntegerGenus(
-            "pairing %r has 2-chi-b = %d" % (pairing, two_g))
+            "pairing %r has 2-chi-b = %d" % (tuple(pairing), two_g))
     return two_g // 2, b, chi
 
 
@@ -301,7 +316,7 @@ def _tally_partition(task, indexed):
         ginv = [0] * n2
         for s, t in enumerate(g):
             ginv[t] = s
-        gens.append((g, itemgetter(*ginv)))
+        gens.append((bytes(g).ljust(256, b"\0"), itemgetter(*ginv)))
     seen = bytearray(len(pairings))
     tally = {}
     for i, m in enumerate(pairings):
@@ -316,16 +331,18 @@ def _tally_partition(task, indexed):
         seen[i] = 1
         orbit = [m]
         for p in orbit:
-            for g, at_ginv in gens:
+            for gt, at_ginv in gens:
                 # the conjugate g p g^-1 sends g(s) to g(p(s)): its
-                # entry j is g[p[ginv[j]]]
-                image = itemgetter(*at_ginv(p))(g)
+                # entry j is g[p[ginv[j]]]: p translated by g, read in
+                # ginv order
+                image = bytes(at_ginv(p.translate(gt)))
                 j = index.get(image)
                 if j is None:
                     raise InvariantViolation(
                         "image %r of pairing %r is not a pairing: a "
                         "generator of the slot group of %r is not a "
-                        "permutation of the slots" % (image, p, parts))
+                        "permutation of the slots"
+                        % (tuple(image), tuple(p), parts))
                 if not seen[j]:
                     seen[j] = 1
                     orbit.append(image)
@@ -365,6 +382,10 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
             "max_edges=%d exceeds the configured bound %d" % (max_edges, limit))
     if max_edges < 0:
         raise BoundExceeded("max_edges must be nonnegative")
+    if max_edges > MAX_PAIRING_EDGES:
+        raise BoundExceeded(
+            "max_edges=%d exceeds %d, the most edges whose slots fit in "
+            "the bytes of a pairing" % (max_edges, MAX_PAIRING_EDGES))
     tasks = []
     sizes = range(max_edges, max_edges + 1) if exact_edges \
         else range(1, max_edges + 1)
@@ -374,9 +395,11 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
         if one_vertex:
             tasks.append((n, (2 * n,)))
         else:
+            # a connected graph has chi <= 1: at most n + 1 vertices
             tasks.extend((n, parts)
                          for parts in _partitions(2 * n, 2 * n,
-                                                  max(1, min_valence)))
+                                                  max(1, min_valence))
+                         if len(parts) <= n + 1)
     merged = {}
     if jobs and jobs > 1:
         import multiprocessing
@@ -393,17 +416,21 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
             n, tally = _tally_partition(task, indexed)
             _merge(merged, n, tally)
     out = []
+    shapes = {}     # parts -> (sigma, order of C(parts)), once each
     for (n, code), (count, aut, witness) in merged.items():
         parts, pairing = witness
+        shape = shapes.get(parts)
+        if shape is None:
+            shape = shapes[parts] = (_sigma_of_partition(parts),
+                                     _centralizer_order(parts))
+        sigma, want = shape
         # orbit-stabilizer: pairings realizing the class, times the
         # automorphism count, is the slot-symmetry order
-        want = _centralizer_order(parts)
         if count * aut != want:
             raise InvariantViolation(
                 "census bookkeeping broken for %r: %d pairings times %d "
                 "automorphisms is not %d" % (code, count, aut, want))
-        g, b, chi = _invariants(_sigma_of_partition(parts), pairing,
-                                len(parts))
+        g, b, chi = _invariants(sigma, pairing, len(parts))
         out.append(CensusEntry(
             canon=code, witness=witness, n_edges=n, n_vertices=len(parts),
             genus=g, boundary_count=b, euler_characteristic=chi,

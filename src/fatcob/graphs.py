@@ -426,18 +426,17 @@ class FatGraph:
         vmap = vertex_map or {}
         emap = edge_map or {}
 
-        def rv(v):
-            return vmap.get(v, v)
-
-        def rh(h):
-            e = self._edge_of[h]
-            return half_id(emap.get(e, e), int(h.rsplit(".", 1)[1]))
-
-        source = {rh(h): rv(self._source[h]) for h in self._halves}
-        involution = {rh(h): rh(self._involution[h]) for h in self._halves}
-        sigma = {rh(h): rh(self._sigma[h]) for h in self._halves}
+        # each half-edge renamed once; its validated id ends in ".0"
+        # or ".1"
+        rh = {h: half_id(emap.get(e, e), int(h[-1]))
+              for h, e in self._edge_of.items()}
+        src, inv, sig = self._source, self._involution, self._sigma
+        source = {rh[h]: vmap.get(src[h], src[h]) for h in self._halves}
+        involution = {rh[h]: rh[inv[h]] for h in self._halves}
+        sigma = {rh[h]: rh[sig[h]] for h in self._halves}
         return FatGraph(source, involution, sigma,
-                        isolated=frozenset(rv(v) for v in self._isolated))
+                        isolated=frozenset(vmap.get(v, v)
+                                           for v in self._isolated))
 
 
 def _edge_name(h):

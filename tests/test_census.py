@@ -12,6 +12,8 @@ permutation of the witness.  The tests recompute both from scratch on
 every class, and hold the graph to being built only on first use.
 """
 
+import hashlib
+import multiprocessing
 from itertools import groupby
 from operator import itemgetter
 
@@ -23,13 +25,14 @@ from fatcob.census import (
     _centralizer_order,
     _generators,
     _indexed_pairings,
+    _involutions,
     _partitions,
     _sigma_of_partition,
     _tally_partition,
     _vertex_of_slot,
     enumerate_fat_graphs,
 )
-from fatcob.errors import InvariantViolation
+from fatcob.errors import BoundExceeded, InvariantViolation
 
 
 def reference_tally(task, pairings):
@@ -234,3 +237,107 @@ class TestClassesFromIntegers:
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("raised graph of census class")
         assert "has invariants [(1, 1, -1)], not the" in out.stdout
+
+
+def recursive_involutions(n2):
+    """The pairings of ``0..n2-1`` as the census listed them when it
+    paired the first free slot with each later one, recursively."""
+    out = []
+    pairing = [-1] * n2
+
+    def rec(free):
+        if not free:
+            out.append(tuple(pairing))
+            return
+        a = free[0]
+        for i in range(1, len(free)):
+            b = free[i]
+            pairing[a] = b
+            pairing[b] = a
+            rec(free[1:i] + free[i + 1:])
+        pairing[a] = -1
+    rec(tuple(range(n2)))
+    return out
+
+
+def census_digest(entries):
+    rows = [(e.canon, tuple(e.witness[1]), e.n_pairings, e.aut_size)
+            for e in entries]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestPairingOrder:
+    # the witness is the first pairing of its orbit in list order, so
+    # the order decides which named graph ``CensusEntry.graph`` builds
+
+    def test_involutions_match_the_recursion(self):
+        for n2 in range(0, 13, 2):
+            got = _involutions(n2)
+            assert all(type(m) is bytes for m in got)
+            assert [tuple(m) for m in got] == recursive_involutions(n2), n2
+
+    def test_census_digests_are_pinned(self):
+        assert census_digest(enumerate_fat_graphs(5)) == (
+            "b545f4179dac8ec58be2b0dd698c4fc2798fbedf70c303526eeb44838b70cd9e")
+        assert census_digest(enumerate_fat_graphs(
+            6, one_vertex=True, exact_edges=True)) == (
+            "4d1e20631d8ece72fc1f284cc73bd6dfb6f7997be90ddec89b99b9d064176290")
+
+
+def unconnectable(n2, sigma):
+    """Whether ``sigma`` on ``n2`` slots has more than ``n2 / 2 + 1``
+    cycles, the most vertices a connected graph with ``n2 / 2`` edges
+    can have."""
+    seen = set()
+    cycles = 0
+    for s in range(n2):
+        if s not in seen:
+            cycles += 1
+            while s not in seen:
+                seen.add(s)
+                s = sigma[s]
+    return cycles > n2 // 2 + 1
+
+
+class TestPartitionPruning:
+    def test_unconnectable_partitions_have_no_connected_pairing(self):
+        pruned = 0
+        for n in range(1, 5):
+            pairings = _involutions(2 * n)
+            for parts in _partitions(2 * n, 2 * n, 1):
+                if len(parts) > n + 1:
+                    assert reference_tally((n, parts), pairings) == {}
+                    pruned += 1
+        assert pruned == 7
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_kernel_never_runs_on_them(self, monkeypatch, tmp_path, jobs):
+        # one line per kernel call, appended by whichever process makes
+        # it: the workers of the jobs path are forked with the patch
+        if jobs and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers start without the patched kernel")
+        log = tmp_path / "calls"
+        real = _canon.census_code
+        want = enumerate_fat_graphs(4)
+
+        def logged(sigma, inv, n, starts):
+            with open(log, "a") as fh:
+                fh.write("%d\n" % unconnectable(n, sigma))
+            return real(sigma, inv, n, starts)
+
+        monkeypatch.setattr(_canon, "census_code", logged)
+        assert enumerate_fat_graphs(4, jobs=jobs) == want
+        calls = log.read_text().split()
+        assert len(calls) > len(want)
+        assert set(calls) == {"0"}
+
+    def test_more_than_128_edges_raise_at_once(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(census, "_partitions", no_work)
+        monkeypatch.setattr(census, "_involutions", no_work)
+        with pytest.raises(BoundExceeded, match="129 exceeds 128"):
+            enumerate_fat_graphs(129, bound=129)
+        with pytest.raises(BoundExceeded, match="129 exceeds 128"):
+            enumerate_fat_graphs(129, bound=200, one_vertex=True)

@@ -10,11 +10,13 @@ from fatcob.errors import (
     UnknownEdge,
     WrongVertexOrder,
 )
+from fatcob.census import enumerate_fat_graphs
 from fatcob.graphs import (
     CellCorrespondence,
     FatGraph,
     _Edit,
     disjoint_union,
+    half_id,
     new_fat_graph,
 )
 from fatcob.morphisms import canonical_form, is_isomorphic
@@ -371,3 +373,71 @@ class TestLocalEdits:
         del ed.source["B.0"]
         with pytest.raises(DanglingHalfEdge):
             ed.result()
+
+
+def comprehension_relabel(g, vertex_map, edge_map):
+    """``FatGraph.relabel`` as three comprehensions that rename each
+    half-edge anew wherever it occurs."""
+    def rv(v):
+        return vertex_map.get(v, v)
+
+    def rh(h):
+        e = g.edge_of(h)
+        return half_id(edge_map.get(e, e), int(h.rsplit(".", 1)[1]))
+
+    source = {rh(h): rv(g.source(h)) for h in g.half_edges}
+    involution = {rh(h): rh(g.partner(h)) for h in g.half_edges}
+    sigma = {rh(h): rh(g.next_at_vertex(h)) for h in g.half_edges}
+    return FatGraph(source, involution, sigma,
+                    isolated=frozenset(rv(v) for v in g.isolated_vertices))
+
+
+def relabel_cases():
+    """Every census graph through 4 edges, the fixtures, and a graph
+    with an isolated vertex and a dotted edge name."""
+    graphs = [e.graph for e in enumerate_fat_graphs(4)]
+    for name in ("figure4", "single_loop", "two_loops_torus",
+                 "two_loops_planar", "embedded_circle_example"):
+        graphs.append(getattr(fx, name)())
+    for name in ("interval", "cylinder", "pants", "mouthpiece", "flaps",
+                 "torus_with_out", "open_closed_example", "disk_closed_in",
+                 "interval_in_in"):
+        graphs.append(getattr(fx, name)().base)
+    graphs.append(new_fat_graph(["u", "w"], [("a.b", "u", "u")],
+                                {"u": ["a.b.0", "a.b.1"]}, isolated=["w"]))
+    return graphs
+
+
+class TestRelabel:
+    def test_matches_the_comprehensions(self):
+        rng = random.Random(16)
+        for g in relabel_cases():
+            every = ({v: "v:" + v for v in g.vertices},
+                     {e: "e:" + e for e in g.edges()})
+            some = ({v: "w:%d" % i for i, v in enumerate(g.vertices)
+                     if rng.random() < 0.5},
+                    {e: e + ".x" for e in g.edges() if rng.random() < 0.5})
+            for vmap, emap in (({}, {}), every, some):
+                got = g.relabel(vmap, emap)
+                want = comprehension_relabel(g, vmap, emap)
+                assert got == want
+                assert list(got.source_map.items()) == list(
+                    want.source_map.items())
+                assert [got.next_at_vertex(h) for h in got.half_edges] == [
+                    want.next_at_vertex(h) for h in want.half_edges]
+            assert g.relabel() == g
+
+    def test_disjoint_union_matches_the_comprehensions(self):
+        g1, g2 = fx.figure4(), fx.pants().base
+        r1 = comprehension_relabel(
+            g1, {v: "1:" + v for v in g1.vertices},
+            {e: "1:" + e for e in g1.edges()})
+        r2 = comprehension_relabel(
+            g2, {v: "2:" + v for v in g2.vertices},
+            {e: "2:" + e for e in g2.edges()})
+        got = disjoint_union(g1, g2)
+        assert dict(got.source_map) == {**r1.source_map, **r2.source_map}
+        for r in (r1, r2):
+            for h in r.half_edges:
+                assert got.partner(h) == r.partner(h)
+                assert got.next_at_vertex(h) == r.next_at_vertex(h)
