@@ -68,6 +68,8 @@ from .graphs import new_fat_graph
 DEFAULT_MAX_EDGES = 8
 # a pairing keeps its slot numbers in bytes: at most 256 slots
 MAX_PAIRING_EDGES = 128
+# admissible_decorations tries all 5 ** leaves roles of the leaves
+MAX_DECORATED_LEAVES = 6
 
 
 def _edge_bound():
@@ -453,20 +455,22 @@ def _signature_key(sig):
                           c.free_cycles) for c in sig.components)))
 
 
-def admissible_decorations(graph, max_leaves=6):
+def admissible_decorations(graph):
     """Every admissible way of decorating the leaves of ``graph``.
 
     Each leaf may stay bare or become an open/closed incoming or
     outgoing leaf; the In/Out orderings follow leaf-name order.
-    Results are deduplicated by decorated canonical form.
+    Results are deduplicated by decorated canonical form.  A graph with
+    more than ``MAX_DECORATED_LEAVES`` leaves raises
+    :class:`BoundExceeded`.
     """
     from .morphisms import canonical_form
     from .openclosed import decorate, is_admissible
     leaves = sorted(v for v in graph.vertices if graph.is_leaf(v))
-    if len(leaves) > max_leaves:
+    if len(leaves) > MAX_DECORATED_LEAVES:
         raise BoundExceeded(
             "%d leaves is beyond the decoration bound %d"
-            % (len(leaves), max_leaves))
+            % (len(leaves), MAX_DECORATED_LEAVES))
     assignments = [[]]
     for v in leaves:
         assignments = [a + [(v, r)] for a in assignments

@@ -13,7 +13,9 @@ case-sensitive::
 
 Serialization emits vertices, edges and orders sorted by name, each
 cyclic order rotated to start at its smallest half-edge, so parsing a
-serialized graph reproduces it with identical identifiers.
+serialized graph reproduces it with identical identifiers.  A vertex or
+edge name that would not read back as one token (empty, or holding
+whitespace or ``#``) is refused with :class:`SemanticError`.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ from .openclosed import OpenClosedFatGraph, decorate
 
 @dataclass
 class GraphDocument:
-    """Parsed form of a ``.fg`` file, with line info for diagnostics."""
+    """Parsed form of a ``.fg`` file."""
     vertices: list = field(default_factory=list)   # (name, isolated)
     edges: list = field(default_factory=list)      # (name, src, dst)
     orders: dict = field(default_factory=dict)     # vertex -> [half, ...]
     in_leaves: list = None
     out_leaves: list = None
     closed: list = None
-    lines: dict = field(default_factory=dict)      # directive -> line no
 
     @property
     def decorated(self):
@@ -102,7 +103,6 @@ def parse(text):
             setattr(doc, attr, list(args))
         else:
             raise ParseError("unknown directive %r" % word, line=lineno)
-        doc.lines.setdefault(word, lineno)
     if not seen_header:
         raise ParseError("missing fatgraph header", line=1)
     return doc
@@ -122,6 +122,15 @@ def _rotate_min(cycle):
     return list(cycle[lo:]) + list(cycle[:lo])
 
 
+def _token(kind, name):
+    """``name`` as written, if it reads back as the one token it was."""
+    text = str(name)
+    if "#" in text or text.split() != [text]:
+        raise SemanticError("%s name %r is not a single .fg token"
+                            % (kind, name))
+    return text
+
+
 def serialize(g):
     """Serialize a (decorated) fat graph; inverse of :func:`parse`."""
     oc = g if isinstance(g, OpenClosedFatGraph) else None
@@ -130,20 +139,20 @@ def serialize(g):
         raise TypeError("cannot serialize %r" % type(g).__name__)
     out = ["fatgraph"]
     for v in base.vertices:
-        if base.is_isolated(v):
-            out.append("vertex %s isolated" % v)
-        else:
-            out.append("vertex %s" % v)
+        flag = " isolated" if base.is_isolated(v) else ""
+        out.append("vertex %s%s" % (_token("vertex", v), flag))
     for e in base.edges():
         h0, h1 = base.edge_halves(e)
-        out.append("edge %s %s %s" % (e, base.source(h0), base.source(h1)))
+        out.append("edge %s %s %s" % (_token("edge", e), base.source(h0),
+                                      base.source(h1)))
     for v in base.vertices:
         if base.is_isolated(v):
             continue
         out.append("order %s %s" % (v, " ".join(_rotate_min(base.fan(v)))))
     if oc is not None:
-        if oc.in_leaves:
-            out.append("in %s" % " ".join(oc.in_leaves))
+        # a bare "in" line keeps a graph without special leaves decorated
+        if oc.in_leaves or not oc.special:
+            out.append(" ".join(["in", *oc.in_leaves]))
         if oc.out_leaves:
             out.append("out %s" % " ".join(oc.out_leaves))
         if oc.closed:

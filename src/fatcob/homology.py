@@ -17,9 +17,11 @@ and a morphism that :func:`fatcob.morphisms.require_valid` already
 checked is not validated again.  A chain map between two complexes is
 a cell map, which sends each source cell to a sum of target cells with
 coefficient +1, stored as the tuple of their indices (empty for a cell
-sent to zero).  Every chain, basis vector and coordinate vector holds
-Python ``int``s: incidence matrices are totally unimodular, so even the
-lift corrections stay integral.
+sent to zero); its preimages give the projection onto a quotient and
+the section of a collapse, which :func:`morphism_det_sign` checks to be
+the exact inverse of the forward map on H1 and H0.  Every chain, basis
+vector and coordinate vector holds Python ``int``s: incidence matrices
+are totally unimodular, so even the lift corrections stay integral.
 ``Fraction`` enters only through :func:`linalg.det`, the kernel of the
 connecting map, and the scalars built from their ratios.
 
@@ -399,6 +401,16 @@ def chain_map_of_morphism(m):
     return ChainMap(A, B, f_eH=f1, f_eEV=f0)
 
 
+def _preimages(cell_map, n):
+    """The inverse of a cell map onto ``n`` target cells: entry ``t``
+    lists, in increasing order, the source cells sent onto cell ``t``."""
+    pre = [[] for _ in range(n)]
+    for i, targets in enumerate(cell_map):
+        for t in targets:
+            pre[t].append(i)
+    return pre
+
+
 def _induced_h1_matrix(A, B, cell_map):
     """The induced H1 map as its list of columns, which has the same
     determinant as the matrix."""
@@ -423,19 +435,15 @@ def _dense(cc, cols):
     return rows
 
 
-def _sign(x):
-    return 1 if x > 0 else -1
-
-
 def morphism_det_sign(m):
     """Sign of the induced isomorphism on the determinant line.
 
-    Computed twice: from the forward chain map, and from the section
-    that picks unique preimages (summing a collapsed tree's cells for a
-    vertex).  The section is only a chain map up to corrections
-    supported on the collapsed cells, which form an acyclic subcomplex,
-    so its homology action is still well defined; the two signs always
-    agree and the common value is returned.
+    Read off the forward chain map.  Its section is the preimage of the
+    forward cell maps: the unique preimage of each half-edge, and the
+    first preimage of each 0-cell (a collapsed tree's cells share one H0
+    class).  The section is a chain map only up to corrections on the
+    collapsed cells, an acyclic subcomplex, so it acts on homology, and
+    that action must be the exact inverse of the forward one on H1 and H0.
     """
     cm = chain_map_of_morphism(m)
     A, B = cm.source_cc, cm.target_cc
@@ -445,40 +453,16 @@ def morphism_det_sign(m):
     det0_f = linalg.det(_induced_h0_matrix(A, B, cm.f_eEV))
     if det1_f == 0 or det0_f == 0:
         raise InvalidMorphism("induced homology map is singular")
-    sign_f = _sign(det1_f) * _sign(det0_f)
 
-    src, tgt = m.source, m.target
-    sbase, tbase = src.base, tgt.base
-    # section on 1-cells: unique preimages
-    pre_half = {}
-    for h, img in m.half_map.items():
-        if img is not None:
-            pre_half[img] = h
-    posA1 = A.positions1()
-    g1 = [(posA1[pre_half[h]],) for h in B.basis1]
-    # section on 0-cells: preimage edge, or the collapsed tree's cells
-    posA0 = A.positions0()
-    collapsed_by_vertex = {}
-    for h, img in m.half_map.items():
-        if img is None:
-            w = m.vertex_map[sbase.source(h)]
-            collapsed_by_vertex.setdefault(w, set()).add(
-                ("E", sbase.edge_of(h)))
-    for v, w in m.vertex_map.items():
-        collapsed_by_vertex.setdefault(w, set()).add(("V", v))
-    g0 = []
-    for kind, name in B.basis0:
-        if kind == "E":
-            h0, _ = tbase.edge_halves(name)
-            g0.append((posA0[("E", sbase.edge_of(pre_half[h0]))],))
-        else:
-            cells = collapsed_by_vertex.get(name, ())
-            g0.append(tuple(sorted(posA0[c] for c in cells if c in posA0)))
+    g1 = _preimages(cm.f_eH, len(B.basis1))
+    _check(all(len(pre) == 1 for pre in g1),
+           "a target half-edge has no unique preimage")
+    g0 = _preimages(cm.f_eEV, len(B.basis0))
+    _check(all(g0), "a target 0-cell has no preimage")
+    g0 = [pre[:1] for pre in g0]
     # H1 action of the section: lift and correct inside the collapsed
     # cells, which the forward map kills and which carry no homology
-    k_cols = [posA1[h] for h, img in m.half_map.items()
-              if img is None and h in posA1]
-    k_cols.sort()
+    k_cols = [j for j, targets in enumerate(cm.f_eH) if not targets]
     d_restricted = _dense(A, k_cols)
     cols = []
     for vec in B.h1_basis:
@@ -491,10 +475,9 @@ def morphism_det_sign(m):
         cols.append(A.h1_coords(lift))
     det1_g = linalg.det(cols)
     det0_g = linalg.det(_induced_h0_matrix(B, A, g0))
-    _check(det1_g != 0 and det0_g != 0, "section map on homology is singular")
-    sign_g = _sign(det1_g) * _sign(det0_g)
-    _check(sign_f == sign_g, "forward and section determinant signs disagree")
-    return sign_f
+    _check(det1_f * det1_g == 1 and det0_f * det0_g == 1,
+           "section is not the inverse of the forward map on homology")
+    return 1 if det1_f * det0_f > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -560,18 +543,14 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     _check(len(piv) + len(comp_idx) == A.rank_h0,
            "connecting image has no complement")
     # s2: (kernel basis | chosen complements) against the H1(C) basis
-    unitsW = []
-    for p in piv:
-        v = [0] * len(C.h1_basis)
-        v[p] = 1
-        unitsW.append(v)
+    unitsW = [[int(k == p) for k in range(len(C.h1_basis))] for p in piv]
     s2 = linalg.det(kerK + unitsW)
     # s3: (connecting images | greedy unit complement) in H0(A)
     s3 = linalg.det([delta_cols[p] for p in piv]
                     + [[int(k == q) for k in range(A.rank_h0)]
                        for q in comp_idx])
     # s1: (H1(A) | corrected lifts of the kernel) in H1(B)
-    colsB = [B.h1_coords(_scatter(vec, inc1, nB1)) for vec in A.h1_basis]
+    colsB = _induced_h1_matrix(A, B, inc1)
     dA = _dense(A, range(len(A.basis1)))
     for kvec in kerK:
         zC = [0] * len(C.basis1)
@@ -587,12 +566,8 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     _check(len(colsB) == B.rank_h1, "rank bookkeeping broken in degree 1")
     s1 = linalg.det(colsB)
     # s4: (H0(A) complement | lifts of H0(C)) in H0(B)
-    cols0 = []
-    for q in comp_idx:
-        rep = A.h0_basis[q]
-        cols0.append(B.h0_class(_scatter(rep, inc0, nB0)))
-    for rep in C.h0_basis:
-        cols0.append(B.h0_class(_scatter(rep, sec0, nB0)))
+    h0A = _induced_h0_matrix(A, B, inc0)
+    cols0 = [h0A[q] for q in comp_idx] + _induced_h0_matrix(C, B, sec0)
     _check(len(cols0) == B.rank_h0, "rank bookkeeping broken in degree 0")
     s4 = linalg.det(cols0)
     _check(s1 and s2 and s3 and s4, "six-term base change is singular")
@@ -611,31 +586,27 @@ def _restrict(cc, idx1, idx0):
                             [pos.get(cc.minus[j], ground) for j in idx1])
 
 
-def _subcomplex(cc, keep1, keep0):
-    """Restrict to the given cells; they must span a subcomplex."""
-    idx1 = [i for i, lab in enumerate(cc.basis1) if lab in keep1]
-    idx0 = [i for i, lab in enumerate(cc.basis0) if lab in keep0]
-    set0 = set(idx0) | {len(cc.basis0)}
-    if any(cc.plus[j] not in set0 or cc.minus[j] not in set0 for j in idx1):
-        raise ResultInvalid("cells do not span a subcomplex")
-    return _restrict(cc, idx1, idx0), idx1, idx0
-
-
 def _drop_scalar(cc, dropped_halves, dropped_cells):
     """det-line scalar of cutting an acyclic set of cells out of ``cc``.
 
     Returns ``(subcomplex, scalar)`` where scalar carries
-    det(H sub) -> det(H cc).
+    det(H sub) -> det(H cc).  The kept cells must span a subcomplex.
     """
-    keep1 = [h for h in cc.basis1 if h not in dropped_halves]
-    keep0 = [c for c in cc.basis0 if c not in dropped_cells]
-    sub, idx1, idx0 = _subcomplex(cc, set(keep1), set(keep0))
-    drop1 = [i for i, lab in enumerate(cc.basis1) if lab in dropped_halves]
-    drop0 = [i for i, lab in enumerate(cc.basis0) if lab in dropped_cells]
+    # one pass per degree: a cell's membership test picks its list
+    keep1, drop1 = split1 = [], []
+    for i, lab in enumerate(cc.basis1):
+        split1[lab in dropped_halves].append(i)
+    keep0, drop0 = split0 = [], []
+    for i, lab in enumerate(cc.basis0):
+        split0[lab in dropped_cells].append(i)
+    set0 = set(keep0) | {len(cc.basis0)}
+    if any(cc.plus[j] not in set0 or cc.minus[j] not in set0 for j in keep1):
+        raise ResultInvalid("cells do not span a subcomplex")
+    sub = _restrict(cc, keep1, keep0)
     quot = _restrict(cc, drop1, drop0)
     if quot.rank_h1 or quot.rank_h0:
         raise ResultInvalid("dropped cells are not acyclic")
-    scalar = _ses_det_scalar(sub, cc, quot, idx1, idx0, drop1, drop0)
+    scalar = _ses_det_scalar(sub, cc, quot, keep1, keep0, drop1, drop0)
     return sub, scalar
 
 
@@ -700,12 +671,9 @@ def _compute_gluing_scalar(g1, g2, match):
     # sending them to zero leaves the second graph's complex
     _check_chain_map(cc1p, ccG, [(i,) for i in incl1],
                      [(i,) for i in incl0])
-    proj1, proj0 = [()] * len(ccG.basis1), [()] * len(ccG.basis0)
-    for k, i in enumerate(sect1):
-        proj1[i] = (k,)
-    for k, i in enumerate(sect0):
-        proj0[i] = (k,)
-    _check_chain_map(ccG, cc2, proj1, proj0)
+    _check_chain_map(ccG, cc2,
+                     _preimages([(i,) for i in sect1], len(ccG.basis1)),
+                     _preimages([(i,) for i in sect0], len(ccG.basis0)))
     s_ses = _ses_det_scalar(cc1p, ccG, cc2, incl1, incl0, sect1, sect0)
     return s_ses / s_drop, ccG, glued, cc1.degree, cc2.degree
 

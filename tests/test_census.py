@@ -20,7 +20,7 @@ from operator import itemgetter
 import pytest
 
 from conftest import run_optimized
-from fatcob import _canon, census
+from fatcob import _canon, census, openclosed
 from fatcob.census import (
     _centralizer_order,
     _generators,
@@ -33,6 +33,7 @@ from fatcob.census import (
     enumerate_fat_graphs,
 )
 from fatcob.errors import BoundExceeded, InvariantViolation
+from fatcob.graphs import new_fat_graph
 
 
 def reference_tally(task, pairings):
@@ -341,3 +342,20 @@ class TestPartitionPruning:
             enumerate_fat_graphs(129, bound=129)
         with pytest.raises(BoundExceeded, match="129 exceeds 128"):
             enumerate_fat_graphs(129, bound=200, one_vertex=True)
+
+
+class TestDecorationBound:
+    def test_more_than_six_leaves_raise_at_once(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(openclosed, "decorate", no_work)
+        leaves = ["l%d" % i for i in range(7)]
+        edges = [("e%d" % i, "c", v) for i, v in enumerate(leaves)]
+        orders = {v: ["e%d.1" % i] for i, v in enumerate(leaves)}
+        orders["c"] = ["e%d.0" % i for i in range(7)]
+        star = new_fat_graph(["c"] + leaves, edges, orders)
+        assert census.MAX_DECORATED_LEAVES == 6
+        with pytest.raises(BoundExceeded, match="7 leaves is beyond the "
+                                                "decoration bound 6"):
+            census.admissible_decorations(star)

@@ -4,8 +4,10 @@ import pytest
 
 from conftest import DATA_DIR, data_path
 from fatcob import fixtures as fx
+from fatcob.census import admissible_decorations, enumerate_fat_graphs
 from fatcob.errors import ParseError, SemanticError, WrongVertexOrder
 from fatcob.fgformat import parse, parse_graph, serialize
+from fatcob.graphs import new_fat_graph
 from fatcob.morphisms import is_isomorphic
 from fatcob.openclosed import OpenClosedFatGraph
 
@@ -101,3 +103,31 @@ class TestRoundTrip:
         text = "fatgraph\nvertex u\nvertex w isolated\nedge a u u\norder u a.0 a.1\n"
         g = parse_graph(text)
         assert serialize(g) == text
+
+    def test_census_graphs_round_trip(self):
+        entries = enumerate_fat_graphs(4)
+        assert len(entries) == 134
+        for entry in entries:
+            assert parse_graph(serialize(entry.graph)) == entry.graph
+        decorated = [oc for entry in enumerate_fat_graphs(3)
+                     for oc in admissible_decorations(entry.graph)]
+        assert len(decorated) == 106
+        # some of them have no special leaf at all
+        assert any(not oc.special for oc in decorated)
+        for oc in decorated:
+            assert parse_graph(serialize(oc)) == oc
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a#b"])
+class TestUnwritableNames:
+    def test_vertex_name(self, name):
+        g = new_fat_graph([name], [("e", name, name)],
+                          {name: ["e.0", "e.1"]})
+        with pytest.raises(SemanticError, match="vertex name %r" % name):
+            serialize(g)
+
+    def test_edge_name(self, name):
+        g = new_fat_graph(["v"], [(name, "v", "v")],
+                          {"v": [name + ".0", name + ".1"]})
+        with pytest.raises(SemanticError, match="edge name %r" % name):
+            serialize(g)

@@ -450,6 +450,47 @@ class TestMorphismDetSign:
         for m in singles:
             assert morphism_det_sign(m) in (1, -1)
 
+    def test_exact_section_on_census_collapses(self):
+        # forward x section == 1 on H1 and H0 is checked inside the call;
+        # a section summing a collapsed tree's cells fails it on the
+        # morphisms whose tree carries an H0 class
+        singles, composites = census_collapses(3)
+        ms = singles + composites
+        assert len(ms) == 142
+        trees = 0
+        for m in ms:
+            cm = chain_map_of_morphism(m)
+            B = cm.target_cc
+            pre = homology._preimages(cm.f_eEV, len(B.basis0))
+            trees += any(len(pre[rep.index(1)]) > 1 for rep in B.h0_basis)
+        assert trees == 46
+        signs = [morphism_det_sign(m) for m in ms]
+        assert (signs.count(1), signs.count(-1)) == (126, 16)
+
+    def test_target_cell_without_preimage(self, monkeypatch):
+        # the target gains a cell joined to ground by a new arc: the
+        # homology is unchanged, but the arc has no preimage
+        _, m = collapse_edges(fx.pants(), ["r1"])
+        original = homology.chain_map_of_morphism
+
+        def widened(m):
+            cm = original(m)
+            B = cm.target_cc
+            x, ground = len(B.basis0), len(B.basis0) + 1
+
+            def moved(ends):
+                return [ground if u == x else u for u in ends]
+
+            wide = ChainComplexPair(B.basis1 + ("x",),
+                                    B.basis0 + (("V", "x"),),
+                                    moved(B.plus) + [x],
+                                    moved(B.minus) + [ground])
+            return homology.ChainMap(cm.source_cc, wide, cm.f_eH, cm.f_eEV)
+
+        monkeypatch.setattr(homology, "chain_map_of_morphism", widened)
+        with pytest.raises(InvariantViolation, match="no unique preimage"):
+            morphism_det_sign(m)
+
 
 class TestValidateOnce:
     """A morphism the library returns is validated once, when made."""
