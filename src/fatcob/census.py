@@ -25,10 +25,15 @@ automorphism group of its graph.  So the tally walks the pairings in
 order and runs the canonical-labeling kernel (see :mod:`fatcob._canon`)
 once on each pairing not yet seen: once per class, plus once per
 disconnected pairing.  For a connected pairing it then closes the orbit
-under a few generators of C(parts), marking each member seen by its
-position in the pairing list; a conjugate costs one ``translate`` and
-one fixed ``itemgetter``.  The orbit size is the class's pairing count,
-its first member the witness, and the kernel's count of the witness's
+over a transversal chain of C(parts): stages of slot permutations whose
+products, one element or the identity per stage, are each element of
+C(parts) once.  Each stage conjugates every member found so far by each
+of its elements, so an orbit costs at most |C(parts)| - 1 conjugates,
+exactly that when the class has no automorphism, and fewer when
+conjugates coincide.  A conjugate costs one ``translate`` and one fixed
+``itemgetter``; each member is then marked seen once, by its position
+in the pairing list.  The orbit size is the class's pairing count, its
+first member the witness, and the kernel's count of the witness's
 minimal starts its automorphism count.  The kernel's starts are
 computed once per partition, and the pairings of ``2n`` slots and
 their index once per edge count: by the serial path, and by each
@@ -37,15 +42,15 @@ worker of the parallel path.
 Work is split by valence partition.  A class lies in one partition, so
 partial tallies are disjoint and merge in any order: the parallel path
 is schedule-independent.  A class is materialised from integers alone.
-Orbit-stabilizer checks the generator closure against the kernel: the
-orbit size times the automorphism count must be the order of C(parts).
+Orbit-stabilizer checks the closure against the kernel: the orbit size
+times the automorphism count must be the order of C(parts).
 The boundary count is the number of cycles of ``sigma∘pairing`` on the
 slots, ``chi`` is vertices minus edges and the genus follows from
 ``2 - 2g = chi + b``.  No named graph is built: a :class:`CensusEntry`
 keeps its witness and builds its graph on first use, checking the
 graph's surface invariants against the counted ones.  The
 orbit-stabilizer check, that graph check, a code reached by a second
-orbit, and a generator image that is not a pairing each raise
+orbit, and an orbit member that is not a pairing each raise
 :class:`~fatcob.errors.InvariantViolation`.
 """
 
@@ -244,34 +249,43 @@ def _centralizer_order(parts):
     return out
 
 
-def _generators(parts):
-    """A generating set of the slot group C(parts), as slot permutations.
+def _transversals(parts):
+    """A transversal chain of the slot group C(parts): a list of stages,
+    each a list of slot permutations, such that the products of one
+    element or the identity per stage are each element of C(parts)
+    exactly once.
 
     ``parts`` is weakly decreasing, so equal blocks are adjacent.  For
-    each block size: the rotation of its first block and, when the size
-    repeats, the swap of its first two blocks and the cycle of all its
-    blocks.  Conjugating the rotation by block permutations rotates the
-    other blocks of the size.
+    each block size, with blocks B_1..B_a of that size, stage i holds
+    the swaps of B_i with each later B_l; these stages multiply out to
+    every permutation of the a blocks.  Then each block of size k > 1
+    has one stage of its k - 1 nontrivial rotations; the rotations are
+    a normal subgroup, so every element of C(parts) is one product of
+    rotations after one of block permutations.
     """
     n2 = sum(parts)
+    offs = [0]
+    for k in parts:
+        offs.append(offs[-1] + k)
 
-    def shift(off, width, by):
+    def swap(i, j):
         g = list(range(n2))
-        g[off:off + width] = [off + (t + by) % width for t in range(width)]
+        g[offs[i]:offs[i + 1]] = range(offs[j], offs[j + 1])
+        g[offs[j]:offs[j + 1]] = range(offs[i], offs[i + 1])
         return tuple(g)
 
-    out = []
-    off = 0
-    for k in sorted(set(parts), reverse=True):
-        a = parts.count(k)
-        if k > 1:
-            out.append(shift(off, k, 1))
-        if a > 1:
-            out.append(shift(off, 2 * k, k))
-        if a > 2:
-            out.append(shift(off, a * k, k))
-        off += a * k
-    return out
+    def rotation(i, by):
+        g = list(range(n2))
+        off, k = offs[i], parts[i]
+        g[off:off + k] = [off + (t + by) % k for t in range(k)]
+        return tuple(g)
+
+    nb = len(parts)
+    blocks = [[swap(i, j) for j in range(i + 1, nb) if parts[j] == parts[i]]
+              for i in range(nb)]
+    rotations = [[rotation(i, by) for by in range(1, parts[i])]
+                 for i in range(nb)]
+    return [stage for stage in blocks + rotations if stage]
 
 
 def _indexed_pairings(n2):
@@ -313,12 +327,15 @@ def _tally_partition(task, indexed):
     n2 = 2 * n
     pairings, index = indexed
     starts = _canon.min_valence_starts(sigma, n2)
-    gens = []
-    for g in _generators(parts):
-        ginv = [0] * n2
-        for s, t in enumerate(g):
-            ginv[t] = s
-        gens.append((bytes(g).ljust(256, b"\0"), itemgetter(*ginv)))
+    stages = []
+    for stage in _transversals(parts):
+        conj = []
+        for g in stage:
+            ginv = [0] * n2
+            for s, t in enumerate(g):
+                ginv[t] = s
+            conj.append((bytes(g).ljust(256, b"\0"), itemgetter(*ginv)))
+        stages.append(conj)
     seen = bytearray(len(pairings))
     tally = {}
     for i, m in enumerate(pairings):
@@ -330,24 +347,21 @@ def _tally_partition(task, indexed):
         code, aut = found
         if code in tally:
             raise _second_orbit(parts, code)
-        seen[i] = 1
-        orbit = [m]
-        for p in orbit:
-            for gt, at_ginv in gens:
-                # the conjugate g p g^-1 sends g(s) to g(p(s)): its
-                # entry j is g[p[ginv[j]]]: p translated by g, read in
-                # ginv order
-                image = bytes(at_ginv(p.translate(gt)))
-                j = index.get(image)
-                if j is None:
-                    raise InvariantViolation(
-                        "image %r of pairing %r is not a pairing: a "
-                        "generator of the slot group of %r is not a "
-                        "permutation of the slots"
-                        % (tuple(image), tuple(p), parts))
-                if not seen[j]:
-                    seen[j] = 1
-                    orbit.append(image)
+        # the conjugate g p g^-1 sends g(s) to g(p(s)): its entry j is
+        # g[p[ginv[j]]]: p translated by g, read in ginv order
+        orbit = {m}
+        for conj in stages:
+            orbit.update([bytes(at_ginv(p.translate(gt)))
+                          for p in orbit for gt, at_ginv in conj])
+        try:
+            for p in orbit:
+                seen[index[p]] = 1
+        except KeyError:
+            raise InvariantViolation(
+                "image %r of pairing %r is not a pairing: a transversal "
+                "of the slot group of %r holds a map that is not a "
+                "permutation of the slots"
+                % (tuple(p), tuple(m), parts)) from None
         tally[code] = [len(orbit), aut, (parts, m)]
     return n, tally
 
@@ -395,7 +409,8 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
         if n == 0:
             continue
         if one_vertex:
-            tasks.append((n, (2 * n,)))
+            if 2 * n >= min_valence:
+                tasks.append((n, (2 * n,)))
         else:
             # a connected graph has chi <= 1: at most n + 1 vertices
             tasks.extend((n, parts)

@@ -2,9 +2,10 @@
 
 The tally runs the canonical-labelling kernel once per orbit of the
 slot group C(parts) and counts the pairings of a class by closing its
-orbit under ``census._generators``.  These tests hold it to the
-per-pairing tally it replaced, which runs the kernel on every pairing,
-and make each of its internal checks fire, also under ``python -O``.
+orbit over the stages of ``census._transversals``.  These tests hold
+it to the per-pairing tally it replaced, which runs the kernel on
+every pairing, and make each of its internal checks fire, also under
+``python -O``.
 
 A class is materialised without a named graph: its automorphism count
 comes from the tally's kernel call and its invariants from the face
@@ -23,12 +24,12 @@ from conftest import run_optimized
 from fatcob import _canon, census, openclosed
 from fatcob.census import (
     _centralizer_order,
-    _generators,
     _indexed_pairings,
     _involutions,
     _partitions,
     _sigma_of_partition,
     _tally_partition,
+    _transversals,
     _vertex_of_slot,
     enumerate_fat_graphs,
 )
@@ -77,24 +78,25 @@ class TestOrbitTally:
                 classes += len(tally)
         assert classes == 1004 + 902
 
-    def test_generators_generate_the_slot_group(self):
-        for n in (1, 2, 3):
+    def test_transversals_multiply_out_to_the_slot_group(self):
+        # one element or the identity per stage: every product is a
+        # distinct symmetry of the slots, and there are |C(parts)|
+        for n in (1, 2, 3, 4):
             n2 = 2 * n
             for parts in _partitions(n2, n2, 1):
                 sigma = _sigma_of_partition(parts)
-                gens = _generators(parts)
-                for g in gens:
-                    assert sorted(g) == list(range(n2))
+                products = {tuple(range(n2))}
+                count = 1
+                for stage in _transversals(parts):
+                    for g in stage:
+                        assert sorted(g) == list(range(n2))
+                    products |= {tuple(g[s] for s in h)
+                                 for h in products for g in stage}
+                    count *= len(stage) + 1
+                assert count == len(products) == _centralizer_order(parts), \
+                    parts
+                for g in products:
                     assert all(g[sigma[s]] == sigma[g[s]] for s in range(n2))
-                group = [tuple(range(n2))]
-                members = set(group)
-                for h in group:
-                    for g in gens:
-                        gh = tuple(g[s] for s in h)
-                        if gh not in members:
-                            members.add(gh)
-                            group.append(gh)
-                assert len(group) == _centralizer_order(parts), parts
 
 
 class TestOrbitChecks:
@@ -126,13 +128,13 @@ class TestOrbitChecks:
             enumerate_fat_graphs(1)
 
     def test_image_outside_the_pairings_raises_under_optimize(self):
-        # a generator that is not a permutation of the slots sends a
-        # pairing to a tuple that is not a pairing
+        # a stage element that is not a permutation of the slots sends
+        # a pairing to a tuple that is not a pairing
         script = (
             "import fatcob.census as c\n"
             "from fatcob.errors import InvariantViolation\n"
             "assert False, 'asserts are on'\n"
-            "c._generators = lambda parts: [(0,) * sum(parts)]\n"
+            "c._transversals = lambda parts: [[(0,) * sum(parts)]]\n"
             "try:\n"
             "    c.enumerate_fat_graphs(1)\n"
             "except InvariantViolation as exc:\n"
@@ -145,14 +147,15 @@ class TestOrbitChecks:
         # without the block permutations a class splits into several
         # orbits; the second one reaches the class's code again, before
         # the orbit-stabilizer check could see the short count
-        real = census._generators
+        real = census._transversals
 
         def rotations(parts):
             block = _vertex_of_slot(parts)
-            return [g for g in real(parts)
-                    if all(block[t] == block[s] for s, t in enumerate(g))]
+            return [stage for stage in real(parts)
+                    if all(block[t] == block[s]
+                           for g in stage for s, t in enumerate(g))]
 
-        monkeypatch.setattr(census, "_generators", rotations)
+        monkeypatch.setattr(census, "_transversals", rotations)
         with pytest.raises(InvariantViolation, match="second orbit"):
             enumerate_fat_graphs(3)
 
@@ -160,15 +163,15 @@ class TestOrbitChecks:
         # swapping two slots of one vertex does not commute with its
         # rotation; the orbits it closes merge classes, so the count
         # times the kernel's automorphism count overshoots |C(parts)|
-        real = census._generators
+        real = census._transversals
 
         def with_swap(parts):
             n2 = sum(parts)
             swap = list(range(n2))
             swap[0], swap[parts[0] - 1] = swap[parts[0] - 1], swap[0]
-            return real(parts) + [tuple(swap)]
+            return real(parts) + [[tuple(swap)]]
 
-        monkeypatch.setattr(census, "_generators", with_swap)
+        monkeypatch.setattr(census, "_transversals", with_swap)
         with pytest.raises(InvariantViolation,
                            match="census bookkeeping broken"):
             enumerate_fat_graphs(2, one_vertex=True, exact_edges=True)
@@ -342,6 +345,16 @@ class TestPartitionPruning:
             enumerate_fat_graphs(129, bound=129)
         with pytest.raises(BoundExceeded, match="129 exceeds 128"):
             enumerate_fat_graphs(129, bound=200, one_vertex=True)
+
+
+class TestOneVertexMinValence:
+    def test_valences_below_the_minimum_are_skipped(self):
+        # the one vertex of an n-edge graph has valence 2n
+        for min_valence in (1, 3, 4, 5, 7):
+            entries = enumerate_fat_graphs(3, one_vertex=True,
+                                           min_valence=min_valence)
+            assert {e.n_edges for e in entries} == {
+                n for n in (1, 2, 3) if 2 * n >= min_valence}
 
 
 class TestDecorationBound:

@@ -105,6 +105,15 @@ class TestJson:
         assert report["result"]["classes"] == 2
         assert report["warnings"] == []
 
+    def test_enumerate_one_vertex_keeps_min_valence(self):
+        # the 1-edge one-vertex graph has valence 2 < 3: only the two
+        # 2-edge classes, of valence 4, are left
+        code, out = run_cli(["--json", "enumerate", "--edges", "2",
+                             "--one-vertex", "--min-valence", "3"])
+        assert code == 0
+        rows = json.loads(out)["result"]["entries"]
+        assert [(r["edges"], r["vertices"]) for r in rows] == [(2, 1)] * 2
+
     def test_enumerate_env_bound_is_a_warning(self, monkeypatch):
         monkeypatch.setenv("FATCOB_MAX_EDGES", "3")
         code, out = run_cli(["--json", "enumerate", "--edges", "2"])
