@@ -277,9 +277,18 @@ def main(argv=None):
     if args.json:
         report = {"command": args.command, "inputs": inputs,
                   "result": result, "warnings": args.warnings}
-        print(json.dumps(report, indent=2, sort_keys=False))
-    else:
+        text = json.dumps(report, indent=2, sort_keys=False)
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (``| head``): send what is
+        # still buffered to os.devnull, so that the flush at exit cannot
+        # fail again, as the note on SIGPIPE in Python's signal docs does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return DOMAIN_EXIT
     return code
 
 

@@ -82,7 +82,7 @@ class GluingMatch:
     The two slots hold what a gluing along the match computed, filled
     on first success and ignored by equality, hashing and ``repr``:
     ``_glued`` is ``(glued graph, GlueData)`` from :func:`glue`, and
-    ``_det_line`` is the d-independent result of
+    ``_det_line`` is the d = 1 scalar of
     :func:`fatcob.homology._gluing_scalar`.
     """
     g1: OpenClosedFatGraph

@@ -12,9 +12,13 @@ cokernel bases come from a union-find spanning forest instead of row
 reduction; they are the bases leftmost-pivot row reduction would pick,
 so every sign below is reproducible.  Only the lift corrections still
 solve by row reduction, on a dense copy of the columns they need.  Each
-complex is read off the graph's maps through name-to-position dicts,
-and a morphism that :func:`fatcob.morphisms.require_valid` already
-checked is not validated again.  A chain map between two complexes is
+complex is read off the graph's maps through name-to-position dicts.
+It is built once per graph object, by :func:`relative_chain_complex`,
+and kept on the graph: a graph is immutable, and any one graph is the
+source or target of many morphisms and gluings, which all share its
+complex, so the complex is stored read-only.  A morphism that
+:func:`fatcob.morphisms.require_valid` already checked is not
+validated again.  A chain map between two complexes is
 a cell map, which sends each source cell to a sum of target cells with
 coefficient +1, stored as the tuple of their indices (empty for a cell
 sent to zero); its preimages give the projection onto a quotient and
@@ -37,8 +41,8 @@ stacking three pairs of pants detects the dimension-parity sign of the
 composition product.
 That isomorphism on the d-th tensor power is the d=1 scalar to the
 d-th power times a Koszul sign, so a :class:`~fatcob.gluing.GluingMatch`
-glues and runs the six-term sequence once and keeps the result for
-every d.
+glues and runs the six-term sequence once and keeps that scalar for
+every d; the complexes stay on their graphs.
 """
 
 from __future__ import annotations
@@ -79,48 +83,59 @@ class ChainComplexPair:
     degree-0 homology is the cokernel, coordinatized by the unit vectors
     at the free 0-cells: the last 0-cell of each component not joined
     to ground.  The class of a 0-chain sums it over those components.
+
+    A graph's complex is shared by everything that meets the graph, so
+    it is read-only: the arcs, the bases and the index lists are tuples,
+    the label-to-index dicts are built here, and nothing changes after
+    construction.
     """
+
+    __slots__ = ("basis1", "basis0", "plus", "minus", "h1_basis",
+                 "_pos1", "_pos0", "_free1", "_free0", "_class0", "_cycles")
 
     def __init__(self, basis1, basis0, plus, minus):
         self.basis1 = tuple(basis1)
         self.basis0 = tuple(basis0)
-        self.plus, self.minus = list(plus), list(minus)
+        self.plus, self.minus = tuple(plus), tuple(minus)
         n1, n0 = len(self.basis1), len(self.basis0)
         ends = self.plus + self.minus
         _check(len(self.plus) == len(self.minus) == n1
                and (not ends or (min(ends) >= 0 and max(ends) <= n0)),
                "arc endpoints do not lie on the 0-cells and ground")
-        self._pos1 = self._pos0 = None
+        self._pos1 = {c: i for i, c in enumerate(self.basis1)}
+        self._pos0 = {c: i for i, c in enumerate(self.basis0)}
         # union-find over the 0-cells and ground, arcs in basis order
         root = list(range(n0 + 1))
         forest = [[] for _ in range(n0 + 1)]
-        self._free1 = []
+        free1 = []
         for j, (p, m) in enumerate(zip(self.plus, self.minus)):
             a, b = _find(root, p), _find(root, m)
             if a == b:
-                self._free1.append(j)
+                free1.append(j)
             else:
                 root[a] = b
                 forest[p].append((m, j, -1))
                 forest[m].append((p, j, 1))
+        self._free1 = tuple(free1)
         top = [_find(root, u) for u in range(n0 + 1)]
         ground = top[n0]
         last = {}
         for i in range(n0):
             last[top[i]] = i
-        self._free0 = sorted(i for r, i in last.items() if r != ground)
+        self._free0 = tuple(sorted(i for r, i in last.items() if r != ground))
         slot = {top[i]: k for k, i in enumerate(self._free0)}
-        self._class0 = [slot.get(top[i]) for i in range(n0)]
+        self._class0 = tuple(slot.get(top[i]) for i in range(n0))
         up, depth = _root_forest(forest)
-        self._cycles = [
+        self._cycles = tuple(
             _fundamental_cycle(up, depth, j, self.plus[j], self.minus[j])
-            for j in self._free1]
-        self.h1_basis = []
+            for j in free1)
+        h1 = []
         for cycle in self._cycles:
             v = [0] * n1
             for j, x in cycle.items():
                 v[j] = x
-            self.h1_basis.append(v)
+            h1.append(tuple(v))
+        self.h1_basis = tuple(h1)
 
     # -- ranks ------------------------------------------------------------
 
@@ -181,15 +196,11 @@ class ChainComplexPair:
         return out
 
     def positions1(self):
-        """``{label: index}`` over ``basis1``, built on first use."""
-        if self._pos1 is None:
-            self._pos1 = {c: i for i, c in enumerate(self.basis1)}
+        """``{label: index}`` over ``basis1``; read it, do not change it."""
         return self._pos1
 
     def positions0(self):
-        """``{label: index}`` over ``basis0``, built on first use."""
-        if self._pos0 is None:
-            self._pos0 = {c: i for i, c in enumerate(self.basis0)}
+        """``{label: index}`` over ``basis0``; read it, do not change it."""
         return self._pos0
 
     def index1(self, label):
@@ -244,7 +255,14 @@ def _fundamental_cycle(up, depth, j, p, m):
 
 
 def relative_chain_complex(g):
-    """The two-term complex of ``g`` relative to its incoming boundary."""
+    """The two-term complex of ``g`` relative to its incoming boundary.
+
+    The first successful call builds and checks the complex and keeps it
+    in ``g``'s ``_cc`` slot; later calls return that same object.  A
+    call that raises keeps nothing.
+    """
+    if g._cc is not None:
+        return g._cc
     part = incoming_partition(g)
     base = g.base
     n_e = len(part.e_e)
@@ -259,6 +277,7 @@ def relative_chain_complex(g):
     cc = ChainComplexPair(part.e_h, basis0, plus, minus)
     _check(cc.rank_h0 - cc.rank_h1 == part.euler_difference,
            "homology ranks disagree with the cell count")
+    g._cc = cc
     return cc
 
 
@@ -380,7 +399,8 @@ def chain_map_of_morphism(m):
         if not ok:
             raise InvalidMorphism(why)
     src, tgt = m.source, m.target
-    # building each complex checks its graph's admissibility
+    # the first build of each complex checks its graph's admissibility,
+    # and the graph is immutable, so a kept complex needs no new check
     A = relative_chain_complex(src)
     B = relative_chain_complex(tgt)
     sbase, tbase = src.base, tgt.base
@@ -611,17 +631,17 @@ def _drop_scalar(cc, dropped_halves, dropped_cells):
 
 
 def _gluing_scalar(g1, g2, match):
-    """d=1 scalar of the gluing isomorphism, plus the glued complex.
+    """d=1 scalar of the gluing isomorphism.
 
-    Returns ``(scalar, ccG, glued)``.  Steps: cut the matched outgoing
-    leaf cells out of the first complex (an acyclic drop), place that
-    complex and the second graph's complex on their cells in the glued
-    graph's own complex ``ccG``, check that they are its subcomplex and
-    quotient, and run the six-term sequence of that extension.  None of it
-    depends on the tensor power, so a match computes it once and keeps
-    it, with the degrees of the two input complexes, in its
-    ``_det_line`` slot; admissibility and the match's graphs are
-    checked on every call, and a computation that raises keeps nothing.
+    Steps: cut the matched outgoing leaf cells out of the first complex
+    (an acyclic drop), place that complex and the second graph's complex
+    on their cells in the glued graph's own complex, check that they are
+    its subcomplex and quotient, and run the six-term sequence of that
+    extension.  None of it depends on the tensor power, so a match
+    computes the scalar once and keeps it in its ``_det_line`` slot; the
+    three complexes stay on their graphs, the glued one on
+    ``match._glued``.  Admissibility and the match's graphs are checked
+    on every call, and a computation that raises keeps nothing.
     """
     require_admissible(g1)
     require_admissible(g2)
@@ -629,11 +649,11 @@ def _gluing_scalar(g1, g2, match):
     if match._det_line is None:
         object.__setattr__(match, "_det_line",
                            _compute_gluing_scalar(g1, g2, match))
-    return match._det_line[:3]
+    return match._det_line
 
 
 def _compute_gluing_scalar(g1, g2, match):
-    """``(scalar, ccG, glued, degree of g1, degree of g2)``, afresh."""
+    """The d=1 scalar, afresh."""
     from .gluing import glue
     cc1 = relative_chain_complex(g1)
     cc2 = relative_chain_complex(g2)
@@ -675,7 +695,7 @@ def _compute_gluing_scalar(g1, g2, match):
                      _preimages([(i,) for i in sect1], len(ccG.basis1)),
                      _preimages([(i,) for i in sect0], len(ccG.basis0)))
     s_ses = _ses_det_scalar(cc1p, ccG, cc2, incl1, incl0, sect1, sect0)
-    return s_ses / s_drop, ccG, glued, cc1.degree, cc2.degree
+    return s_ses / s_drop
 
 
 def gluing_det_iso(g1, g2, match, d):
@@ -691,11 +711,13 @@ def gluing_det_iso(g1, g2, match, d):
     if d < 0:
         raise InvalidParameter("tensor powers need d >= 0")
     try:
-        scalar, ccG, _ = _gluing_scalar(g1, g2, match)
+        scalar = _gluing_scalar(g1, g2, match)
     except (ResultInvalid, InvariantViolation) as exc:
         raise NotGluable(str(exc)) from exc
-    # the degrees of the two input complexes, kept with the scalar
-    deg1, deg2 = match._det_line[3:]
+    # the first gluing kept all three complexes on their graphs
+    ccG = relative_chain_complex(match._glued[0])
+    deg1 = relative_chain_complex(g1).degree
+    deg2 = relative_chain_complex(g2).degree
     _check(ccG.degree == deg1 + deg2, "glued degree is not the sum")
     shuffle = -1 if (deg1 * deg2 * (d * (d - 1) // 2)) % 2 else 1
     return GradedLine(d * ccG.degree, Fraction(shuffle) * scalar ** d)
@@ -756,7 +778,9 @@ def _composite_coefficient(inner, outer, in_slot):
     """Scalar of one stacking, measured in the geometric arc frame."""
     from .gluing import gluable
     match = gluable(inner, outer, pairs=[(0, in_slot)])
-    scalar, ccG, glued = _gluing_scalar(inner, outer, match)
+    scalar = _gluing_scalar(inner, outer, match)
+    glued = match._glued[0]
+    ccG = relative_chain_complex(glued)
     if in_slot == 1:
         glued = glued.reorder_inputs(
             (glued.in_leaves[2], glued.in_leaves[0], glued.in_leaves[1]))

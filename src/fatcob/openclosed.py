@@ -27,15 +27,20 @@ from .errors import (
 
 
 class OpenClosedFatGraph:
-    """A fat graph with ordered In/Out leaf lists and a Closed subset."""
+    """A fat graph with ordered In/Out leaf lists and a Closed subset.
 
-    __slots__ = ("_base", "_in", "_out", "_closed")
+    The graph is immutable.  ``_cc`` holds its relative chain complex
+    once :func:`fatcob.homology.relative_chain_complex` has built it.
+    """
+
+    __slots__ = ("_base", "_in", "_out", "_closed", "_cc")
 
     def __init__(self, base, in_leaves, out_leaves, closed=()):
         self._base = base
         self._in = tuple(in_leaves)
         self._out = tuple(out_leaves)
         self._closed = frozenset(closed)
+        self._cc = None
         self._validate()
 
     def _validate(self):

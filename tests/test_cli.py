@@ -1,10 +1,13 @@
+import io
 import json
 import os
+import sys
 
 import pytest
 
 import make_golden
 from conftest import GOLDEN_DIR, data_path
+from fatcob import cli
 from fatcob.fgformat import parse_graph
 from fatcob.openclosed import cobordism_signature
 
@@ -152,3 +155,29 @@ class TestGlueOutput:
             assert "FATCOB_MAX_EDGES=%r" % raw in capsys.readouterr().err
             with pytest.raises(BoundExceeded, match="FATCOB_MAX_EDGES"):
                 enumerate_fat_graphs(1)
+
+
+class ClosedPipe(io.TextIOBase):
+    """A standard output whose reader has gone: every write fails."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv", [["enumerate", "--edges", "2"],
+                                      ["--json", "enumerate", "--edges", "2"]])
+    def test_closed_pipe_exits_quietly(self, argv, monkeypatch, tmp_path):
+        err = io.StringIO()
+        with open(tmp_path / "out", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+            monkeypatch.setattr(sys, "stderr", err)
+            code = cli.main(argv)
+        assert code == 1
+        assert err.getvalue() == ""

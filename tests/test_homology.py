@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_optimized
+from conftest import data_path, run_optimized
 from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs
 from fatcob.errors import (FatcobError, InvalidMorphism, InvalidParameter,
-                           InvariantViolation)
+                           InvariantViolation, NotAdmissible)
+from fatcob.fgformat import load, parse_graph, serialize
 from fatcob import gluing
 from fatcob.gluing import gluable, subdivision_match
 from fatcob import homology
@@ -336,6 +337,13 @@ def census_collapses(max_edges):
     """Every admissible collapse of a nonempty forest off the special
     leaves, on the admissible census decorations with at most
     ``max_edges`` edges, and every composite of two such collapses."""
+    singles, pairs = census_collapse_pairs(max_edges)
+    return singles, [compose(m2, m1) for m2, m1 in pairs]
+
+
+def census_collapse_pairs(max_edges):
+    """The single collapses of :func:`census_collapses` and the pairs
+    ``(m2, m1)`` of collapses behind its composites, in the same order."""
     from test_morphisms import _forests
 
     def collapses(oc):
@@ -346,12 +354,12 @@ def census_collapses(max_edges):
                 if is_admissible(out)[0]:
                     yield out, m
 
-    singles, composites = [], []
+    singles, pairs = [], []
     for oc in admissible_census_decorations(max_edges):
         for mid, m1 in collapses(oc):
             singles.append(m1)
-            composites.extend(compose(m2, m1) for _, m2 in collapses(mid))
-    return singles, composites
+            pairs.extend((m2, m1) for _, m2 in collapses(mid))
+    return singles, pairs
 
 
 def dense_chain_map(m, A, B):
@@ -632,8 +640,14 @@ class TestBuildOnce:
                 inside.pop()
 
         def recorded_rcc(g):
+            # a kept complex builds nothing, so its graph is not left
+            # pending for the next build
             pending.append(g)
-            return rcc(g)
+            try:
+                return rcc(g)
+            finally:
+                if pending and pending[-1] is g:
+                    pending.pop()
 
         monkeypatch.setattr(linalg, "rref", counted_rref)
         monkeypatch.setattr(ChainComplexPair, "__init__", counted_init)
@@ -684,6 +698,74 @@ class TestBuildOnce:
         assert len(built) - once == 5
         assert [line.degree for line in lines] == \
             [d * lines[0].degree for d in (1, 2, 3)]
+
+
+class TestKeptComplex:
+    """A graph's complex is built on the first call and kept on it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every complex built, in order."""
+        built = []
+        init = ChainComplexPair.__init__
+
+        def counted_init(cc, *args):
+            init(cc, *args)
+            built.append(cc)
+
+        monkeypatch.setattr(ChainComplexPair, "__init__", counted_init)
+        return built
+
+    def test_second_call_returns_the_kept_complex(self, built):
+        g = fx.pants()
+        cc = relative_chain_complex(g)
+        assert relative_chain_complex(g) is cc
+        assert built == [cc]
+        # an equal graph object has its own complex
+        assert relative_chain_complex(fx.pants()) is not cc
+
+    def test_kept_complex_is_read_only(self):
+        cc = relative_chain_complex(fx.pants())
+        for seq in (cc.plus, cc.minus, cc.h1_basis, cc.h1_basis[0]):
+            with pytest.raises(TypeError):
+                seq[0] = seq[0]
+
+    def test_inadmissible_graph_raises_every_call(self, built):
+        g = load(data_path("embedded_z.fg"))
+        for _ in range(2):
+            with pytest.raises(NotAdmissible):
+                relative_chain_complex(g)
+            assert g._cc is None
+        assert built == []
+
+    def test_glued_graph_complex_comes_from_the_gluing(self, built):
+        # a caller that glues, then asks for the glued graph's complex
+        a, b, m = subdivision_match(fx.pants(), fx.cylinder())
+        gluing_det_iso(a, b, m, 1)
+        before = len(built)
+        cc = relative_chain_complex(gluing.glue(a, b, m))
+        assert len(built) == before
+        assert any(cc is kept for kept in built)
+
+    def test_census_collapses_build_one_complex_per_graph(self, built):
+        singles, pairs = census_collapse_pairs(4)
+        ms = singles + [compose(m2, m1) for m2, m1 in pairs]
+        assert (len(ms), len(pairs)) == (2204, 966)
+        graphs = {id(g) for m in ms for g in (m.source, m.target)}
+        del built[:]
+        signs = [morphism_det_sign(m) for m in ms]
+        assert len(built) == len(graphs) == 2679
+
+        def fresh(g):
+            return parse_graph(serialize(g))
+
+        # each sign again from scratch, on copies that share nothing
+        for m, sign in zip(ms, signs):
+            twin = Morphism(fresh(m.source), fresh(m.target),
+                            m.vertex_map, m.half_map)
+            assert morphism_det_sign(twin) == sign
+        for (m2, m1), sign in zip(pairs, signs[len(singles):]):
+            assert sign == morphism_det_sign(m2) * morphism_det_sign(m1)
 
 
 def reference_rref(m):
@@ -746,9 +828,9 @@ def assert_matches_reference(cc, d):
         h1.append(v)
     rT, piv0 = reference_rref([list(col) for col in zip(*d)])
     free0 = [i for i in range(n0) if i not in piv0]
-    assert cc.h1_basis == h1
-    assert cc._free1 == free1
-    assert cc._free0 == free0
+    assert [list(v) for v in cc.h1_basis] == h1
+    assert list(cc._free1) == free1
+    assert list(cc._free0) == free0
     for i in range(n0):
         w = [Fraction(int(k == i)) for k in range(n0)]
         for row, p in zip(rT, piv0):
@@ -883,7 +965,8 @@ class TestCylinderIdentity:
         jobs.append((fx.cylinder(), fx.pants(), fx.pants()))
         for g1, g2, original in jobs:
             a, b, m = subdivision_match(g1, g2, [(0, 0)])
-            scalar, _, glued = _gluing_scalar(a, b, m)
+            scalar = _gluing_scalar(a, b, m)
+            glued = glue_of(a, b, m)
             back = find_isomorphism(glued, original)
             assert back is not None
             assert scalar * morphism_det_scalar(back) == 1
@@ -975,8 +1058,8 @@ class TestIntegerArithmetic:
             ranks.add((cc.rank_h1 > 0, cc.rank_h0 > 0))
             n1 = len(cc.basis1)
             units = [[int(k == j) for k in range(n1)] for j in range(n1)]
-            vecs = (cc.h1_basis + cc.h0_basis
-                    + [cc.boundary(v) for v in cc.h1_basis + units]
+            vecs = (list(cc.h1_basis) + cc.h0_basis
+                    + [cc.boundary(v) for v in list(cc.h1_basis) + units]
                     + [cc.h0_class(cc.boundary(v)) for v in units]
                     + [cc.h1_coords(v) for v in cc.h1_basis])
             assert all(type(x) is int for v in vecs for x in v), g
