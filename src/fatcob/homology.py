@@ -33,12 +33,13 @@ The determinant line of a complex is the top exterior power of its
 degree-1 homology tensored with the dual top power of its degree-0
 homology; it carries an integer degree (rank H1 - rank H0) and, once
 bases are fixed, morphisms and gluings act on it by explicit nonzero
-rationals.  The first graph's cells span a subcomplex of the glued
-graph's own complex, with the second graph's complex as quotient, and
-the six-term exact homology sequence of that extension produces the
-gluing isomorphism of determinant lines; composing the two ways of
-stacking three pairs of pants detects the dimension-parity sign of the
-composition product.
+rationals.  A gluing cuts the matched outgoing leaf cells, which are
+acyclic, out of the first graph's complex: a quasi-isomorphism.  The
+rest spans a subcomplex of the glued graph's own complex, with the
+second graph's complex as quotient, and the one six-term exact
+homology sequence of that extension produces the gluing isomorphism of
+determinant lines; composing the two ways of stacking three pairs of
+pants detects the dimension-parity sign of the composition product.
 That isomorphism on the d-th tensor power is the d=1 scalar to the
 d-th power times a Koszul sign, so a :class:`~fatcob.gluing.GluingMatch`
 glues and runs the six-term sequence once and keeps that scalar for
@@ -55,7 +56,7 @@ from .errors import (InvalidMorphism, InvalidParameter, InvariantViolation,
                      NotGluable, ResultInvalid)
 from .graphs import _find
 from .morphisms import validate_morphism
-from .openclosed import incoming_partition, require_admissible
+from .openclosed import incoming_partition
 
 
 def _check(ok, message):
@@ -207,13 +208,13 @@ class ChainComplexPair:
         try:
             return self.positions1()[label]
         except KeyError:
-            raise ValueError("%r is not a 1-cell" % (label,)) from None
+            raise InvalidParameter("%r is not a 1-cell" % (label,)) from None
 
     def index0(self, label):
         try:
             return self.positions0()[label]
         except KeyError:
-            raise ValueError("%r is not a 0-cell" % (label,)) from None
+            raise InvalidParameter("%r is not a 0-cell" % (label,)) from None
 
 
 def _root_forest(forest):
@@ -455,6 +456,18 @@ def _dense(cc, cols):
     return rows
 
 
+def _quasi_iso_dets(A, B, f1, f0, error):
+    """``(det H1(f), det H0(f))`` of cell maps ``f1``, ``f0`` from ``A``
+    to ``B``; raises ``error`` unless ``f`` is a quasi-isomorphism."""
+    if A.rank_h1 != B.rank_h1 or A.rank_h0 != B.rank_h0:
+        raise error("map is not a quasi-isomorphism")
+    det1 = linalg.det(_induced_h1_matrix(A, B, f1))
+    det0 = linalg.det(_induced_h0_matrix(A, B, f0))
+    if det1 == 0 or det0 == 0:
+        raise error("induced homology map is singular")
+    return det1, det0
+
+
 def morphism_det_sign(m):
     """Sign of the induced isomorphism on the determinant line.
 
@@ -467,13 +480,8 @@ def morphism_det_sign(m):
     """
     cm = chain_map_of_morphism(m)
     A, B = cm.source_cc, cm.target_cc
-    if A.rank_h1 != B.rank_h1 or A.rank_h0 != B.rank_h0:
-        raise InvalidMorphism("morphism is not a quasi-isomorphism")
-    det1_f = linalg.det(_induced_h1_matrix(A, B, cm.f_eH))
-    det0_f = linalg.det(_induced_h0_matrix(A, B, cm.f_eEV))
-    if det1_f == 0 or det0_f == 0:
-        raise InvalidMorphism("induced homology map is singular")
-
+    det1_f, det0_f = _quasi_iso_dets(A, B, cm.f_eH, cm.f_eEV,
+                                     InvalidMorphism)
     g1 = _preimages(cm.f_eH, len(B.basis1))
     _check(all(len(pre) == 1 for pre in g1),
            "a target half-edge has no unique preimage")
@@ -610,24 +618,19 @@ def _drop_scalar(cc, dropped_halves, dropped_cells):
     """det-line scalar of cutting an acyclic set of cells out of ``cc``.
 
     Returns ``(subcomplex, scalar)`` where scalar carries
-    det(H sub) -> det(H cc).  The kept cells must span a subcomplex.
+    det(H sub) -> det(H cc).  The kept cells must span a subcomplex, and
+    the dropped ones are acyclic exactly when its inclusion is a
+    quasi-isomorphism (the long exact sequence of the pair).  Then the
+    six-term sequence has no connecting map, and its scalar is the
+    product of the inclusion's determinants on H1 and H0.
     """
-    # one pass per degree: a cell's membership test picks its list
-    keep1, drop1 = split1 = [], []
-    for i, lab in enumerate(cc.basis1):
-        split1[lab in dropped_halves].append(i)
-    keep0, drop0 = split0 = [], []
-    for i, lab in enumerate(cc.basis0):
-        split0[lab in dropped_cells].append(i)
-    set0 = set(keep0) | {len(cc.basis0)}
-    if any(cc.plus[j] not in set0 or cc.minus[j] not in set0 for j in keep1):
-        raise ResultInvalid("cells do not span a subcomplex")
+    keep1 = [i for i, lab in enumerate(cc.basis1) if lab not in dropped_halves]
+    keep0 = [i for i, lab in enumerate(cc.basis0) if lab not in dropped_cells]
     sub = _restrict(cc, keep1, keep0)
-    quot = _restrict(cc, drop1, drop0)
-    if quot.rank_h1 or quot.rank_h0:
-        raise ResultInvalid("dropped cells are not acyclic")
-    scalar = _ses_det_scalar(sub, cc, quot, keep1, keep0, drop1, drop0)
-    return sub, scalar
+    incl1, incl0 = [(i,) for i in keep1], [(i,) for i in keep0]
+    _check_chain_map(sub, cc, incl1, incl0)
+    det1, det0 = _quasi_iso_dets(sub, cc, incl1, incl0, ResultInvalid)
+    return sub, det1 * det0
 
 
 def _gluing_scalar(g1, g2, match):
@@ -640,11 +643,10 @@ def _gluing_scalar(g1, g2, match):
     extension.  None of it depends on the tensor power, so a match
     computes the scalar once and keeps it in its ``_det_line`` slot; the
     three complexes stay on their graphs, the glued one on
-    ``match._glued``.  Admissibility and the match's graphs are checked
-    on every call, and a computation that raises keeps nothing.
+    ``match._glued``.  The match's graphs are checked on every call;
+    admissibility only by the first build of each graph's complex, as
+    graphs are immutable.  A computation that raises keeps nothing.
     """
-    require_admissible(g1)
-    require_admissible(g2)
     match.require_graphs(g1, g2)
     if match._det_line is None:
         object.__setattr__(match, "_det_line",
@@ -658,14 +660,11 @@ def _compute_gluing_scalar(g1, g2, match):
     cc1 = relative_chain_complex(g1)
     cc2 = relative_chain_complex(g2)
     glued, data = glue(g1, g2, match, with_data=True)
-    dropped_halves = set()
-    dropped_cells = set()
+    dropped_halves, dropped_cells = set(), set()
     for e in data.dropped_edges1:
-        h0, h1 = g1.base.edge_halves(e)
-        dropped_halves.update((h0, h1))
+        dropped_halves.update(g1.base.edge_halves(e))
         dropped_cells.add(("E", e))
-    for v in data.dropped_vertices1:
-        dropped_cells.add(("V", v))
+    dropped_cells.update(("V", v) for v in data.dropped_vertices1)
     if dropped_halves or dropped_cells:
         cc1p, s_drop = _drop_scalar(cc1, dropped_halves, dropped_cells)
     else:

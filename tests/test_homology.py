@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import data_path, run_optimized
 from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs
-from fatcob.errors import (FatcobError, InvalidMorphism, InvalidParameter,
-                           InvariantViolation, NotAdmissible)
+from fatcob.errors import (DecorationDestroyed, FatcobError,
+                           ForestContainsCycle, InvalidMorphism,
+                           InvalidParameter, InvariantViolation,
+                           NotAdmissible, ResultInvalid)
 from fatcob.fgformat import load, parse_graph, serialize
 from fatcob import gluing
-from fatcob.gluing import gluable, subdivision_match
+from fatcob.gluing import gluable, glue_morphisms, subdivision_match
 from fatcob import homology
 from fatcob.homology import (
     ChainComplexPair,
@@ -27,19 +29,45 @@ from fatcob.homology import (
     tensor,
     _composite_coefficient,
 )
-from fatcob import linalg, morphisms
+from fatcob import linalg, morphisms, openclosed
 from fatcob.morphisms import (
     Morphism,
     collapse_edges,
     compose,
     identity_morphism,
 )
-from fatcob.openclosed import incoming_partition, is_admissible
+from fatcob.openclosed import decorate, incoming_partition, is_admissible
 
 
 def glue_of(a, b, m):
     from fatcob.gluing import glue
     return glue(a, b, m)
+
+
+def fixture_gluings():
+    """``(g1, g2, match)`` of the fixture gluings, matched afresh."""
+    return [subdivision_match(g1, g2, pairs) for g1, g2, pairs in (
+        (fx.cylinder(), fx.cylinder(), None),
+        (fx.pants(), fx.cylinder(), None),
+        (fx.mouthpiece(), fx.cylinder(), None),
+        (fx.interval(), fx.mouthpiece(), None),
+        (fx.pants(), fx.subdivided_incoming(fx.pants(), 6), [(0, 0)]),
+        (fx.oc_disjoint_union(fx.torus_with_out(), fx.cylinder()),
+         fx.pants(), None),
+        (fx.cylinder(), fx.pants(), [(0, 1)]),
+        (fx.subdivided_incoming(fx.pants(), 3), fx.cylinder(), None),
+        (fx.cylinder(), fx.subdivided_incoming(fx.pants(), 4), [(0, 1)]),
+        (fx.open_closed_example(), fx.flaps(), None))]
+
+
+def skew_stackings():
+    """``(inner, outer, match)`` of both stackings that
+    :func:`skew_associativity_sign` compares."""
+    inner = fx.pants()
+    k = len(inner.leaf_cycle_normal_form(inner.out_leaves[0])) - 2
+    outer = fx.subdivided_incoming(fx.pants(), k)
+    return [(inner, outer, gluable(inner, outer, pairs=[(0, slot)]))
+            for slot in (0, 1)]
 
 
 def simplicial_pair_ranks(triangles, sub_edges, sub_vertices):
@@ -315,8 +343,10 @@ class TestChainMaps:
         cc = relative_chain_complex(fx.pants())
         for basis, index in ((cc.basis1, cc.index1), (cc.basis0, cc.index0)):
             assert [index(c) for c in basis] == list(range(len(basis)))
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidParameter, match="is not a") as info:
                 index("no such cell")
+            # callers that catch ValueError still do
+            assert isinstance(info.value, ValueError)
 
     def test_cell_maps_match_dense_reference(self):
         singles, composites = census_collapses(3)
@@ -612,6 +642,35 @@ class TestGluingDetIso:
             assert line.scalar == kos * l1.scalar ** d
 
 
+    def test_kept_match_checks_no_admissibility(self, monkeypatch):
+        calls = []
+        is_admissible = openclosed.is_admissible
+
+        def counted(g):
+            calls.append(g)
+            return is_admissible(g)
+
+        monkeypatch.setattr(openclosed, "is_admissible", counted)
+        a, b, m = subdivision_match(fx.pants(), fx.cylinder())
+        first = gluing_det_iso(a, b, m, 1)
+        del calls[:]
+        lines = [gluing_det_iso(a, b, m, d) for d in (1, 2, 3, 1)]
+        assert calls == []
+        assert lines[0] == lines[3] == first
+
+    def test_inadmissible_first_graph_raises(self):
+        # gluable checks only the second graph; the first graph's
+        # complex refuses to build, on every call
+        g1 = decorate(fx.embedded_circle_example(), ["z"], ["x"],
+                      {"z", "x"})
+        assert not is_admissible(g1)[0]
+        a, b, m = subdivision_match(g1, fx.cylinder())
+        for _ in range(2):
+            with pytest.raises(NotAdmissible):
+                gluing_det_iso(a, b, m, 1)
+            assert m._det_line is None and a._cc is None
+
+
 class TestBuildOnce:
     """Each complex is built once, with no row reduction."""
 
@@ -676,11 +735,12 @@ class TestBuildOnce:
         assert len({id(g) for g in graphs}) == len(graphs)
 
     def test_three_degrees_glue_once(self, built, monkeypatch):
-        # d = 1, 2, 3 on one match: one glue and the five complexes of a
+        # d = 1, 2, 3 on one match: one glue and the four complexes of a
         # single pass, three of them graph complexes (the two inputs and
-        # the glued graph), the others the subcomplex and quotient of the
-        # dropped cells; the six-term sequence runs on the glued graph's
-        # own complex, so no separate extension complex is built
+        # the glued graph), the fourth the subcomplex left by the dropped
+        # cells, whose inclusion is read as a quasi-isomorphism with no
+        # quotient complex; the six-term sequence runs on the glued
+        # graph's own complex, so no separate extension complex is built
         glued = []
         glue = gluing.glue
 
@@ -695,7 +755,7 @@ class TestBuildOnce:
         assert len(glued) == 1
         graphs = [g for g, _ in built[once:] if g is not None]
         assert graphs == [a, b, gluing.glue(a, b, m)]
-        assert len(built) - once == 5
+        assert len(built) - once == 4
         assert [line.degree for line in lines] == \
             [d * lines[0].degree for d in (1, 2, 3)]
 
@@ -849,6 +909,32 @@ def assert_matches_reference(cc, d):
                                   for row in d]
 
 
+def dropped_leaf_cells(g1, data):
+    """``(half-edges, 0-cells)`` of the first graph's matched outgoing
+    leaf cells, which a gluing cuts out of its complex."""
+    halves, cells = set(), set()
+    for e in data.dropped_edges1:
+        halves.update(g1.base.edge_halves(e))
+        cells.add(("E", e))
+    cells.update(("V", v) for v in data.dropped_vertices1)
+    return halves, cells
+
+
+def six_term_drop_scalar(cc, halves, cells):
+    """``(subcomplex, scalar)`` of a drop, from the six-term sequence of
+    the subcomplex, ``cc`` and the quotient of the dropped cells."""
+    (keep1, drop1), (keep0, drop0) = ([], []), ([], [])
+    for i, lab in enumerate(cc.basis1):
+        (drop1 if lab in halves else keep1).append(i)
+    for i, lab in enumerate(cc.basis0):
+        (drop0 if lab in cells else keep0).append(i)
+    sub = homology._restrict(cc, keep1, keep0)
+    quot = homology._restrict(cc, drop1, drop0)
+    assert (quot.rank_h1, quot.rank_h0) == (0, 0)
+    return sub, homology._ses_det_scalar(sub, cc, quot, keep1, keep0,
+                                         drop1, drop0)
+
+
 class TestDenseReference:
     """The union-find bases against dense leftmost-pivot row reduction."""
 
@@ -861,8 +947,8 @@ class TestDenseReference:
 
     def test_gluing_complexes(self, monkeypatch):
         # every complex a fixture gluing builds: the inputs, the
-        # subcomplex and quotient of the dropped cells and the glued
-        # graph's own complex
+        # subcomplex left by the dropped cells and the glued graph's own
+        # complex
         built = []
         init = ChainComplexPair.__init__
 
@@ -871,22 +957,60 @@ class TestDenseReference:
             built.append(cc)
 
         monkeypatch.setattr(ChainComplexPair, "__init__", recorded_init)
-        for g1, g2, pairs in (
-                (fx.cylinder(), fx.cylinder(), None),
-                (fx.pants(), fx.cylinder(), None),
-                (fx.mouthpiece(), fx.cylinder(), None),
-                (fx.interval(), fx.mouthpiece(), None),
-                (fx.pants(), fx.subdivided_incoming(fx.pants(), 6), [(0, 0)]),
-                (fx.oc_disjoint_union(fx.torus_with_out(), fx.cylinder()),
-                 fx.pants(), None),
-                (fx.cylinder(), fx.pants(), [(0, 1)])):
-            a, b, m = subdivision_match(g1, g2, pairs)
+        for a, b, m in fixture_gluings():
             gluing_det_iso(a, b, m, 1)
         skew_associativity_sign(1)
         assert len(built) > 40
         assert any(cc.rank_h0 for cc in built)
         for cc in built:
             assert_matches_reference(cc, arcs_differential(cc))
+
+    def test_drop_scalar_is_the_six_term_scalar(self):
+        # the leaf drop read as a quasi-isomorphism gives the very
+        # Fraction that the six-term sequence of its acyclic quotient
+        # gives
+        scalars = []
+        for a, b, m in fixture_gluings() + skew_stackings():
+            _, data = gluing.glue(a, b, m, with_data=True)
+            halves, cells = dropped_leaf_cells(a, data)
+            if not cells:
+                continue
+            cc = relative_chain_complex(a)
+            sub, scalar = homology._drop_scalar(cc, halves, cells)
+            ref_sub, ref = six_term_drop_scalar(cc, halves, cells)
+            assert type(scalar) is Fraction and scalar == ref
+            assert (sub.basis1, sub.basis0, sub.plus, sub.minus) == \
+                (ref_sub.basis1, ref_sub.basis0, ref_sub.plus, ref_sub.minus)
+            scalars.append(scalar)
+        assert len(scalars) == 10
+        # and the leaf of every closed outgoing circle of the census
+        # through 4 edges
+        for oc in admissible_census_decorations(4):
+            cc = relative_chain_complex(oc)
+            for v in set(oc.out_leaves) & set(oc.closed):
+                e = oc.base.edge_of(oc.base.leaf_half(v))
+                halves = set(oc.base.edge_halves(e))
+                cells = {("E", e), ("V", v)}
+                _, scalar = homology._drop_scalar(cc, halves, cells)
+                assert scalar == six_term_drop_scalar(cc, halves, cells)[1]
+                scalars.append(scalar)
+        assert len(scalars) == 160
+
+    def test_drop_rejects_bad_cell_sets(self):
+        g = fx.pants()
+        cc = relative_chain_complex(g)
+        leaf = g.out_leaves[0]
+        edge = g.base.edge_of(g.base.leaf_half(leaf))
+        halves = set(g.base.edge_halves(edge))
+        # the leaf edge's kept half still ends on the dropped vertex
+        with pytest.raises(InvariantViolation, match="does not commute"):
+            homology._drop_scalar(cc, set(), {("V", leaf)})
+        # the kept leaf vertex becomes a new H0 class
+        with pytest.raises(ResultInvalid, match="quasi-isomorphism"):
+            homology._drop_scalar(cc, halves, {("E", edge)})
+        sub, scalar = homology._drop_scalar(cc, halves,
+                                            {("E", edge), ("V", leaf)})
+        assert (sub.rank_h1, sub.rank_h0) == (cc.rank_h1, cc.rank_h0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -970,6 +1094,50 @@ class TestCylinderIdentity:
             back = find_isomorphism(glued, original)
             assert back is not None
             assert scalar * morphism_det_scalar(back) == 1
+
+
+def off_circle_collapses(g, circle_halves):
+    """Every single-edge collapse of ``g`` off the edges of
+    ``circle_halves``, as a morphism."""
+    circle = {g.base.edge_of(h) for h in circle_halves}
+    out = []
+    for e in g.base.edges():
+        if e in circle:
+            continue
+        try:
+            out.append(collapse_edges(g, [e])[1])
+        except (DecorationDestroyed, ForestContainsCycle):
+            continue    # a special leaf's edge or a loop
+    return out
+
+
+class TestGluingNaturality:
+    """The gluing isomorphism commutes with collapses on either side."""
+
+    def test_single_edge_collapses_off_the_matched_circles(self):
+        tested = {1: 0, 2: 0}
+        for a, b, m in fixture_gluings():
+            index_pairs = [(p.out_index, p.in_index) for p in m.pairs]
+            for side in (1, 2):
+                g = a if side == 1 else b
+                circles = [h for p in m.closed_pairs
+                           for h in (p.a_halves if side == 1 else p.b_halves)]
+                for c in off_circle_collapses(g, circles):
+                    m1 = c if side == 1 else identity_morphism(a)
+                    m2 = c if side == 2 else identity_morphism(b)
+                    # off the matched circles, glue_morphisms accepts all
+                    m12 = glue_morphisms(m1, m2, m)
+                    tm = gluable(m1.target, m2.target, index_pairs)
+                    s12 = morphism_det_sign(m12)
+                    s = morphism_det_sign(m1) * morphism_det_sign(m2)
+                    for d in range(4):
+                        before = gluing_det_iso(a, b, m, d)
+                        after = gluing_det_iso(m1.target, m2.target, tm, d)
+                        assert after.degree == before.degree
+                        assert after.scalar * s ** d == \
+                            s12 ** d * before.scalar
+                    tested[side] += 1
+        assert tested == {1: 4, 2: 18}
 
 
 class TestSkewAssociativity:
