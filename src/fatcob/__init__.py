@@ -17,13 +17,8 @@ from .graphs import (  # noqa: F401
     ComponentSignature,
     FatGraph,
     SurfaceSignature,
-    boundary_cycles,
-    connected_components,
     disjoint_union,
     new_fat_graph,
-    smooth_bivalent,
-    subdivide_edge,
-    surface_invariants,
 )
 from .openclosed import (  # noqa: F401
     CobordismSignature,

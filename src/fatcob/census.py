@@ -36,12 +36,11 @@ in the pairing list.  The orbit size is the class's pairing count, its
 first member the witness, and the kernel's count of the witness's
 minimal starts its automorphism count.  The kernel's starts are
 computed once per partition, and the pairings of ``2n`` slots and
-their index once per edge count: by the serial path, and by each
-worker of the parallel path.
+their index once per edge count.
 
-Work is split by valence partition.  A class lies in one partition, so
-partial tallies are disjoint and merge in any order: the parallel path
-is schedule-independent.  A class is materialised from integers alone.
+The tally runs one valence partition at a time.  A class lies in one
+partition, so the partitions' tallies are disjoint.  A class is
+materialised from integers alone.
 Orbit-stabilizer checks the closure against the kernel: the orbit size
 times the automorphism count must be the order of C(parts).
 The boundary count is the number of cycles of ``sigma∘pairing`` on the
@@ -300,22 +299,6 @@ def _second_orbit(parts, code):
         "the slot group" % (code, parts))
 
 
-# ``_indexed_pairings`` of the last edge count, memoised by each worker
-# process of the ``jobs`` path; the calling process never fills it
-_worker_indexed = {}
-
-
-def _worker_tally(task):
-    """``_tally_partition`` in a worker, building the pairing list once
-    per edge count (tasks arrive in increasing edge count)."""
-    n = task[0]
-    indexed = _worker_indexed.get(n)
-    if indexed is None:
-        _worker_indexed.clear()
-        indexed = _worker_indexed[n] = _indexed_pairings(2 * n)
-    return _tally_partition(task, indexed)
-
-
 def _tally_partition(task, indexed):
     """Census tally for one valence partition:
     code -> [count, aut, witness].
@@ -363,27 +346,18 @@ def _tally_partition(task, indexed):
                 "permutation of the slots"
                 % (tuple(p), tuple(m), parts)) from None
         tally[code] = [len(orbit), aut, (parts, m)]
-    return n, tally
-
-
-def _merge(target, n, tally):
-    for code, hit in tally.items():
-        if (n, code) in target:
-            raise _second_orbit(hit[2][0], code)
-        target[(n, code)] = hit
-    return target
+    return tally
 
 
 def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
                          one_vertex=False, min_valence=1, exact_edges=False,
-                         bound=None, jobs=None):
+                         bound=None):
     """All connected fat-graph classes with at most ``max_edges`` edges.
 
     ``genus`` filters classes by genus, ``surface`` by a
     :class:`~fatcob.graphs.SurfaceSignature` (single component), and
     ``min_valence``/``one_vertex`` restrict the vertex structure.  Use
-    ``exact_edges`` to keep only the top edge count, ``jobs`` to fan
-    the per-partition tallies out to worker processes.  Entries come
+    ``exact_edges`` to keep only the top edge count.  Entries come
     back in (edge count, vertex count, canonical form) order.
 
     Passing a :class:`~fatcob.openclosed.CobordismSignature` as
@@ -402,36 +376,25 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
         raise BoundExceeded(
             "max_edges=%d exceeds %d, the most edges whose slots fit in "
             "the bytes of a pairing" % (max_edges, MAX_PAIRING_EDGES))
-    tasks = []
     sizes = range(max_edges, max_edges + 1) if exact_edges \
         else range(1, max_edges + 1)
+    merged = {}
     for n in sizes:
         if n == 0:
             continue
         if one_vertex:
-            if 2 * n >= min_valence:
-                tasks.append((n, (2 * n,)))
+            partitions = [(2 * n,)] if 2 * n >= min_valence else []
         else:
             # a connected graph has chi <= 1: at most n + 1 vertices
-            tasks.extend((n, parts)
-                         for parts in _partitions(2 * n, 2 * n,
-                                                  max(1, min_valence))
-                         if len(parts) <= n + 1)
-    merged = {}
-    if jobs and jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            for n, tally in pool.imap_unordered(_worker_tally, tasks):
-                _merge(merged, n, tally)
-    else:
-        # tasks come grouped by edge count; one pairing list at a time
-        indexed, indexed_n = None, None
-        for task in tasks:
-            if task[0] != indexed_n:
-                indexed_n = task[0]
-                indexed = _indexed_pairings(2 * indexed_n)
-            n, tally = _tally_partition(task, indexed)
-            _merge(merged, n, tally)
+            partitions = [parts for parts in _partitions(2 * n, 2 * n,
+                                                         max(1, min_valence))
+                          if len(parts) <= n + 1]
+        indexed = _indexed_pairings(2 * n) if partitions else None
+        for parts in partitions:
+            for code, hit in _tally_partition((n, parts), indexed).items():
+                if (n, code) in merged:
+                    raise _second_orbit(parts, code)
+                merged[(n, code)] = hit
     out = []
     shapes = {}     # parts -> (sigma, order of C(parts)), once each
     for (n, code), (count, aut, witness) in merged.items():
@@ -520,10 +483,9 @@ def _decorated_census(entries, cobordism):
     return out
 
 
-def genus_distribution(entries, by_pairings=True):
-    """Map genus -> count over classes or over raw pairings."""
+def genus_distribution(entries):
+    """Map genus -> number of pairings over the classes of that genus."""
     out = {}
     for e in entries:
-        w = e.n_pairings if by_pairings else 1
-        out[e.genus] = out.get(e.genus, 0) + w
+        out[e.genus] = out.get(e.genus, 0) + e.n_pairings
     return out

@@ -43,15 +43,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, "%s: error: %s\n" % (self.prog, message))
 
 
-def _int_range(low, high=None):
-    """argparse type: an integer no less than ``low`` and, unless
-    ``high`` is None, no greater than ``high``."""
+def _int_range(low):
+    """argparse type: an integer no less than ``low``."""
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError("%d is below %d" % (value, low))
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError("%d is above %d" % (value, high))
         return value
     parse.__name__ = "int"  # argparse reports bad text as "invalid int value"
     return parse
@@ -66,10 +63,6 @@ def _sign_str(s):
     return "+1" if s > 0 else "-1"
 
 
-def _load(path):
-    return fgformat.load(path)
-
-
 def _require_decorated(g, what):
     if not isinstance(g, OpenClosedFatGraph):
         raise FatcobError("%s needs in/out decorations in the file" % what)
@@ -77,7 +70,7 @@ def _require_decorated(g, what):
 
 
 def cmd_validate(args):
-    g = _load(args.file)
+    g = fgformat.load(args.file)
     base = base_of(g)
     text = "ok vertices=%d edges=%d" % (len(base.vertices), base.num_edges())
     return text, {"ok": True, "vertices": len(base.vertices),
@@ -85,7 +78,7 @@ def cmd_validate(args):
 
 
 def cmd_invariants(args):
-    g = _load(args.file)
+    g = fgformat.load(args.file)
     base = base_of(g)
     sig = base.surface_invariants()
     text = "components=%d chi=%d genus=%s boundary=%s" % (
@@ -98,7 +91,7 @@ def cmd_invariants(args):
 
 
 def cmd_boundary(args):
-    g = _load(args.file)
+    g = fgformat.load(args.file)
     base = base_of(g)
     cycles = base.boundary_cycles().cycles
     text = "\n".join("(%s)" % " ".join(c) for c in cycles)
@@ -106,7 +99,7 @@ def cmd_boundary(args):
 
 
 def cmd_admissible(args):
-    g = _require_decorated(_load(args.file), "admissible")
+    g = _require_decorated(fgformat.load(args.file), "admissible")
     ok, witness = is_admissible(g)
     if ok:
         return "admissible", {"admissible": True}, 0
@@ -115,7 +108,7 @@ def cmd_admissible(args):
 
 
 def cmd_signature(args):
-    g = _require_decorated(_load(args.file), "signature")
+    g = _require_decorated(fgformat.load(args.file), "signature")
     sig = cobordism_signature(g)
     genera = [c.genus for c in sig.components]
     bounds = [c.boundary_count for c in sig.components]
@@ -131,8 +124,8 @@ def cmd_signature(args):
 
 
 def cmd_glue(args):
-    g1 = _require_decorated(_load(args.first), "glue")
-    g2 = _require_decorated(_load(args.second), "glue")
+    g1 = _require_decorated(fgformat.load(args.first), "glue")
+    g2 = _require_decorated(fgformat.load(args.second), "glue")
     if args.subdivide:
         g1, g2, match = subdivision_match(g1, g2)
     else:
@@ -143,21 +136,21 @@ def cmd_glue(args):
 
 
 def cmd_homology(args):
-    g = _require_decorated(_load(args.file), "homology")
+    g = _require_decorated(fgformat.load(args.file), "homology")
     cc = relative_chain_complex(g)
     return ("H1=%d H0=%d" % (cc.rank_h1, cc.rank_h0),
             {"h1": cc.rank_h1, "h0": cc.rank_h0}, 0)
 
 
 def cmd_degree(args):
-    g = _require_decorated(_load(args.file), "degree")
+    g = _require_decorated(fgformat.load(args.file), "degree")
     deg = operation_degree(g, args.dim)
     return str(deg), {"degree": deg}, 0
 
 
 def cmd_det_sign(args):
-    g1 = _require_decorated(_load(args.first), "det-sign")
-    g2 = _require_decorated(_load(args.second), "det-sign")
+    g1 = _require_decorated(fgformat.load(args.first), "det-sign")
+    g2 = _require_decorated(fgformat.load(args.second), "det-sign")
     g1, g2, match = subdivision_match(g1, g2)
     line = gluing_det_iso(g1, g2, match, 1)
     return (_sign_str(line.sign),
@@ -173,7 +166,7 @@ def cmd_assoc_sign(args):
 def cmd_enumerate(args):
     entries = census_mod.enumerate_fat_graphs(
         args.edges, genus=args.genus, one_vertex=args.one_vertex,
-        min_valence=args.min_valence, jobs=args.jobs)
+        min_valence=args.min_valence)
     if os.environ.get("FATCOB_MAX_EDGES"):
         args.warnings.append("edge bound %d taken from FATCOB_MAX_EDGES"
                              % census_mod._edge_bound())
@@ -194,14 +187,14 @@ def cmd_enumerate(args):
 
 
 def cmd_canon(args):
-    g = _load(args.file)
+    g = fgformat.load(args.file)
     code = canonical_form(g).hex()
     return code, {"canon": code}, 0
 
 
 def cmd_iso(args):
-    g1 = _load(args.first)
-    g2 = _load(args.second)
+    g1 = fgformat.load(args.first)
+    g2 = fgformat.load(args.second)
     if is_isomorphic(g1, g2):
         return "isomorphic", {"isomorphic": True}, 0
     return "not isomorphic", {"isomorphic": False}, DOMAIN_EXIT
@@ -241,17 +234,13 @@ def build_parser():
                    help="dimension of the underlying manifold")
     add("det-sign", cmd_det_sign, first="left .fg file",
         second="right .fg file")
-    p = sub.add_parser("assoc-sign", parents=[common])
+    p = add("assoc-sign", cmd_assoc_sign)
     p.add_argument("--dim", type=_int_range(0), required=True)
-    p.set_defaults(fn=cmd_assoc_sign)
-    p = sub.add_parser("enumerate", parents=[common])
+    p = add("enumerate", cmd_enumerate)
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--one-vertex", action="store_true")
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--min-valence", type=int, default=1)
-    p.add_argument("--jobs", type=_int_range(1, os.cpu_count() or 1),
-                   default=None)
-    p.set_defaults(fn=cmd_enumerate)
     add("canon", cmd_canon, file=".fg file")
     add("iso", cmd_iso, first="left .fg file", second="right .fg file")
     return parser

@@ -704,22 +704,3 @@ def disjoint_union(g1, g2, prefix1="1:", prefix2="2:"):
     return FatGraph(source, involution, sigma,
                     isolated=r1.isolated_vertices | r2.isolated_vertices)
 
-
-def boundary_cycles(g):
-    return g.boundary_cycles()
-
-
-def surface_invariants(g):
-    return g.surface_invariants()
-
-
-def connected_components(g):
-    return g.connected_components()
-
-
-def subdivide_edge(g, e):
-    return g.subdivide_edge(e)
-
-
-def smooth_bivalent(g):
-    return g.smooth_bivalent()

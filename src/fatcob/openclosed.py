@@ -96,9 +96,6 @@ class OpenClosedFatGraph:
     def open_leaves(self):
         return tuple(v for v in self.special if v not in self._closed)
 
-    def is_closed(self, v):
-        return v in self._closed
-
     def leaf_cycle_index(self, v):
         """Index of the boundary cycle the leaf ``v`` sits on."""
         h = self._base.leaf_half(v)

@@ -14,7 +14,6 @@ every class, and hold the graph to being built only on first use.
 """
 
 import hashlib
-import multiprocessing
 from itertools import groupby
 from operator import itemgetter
 
@@ -73,7 +72,7 @@ class TestOrbitTally:
         for n, tasks in groupby(census_tasks(), key=itemgetter(0)):
             indexed = _indexed_pairings(2 * n)
             for task in tasks:
-                _, tally = _tally_partition(task, indexed)
+                tally = _tally_partition(task, indexed)
                 assert tally == reference_tally(task, indexed[0]), task
                 classes += len(tally)
         assert classes == 1004 + 902
@@ -314,26 +313,19 @@ class TestPartitionPruning:
                     pruned += 1
         assert pruned == 7
 
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_kernel_never_runs_on_them(self, monkeypatch, tmp_path, jobs):
-        # one line per kernel call, appended by whichever process makes
-        # it: the workers of the jobs path are forked with the patch
-        if jobs and multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers start without the patched kernel")
-        log = tmp_path / "calls"
+    def test_kernel_never_runs_on_them(self, monkeypatch):
+        calls = []
         real = _canon.census_code
         want = enumerate_fat_graphs(4)
 
         def logged(sigma, inv, n, starts):
-            with open(log, "a") as fh:
-                fh.write("%d\n" % unconnectable(n, sigma))
+            calls.append(unconnectable(n, sigma))
             return real(sigma, inv, n, starts)
 
         monkeypatch.setattr(_canon, "census_code", logged)
-        assert enumerate_fat_graphs(4, jobs=jobs) == want
-        calls = log.read_text().split()
+        assert enumerate_fat_graphs(4) == want
         assert len(calls) > len(want)
-        assert set(calls) == {"0"}
+        assert not any(calls)
 
     def test_more_than_128_edges_raise_at_once(self, monkeypatch):
         def no_work(*args):

@@ -14,7 +14,6 @@ from fatcob.errors import (
     ForestContainsCycle,
     Mismatch,
 )
-from fatcob.fgformat import serialize
 from fatcob.graphs import new_fat_graph
 from fatcob.morphisms import (
     Morphism,
@@ -462,17 +461,6 @@ class TestCensus:
 
     def test_zero_edges(self):
         assert enumerate_fat_graphs(0) == []
-
-    def test_parallel_merge_matches_serial(self):
-        def key(entries):
-            return [(e.canon, e.n_pairings, e.aut_size, serialize(e.graph))
-                    for e in entries]
-
-        assert key(enumerate_fat_graphs(4)) == \
-            key(enumerate_fat_graphs(4, jobs=2))
-        # the workers memoise the pairing list; the caller keeps none
-        from fatcob import census
-        assert census._worker_indexed == {}
 
     def test_cobordism_filter(self):
         from fatcob.openclosed import cobordism_signature
