@@ -38,7 +38,21 @@ pruning of a branch whose partial code already exceeds the best):
   resets the winners, an equal one joins them, so the winners come in
   increasing start order; a dropped start is strictly greater than the
   best, so no winner is missed.
+
+A graph with one vertex (a chord diagram) needs no search.  When the
+fan of the first start holds all ``n < 256`` half-edges and every
+half-edge is a start, the relabelling from the start at fan position
+``r`` labels ``h`` by ``(pos[h] - r) % n``, ``pos[h]`` the fan position
+of ``h``: it is a rotation.  With ``P = bytes(pos[inv[h]] for h in
+fan)``, that start's relabelled ``inv`` is ``(P + P)[r:r + n]`` with
+``r`` subtracted mod ``n`` from every byte, one ``translate`` through a
+table built once per ``n``.  The code is ``[1, n]`` and the least of
+these ``n`` rotations, and the winners are the starts whose rotation
+equals it: the same ``(code, winners)`` as the search, read from the
+input alone.
 """
+
+from functools import cache
 
 from .errors import DisconnectedGraph
 
@@ -59,6 +73,16 @@ def encode(values, top):
     return bytes([0, w]) + b"".join(v.to_bytes(w, "big") for v in values)
 
 
+def _fan(sigma, h):
+    """The half-edges of the vertex of ``h``, in sigma-order from ``h``."""
+    fan = [h]
+    cur = sigma[h]
+    while cur != h:
+        fan.append(cur)
+        cur = sigma[cur]
+    return fan
+
+
 def min_valence_starts(sigma, n):
     """The half-edges at vertices of minimum valence, in increasing order.
 
@@ -70,11 +94,7 @@ def min_valence_starts(sigma, n):
     for h in range(n):
         if seen[h]:
             continue
-        fan = [h]
-        cur = sigma[h]
-        while cur != h:
-            fan.append(cur)
-            cur = sigma[cur]
+        fan = _fan(sigma, h)
         for cur in fan:
             seen[cur] = True
         if len(fan) < least:
@@ -85,6 +105,31 @@ def min_valence_starts(sigma, n):
     return starts
 
 
+@cache
+def _shift_tables(n):
+    """For each ``r < n``, the ``translate`` table subtracting ``r`` mod
+    ``n`` from the bytes below ``n``."""
+    return tuple(bytes([(x - r) % n for x in range(n)]).ljust(256, b"\0")
+                 for r in range(n))
+
+
+def _one_fan(inv, n, fan, starts):
+    """``(code, winners)`` of a graph whose one fan, ``fan``, holds all
+    ``n < 256`` half-edges, each a start: every relabelling is a
+    rotation (see the module docstring)."""
+    pos = bytearray(n)
+    for r, h in enumerate(fan):
+        pos[h] = r
+    p = bytes(map(inv.__getitem__, fan)).translate(pos.ljust(256, b"\0"))
+    pp = p + p
+    shifts = _shift_tables(n)
+    tails = [pp[r:r + n].translate(t) for r, t in enumerate(shifts)]
+    best = min(tails)
+    winners = [(h, list(pos.translate(shifts[pos[h]]))) for h in starts
+               if tails[pos[h]] == best]
+    return bytes([1, n]) + best, winners
+
+
 def _search(sigma, inv, n, starts):
     """``(code, winners)`` over ``starts``, or ``None`` when the graph
     is disconnected or empty (see the module docstring).
@@ -93,6 +138,16 @@ def _search(sigma, inv, n, starts):
     the minimal code, in increasing start order; ``new_label`` maps old
     index -> canonical label.
     """
+    if 0 < n < 256 and len(starts) == n:
+        fan = _fan(sigma, starts[0])
+        if len(fan) == n:
+            return _one_fan(inv, n, fan, starts)
+    return _bfs(sigma, inv, n, starts)
+
+
+def _bfs(sigma, inv, n, starts):
+    """:func:`_search` by the pruned breadth-first search from each
+    start, for any graph."""
     best_vals = best_tail = None
     winners = []
     for h0 in starts:

@@ -237,7 +237,7 @@ def build_parser():
     p = add("assoc-sign", cmd_assoc_sign)
     p.add_argument("--dim", type=_int_range(0), required=True)
     p = add("enumerate", cmd_enumerate)
-    p.add_argument("--edges", type=int, required=True)
+    p.add_argument("--edges", type=_int_range(0), required=True)
     p.add_argument("--one-vertex", action="store_true")
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--min-valence", type=int, default=1)

@@ -51,6 +51,8 @@ CASES = {
     "enumerate_2": ["enumerate", "--edges", "2"],
     "enumerate_3_one_vertex": ["enumerate", "--edges", "3", "--one-vertex"],
     "enumerate_2_json": ["--json", "enumerate", "--edges", "2"],
+    "enumerate_4_one_vertex_json": ["--json", "enumerate", "--edges", "4",
+                                    "--one-vertex"],
     "canon_fig4": ["canon", data("fig4.fg")],
     "canon_pants": ["canon", data("pants.fg")],
     "iso_loops": ["iso", data("loop.fg"), data("loop_relabeled.fg")],

@@ -364,3 +364,38 @@ class TestDecorationBound:
         with pytest.raises(BoundExceeded, match="7 leaves is beyond the "
                                                 "decoration bound 6"):
             census.admissible_decorations(star)
+
+
+def harer_zagier(n):
+    """Genus -> number of pairings of the sides of a ``2n``-gon giving a
+    surface of that genus, by the Harer-Zagier recursion
+    ``(k + 1) e_g(k) = 2 (2k - 1) e_g(k - 1)
+    + (k - 1) (2k - 1) (2k - 3) e_{g-1}(k - 2)``
+    (Invent. Math. 85, 1986), with ``e_0(0) = 1``."""
+    eps = [{0: 1}]
+    for k in range(1, n + 1):
+        row = {}
+        for g in range(k // 2 + 1):
+            total = 2 * (2 * k - 1) * eps[k - 1].get(g, 0)
+            if k >= 2 and g >= 1:
+                total += ((k - 1) * (2 * k - 1) * (2 * k - 3)
+                          * eps[k - 2].get(g - 1, 0))
+            assert total % (k + 1) == 0
+            row[g] = total // (k + 1)
+        eps.append(row)
+    return eps[n]
+
+
+class TestHarerZagier:
+    @pytest.mark.parametrize("n, dist, pairings, classes", [
+        (6, {0: 132, 1: 2310, 2: 6468, 3: 1485}, 11 * 9 * 7 * 5 * 3, 902),
+        (7, {0: 429, 1: 12012, 2: 66066, 3: 56628}, 13 * 11 * 9 * 7 * 5 * 3,
+         9749),
+    ])
+    def test_one_vertex_census_matches_the_recursion(self, n, dist,
+                                                     pairings, classes):
+        entries = enumerate_fat_graphs(n, one_vertex=True, exact_edges=True)
+        assert harer_zagier(n) == dist
+        assert census.genus_distribution(entries) == dist
+        assert sum(e.n_pairings for e in entries) == pairings
+        assert len(entries) == classes

@@ -67,6 +67,14 @@ class TestExitCodes:
                 run_cli(argv)
             assert info.value.code == 3
 
+    def test_negative_edges_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["enumerate", "--edges", "-1"])
+        assert info.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "argument --edges: -1 is below 0" in err
+
     def test_jobs_is_not_an_option(self):
         with pytest.raises(SystemExit) as info:
             run_cli(["enumerate", "--edges", "1", "--jobs", "2"])

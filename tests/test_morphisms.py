@@ -519,6 +519,21 @@ def _reference_min_code(sigma, inv, n):
                   if code == best]
 
 
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """The arguments of every call of the kernel's one-fan closed form."""
+    from fatcob import _canon
+    calls = []
+    real = _canon._one_fan
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_canon, "_one_fan", spy)
+    return calls
+
+
 class TestPrunedKernel:
     """The kernel tries only minimum-valence starts and drops a start
     once it loses; it must agree with trying every start in full."""
@@ -553,6 +568,95 @@ class TestPrunedKernel:
                     connected += 1
                 assert _canon.census_code(sigma, m, n2, starts) == want, m
         assert connected > 2000
+
+    @staticmethod
+    def _renumbered(sigma, inv, rng):
+        """``sigma`` and ``inv`` under a random renumbering of the
+        half-edges, so that a fan is no longer a range of indices."""
+        new = list(range(len(sigma)))
+        rng.shuffle(new)
+        sigma2, inv2 = [0] * len(new), [0] * len(new)
+        for h, t in enumerate(new):
+            sigma2[t] = new[sigma[h]]
+            inv2[t] = new[inv[h]]
+        return sigma2, inv2
+
+    def test_renumbered_graphs_match_all_starts(self, closed_form_calls):
+        # one-vertex graphs take the closed form; regular multi-vertex
+        # graphs, where every half-edge is a start too, must not
+        from fatcob import _canon
+        from fatcob.census import _involutions, _partitions, \
+            _sigma_of_partition
+        rng = random.Random(2201)
+        one_vertex = [(2 * k,) for k in range(1, 6)]
+        regular = [parts for k in range(1, 6)
+                   for parts in _partitions(2 * k, 2 * k, 1)
+                   if len(parts) > 1 and len(set(parts)) == 1]
+        for shapes, closed_form in ((one_vertex, True), (regular, False)):
+            calls = connected = 0
+            for parts in shapes:
+                n2 = sum(parts)
+                for m in _involutions(n2):
+                    sigma, inv = self._renumbered(
+                        _sigma_of_partition(parts), m, rng)
+                    starts = _canon.min_valence_starts(sigma, n2)
+                    assert len(starts) == n2
+                    want, _ = _reference_relabel(sigma, inv, n2, 0)
+                    if want is None:
+                        with pytest.raises(DisconnectedGraph):
+                            _canon.min_code(sigma, inv, n2)
+                        assert _canon.census_code(sigma, inv, n2,
+                                                  starts) is None
+                    else:
+                        want = _reference_min_code(sigma, inv, n2)
+                        assert _canon.min_code(sigma, inv, n2) == want, m
+                        assert _canon.census_code(sigma, inv, n2, starts) \
+                            == (want[0], len(want[1])), m
+                        connected += 1
+                    calls += 2
+            assert len(closed_form_calls) == (calls if closed_form else 0)
+            assert connected > 300
+            closed_form_calls.clear()
+
+    def test_closed_form_matches_the_search_on_one_vertex_pairings(self):
+        from fatcob import _canon
+        from fatcob.census import _involutions, _sigma_of_partition
+        checked = 0
+        for k in range(1, 7):
+            n2 = 2 * k
+            sigma = _sigma_of_partition((n2,))
+            starts = _canon.min_valence_starts(sigma, n2)
+            fan = _canon._fan(sigma, starts[0])
+            for m in _involutions(n2):
+                assert _canon._one_fan(m, n2, fan, starts) == \
+                    _canon._bfs(sigma, m, n2, starts), m
+                checked += 1
+        assert checked == 11464
+
+    @pytest.mark.parametrize("n, closed_form", [(254, True), (256, False)])
+    def test_all_diameters_at_the_wide_code_boundary(self, n, closed_form,
+                                                     closed_form_calls):
+        # slot j paired with slot j + n/2: every rotation is an
+        # automorphism.  Below 256 half-edges the closed form answers with
+        # one-byte entries; at 256 the search does, with two-byte entries
+        from fatcob import _canon
+        from fatcob.census import _build_graph, _sigma_of_partition
+        sigma = _sigma_of_partition((n,))
+        inv = [(j + n // 2) % n for j in range(n)]
+        code, winners = _canon.min_code(sigma, inv, n)
+        assert len(closed_form_calls) == int(closed_form)
+        # from every start the relabelled partners are inv itself
+        entries = [1, n] + inv
+        if n < 256:
+            assert code == bytes(entries)
+        else:
+            assert code == b"\x00\x02" + b"".join(
+                v.to_bytes(2, "big") for v in entries)
+        assert len(winners) == n
+        assert (code, winners) == _reference_min_code(sigma, inv, n)
+        g = _build_graph((n,), inv)
+        assert canonical_form(random_relabel(g, random.Random(n))) == \
+            canonical_form(g)
 
     def test_disconnected_graph_raises_a_fatcob_error(self):
         from fatcob import _canon
