@@ -26,10 +26,6 @@ class WrongVertexOrder(FatcobError):
     its source."""
 
 
-class FixedPointInvolution(FatcobError):
-    """The half-edge pairing has a fixed point or an orbit of size != 2."""
-
-
 class UnknownEdge(FatcobError):
     """An operation referenced an edge that does not exist."""
 

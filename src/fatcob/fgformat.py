@@ -117,11 +117,6 @@ def load(path):
         return parse_graph(fh.read())
 
 
-def _rotate_min(cycle):
-    lo = min(range(len(cycle)), key=lambda i: cycle[i])
-    return list(cycle[lo:]) + list(cycle[:lo])
-
-
 def _token(kind, name):
     """``name`` as written, if it reads back as the one token it was."""
     text = str(name)
@@ -148,7 +143,7 @@ def serialize(g):
     for v in base.vertices:
         if base.is_isolated(v):
             continue
-        out.append("order %s %s" % (v, " ".join(_rotate_min(base.fan(v)))))
+        out.append("order %s %s" % (v, " ".join(base.fan(v))))
     if oc is not None:
         # a bare "in" line keeps a graph without special leaves decorated
         if oc.in_leaves or not oc.special:

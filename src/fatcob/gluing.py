@@ -39,7 +39,13 @@ from .errors import (
     ResultInvalid,
     SignatureMismatch,
 )
-from .graphs import FatGraph, _circle_growth, _grow_circle, half_id
+from .graphs import (
+    FatGraph,
+    _circle_growth,
+    _grow_circle,
+    _other_half,
+    half_id,
+)
 from .morphisms import Morphism, require_valid
 from .openclosed import (
     CIRCLE,
@@ -357,14 +363,10 @@ def _glue(g1, g2, match):
     keep2 = [h for h in b2.half_edges if h not in dropped_h2]
 
     source = {}
-    involution = {}
     for h in keep1:
         source[rh(1, h)] = p1 + b1.source(h)
-        involution[rh(1, h)] = rh(1, b1.partner(h))
     for h in keep2:
-        v = b2.source(h)
-        source[rh(2, h)] = data.vertex_image(2, v)
-        involution[rh(2, h)] = rh(2, b2.partner(h))
+        source[rh(2, h)] = data.vertex_image(2, b2.source(h))
 
     # assemble the boundary walk of the composite
     matched_out_cycles = {g1.leaf_cycle_index(p.out_leaf)
@@ -388,8 +390,8 @@ def _glue(g1, g2, match):
         raise ResultInvalid(
             "boundary-walk surgery lost half-edges: %s"
             % sorted(set(source) ^ set(omega))[:4])
-    # sigma = omega . involution, then patch the open-pair junctions
-    sigma = {h: omega[involution[h]] for h in source}
+    # sigma = omega . partner, then patch the open-pair junctions
+    sigma = {h: omega[_other_half(h)] for h in source}
     for pair in match.open_pairs:
         ha = rh(1, b1.leaf_half(pair.out_leaf))
         hb = rh(2, b2.leaf_half(pair.in_leaf))
@@ -398,7 +400,7 @@ def _glue(g1, g2, match):
     isolated = {p1 + v for v in b1.isolated_vertices} | \
         {p2 + v for v in b2.isolated_vertices}
     try:
-        base = FatGraph(source, involution, sigma, isolated=isolated)
+        base = FatGraph(source, sigma, isolated=isolated)
     except FatcobError as exc:
         raise ResultInvalid("glued graph failed validation: %s" % exc) from exc
     matched_in = {p.in_leaf for p in match.pairs}

@@ -1,25 +1,24 @@
 """Half-edge fat graphs and their surface invariants.
 
 A fat graph is a graph together with a cyclic ordering of the half-edges
-at each vertex.  We store it as a triple of maps on the half-edge set:
+at each vertex.  We store it as two maps on the half-edge set:
 
-* ``source``     -- the vertex a half-edge starts at,
-* ``involution`` -- the fixed-point-free pairing of a half-edge with the
-  other half of the same edge,
-* ``sigma``      -- the permutation whose orbits are the half-edge fans
+* ``source`` -- the vertex a half-edge starts at,
+* ``sigma``  -- the permutation whose orbits are the half-edge fans
   ``source**-1(v)``, read as "next half-edge counterclockwise".
 
+The third piece of data, the fixed-point-free pairing of a half-edge
+with the other half of the same edge, is read from the identifiers:
+the edge ``e`` from ``u`` to ``v`` owns the half-edges ``e.0`` (at
+``u``) and ``e.1`` (at ``v``), and they are each other's partner.
 Thickening every vertex to a disk and every edge to a band produces an
 oriented surface whose boundary components are the orbits of the
-composite permutation ``omega = sigma . involution``.  Everything in
+composite permutation ``omega = sigma . partner``.  Everything in
 this module is a pure function of that data: boundary cycles, Euler
 characteristic, genus, connected components, and the two homotopy-
 neutral moves (subdividing an edge, smoothing a bivalent vertex).
-
-Half-edge identifiers are derived from edge names: the edge ``e`` from
-``u`` to ``v`` owns the half-edges ``e.0`` (at ``u``) and ``e.1`` (at
-``v``).  All orderings exposed by this module are keyed to identifier
-order so that equal inputs give byte-identical outputs.
+All orderings exposed by this module are keyed to identifier order so
+that equal inputs give byte-identical outputs.
 
 Validation.  Every graph is validated in full once it is built:
 ``FatGraph(...)``, :func:`new_fat_graph` (and so the ``.fg`` parser),
@@ -40,7 +39,6 @@ from types import MappingProxyType
 from .errors import (
     DanglingHalfEdge,
     DuplicateName,
-    FixedPointInvolution,
     InvariantViolation,
     IsolatedVertex,
     NonIntegerGenus,
@@ -63,21 +61,26 @@ def half_id(edge, end):
     return "%s.%d" % (edge, end)
 
 
+def _other_half(h):
+    """The partner of the half-edge ``h``: the other half of its edge."""
+    return h[:-1] + ("1" if h[-1] == "0" else "0")
+
+
 class FatGraph:
     """An immutable fat graph.
 
     Instances are normally built through :func:`new_fat_graph` (or the
     ``.fg`` parser), which derives the half-edge maps from an edge list
-    and per-vertex cyclic orders.  Direct construction from the three
-    maps is allowed and fully validated.
+    and per-vertex cyclic orders.  Direct construction from the
+    ``source`` and ``sigma`` maps is allowed and fully validated; the
+    pairing of the halves ``e.0`` and ``e.1`` comes from their ids.
     """
 
     __slots__ = ("_vertices", "_halves", "_source", "_involution", "_sigma",
                  "_fibers", "_edge_of", "_edge_ends", "_isolated", "_bcycles")
 
-    def __init__(self, source, involution, sigma, isolated=()):
+    def __init__(self, source, sigma, isolated=()):
         self._source = dict(source)
-        self._involution = dict(involution)
         self._sigma = dict(sigma)
         self._halves = tuple(sorted(self._source))
         vs = set(self._source.values()) | set(isolated)
@@ -92,15 +95,8 @@ class FatGraph:
 
     def _validate(self):
         halves = set(self._halves)
-        if set(self._involution) != halves or set(self._sigma) != halves:
-            raise DanglingHalfEdge("involution/sigma not total on half-edges")
-        for h in self._halves:
-            hbar = self._involution.get(h)
-            if hbar == h:
-                raise FixedPointInvolution("involution fixes %r" % h)
-            if hbar not in halves or self._involution.get(hbar) != h:
-                raise FixedPointInvolution(
-                    "involution orbit of %r is not a 2-cycle" % h)
+        if set(self._sigma) != halves:
+            raise DanglingHalfEdge("sigma not total on half-edges")
         # sigma orbits must equal the source fibers; each fiber is kept,
         # in half-edge order, for the per-vertex queries below
         fibers = {}
@@ -127,23 +123,20 @@ class FatGraph:
             if v in fibers:
                 raise WrongVertexOrder(
                     "vertex %r flagged isolated but carries half-edges" % v)
-        # edge names from half ids
+        # edge names and the pairing from half ids
         for h in self._halves:
             name, dot, end = h.rpartition(".")
             if not dot or end not in ("0", "1"):
                 raise DanglingHalfEdge("malformed half-edge id %r" % h)
             self._edge_of[h] = name
-        for h in self._halves:
-            e = self._edge_of[h]
-            if self._edge_of[self._involution[h]] != e:
-                raise FixedPointInvolution(
-                    "halves of edge %r are not paired together" % e)
         # keys go in sorted, so edges() reads them in order
+        inv = self._involution = {}
         for e in sorted(set(self._edge_of.values())):
             h0, h1 = half_id(e, 0), half_id(e, 1)
             if h0 not in halves or h1 not in halves:
                 raise DanglingHalfEdge("edge %r is missing a half" % e)
             self._edge_ends[e] = (h0, h1)
+            inv[h0], inv[h1] = h1, h0
 
     # -- basic accessors --------------------------------------------------
 
@@ -255,7 +248,6 @@ class FatGraph:
         if not isinstance(other, FatGraph):
             return NotImplemented
         return (self._source == other._source
-                and self._involution == other._involution
                 and self._sigma == other._sigma
                 and self._isolated == other._isolated)
 
@@ -270,7 +262,7 @@ class FatGraph:
     # -- derived structure -------------------------------------------------
 
     def omega(self, h):
-        """The boundary-walk permutation ``sigma . involution``."""
+        """The boundary-walk permutation ``sigma . partner``."""
         return self._sigma[self._involution[h]]
 
     def boundary_cycles(self):
@@ -338,22 +330,21 @@ class FatGraph:
             raise IsolatedVertex(
                 "surface invariants are undefined for isolated vertices: %s"
                 % sorted(self._isolated))
-        bc = self.boundary_cycles()
+        h2c = self.boundary_cycles().half_edge_to_cycle
         comps = []
         for vs, hs in self.connected_components():
-            vset = set(vs)
-            n_edges = sum(1 for e, (h0, h1) in self._edge_ends.items()
-                          if self._source[h0] in vset)
-            chi = len(vs) - n_edges
-            cyc_ids = {bc.half_edge_to_cycle[h] for h in hs}
-            b = len(cyc_ids)
+            # both halves of an edge lie in one component, and so does
+            # each boundary cycle
+            chi = len(vs) - len(hs) // 2
+            cycles = tuple(sorted({h2c[h] for h in hs}))
+            b = len(cycles)
             two_g = 2 - chi - b
             if two_g < 0 or two_g % 2:
                 raise NonIntegerGenus(
                     "component %r has 2-chi-b = %d" % (vs[0], two_g))
             comps.append(ComponentSignature(
                 genus=two_g // 2, boundary_count=b, euler_characteristic=chi,
-                vertices=vs))
+                vertices=vs, cycles=cycles))
         return SurfaceSignature(components=tuple(comps))
 
     # -- homotopy-neutral moves --------------------------------------------
@@ -430,11 +421,10 @@ class FatGraph:
         # or ".1"
         rh = {h: half_id(emap.get(e, e), int(h[-1]))
               for h, e in self._edge_of.items()}
-        src, inv, sig = self._source, self._involution, self._sigma
+        src, sig = self._source, self._sigma
         source = {rh[h]: vmap.get(src[h], src[h]) for h in self._halves}
-        involution = {rh[h]: rh[inv[h]] for h in self._halves}
         sigma = {rh[h]: rh[sig[h]] for h in self._halves}
-        return FatGraph(source, involution, sigma,
+        return FatGraph(source, sigma,
                         isolated=frozenset(vmap.get(v, v)
                                            for v in self._isolated))
 
@@ -464,14 +454,13 @@ class _Edit:
     def __init__(self, g):
         self.isolated = g._isolated
         self.source = dict(g._source)
-        self.involution = dict(g._involution)
         self.sigma = dict(g._sigma)
         self.vertex_names = set(g._vertices)
         self.edge_names = set(g._edge_ends)
 
     def _rename(self, ren):
         """Give the half-edges ``ren`` maps new names: each keeps its
-        source and its slot in its fan; its partner entry is dropped."""
+        source and its slot in its fan."""
         source, sigma = self.source, self.sigma
         touched = list(ren)
         for h in ren:
@@ -482,7 +471,7 @@ class _Edit:
         nxt = {ren.get(h, h): ren.get(sigma[h], sigma[h]) for h in touched}
         starts = {new: source[old] for old, new in ren.items()}
         for h in ren:
-            del source[h], sigma[h], self.involution[h]
+            del source[h], sigma[h]
         sigma.update(nxt)
         source.update(starts)
 
@@ -498,7 +487,6 @@ class _Edit:
         self._rename({half_id(e, 0): a0, half_id(e, 1): b1})
         self.source[a1] = self.source[b0] = mid
         self.sigma[a1], self.sigma[b0] = b0, a1
-        self.involution.update({a0: a1, a1: a0, b0: b1, b1: b0})
         self.vertex_names.add(mid)
         self.edge_names.discard(e)
         self.edge_names.update((e_a, e_b))
@@ -509,25 +497,23 @@ class _Edit:
         different edges.  The joined edge takes the smaller name and runs
         from the smaller far half to the larger one.  Returns the name
         and the ``(old, new)`` names of the two far halves."""
-        source, inv = self.source, self.involution
-        pa, pb = inv[ha], inv[hb]
+        source = self.source
+        pa, pb = _other_half(ha), _other_half(hb)
         ea, eb = _edge_name(ha), _edge_name(hb)
         name = min(ea, eb)
         n0, n1 = half_id(name, 0), half_id(name, 1)
         lo, hi = (pa, pb) if pa < pb else (pb, pa)
         self.vertex_names.discard(source[ha])
         for h in (ha, hb):
-            del source[h], self.sigma[h], inv[h]
+            del source[h], self.sigma[h]
         self._rename({lo: n0, hi: n1})
-        inv[n0], inv[n1] = n1, n0
         self.edge_names.difference_update((ea, eb))
         self.edge_names.add(name)
         return name, ((lo, n0), (hi, n1))
 
     def result(self):
         """The edited graph, built from the maps and validated in full."""
-        return FatGraph(self.source, self.involution, self.sigma,
-                        isolated=self.isolated)
+        return FatGraph(self.source, self.sigma, isolated=self.isolated)
 
 
 def _circle_growth(g, v):
@@ -564,7 +550,7 @@ def _grow_circle(g, v, j):
     ed = _Edit(g)
     leaf = g.leaf_half(v)
     for _ in range(j):
-        e = _edge_name(ed.sigma[ed.involution[leaf]])
+        e = _edge_name(ed.sigma[_other_half(leaf)])
         e_a, e_b, _ = ed.split(e)
         if _edge_name(leaf) == e:
             leaf = half_id(e_a, 0) if leaf == half_id(e, 0) else \
@@ -587,10 +573,13 @@ class BoundaryCycles:
 
 @dataclass(frozen=True)
 class ComponentSignature:
+    """One component: its invariants, its sorted vertices and the sorted
+    indices of its cycles in :meth:`FatGraph.boundary_cycles`."""
     genus: int
     boundary_count: int
     euler_characteristic: int
     vertices: tuple = ()
+    cycles: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -649,11 +638,6 @@ def new_fat_graph(vertices, edges, vertex_orders, isolated=()):
             raise UnknownEdge("edge %r uses unknown endpoint" % name)
         source[half_id(name, 0)] = src
         source[half_id(name, 1)] = dst
-    involution = {}
-    for name in enames:
-        h0, h1 = half_id(name, 0), half_id(name, 1)
-        involution[h0] = h1
-        involution[h1] = h0
     sigma = {}
     ordered = set()
     for v, hs in vertex_orders.items():
@@ -684,23 +668,25 @@ def new_fat_graph(vertices, edges, vertex_orders, isolated=()):
     if iso - degree0:
         raise WrongVertexOrder(
             "vertices %s flagged isolated but have edges" % sorted(iso - degree0))
-    return FatGraph(source, involution, sigma, isolated=iso)
+    return FatGraph(source, sigma, isolated=iso)
 
 
 def disjoint_union(g1, g2, prefix1="1:", prefix2="2:"):
-    """Disjoint union with cells renamed through the given prefixes."""
+    """Disjoint union with cells renamed through the given prefixes.
+
+    Raises :class:`DuplicateName` if a renamed vertex or edge of ``g1``
+    meets one of ``g2``.
+    """
     r1 = g1.relabel({v: prefix1 + v for v in g1.vertices},
                     {e: prefix1 + e for e in g1.edges()})
     r2 = g2.relabel({v: prefix2 + v for v in g2.vertices},
                     {e: prefix2 + e for e in g2.edges()})
-    source = {}
-    involution = {}
-    sigma = {}
-    for g in (r1, r2):
-        for h in g.half_edges:
-            source[h] = g.source(h)
-            involution[h] = g.partner(h)
-            sigma[h] = g.next_at_vertex(h)
-    return FatGraph(source, involution, sigma,
+    for kind, a, b in (("vertex", r1.vertices, r2.vertices),
+                       ("edge", r1.edges(), r2.edges())):
+        clash = sorted(set(a) & set(b))
+        if clash:
+            raise DuplicateName("%s %r is named in both graphs of the "
+                                "union" % (kind, clash[0]))
+    return FatGraph({**r1._source, **r2._source},
+                    {**r1._sigma, **r2._sigma},
                     isolated=r1.isolated_vertices | r2.isolated_vertices)
-

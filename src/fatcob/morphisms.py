@@ -228,19 +228,17 @@ def collapse_edges(g, forest):
         return x
 
     source = {}
-    involution = {}
     sigma = {}
     for h in base.half_edges:
         if h in collapsed:
             continue
         source[h] = rep[base.source(h)]
-        involution[h] = base.partner(h)
         sigma[h] = skip(h)
     # a component whose edges were all collapsed survives as a point
     isolated = {rep[v] for v in base.isolated_vertices}
     carrying = set(source.values())
     isolated |= {r for r in set(rep.values()) if r not in carrying}
-    out = FatGraph(source, involution, sigma, isolated=frozenset(isolated))
+    out = FatGraph(source, sigma, isolated=frozenset(isolated))
     vmap = dict(rep)
     hmap = {h: (None if h in collapsed else h) for h in base.half_edges}
     if isinstance(g, OpenClosedFatGraph):

@@ -312,51 +312,54 @@ class CobordismSignature:
         return sum(c.euler_characteristic for c in self.components)
 
 
-def cobordism_signature(g):
-    """Classify every boundary cycle and assemble the cobordism type."""
+def _cycle_classes(g):
+    """The surface invariants of ``g`` and the class of each of its
+    boundary cycles, in cycle order."""
     base = g.base
-    bc = base.boundary_cycles()
     surf = base.surface_invariants()
-    leaf_cycle = {v: g.leaf_cycle_index(v) for v in g.special}
+    # a closed leaf owns its cycle; open ones are kept in In/Out order
+    closed_at, open_at = {}, {}
+    for side, leaves in enumerate((g.in_leaves, g.out_leaves)):
+        kind = ("incoming_circle", "outgoing_circle")[side]
+        for v in leaves:
+            i = g.leaf_cycle_index(v)
+            if v in g.closed:
+                closed_at[i] = BoundaryCycleClass(i, kind, closed_leaf=v)
+            else:
+                open_at.setdefault(i, ([], []))[side].append(v)
     classes = []
-    for i, cyc in enumerate(bc.cycles):
-        closed_here = [v for v in g.closed if leaf_cycle[v] == i]
-        open_in = tuple(v for v in g.in_leaves
-                        if v not in g.closed and leaf_cycle[v] == i)
-        open_out = tuple(v for v in g.out_leaves
-                         if v not in g.closed and leaf_cycle[v] == i)
-        if closed_here:
-            v = closed_here[0]
-            kind = ("incoming_circle" if v in g.in_leaves
-                    else "outgoing_circle")
-            classes.append(BoundaryCycleClass(i, kind, closed_leaf=v))
-        elif open_in or open_out:
+    for i in range(len(base.boundary_cycles())):
+        if i in closed_at:
+            classes.append(closed_at[i])
+        elif i in open_at:
+            open_in, open_out = open_at[i]
             classes.append(BoundaryCycleClass(
-                i, "open", open_in=open_in, open_out=open_out))
+                i, "open", open_in=tuple(open_in), open_out=tuple(open_out)))
         else:
             classes.append(BoundaryCycleClass(i, "free"))
+    owned = sorted(i for comp in surf.components for i in comp.cycles)
+    if owned != list(range(len(classes))):
+        raise InvariantViolation(
+            "the components' boundary cycles do not partition the %d "
+            "cycles of the graph" % len(classes))
+    return surf, classes
+
+
+def cobordism_signature(g):
+    """Classify every boundary cycle and assemble the cobordism type."""
+    surf, classes = _cycle_classes(g)
     comps = []
     for comp in surf.components:
-        vset = set(comp.vertices)
-        local = [c for c in classes
-                 if base.source(bc.cycles[c.index][0]) in vset]
-        n_in_c = sum(1 for c in local if c.kind == "incoming_circle")
-        n_out_c = sum(1 for c in local if c.kind == "outgoing_circle")
-        n_in_i = sum(len(c.open_in) for c in local)
-        n_out_i = sum(len(c.open_out) for c in local)
-        n_free = sum(1 for c in local if c.kind == "free")
-        if len(local) != comp.boundary_count:
-            raise InvariantViolation(
-                "component %r has %d boundary cycles, not %d"
-                % (comp.vertices[0], len(local), comp.boundary_count))
+        local = [classes[i] for i in comp.cycles]
+        kinds = [c.kind for c in local]
         comps.append(ComponentCobordism(
             genus=comp.genus,
             euler_characteristic=comp.euler_characteristic,
-            incoming_circles=n_in_c,
-            incoming_intervals=n_in_i,
-            outgoing_circles=n_out_c,
-            outgoing_intervals=n_out_i,
-            free_cycles=n_free,
+            incoming_circles=kinds.count("incoming_circle"),
+            incoming_intervals=sum(len(c.open_in) for c in local),
+            outgoing_circles=kinds.count("outgoing_circle"),
+            outgoing_intervals=sum(len(c.open_out) for c in local),
+            free_cycles=kinds.count("free"),
             boundary_count=comp.boundary_count,
         ))
     source = tuple(CIRCLE if v in g.closed else INTERVAL for v in g.in_leaves)
@@ -390,7 +393,7 @@ def check_positive_boundary(g):
     """
     base = g.base
     bc = base.boundary_cycles()
-    sig = cobordism_signature(g)
+    surf, classes = _cycle_classes(g)
     open_in = {v for v in g.in_leaves if v not in g.closed}
 
     def completely_incoming(cls):
@@ -401,10 +404,5 @@ def check_positive_boundary(g):
                    and base.source(base.partner(h)) in open_in
                    for h in cyc)
 
-    for comp in base.connected_components():
-        vset = set(comp[0])
-        local = [c for c in sig.cycle_classes
-                 if base.source(bc.cycles[c.index][0]) in vset]
-        if all(completely_incoming(c) for c in local):
-            return False
-    return True
+    return not any(all(completely_incoming(classes[i]) for i in comp.cycles)
+                   for comp in surf.components)

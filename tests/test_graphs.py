@@ -6,7 +6,6 @@ from fatcob import fixtures as fx
 from fatcob.errors import (
     DanglingHalfEdge,
     DuplicateName,
-    FixedPointInvolution,
     UnknownEdge,
     WrongVertexOrder,
 )
@@ -58,13 +57,14 @@ class TestConstruction:
         with pytest.raises(UnknownEdge):
             new_fat_graph(["u"], [("e", "u", "x")], {"u": ["e.0"]})
 
-    def test_fixed_point_involution(self):
-        from fatcob.errors import FixedPointInvolution
-        from fatcob.graphs import FatGraph
-        with pytest.raises(FixedPointInvolution):
-            FatGraph({"e.0": "u", "e.1": "u"},
-                     {"e.0": "e.0", "e.1": "e.1"},
-                     {"e.0": "e.1", "e.1": "e.0"})
+    def test_an_edge_missing_a_half(self):
+        with pytest.raises(DanglingHalfEdge, match="missing a half"):
+            FatGraph({"e.0": "u"}, {"e.0": "e.0"})
+
+    def test_a_malformed_half_edge_id(self):
+        with pytest.raises(DanglingHalfEdge, match="malformed"):
+            FatGraph({"e.0": "u", "e.1": "u", "e.2": "u"},
+                     {"e.0": "e.1", "e.1": "e.2", "e.2": "e.0"})
 
     def test_isolated_needs_flag(self):
         with pytest.raises(DanglingHalfEdge):
@@ -132,8 +132,20 @@ class TestComponents:
         assert comp_data(g) == [(0, 2, 0), (0, 2, 0)]
 
     def test_empty(self):
-        from fatcob.graphs import FatGraph
-        assert FatGraph({}, {}, {}).connected_components() == ()
+        assert FatGraph({}, {}).connected_components() == ()
+
+    def test_disjoint_union_refuses_a_shared_name(self):
+        g = fx.figure4()
+        with pytest.raises(DuplicateName, match="vertex 'x:u'"):
+            disjoint_union(g, g, "x:", "x:")
+        # figure4 has vertices u, v and edges A..D; single_loop has the
+        # vertex u and the edge a, renamed to "aA".."aD" and "aa"
+        with pytest.raises(DuplicateName, match="vertex 'au'"):
+            disjoint_union(g, fx.single_loop(), "a", "a")
+        # only the edge names meet
+        w_loop = new_fat_graph(["w"], [("a", "w", "w")], {"w": ["a.0", "a.1"]})
+        with pytest.raises(DuplicateName, match="edge 'pa'"):
+            disjoint_union(fx.single_loop(), w_loop, "p", "p")
 
 
 class TestSubdivideSmooth:
@@ -233,12 +245,10 @@ def rebuilt_subdivision(g, e):
     ren = {h0: a0, h1: b1}
     source = {ren.get(h, h): g.source(h) for h in g.half_edges}
     source.update({a1: mid, b0: mid})
-    involution = {h: g.partner(h) for h in g.half_edges if h not in ren}
-    involution.update({a0: a1, a1: a0, b0: b1, b1: b0})
     sigma = {ren.get(h, h): ren.get(g.next_at_vertex(h), g.next_at_vertex(h))
              for h in g.half_edges}
     sigma.update({a1: b0, b0: a1})
-    out = FatGraph(source, involution, sigma, g.isolated_vertices)
+    out = FatGraph(source, sigma, g.isolated_vertices)
     corr = CellCorrespondence(
         {v: v for v in g.vertices},
         {x: ((e_a, e_b) if x == e else (x,)) for x in g.edges()}, (mid,))
@@ -270,18 +280,15 @@ def rebuilt_smoothing(g):
         ren = {lo: name + ".0", hi: name + ".1"}
         keep = [h for h in g.half_edges if h not in (ha, hb)]
         source = {ren.get(h, h): g.source(h) for h in keep}
-        involution = {h: g.partner(h) for h in keep if h not in (pa, pb)}
-        involution.update({name + ".0": name + ".1",
-                           name + ".1": name + ".0"})
         sigma = {ren.get(h, h): ren.get(g.next_at_vertex(h),
                                         g.next_at_vertex(h)) for h in keep}
-        g = FatGraph(source, involution, sigma, g.isolated_vertices)
+        g = FatGraph(source, sigma, g.isolated_vertices)
         vmap = {u: None if w == v else w for u, w in vmap.items()}
         emap = {e: name if x in (ea, eb) else x for e, x in emap.items()}
 
 
 def assert_as_built_afresh(g):
-    fresh = FatGraph(g._source, g._involution, g._sigma, g.isolated_vertices)
+    fresh = FatGraph(g._source, g._sigma, g.isolated_vertices)
     assert g == fresh
     assert g.half_edges == fresh.half_edges
     assert g.vertices == fresh.vertices
@@ -359,14 +366,6 @@ class TestLocalEdits:
         with pytest.raises(WrongVertexOrder):
             ed.result()
 
-    def test_a_broken_pairing_is_caught(self):
-        ed = _Edit(fx.figure4())
-        e_a, e_b, mid = ed.split("A")
-        ed.involution[e_a + ".0"] = e_b + ".1"
-        ed.involution[e_b + ".1"] = e_a + ".0"
-        with pytest.raises(FixedPointInvolution):
-            ed.result()
-
     def test_a_stray_half_edge_is_caught(self):
         ed = _Edit(fx.figure4())
         ed.split("A")
@@ -386,9 +385,8 @@ def comprehension_relabel(g, vertex_map, edge_map):
         return half_id(edge_map.get(e, e), int(h.rsplit(".", 1)[1]))
 
     source = {rh(h): rv(g.source(h)) for h in g.half_edges}
-    involution = {rh(h): rh(g.partner(h)) for h in g.half_edges}
     sigma = {rh(h): rh(g.next_at_vertex(h)) for h in g.half_edges}
-    return FatGraph(source, involution, sigma,
+    return FatGraph(source, sigma,
                     isolated=frozenset(rv(v) for v in g.isolated_vertices))
 
 

@@ -13,6 +13,7 @@ from fatcob.errors import (DecorationDestroyed, FatcobError,
 from fatcob.fgformat import load, parse_graph, serialize
 from fatcob import gluing
 from fatcob.gluing import gluable, glue_morphisms, subdivision_match
+from fatcob.graphs import new_fat_graph
 from fatcob import homology
 from fatcob.homology import (
     ChainComplexPair,
@@ -67,6 +68,22 @@ def skew_stackings():
     k = len(inner.leaf_cycle_normal_form(inner.out_leaves[0])) - 2
     outer = fx.subdivided_incoming(fx.pants(), k)
     return [(inner, outer, gluable(inner, outer, pairs=[(0, slot)]))
+            for slot in (0, 1)]
+
+
+def interleaved_tori_drops():
+    """``(g1, cylinder, match)`` gluing a cylinder at each out slot of
+    two ``torus_with_out``-shaped pieces whose vertex names interleave:
+    cores ``a`` and ``m``, closed out-leaves ``z`` and ``n``, with
+    ``out = [z, n]``."""
+    g = decorate(new_fat_graph(
+        ["a", "m", "n", "z"],
+        [("a1", "a", "a"), ("b1", "a", "a"), ("Z", "z", "a"),
+         ("a2", "m", "m"), ("b2", "m", "m"), ("N", "n", "m")],
+        {"a": ["Z.1", "a1.0", "b1.0", "a1.1", "b1.1"], "z": ["Z.0"],
+         "m": ["N.1", "a2.0", "b2.0", "a2.1", "b2.1"], "n": ["N.0"]}),
+        [], ["z", "n"], {"z", "n"})
+    return [subdivision_match(g, fx.cylinder(), [(slot, 0)])
             for slot in (0, 1)]
 
 
@@ -970,7 +987,8 @@ class TestDenseReference:
         # Fraction that the six-term sequence of its acyclic quotient
         # gives
         scalars = []
-        for a, b, m in fixture_gluings() + skew_stackings():
+        for a, b, m in fixture_gluings() + skew_stackings() + \
+                interleaved_tori_drops():
             _, data = gluing.glue(a, b, m, with_data=True)
             halves, cells = dropped_leaf_cells(a, data)
             if not cells:
@@ -982,7 +1000,12 @@ class TestDenseReference:
             assert (sub.basis1, sub.basis0, sub.plus, sub.minus) == \
                 (ref_sub.basis1, ref_sub.basis0, ref_sub.plus, ref_sub.minus)
             scalars.append(scalar)
-        assert len(scalars) == 10
+        assert len(scalars) == 12
+        # with interleaved names the leaf drop at slot 0 reverses the
+        # orientation of the determinant line
+        assert scalars[-2:] == [-1, 1]
+        assert [gluing_det_iso(a, b, m, 1).scalar
+                for a, b, m in interleaved_tori_drops()] == [1, -1]
         # and the leaf of every closed outgoing circle of the census
         # through 4 edges
         for oc in admissible_census_decorations(4):
@@ -994,7 +1017,8 @@ class TestDenseReference:
                 _, scalar = homology._drop_scalar(cc, halves, cells)
                 assert scalar == six_term_drop_scalar(cc, halves, cells)[1]
                 scalars.append(scalar)
-        assert len(scalars) == 160
+        assert len(scalars) == 162
+        assert -1 in scalars
 
     def test_drop_rejects_bad_cell_sets(self):
         g = fx.pants()

@@ -211,3 +211,25 @@ class TestInternalChecks:
         out = run_optimized(script)
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("raised incoming partition out of balance")
+
+    def test_cycle_partition_check_survives_optimize(self):
+        # a component that loses a boundary cycle breaks the partition
+        script = (
+            "import dataclasses\n"
+            "from fatcob import fixtures as fx\n"
+            "from fatcob.errors import InvariantViolation\n"
+            "from fatcob.graphs import FatGraph, SurfaceSignature\n"
+            "from fatcob.openclosed import cobordism_signature\n"
+            "assert False, 'asserts are on'\n"
+            "surf = FatGraph.surface_invariants\n"
+            "FatGraph.surface_invariants = lambda self: SurfaceSignature(\n"
+            "    tuple(dataclasses.replace(c, cycles=c.cycles[1:])\n"
+            "          for c in surf(self).components))\n"
+            "try:\n"
+            "    cobordism_signature(fx.pants())\n"
+            "except InvariantViolation as exc:\n"
+            "    print('raised', exc)\n")
+        out = run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(
+            "raised the components' boundary cycles do not partition")
