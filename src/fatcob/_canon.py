@@ -40,19 +40,22 @@ pruning of a branch whose partial code already exceeds the best):
   best, so no winner is missed.
 
 A graph with one vertex (a chord diagram) needs no search.  When the
-fan of the first start holds all ``n < 256`` half-edges and every
-half-edge is a start, the relabelling from the start at fan position
-``r`` labels ``h`` by ``(pos[h] - r) % n``, ``pos[h]`` the fan position
-of ``h``: it is a rotation.  With ``P = bytes(pos[inv[h]] for h in
-fan)``, that start's relabelled ``inv`` is ``(P + P)[r:r + n]`` with
-``r`` subtracted mod ``n`` from every byte, one ``translate`` through a
-table built once per ``n``.  The code is ``[1, n]`` and the least of
-these ``n`` rotations, and the winners are the starts whose rotation
-equals it: the same ``(code, winners)`` as the search, read from the
-input alone.
+fan of the first start holds all ``n`` half-edges and every half-edge
+is a start, the relabelling from the start at fan position ``r``
+labels ``h`` by ``(pos[h] - r) % n``, ``pos[h]`` the fan position of
+``h``: it is a rotation.  With ``P = [pos[inv[h]] for h in fan]``,
+that start's relabelled ``inv`` is ``(P + P)[r:r + n]`` with ``r``
+subtracted mod ``n`` from every entry.  The code is ``[1, n]`` and the
+least of these ``n`` rotations, and the winners are the starts whose
+rotation equals it: the same ``(code, winners)`` as the search, read
+from the input alone.  Below 256 half-edges ``P`` is a byte string and
+each rotation one ``translate`` through a table built once per ``n``
+(:func:`_one_fan`); from 256 on the rotations are tuples of integers
+(:func:`_one_fan_wide`).
 """
 
 from functools import cache
+from operator import itemgetter
 
 from .errors import DisconnectedGraph
 
@@ -130,6 +133,41 @@ def _one_fan(inv, n, fan, starts):
     return bytes([1, n]) + best, winners
 
 
+def _one_fan_wide(inv, n, fan, starts):
+    """:func:`_one_fan` for ``n >= 256`` half-edges.
+
+    The rotations are tuples of integers, which compare like their
+    :func:`encode`d strings.  ``ring[n - r:2 * n - r]`` maps ``x < n``
+    to ``(x - r) % n``.  Entry ``j`` of rotation ``r`` is
+    ``(first[r + j] + j) % n``, where ``first[i] = (P[i] - i) % n`` is
+    the first entry of rotation ``i``.  So rotations ``r`` and ``s``
+    are equal exactly when ``first`` is invariant under the shift by
+    ``s - r``, and only the starts of one period of ``first`` with the
+    least first entry are rotated.
+    """
+    pos = [0] * n
+    for r, h in enumerate(fan):
+        pos[h] = r
+    p = [pos[inv[h]] for h in fan]
+    ring = list(range(n)) * 2
+    first = [(x - r) % n for r, x in enumerate(p)]
+    least = min(first)
+    period = next(q for q in range(1, n + 1)
+                  if n % q == 0 and first[q:] + first[:q] == first)
+    shift_p = itemgetter(*p)
+    best = None
+    for r in range(period):
+        if first[r] == least:
+            tail = shift_p(ring[n - r:2 * n - r])
+            tail = tail[r:] + tail[:r]
+            if best is None or tail < best:
+                best, won = tail, r
+    shift_pos = itemgetter(*pos)
+    winners = [(h, list(shift_pos(ring[n - pos[h]:2 * n - pos[h]])))
+               for h in starts if pos[h] % period == won]
+    return encode((1, n) + best, n), winners
+
+
 def _search(sigma, inv, n, starts):
     """``(code, winners)`` over ``starts``, or ``None`` when the graph
     is disconnected or empty (see the module docstring).
@@ -138,10 +176,11 @@ def _search(sigma, inv, n, starts):
     the minimal code, in increasing start order; ``new_label`` maps old
     index -> canonical label.
     """
-    if 0 < n < 256 and len(starts) == n:
+    if n and len(starts) == n:
         fan = _fan(sigma, starts[0])
         if len(fan) == n:
-            return _one_fan(inv, n, fan, starts)
+            return (_one_fan if n < 256 else _one_fan_wide)(
+                inv, n, fan, starts)
     return _bfs(sigma, inv, n, starts)
 
 

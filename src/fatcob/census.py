@@ -56,11 +56,11 @@ orbit, and an orbit member that is not a pairing each raise
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
 from math import factorial
 from operator import itemgetter
 
 from . import _canon
+from ._record import FrozenRecord
 from .errors import (
     BoundExceeded,
     FatcobError,
@@ -90,8 +90,7 @@ def _edge_bound():
     return value
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(FrozenRecord):
     """One isomorphism class of connected fat graphs.
 
     ``witness`` is ``(parts, pairing)``: a valence partition and a
@@ -100,20 +99,29 @@ class CensusEntry:
     by a graph.  :attr:`graph` builds the named graph from the witness
     on first use and keeps it.  An entry of a ``cobordism=`` census
     carries its decorated graph in ``decorated`` and hands that out
-    instead.
+    instead.  The built graph sits in the private slot ``_built``,
+    outside equality, hashing and ``repr``.
     """
-    canon: bytes
-    witness: tuple
-    n_edges: int
-    n_vertices: int
-    genus: int
-    boundary_count: int
-    euler_characteristic: int
-    n_pairings: int
-    aut_size: int
-    decorated: object = None
-    _built: object = field(default=None, init=False, repr=False,
-                           compare=False)
+    _fields = ("canon", "witness", "n_edges", "n_vertices", "genus",
+               "boundary_count", "euler_characteristic", "n_pairings",
+               "aut_size", "decorated")
+    __slots__ = _fields + ("_built",)
+
+    def __init__(self, canon, witness, n_edges, n_vertices, genus,
+                 boundary_count, euler_characteristic, n_pairings,
+                 aut_size, decorated=None):
+        init = object.__setattr__
+        init(self, "canon", canon)
+        init(self, "witness", witness)
+        init(self, "n_edges", n_edges)
+        init(self, "n_vertices", n_vertices)
+        init(self, "genus", genus)
+        init(self, "boundary_count", boundary_count)
+        init(self, "euler_characteristic", euler_characteristic)
+        init(self, "n_pairings", n_pairings)
+        init(self, "aut_size", aut_size)
+        init(self, "decorated", decorated)
+        init(self, "_built", None)
 
     @property
     def graph(self):
@@ -479,7 +487,7 @@ def _decorated_census(entries, cobordism):
     for e in entries:
         for oc in admissible_decorations(e.graph):
             if _signature_key(cobordism_signature(oc)) == want:
-                out.append(replace(e, decorated=oc))
+                out.append(e._replace(decorated=oc))
     return out
 
 

@@ -103,7 +103,7 @@ def cmd_admissible(args):
     ok, witness = is_admissible(g)
     if ok:
         return "admissible", {"admissible": True}, 0
-    return ("not admissible: %s" % witness,
+    return ("not admissible: %s" % (witness,),
             {"admissible": False, "witness": str(witness)}, DOMAIN_EXIT)
 
 

@@ -20,22 +20,27 @@ whitespace or ``#``) is refused with :class:`SemanticError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .errors import ParseError, SemanticError
 from .graphs import FatGraph, new_fat_graph
 from .openclosed import OpenClosedFatGraph, decorate
 
 
-@dataclass
-class GraphDocument:
-    """Parsed form of a ``.fg`` file."""
-    vertices: list = field(default_factory=list)   # (name, isolated)
-    edges: list = field(default_factory=list)      # (name, src, dst)
-    orders: dict = field(default_factory=dict)     # vertex -> [half, ...]
-    in_leaves: list = None
-    out_leaves: list = None
-    closed: list = None
+class GraphDocument(Record):
+    """Parsed form of a ``.fg`` file: ``vertices`` lists ``(name,
+    isolated)`` pairs, ``edges`` ``(name, src, dst)`` triples, and
+    ``orders`` maps a vertex to its list of half-edges."""
+    _fields = __slots__ = ("vertices", "edges", "orders", "in_leaves",
+                           "out_leaves", "closed")
+
+    def __init__(self, vertices=None, edges=None, orders=None,
+                 in_leaves=None, out_leaves=None, closed=None):
+        self.vertices = [] if vertices is None else vertices
+        self.edges = [] if edges is None else edges
+        self.orders = {} if orders is None else orders
+        self.in_leaves = in_leaves
+        self.out_leaves = out_leaves
+        self.closed = closed
 
     @property
     def decorated(self):

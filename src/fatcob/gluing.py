@@ -28,9 +28,10 @@ check that the graphs fit the match runs on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from types import MappingProxyType
 
+from ._record import FrozenRecord
 from .errors import (
     EdgeCountMismatch,
     FatcobError,
@@ -56,16 +57,15 @@ from .openclosed import (
 )
 
 
-@dataclass(frozen=True)
-class MatchPair:
-    """One matched (outgoing leaf of g1, incoming leaf of g2) pair."""
-    kind: str
-    out_index: int
-    in_index: int
-    out_leaf: str
-    in_leaf: str
-    a_halves: tuple   # circle part of g1's outgoing cycle, walk order
-    b_halves: tuple   # circle part of g2's incoming cycle, walk order
+class MatchPair(namedtuple(
+        "MatchPair",
+        "kind out_index in_index out_leaf in_leaf a_halves b_halves")):
+    """One matched (outgoing leaf of g1, incoming leaf of g2) pair.
+
+    ``a_halves`` is the circle part of g1's outgoing cycle and
+    ``b_halves`` that of g2's incoming cycle, each in walk order.
+    """
+    __slots__ = ()
 
     @property
     def k(self):
@@ -81,8 +81,7 @@ class MatchPair:
             for i in range(k))
 
 
-@dataclass(frozen=True)
-class GluingMatch:
+class GluingMatch(FrozenRecord):
     """Matched pairs of g1's outgoing and g2's incoming leaves.
 
     The two slots hold what a gluing along the match computed, filled
@@ -91,13 +90,16 @@ class GluingMatch:
     ``_det_line`` is the d = 1 scalar of
     :func:`fatcob.homology._gluing_scalar`.
     """
-    g1: OpenClosedFatGraph
-    g2: OpenClosedFatGraph
-    pairs: tuple
-    _glued: object = field(default=None, init=False, repr=False,
-                           compare=False)
-    _det_line: object = field(default=None, init=False, repr=False,
-                              compare=False)
+    _fields = ("g1", "g2", "pairs")
+    __slots__ = _fields + ("_glued", "_det_line")
+
+    def __init__(self, g1, g2, pairs):
+        init = object.__setattr__
+        init(self, "g1", g1)
+        init(self, "g2", g2)
+        init(self, "pairs", pairs)
+        init(self, "_glued", None)
+        init(self, "_det_line", None)
 
     def require_graphs(self, g1, g2):
         """Raise :class:`InvalidMatch` unless the match was computed for
@@ -266,21 +268,18 @@ def _subdivision_runs(b1, b2, circles):
             run.append([leaf, 1])
 
 
-@dataclass(frozen=True)
-class GlueData:
+class GlueData(namedtuple(
+        "GlueData",
+        "prefix1 prefix2 dropped_vertices1 dropped_edges1 "
+        "dropped_vertices2 dropped_edges2 reattach junctions")):
     """Where the cells went: renaming prefixes, dropped cells of both
     sides, and the reattachment map for g2's matched circle vertices.
 
-    A match hands the same instance to every caller, so the two maps
+    ``reattach`` maps a g2 vertex name to its result vertex name, and
+    ``junctions`` a g2 open in-leaf to its result junction vertex.  A
+    match hands the same instance to every caller, so the two maps
     are read-only views."""
-    prefix1: str
-    prefix2: str
-    dropped_vertices1: frozenset
-    dropped_edges1: frozenset
-    dropped_vertices2: frozenset
-    dropped_edges2: frozenset
-    reattach: MappingProxyType   # g2 vertex name -> result vertex name
-    junctions: MappingProxyType  # g2 open in-leaf -> result junction vertex
+    __slots__ = ()
 
     def half_image(self, side, h):
         """Name of the result half-edge made from input half-edge ``h``

@@ -33,7 +33,7 @@ moves and build and validate the result once, not once per move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
 
 from .errors import (
@@ -413,9 +413,22 @@ class FatGraph:
     # -- renaming ----------------------------------------------------------
 
     def relabel(self, vertex_map=None, edge_map=None):
-        """A copy with vertices/edges renamed through the given maps."""
+        """A copy with vertices/edges renamed through the given maps.
+
+        Raises :class:`DuplicateName` naming the least new name that two
+        vertices, else two edges, would share.
+        """
         vmap = vertex_map or {}
         emap = edge_map or {}
+        for kind, names, m in (("vertex", self._vertices, vmap),
+                               ("edge", self._edge_ends, emap)):
+            seen, shared = set(), set()
+            for x in names:
+                y = m.get(x, x)
+                (shared if y in seen else seen).add(y)
+            if shared:
+                raise DuplicateName("the relabelling merges two cells "
+                                    "into %s %r" % (kind, min(shared)))
 
         # each half-edge renamed once; its validated id ends in ".0"
         # or ".1"
@@ -558,11 +571,11 @@ def _grow_circle(g, v, j):
     return ed.result()
 
 
-@dataclass(frozen=True)
-class BoundaryCycles:
-    """The orbits of the boundary walk, in canonical order."""
-    cycles: tuple
-    half_edge_to_cycle: dict
+class BoundaryCycles(namedtuple("BoundaryCycles",
+                                 "cycles half_edge_to_cycle")):
+    """The orbits of the boundary walk, in canonical order.  ``len``
+    counts the cycles."""
+    __slots__ = ()
 
     def __len__(self):
         return len(self.cycles)
@@ -571,21 +584,19 @@ class BoundaryCycles:
         return self.cycles[self.half_edge_to_cycle[h]]
 
 
-@dataclass(frozen=True)
-class ComponentSignature:
+class ComponentSignature(namedtuple(
+        "ComponentSignature",
+        "genus boundary_count euler_characteristic vertices cycles",
+        defaults=((), ()))):
     """One component: its invariants, its sorted vertices and the sorted
     indices of its cycles in :meth:`FatGraph.boundary_cycles`."""
-    genus: int
-    boundary_count: int
-    euler_characteristic: int
-    vertices: tuple = ()
-    cycles: tuple = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SurfaceSignature:
-    """Per-component genus/boundary/chi data plus global totals."""
-    components: tuple
+class SurfaceSignature(namedtuple("SurfaceSignature", "components")):
+    """Per-component genus/boundary/chi data plus global totals.
+    ``len`` counts the components."""
+    __slots__ = ()
 
     @property
     def total_euler_characteristic(self):
@@ -603,17 +614,16 @@ class SurfaceSignature:
         return len(self.components)
 
 
-@dataclass(frozen=True)
-class CellCorrespondence:
+class CellCorrespondence(namedtuple(
+        "CellCorrespondence", "vertex_map edge_map new_vertices",
+        defaults=((),))):
     """Tracks where the cells of a graph went under a local move.
 
     ``vertex_map`` sends an old vertex to its survivor (or ``None`` if
     it was absorbed); ``edge_map`` sends an old edge to the tuple of
     edges now covering it.
     """
-    vertex_map: dict
-    edge_map: dict
-    new_vertices: tuple = ()
+    __slots__ = ()
 
 
 def new_fat_graph(vertices, edges, vertex_orders, isolated=()):

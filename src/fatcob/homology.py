@@ -48,10 +48,11 @@ every d; the complexes stay on their graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
+from ._record import Record
 from .errors import (InvalidMorphism, InvalidParameter, InvariantViolation,
                      NotGluable, ResultInvalid)
 from .graphs import _find
@@ -298,19 +299,25 @@ def operation_degree(g, dim):
 # graded lines
 
 
-@dataclass(frozen=True)
-class GradedLine:
-    """A one-dimensional graded piece: integer degree, nonzero scale."""
-    degree: int
-    scalar: Fraction
+class GradedLine(namedtuple("GradedLine", "degree scalar")):
+    """A one-dimensional graded piece: integer degree, nonzero scale.
 
-    def __post_init__(self):
+    Every way of making one checks the scalar, ``_replace`` included.
+    """
+    __slots__ = ()
+
+    def __new__(cls, degree, scalar):
         # an int or a float here means an exact ratio was lost upstream
-        if not isinstance(self.scalar, Fraction):
+        if not isinstance(scalar, Fraction):
             raise InvalidParameter("graded line scalar %r is not a Fraction"
-                                   % (self.scalar,))
-        if self.scalar == 0:
+                                   % (scalar,))
+        if scalar == 0:
             raise InvalidParameter("graded line scalar must be nonzero")
+        return tuple.__new__(cls, (degree, scalar))
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     @property
     def sign(self):
@@ -374,14 +381,17 @@ def _check_chain_map(F, T, f1, f0):
                    "chain map does not commute with the differentials")
 
 
-@dataclass
-class ChainMap:
-    """A morphism's cell maps between the relative complexes: ``f_eH``
-    on the 1-cells, ``f_eEV`` on the 0-cells."""
-    source_cc: ChainComplexPair
-    target_cc: ChainComplexPair
-    f_eH: list
-    f_eEV: list
+class ChainMap(Record):
+    """A morphism's cell maps between the relative complexes
+    (:class:`ChainComplexPair`): ``f_eH`` on the 1-cells, ``f_eEV`` on
+    the 0-cells."""
+    _fields = __slots__ = ("source_cc", "target_cc", "f_eH", "f_eEV")
+
+    def __init__(self, source_cc, target_cc, f_eH, f_eEV):
+        self.source_cc = source_cc
+        self.target_cc = target_cc
+        self.f_eH = f_eH
+        self.f_eEV = f_eEV
 
 
 def chain_map_of_morphism(m):

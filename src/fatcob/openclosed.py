@@ -14,7 +14,7 @@ complex work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ClosedNotSpecial,
@@ -148,12 +148,10 @@ def decorate(g, in_leaves, out_leaves, closed=()):
     return OpenClosedFatGraph(g, in_leaves, out_leaves, closed)
 
 
-@dataclass(frozen=True)
-class AdmissibilityWitness:
+class AdmissibilityWitness(namedtuple("AdmissibilityWitness",
+                                       "leaf reason cell")):
     """Why a graph failed the embedded-circle test."""
-    leaf: str
-    reason: str
-    cell: str
+    __slots__ = ()
 
     def __str__(self):
         return "leaf %s: %s (%s)" % (self.leaf, self.reason, self.cell)
@@ -215,8 +213,8 @@ def require_admissible(g):
         raise NotAdmissible(str(witness))
 
 
-@dataclass(frozen=True)
-class IncomingPartition:
+class IncomingPartition(namedtuple("IncomingPartition",
+                                    "v_in e_in h_in e_v e_e e_h")):
     """Cells on the incoming boundary versus the extra cells.
 
     The incoming part of a closed incoming leaf is its embedded circle
@@ -226,12 +224,7 @@ class IncomingPartition:
     surface relative to its incoming boundary, which is what the
     degree bookkeeping needs.
     """
-    v_in: tuple
-    e_in: tuple
-    h_in: tuple
-    e_v: tuple
-    e_e: tuple
-    e_h: tuple
+    __slots__ = ()
 
     @property
     def euler_difference(self):
@@ -272,40 +265,30 @@ CIRCLE = "circle"
 INTERVAL = "interval"
 
 
-@dataclass(frozen=True)
-class BoundaryCycleClass:
-    """How one boundary cycle of the surface decomposes."""
-    index: int
-    kind: str              # 'incoming_circle' | 'outgoing_circle' | 'open' | 'free'
-    closed_leaf: str = None
-    open_in: tuple = ()
-    open_out: tuple = ()
+class BoundaryCycleClass(namedtuple(
+        "BoundaryCycleClass", "index kind closed_leaf open_in open_out",
+        defaults=(None, (), ()))):
+    """How one boundary cycle of the surface decomposes.  ``kind`` is
+    'incoming_circle', 'outgoing_circle', 'open' or 'free'."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ComponentCobordism:
-    genus: int
-    euler_characteristic: int
-    incoming_circles: int
-    incoming_intervals: int
-    outgoing_circles: int
-    outgoing_intervals: int
-    free_cycles: int
-    boundary_count: int
+class ComponentCobordism(namedtuple(
+        "ComponentCobordism",
+        "genus euler_characteristic incoming_circles incoming_intervals "
+        "outgoing_circles outgoing_intervals free_cycles boundary_count")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CobordismSignature:
+class CobordismSignature(namedtuple(
+        "CobordismSignature", "components source target cycle_classes")):
     """The cobordism type of a decorated graph.
 
     ``source`` and ``target`` list one entry (``'circle'`` or
     ``'interval'``) per special leaf, in the In/Out orderings; the
     per-component data records genus and boundary classification.
     """
-    components: tuple
-    source: tuple
-    target: tuple
-    cycle_classes: tuple
+    __slots__ = ()
 
     @property
     def total_euler_characteristic(self):

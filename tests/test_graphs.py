@@ -147,6 +147,31 @@ class TestComponents:
         with pytest.raises(DuplicateName, match="edge 'pa'"):
             disjoint_union(fx.single_loop(), w_loop, "p", "p")
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: fx.figure4().relabel(edge_map={"A": "B"}), "edge 'B'"),
+        (lambda: fx.two_loops_planar().relabel(edge_map={"a": "b"}),
+         "edge 'b'"),
+        (lambda: fx.figure4().relabel(vertex_map={"u": "v"}), "vertex 'v'"),
+        # a swap is injective; a vertex clash is named before an edge one
+        (lambda: fx.figure4().relabel({"u": "w", "v": "w"},
+                                      {"A": "B", "B": "A", "C": "A"}),
+         "vertex 'w'"),
+        (lambda: fx.figure4().relabel(edge_map={"A": "Z", "B": "Z",
+                                                "C": "Y", "D": "Y"}),
+         "edge 'Y'"),
+    ], ids=["edge onto edge", "loop onto loop", "vertex onto vertex",
+            "vertex first", "least name"])
+    def test_relabel_refuses_to_merge_cells(self, make, name):
+        with pytest.raises(DuplicateName, match=name):
+            make()
+
+    def test_relabel_may_swap_names(self):
+        g = fx.figure4()
+        swapped = g.relabel({"u": "v", "v": "u"}, {"A": "B", "B": "A"})
+        assert sorted(swapped.vertices) == ["u", "v"]
+        assert swapped.relabel({"u": "v", "v": "u"},
+                               {"A": "B", "B": "A"}) == g
+
 
 class TestSubdivideSmooth:
     def test_loop_subdivision_keeps_invariants(self):

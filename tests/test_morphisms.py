@@ -637,8 +637,8 @@ class TestPrunedKernel:
     def test_all_diameters_at_the_wide_code_boundary(self, n, closed_form,
                                                      closed_form_calls):
         # slot j paired with slot j + n/2: every rotation is an
-        # automorphism.  Below 256 half-edges the closed form answers with
-        # one-byte entries; at 256 the search does, with two-byte entries
+        # automorphism.  Below 256 half-edges the one-byte closed form
+        # answers; at 256 the wide one does, with two-byte entries
         from fatcob import _canon
         from fatcob.census import _build_graph, _sigma_of_partition
         sigma = _sigma_of_partition((n,))
@@ -657,6 +657,34 @@ class TestPrunedKernel:
         g = _build_graph((n,), inv)
         assert canonical_form(random_relabel(g, random.Random(n))) == \
             canonical_form(g)
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_wide_closed_form_matches_the_search(self, n, monkeypatch):
+        # code and every winner's labelling, on seeded random pairings
+        # (half of them renumbered) and on pairings with symmetries
+        from fatcob import _canon
+        from fatcob.census import _sigma_of_partition
+        calls = []
+        real = _canon._one_fan_wide
+        monkeypatch.setattr(_canon, "_one_fan_wide",
+                            lambda *args: calls.append(n) or real(*args))
+        rng = random.Random(n)
+        sigma = _sigma_of_partition((n,))
+        cases = [[(j + n // 2) % n for j in range(n)],
+                 [j ^ 1 for j in range(n)], [j ^ 2 for j in range(n)]]
+        for _ in range(12):
+            slots = rng.sample(range(n), n)
+            inv = [0] * n
+            for a, b in zip(slots[::2], slots[1::2]):
+                inv[a], inv[b] = b, a
+            cases.append(inv)
+        for k, inv in enumerate(cases):
+            s, m = (self._renumbered(sigma, inv, rng) if k % 2
+                    else (sigma, inv))
+            starts = _canon.min_valence_starts(s, n)
+            want = _canon._bfs(s, m, n, starts)
+            assert _canon.min_code(s, m, n) == want, k
+        assert calls == [n] * len(cases)
 
     def test_disconnected_graph_raises_a_fatcob_error(self):
         from fatcob import _canon

@@ -215,7 +215,6 @@ class TestInternalChecks:
     def test_cycle_partition_check_survives_optimize(self):
         # a component that loses a boundary cycle breaks the partition
         script = (
-            "import dataclasses\n"
             "from fatcob import fixtures as fx\n"
             "from fatcob.errors import InvariantViolation\n"
             "from fatcob.graphs import FatGraph, SurfaceSignature\n"
@@ -223,7 +222,7 @@ class TestInternalChecks:
             "assert False, 'asserts are on'\n"
             "surf = FatGraph.surface_invariants\n"
             "FatGraph.surface_invariants = lambda self: SurfaceSignature(\n"
-            "    tuple(dataclasses.replace(c, cycles=c.cycles[1:])\n"
+            "    tuple(c._replace(cycles=c.cycles[1:])\n"
             "          for c in surf(self).components))\n"
             "try:\n"
             "    cobordism_signature(fx.pants())\n"
