@@ -136,14 +136,16 @@ def _one_fan(inv, n, fan, starts):
 def _one_fan_wide(inv, n, fan, starts):
     """:func:`_one_fan` for ``n >= 256`` half-edges.
 
-    The rotations are tuples of integers, which compare like their
-    :func:`encode`d strings.  ``ring[n - r:2 * n - r]`` maps ``x < n``
-    to ``(x - r) % n``.  Entry ``j`` of rotation ``r`` is
-    ``(first[r + j] + j) % n``, where ``first[i] = (P[i] - i) % n`` is
-    the first entry of rotation ``i``.  So rotations ``r`` and ``s``
-    are equal exactly when ``first`` is invariant under the shift by
-    ``s - r``, and only the starts of one period of ``first`` with the
-    least first entry are rotated.
+    It gives the same answer below 256 too, but there the byte strings
+    of :func:`_one_fan` are faster: at 12 half-edges this form takes
+    half as long again per call.  The rotations are tuples of integers,
+    which compare like their :func:`encode`d strings.
+    ``ring[n - r:2 * n - r]`` maps ``x < n`` to ``(x - r) % n``.  Entry
+    ``j`` of rotation ``r`` is ``(first[r + j] + j) % n``, where
+    ``first[i] = (P[i] - i) % n`` is the first entry of rotation ``i``.
+    So rotations ``r`` and ``s`` are equal exactly when ``first`` is
+    invariant under the shift by ``s - r``, and only the starts of one
+    period of ``first`` with the least first entry are rotated.
     """
     pos = [0] * n
     for r, h in enumerate(fan):

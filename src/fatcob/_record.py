@@ -5,9 +5,9 @@ The plain records of the package are ``namedtuple`` subclasses with
 (:class:`Record`), and a frozen one that keeps a first-use cache in a
 private slot (:class:`FrozenRecord`).  A subclass lists its fields in
 ``_fields``, in order, and declares them and any cache in
-``__slots__``.  ``repr``, equality and hashing read the fields only,
-as a named tuple's do, and a record equals only records of its own
-class.
+``__slots__``; ``__init__`` takes the fields in that order.  ``repr``,
+equality, hashing, copying and pickling read the fields only, as a
+named tuple's do, and a record equals only records of its own class.
 """
 
 
@@ -31,6 +31,10 @@ class Record:
         return self._values() == other._values()
 
     __hash__ = None
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy's caches start empty
+        return type(self), self._values()
 
 
 class FrozenRecord(Record):

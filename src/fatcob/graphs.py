@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 from types import MappingProxyType
 
+from ._record import FrozenRecord
 from .errors import (
     DanglingHalfEdge,
     DuplicateName,
@@ -571,11 +572,14 @@ def _grow_circle(g, v, j):
     return ed.result()
 
 
-class BoundaryCycles(namedtuple("BoundaryCycles",
-                                 "cycles half_edge_to_cycle")):
+class BoundaryCycles(FrozenRecord):
     """The orbits of the boundary walk, in canonical order.  ``len``
     counts the cycles."""
-    __slots__ = ()
+    _fields = __slots__ = ("cycles", "half_edge_to_cycle")
+
+    def __init__(self, cycles, half_edge_to_cycle):
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "half_edge_to_cycle", half_edge_to_cycle)
 
     def __len__(self):
         return len(self.cycles)
@@ -593,10 +597,13 @@ class ComponentSignature(namedtuple(
     __slots__ = ()
 
 
-class SurfaceSignature(namedtuple("SurfaceSignature", "components")):
+class SurfaceSignature(FrozenRecord):
     """Per-component genus/boundary/chi data plus global totals.
     ``len`` counts the components."""
-    __slots__ = ()
+    _fields = __slots__ = ("components",)
+
+    def __init__(self, components):
+        object.__setattr__(self, "components", components)
 
     @property
     def total_euler_characteristic(self):

@@ -6,6 +6,8 @@ assignment with :class:`AttributeError`.  Importing the package
 generates no code, so neither ``dataclasses`` nor ``inspect`` loads.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -137,12 +139,50 @@ def test_record_repr_equality_and_assignment(cls, fields, text, frozen,
 
 
 def test_len_counts_cycles_and_components():
-    # both records are named tuples of fewer fields than they count
+    # neither record is a sequence of its fields
     g = graphs.disjoint_union(fx.figure4(), fx.single_loop())
-    assert len(g.boundary_cycles()) == 4
-    assert len(g.surface_invariants()) == 2
+    cycles, surface = g.boundary_cycles(), g.surface_invariants()
+    assert len(cycles) == 4
+    assert len(surface) == 2
     assert len(fx.figure4().surface_invariants()) == 1
     assert not graphs.SurfaceSignature(())
+    for record in (cycles, surface):
+        with pytest.raises(TypeError):
+            record[0]
+
+
+def test_replace_on_records_that_count_their_contents():
+    g = graphs.disjoint_union(fx.figure4(), fx.single_loop())
+    cycles, surface = g.boundary_cycles(), g.surface_invariants()
+    fewer = cycles._replace(cycles=cycles.cycles[1:])
+    assert len(fewer) == 3
+    assert fewer.half_edge_to_cycle is cycles.half_edge_to_cycle
+    one = surface._replace(components=surface.components[:1])
+    assert len(one) == 1 and one.genera == (1,)
+    assert surface._replace() == surface
+
+
+COPIES = [copy.copy, copy.deepcopy,
+          lambda record: pickle.loads(pickle.dumps(record))]
+
+
+@pytest.mark.parametrize("duplicate", COPIES,
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_keep_the_fields_and_start_with_empty_caches(duplicate):
+    entry = census.enumerate_fat_graphs(1)[0]
+    entry.graph
+    g1, g2, match = gluing.subdivision_match(fx.pants(), fx.cylinder())
+    gluing.glue(g1, g2, match)
+    assert entry._built is not None and match._glued is not None
+    for record, caches in ((entry, ("_built",)),
+                           (match, ("_glued", "_det_line"))):
+        twin = duplicate(record)
+        assert type(twin) is type(record) and twin == record
+        assert hash(twin) == hash(record) and repr(twin) == repr(record)
+        assert all(getattr(twin, c) is None for c in caches)
+        with pytest.raises(AttributeError):
+            setattr(twin, record._fields[0], None)
+    assert duplicate(entry).graph == entry.graph
 
 
 def test_caches_stay_out_of_equality_and_repr():
