@@ -38,11 +38,12 @@ minimal starts its automorphism count.  The kernel's starts are
 computed once per partition, and the pairings of ``2n`` slots and
 their index once per edge count.
 
-The tally runs one valence partition at a time.  A class lies in one
-partition, so the partitions' tallies are disjoint.  A class is
-materialised from integers alone.
-Orbit-stabilizer checks the closure against the kernel: the orbit size
-times the automorphism count must be the order of C(parts).
+The census is one pass over the valence partitions, and a class
+becomes its :class:`CensusEntry` where its orbit closes, from integers
+alone.  A class lies in one partition, but one set of codes per edge
+count catches a code reached twice, within a partition or across two.
+Orbit-stabilizer checks each closure against the kernel: the orbit
+size times the automorphism count must be the order of C(parts).
 The boundary count is the number of cycles of ``sigma∘pairing`` on the
 slots, ``chi`` is vertices minus edges and the genus follows from
 ``2 - 2g = chi + b``.  No named graph is built: a :class:`CensusEntry`
@@ -301,21 +302,18 @@ def _indexed_pairings(n2):
     return pairings, {m: i for i, m in enumerate(pairings)}
 
 
-def _second_orbit(parts, code):
-    return InvariantViolation(
-        "census code %r of partition %r is reached by a second orbit of "
-        "the slot group" % (code, parts))
+def _tally_partition(parts, indexed, codes):
+    """The census classes of one valence partition, one
+    :class:`CensusEntry` per orbit of connected pairings, each built
+    where its orbit closes.
 
-
-def _tally_partition(task, indexed):
-    """Census tally for one valence partition:
-    code -> [count, aut, witness].
-
-    ``indexed`` is ``_indexed_pairings(2 * n)``.
+    ``indexed`` is ``_indexed_pairings(sum(parts))``; ``codes`` holds
+    the codes found so far at this edge count, and each new code joins
+    it.
     """
-    n, parts = task
+    n2 = sum(parts)
     sigma = _sigma_of_partition(parts)
-    n2 = 2 * n
+    order = _centralizer_order(parts)
     pairings, index = indexed
     starts = _canon.min_valence_starts(sigma, n2)
     stages = []
@@ -328,7 +326,7 @@ def _tally_partition(task, indexed):
             conj.append((bytes(g).ljust(256, b"\0"), itemgetter(*ginv)))
         stages.append(conj)
     seen = bytearray(len(pairings))
-    tally = {}
+    out = []
     for i, m in enumerate(pairings):
         if seen[i]:
             continue
@@ -336,8 +334,11 @@ def _tally_partition(task, indexed):
         if found is None:
             continue
         code, aut = found
-        if code in tally:
-            raise _second_orbit(parts, code)
+        if code in codes:
+            raise InvariantViolation(
+                "census code %r of partition %r is reached by a second "
+                "orbit of the slot group" % (code, parts))
+        codes.add(code)
         # the conjugate g p g^-1 sends g(s) to g(p(s)): its entry j is
         # g[p[ginv[j]]]: p translated by g, read in ginv order
         orbit = {m}
@@ -353,8 +354,18 @@ def _tally_partition(task, indexed):
                 "of the slot group of %r holds a map that is not a "
                 "permutation of the slots"
                 % (tuple(p), tuple(m), parts)) from None
-        tally[code] = [len(orbit), aut, (parts, m)]
-    return tally
+        # orbit-stabilizer: pairings realizing the class, times the
+        # automorphism count, is the slot-symmetry order
+        if len(orbit) * aut != order:
+            raise InvariantViolation(
+                "census bookkeeping broken for %r: %d pairings times %d "
+                "automorphisms is not %d" % (code, len(orbit), aut, order))
+        g, b, chi = _invariants(sigma, m, len(parts))
+        out.append(CensusEntry(
+            canon=code, witness=(parts, m), n_edges=n2 // 2,
+            n_vertices=len(parts), genus=g, boundary_count=b,
+            euler_characteristic=chi, n_pairings=len(orbit), aut_size=aut))
+    return out
 
 
 def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
@@ -386,7 +397,7 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
             "the bytes of a pairing" % (max_edges, MAX_PAIRING_EDGES))
     sizes = range(max_edges, max_edges + 1) if exact_edges \
         else range(1, max_edges + 1)
-    merged = {}
+    out = []
     for n in sizes:
         if n == 0:
             continue
@@ -398,31 +409,9 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
                                                          max(1, min_valence))
                           if len(parts) <= n + 1]
         indexed = _indexed_pairings(2 * n) if partitions else None
+        codes = set()
         for parts in partitions:
-            for code, hit in _tally_partition((n, parts), indexed).items():
-                if (n, code) in merged:
-                    raise _second_orbit(parts, code)
-                merged[(n, code)] = hit
-    out = []
-    shapes = {}     # parts -> (sigma, order of C(parts)), once each
-    for (n, code), (count, aut, witness) in merged.items():
-        parts, pairing = witness
-        shape = shapes.get(parts)
-        if shape is None:
-            shape = shapes[parts] = (_sigma_of_partition(parts),
-                                     _centralizer_order(parts))
-        sigma, want = shape
-        # orbit-stabilizer: pairings realizing the class, times the
-        # automorphism count, is the slot-symmetry order
-        if count * aut != want:
-            raise InvariantViolation(
-                "census bookkeeping broken for %r: %d pairings times %d "
-                "automorphisms is not %d" % (code, count, aut, want))
-        g, b, chi = _invariants(sigma, pairing, len(parts))
-        out.append(CensusEntry(
-            canon=code, witness=witness, n_edges=n, n_vertices=len(parts),
-            genus=g, boundary_count=b, euler_characteristic=chi,
-            n_pairings=count, aut_size=aut))
+            out += _tally_partition(parts, indexed, codes)
     if genus is not None:
         out = [e for e in out if e.genus == genus]
     if surface is not None:

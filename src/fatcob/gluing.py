@@ -45,7 +45,6 @@ from .graphs import (
     _circle_growth,
     _grow_circle,
     _other_half,
-    half_id,
 )
 from .morphisms import Morphism, require_valid
 from .openclosed import (
@@ -122,12 +121,10 @@ def _leaf_kind(g, v):
 
 
 def _pair_leaves(g1, g2, idx, oi, ii):
-    """The leaves of pair ``idx`` and their common kind."""
-    try:
-        v_out = g1.out_leaves[oi]
-        v_in = g2.in_leaves[ii]
-    except IndexError:
-        raise InvalidMatch("pair %d is out of range" % idx) from None
+    """The leaves of pair ``idx``, whose slots are in range, and their
+    common kind."""
+    v_out = g1.out_leaves[oi]
+    v_in = g2.in_leaves[ii]
     k_out = _leaf_kind(g1, v_out)
     k_in = _leaf_kind(g2, v_in)
     if k_out != k_in:
@@ -140,8 +137,9 @@ def _slot_pairs(g1, g2, pairs):
     """The ``(out_index, in_index)`` pairs of a match.
 
     With ``pairs=None`` these are the positions of ``g1``'s outgoing
-    leaves, and the ordered boundary 1-manifolds must agree; given
-    pairs must use every slot at most once.
+    leaves, and the ordered boundary 1-manifolds must agree.  Each
+    given pair must be two ``int`` slot indices in range, and every slot
+    is used at most once; otherwise :class:`InvalidMatch` is raised.
     """
     if pairs is None:
         sig1 = cobordism_signature(g1)
@@ -151,7 +149,22 @@ def _slot_pairs(g1, g2, pairs):
                 "outgoing %s does not match incoming %s"
                 % (list(sig1.target), list(sig2.source)))
         return [(i, i) for i in range(len(g1.out_leaves))]
-    pairs = [tuple(p) for p in pairs]
+    counts = (len(g1.out_leaves), len(g2.in_leaves))
+    checked = []
+    for idx, pair in enumerate(pairs):
+        try:
+            oi, ii = pair
+        except (TypeError, ValueError):
+            raise InvalidMatch(
+                "pair %d is %r, not two slot indices" % (idx, pair)) from None
+        for slot, count in zip((oi, ii), counts):
+            if isinstance(slot, bool) or not isinstance(slot, int):
+                raise InvalidMatch(
+                    "pair %d holds %r, not a slot index" % (idx, slot))
+            if not 0 <= slot < count:
+                raise InvalidMatch("pair %d is out of range" % idx)
+        checked.append((oi, ii))
+    pairs = checked
     if len({o for o, _ in pairs}) != len(pairs) or \
        len({i for _, i in pairs}) != len(pairs):
         raise InvalidMatch("an outgoing or incoming slot is matched twice")
@@ -284,9 +297,7 @@ class GlueData(namedtuple(
     def half_image(self, side, h):
         """Name of the result half-edge made from input half-edge ``h``
         of ``side`` (1 or 2): its edge name takes the side's prefix."""
-        e, end = h.rsplit(".", 1)
-        return half_id((self.prefix1 if side == 1 else self.prefix2) + e,
-                       int(end))
+        return (self.prefix1 if side == 1 else self.prefix2) + h
 
     def vertex_image(self, side, v):
         """Result vertex carrying the given input vertex, or None."""

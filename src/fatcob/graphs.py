@@ -43,6 +43,7 @@ from .errors import (
     InvariantViolation,
     IsolatedVertex,
     NonIntegerGenus,
+    NotALeaf,
     UnknownEdge,
     WrongVertexOrder,
 )
@@ -228,9 +229,12 @@ class FatGraph:
 
         ``h`` is the half of the leaf edge at the attachment vertex and
         ``hbar`` the half at the leaf itself; the boundary walk always
-        traverses them consecutively.
+        traverses them consecutively.  A vertex that is not a leaf
+        raises :class:`~fatcob.errors.NotALeaf`.
         """
         alpha = self.leaf_half(v)        # at the leaf
+        if len(self._fibers[v]) != 1:
+            raise NotALeaf("%r is not a valence-1 vertex" % v)
         beta = self._involution[alpha]   # at the attachment vertex
         cyc = self.boundary_cycles().cycle_of(beta)
         i = cyc.index(beta)

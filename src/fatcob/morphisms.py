@@ -68,14 +68,6 @@ class Morphism:
         self.half_map = dict(half_map)
         self._checked = False
 
-    def __call__(self, cell):
-        if cell in self.vertex_map:
-            return self.vertex_map[cell]
-        img = self.half_map[cell]
-        if img is None:
-            return self.vertex_map[base_of(self.source).source(cell)]
-        return img
-
     def collapsed_halves(self):
         return {h for h, img in self.half_map.items() if img is None}
 

@@ -7,9 +7,9 @@ it to the per-pairing tally it replaced, which runs the kernel on
 every pairing, and make each of its internal checks fire, also under
 ``python -O``.
 
-A class is materialised without a named graph: its automorphism count
-comes from the tally's kernel call and its invariants from the face
-permutation of the witness.  The tests recompute both from scratch on
+A class becomes its entry where its orbit closes, without a named
+graph: its automorphism count comes from the tally's kernel call and
+its invariants from the face permutation of the witness.  The tests recompute both from scratch on
 every class, and hold the graph to being built only on first use.
 """
 
@@ -71,8 +71,10 @@ class TestOrbitTally:
         classes = 0
         for n, tasks in groupby(census_tasks(), key=itemgetter(0)):
             indexed = _indexed_pairings(2 * n)
+            codes = set()
             for task in tasks:
-                tally = _tally_partition(task, indexed)
+                tally = {e.canon: [e.n_pairings, e.aut_size, e.witness]
+                         for e in _tally_partition(task[1], indexed, codes)}
                 assert tally == reference_tally(task, indexed[0]), task
                 classes += len(tally)
         assert classes == 1004 + 902
@@ -100,14 +102,19 @@ class TestOrbitTally:
 
 class TestOrbitChecks:
     def test_second_orbit_raises_under_optimize(self):
-        # a kernel that gives every pairing one code: the second orbit
-        # to be closed reaches that code again
+        # a kernel that gives every connected pairing one code, and its
+        # true automorphism count: the second orbit to be closed reaches
+        # that code again
         script = (
             "import fatcob._canon as k\n"
             "from fatcob.census import enumerate_fat_graphs\n"
             "from fatcob.errors import InvariantViolation\n"
             "assert False, 'asserts are on'\n"
-            "k.census_code = lambda *a: (b'same', 1)\n"
+            "real = k.census_code\n"
+            "def same(*a):\n"
+            "    found = real(*a)\n"
+            "    return found and (b'same', found[1])\n"
+            "k.census_code = same\n"
             "try:\n"
             "    enumerate_fat_graphs(2)\n"
             "except InvariantViolation as exc:\n"
@@ -119,8 +126,14 @@ class TestOrbitChecks:
 
     def test_code_of_two_partitions_raises(self, monkeypatch):
         # one edge: each partition has a single pairing, so the repeat
-        # shows only when the tallies of (2,) and (1, 1) merge
-        monkeypatch.setattr(_canon, "census_code", lambda *a: (b"same", 1))
+        # shows only when (1, 1) reaches the code of (2,)
+        real = _canon.census_code
+
+        def same(*args):
+            found = real(*args)
+            return found and (b"same", found[1])
+
+        monkeypatch.setattr(_canon, "census_code", same)
         with pytest.raises(InvariantViolation,
                            match=r"partition \(1, 1\) is reached by a "
                                  "second orbit"):
@@ -144,8 +157,9 @@ class TestOrbitChecks:
 
     def test_rotations_alone_are_caught(self, monkeypatch):
         # without the block permutations a class splits into several
-        # orbits; the second one reaches the class's code again, before
-        # the orbit-stabilizer check could see the short count
+        # orbits; the first of them to close is short, and the
+        # orbit-stabilizer check sees that at its closure, before a later
+        # orbit could reach the class's code again
         real = census._transversals
 
         def rotations(parts):
@@ -155,7 +169,8 @@ class TestOrbitChecks:
                            for g in stage for s, t in enumerate(g))]
 
         monkeypatch.setattr(census, "_transversals", rotations)
-        with pytest.raises(InvariantViolation, match="second orbit"):
+        with pytest.raises(InvariantViolation,
+                           match="census bookkeeping broken"):
             enumerate_fat_graphs(3)
 
     def test_non_symmetry_breaks_orbit_stabilizer(self, monkeypatch):

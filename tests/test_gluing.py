@@ -185,6 +185,21 @@ class TestGluable:
         with pytest.raises(SignatureMismatch):
             gluable(fx.interval(), fx.cylinder())
 
+    @pytest.mark.parametrize("match", [gluable, subdivision_match])
+    @pytest.mark.parametrize("pairs", [
+        [(0, 0), (-1, 1)],      # -1 would be the one outgoing leaf again
+        [(-1, -1)],             # would glue the last slots
+        [("0", 0)],
+        [(0.0, 0)],
+        [(False, 0)],
+        [(0,)],
+        [(0, 1, 2)],
+        [5],
+    ])
+    def test_pairs_that_are_not_slot_indices_in_range(self, match, pairs):
+        with pytest.raises(InvalidMatch, match=r"^pair \d+ "):
+            match(fx.cylinder(), fx.pants(), pairs)
+
     def test_pants_cylinder_counts_agree_after_matching(self):
         a, b, m = subdivision_match(fx.pants(), fx.cylinder())
         assert m.pairs[0].k == 6

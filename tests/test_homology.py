@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import data_path, run_optimized
 from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs
-from fatcob.errors import (DecorationDestroyed, FatcobError,
-                           ForestContainsCycle, InvalidMorphism,
-                           InvalidParameter, InvariantViolation,
-                           NotAdmissible, ResultInvalid)
+from fatcob.errors import (DecorationDestroyed, EdgeCountMismatch,
+                           FatcobError, ForestContainsCycle,
+                           InvalidMorphism, InvalidParameter,
+                           InvariantViolation, NotAdmissible, ResultInvalid,
+                           SignatureMismatch)
 from fatcob.fgformat import load, parse_graph, serialize
 from fatcob import gluing
 from fatcob.gluing import gluable, glue_morphisms, subdivision_match
@@ -1135,33 +1136,87 @@ def off_circle_collapses(g, circle_halves):
     return out
 
 
+def reversed_names(g):
+    """The isomorphism from the decorated graph ``g`` onto a copy whose
+    vertex and edge names sort in the reverse order."""
+    b = g.base
+    vs, es = sorted(b.vertices), sorted(b.edges())
+    vmap = {v: "w%03d" % (len(vs) - i) for i, v in enumerate(vs)}
+    emap = {e: "f%03d" % (len(es) - i) for i, e in enumerate(es)}
+    copy = decorate(b.relabel(vmap, emap),
+                    [vmap[v] for v in g.in_leaves],
+                    [vmap[v] for v in g.out_leaves],
+                    [vmap[v] for v in g.closed])
+    hmap = {h: emap[b.edge_of(h)] + h[-2:] for h in b.half_edges}
+    return Morphism(g, copy, vmap, hmap)
+
+
+def assert_natural(a, b, m, m1, m2):
+    """The gluing isomorphisms of ``m`` and of the targets of ``m1`` and
+    ``m2`` differ by the det-line signs, in degrees 0 to 3.  Returns
+    whether the signs matter: the glued morphism's sign is not the
+    product of the two."""
+    index_pairs = [(p.out_index, p.in_index) for p in m.pairs]
+    m12 = glue_morphisms(m1, m2, m)
+    tm = gluable(m1.target, m2.target, index_pairs)
+    s12 = morphism_det_sign(m12)
+    s = morphism_det_sign(m1) * morphism_det_sign(m2)
+    for d in range(4):
+        before = gluing_det_iso(a, b, m, d)
+        after = gluing_det_iso(m1.target, m2.target, tm, d)
+        assert after.degree == before.degree
+        assert after.scalar * s ** d == s12 ** d * before.scalar
+    return s12 != s
+
+
+def side_morphisms(a, b, m, extra=lambda g: ()):
+    """``(side, m1, m2)``: each single-edge collapse of either side off
+    its matched circles, then ``extra(g)`` of that side, against the
+    identity of the other side."""
+    for side, g in ((1, a), (2, b)):
+        circles = [h for p in m.closed_pairs
+                   for h in (p.a_halves if side == 1 else p.b_halves)]
+        for c in off_circle_collapses(g, circles) + list(extra(g)):
+            yield (side, c if side == 1 else identity_morphism(a),
+                   c if side == 2 else identity_morphism(b))
+
+
 class TestGluingNaturality:
-    """The gluing isomorphism commutes with collapses on either side."""
+    """The gluing isomorphism commutes with collapses and renamings on
+    either side."""
 
     def test_single_edge_collapses_off_the_matched_circles(self):
         tested = {1: 0, 2: 0}
         for a, b, m in fixture_gluings():
-            index_pairs = [(p.out_index, p.in_index) for p in m.pairs]
-            for side in (1, 2):
-                g = a if side == 1 else b
-                circles = [h for p in m.closed_pairs
-                           for h in (p.a_halves if side == 1 else p.b_halves)]
-                for c in off_circle_collapses(g, circles):
-                    m1 = c if side == 1 else identity_morphism(a)
-                    m2 = c if side == 2 else identity_morphism(b)
-                    # off the matched circles, glue_morphisms accepts all
-                    m12 = glue_morphisms(m1, m2, m)
-                    tm = gluable(m1.target, m2.target, index_pairs)
-                    s12 = morphism_det_sign(m12)
-                    s = morphism_det_sign(m1) * morphism_det_sign(m2)
-                    for d in range(4):
-                        before = gluing_det_iso(a, b, m, d)
-                        after = gluing_det_iso(m1.target, m2.target, tm, d)
-                        assert after.degree == before.degree
-                        assert after.scalar * s ** d == \
-                            s12 ** d * before.scalar
-                    tested[side] += 1
+            for side, m1, m2 in side_morphisms(a, b, m):
+                assert_natural(a, b, m, m1, m2)
+                tested[side] += 1
         assert tested == {1: 4, 2: 18}
+
+    def test_census_gluings_and_renamings(self):
+        # every one-pair gluing of two admissible census decorations
+        # through 3 edges, with at most 4 edges in all, under the
+        # collapses and the renaming of either side.  Renaming a second
+        # side with two incoming intervals can change the gluing scalar's
+        # sign; then only the det-line signs make up for it
+        decorated = admissible_census_decorations(3)
+        gluings = tested = signed = 0
+        for g1 in decorated:
+            for g2 in decorated:
+                if g1.base.num_edges() + g2.base.num_edges() > 4:
+                    continue
+                for oi in range(len(g1.out_leaves)):
+                    for ii in range(len(g2.in_leaves)):
+                        try:
+                            a, b, m = subdivision_match(g1, g2, [(oi, ii)])
+                        except (SignatureMismatch, EdgeCountMismatch):
+                            continue
+                        gluings += 1
+                        for _, m1, m2 in side_morphisms(
+                                a, b, m, lambda g: [reversed_names(g)]):
+                            signed += assert_natural(a, b, m, m1, m2)
+                            tested += 1
+        assert (gluings, tested, signed) == (395, 961, 38)
 
 
 class TestSkewAssociativity:

@@ -45,6 +45,17 @@ class TestDecorate:
         assert oc.leaf_cycle_normal_form("p") == ("L.1", "L.0", "a.0")
         assert oc.circle_edges("q") == ("a.1",)
 
+    @pytest.mark.parametrize("read", [
+        lambda oc: oc.leaf_cycle_normal_form("u"),
+        lambda oc: oc.circle_edges("u"),
+        lambda oc: oc.base.leaf_cycle_normal_form("u"),
+    ], ids=["decorated", "circle_edges", "base"])
+    def test_leaf_cycle_of_a_non_leaf_is_refused(self, read):
+        # ``u`` is the cylinder's one inner vertex: bad input, not a
+        # broken boundary walk
+        with pytest.raises(NotALeaf, match="'u' is not a valence-1 vertex"):
+            read(fx.cylinder())
+
 
 class TestAdmissible:
     def test_embedded_example_xy(self):
