@@ -44,6 +44,8 @@ CASES = {
     "degree_mouthpiece_1": ["degree", "--dim", "1", data("mouthpiece.fg")],
     "detsign_cyl_cyl": ["det-sign", data("cylinder.fg"), data("cylinder.fg")],
     "detsign_pants_cyl": ["det-sign", data("pants.fg"), data("cylinder.fg")],
+    "detsign_torus_cyl_pants_json": ["--json", "det-sign",
+                                     data("torus_cyl.fg"), data("pants.fg")],
     "assoc_sign_0": ["assoc-sign", "--dim", "0"],
     "assoc_sign_1": ["assoc-sign", "--dim", "1"],
     "assoc_sign_2": ["assoc-sign", "--dim", "2"],
