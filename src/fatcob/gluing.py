@@ -344,21 +344,17 @@ def _glue(g1, g2, match):
     junctions = {}
     subst = {}     # g2 half -> the g1 half replacing it in the walk
     for pair in match.closed_pairs:
-        a, b = pair.a_halves, pair.b_halves
-        k = pair.k
         dropped_v1.add(pair.out_leaf)
         dropped_e1.add(b1.edge_of(b1.leaf_half(pair.out_leaf)))
         dropped_v2.add(pair.in_leaf)
         dropped_e2.add(b2.edge_of(b2.leaf_half(pair.in_leaf)))
-        for bi in range(k):
-            dropped_e2.add(b2.edge_of(b[bi]))
-            # s(B_i) -> s(reversal of A_{k+1-i}); 0-based: partner(a[k-1-bi])
-            tgt = b1.source(b1.partner(a[(k - 1 - bi) % k]))
-            reattach[b2.source(b[bi])] = p1 + tgt
+        for bh, ah in pair.identified_halves(g1):
+            dropped_e2.add(b2.edge_of(bh))
+            dropped_v2.add(b2.source(bh))
+            # s(B_i) -> s(reversal of A_{k+1-i})
+            reattach[b2.source(bh)] = p1 + b1.source(ah)
             # walk replacement: reversal of B_i -> A_{k+1-i}
-            subst[b2.partner(b[bi])] = a[(k - 1 - bi) % k]
-        for bi in range(k):
-            dropped_v2.add(b2.source(b[bi]))
+            subst[b2.partner(bh)] = b1.partner(ah)
     for pair in match.open_pairs:
         dropped_v2.add(pair.in_leaf)
         junctions[pair.in_leaf] = p1 + pair.out_leaf
@@ -444,11 +440,9 @@ def glue_morphisms(m1, m2, match):
     col1 = {s1.base.edge_of(h) for h in m1.collapsed_halves()}
     col2 = {s2.base.edge_of(h) for h in m2.collapsed_halves()}
     for pair in match.closed_pairs:
-        k = pair.k
-        for bi in range(k):
-            eb = s2.base.edge_of(pair.b_halves[bi])
-            ea = s1.base.edge_of(pair.a_halves[(k - 1 - bi) % k])
-            if (eb in col2) != (ea in col1):
+        for bh, ah in pair.identified_halves(s1):
+            eb = s2.base.edge_of(bh)
+            if (eb in col2) != (s1.base.edge_of(ah) in col1):
                 raise NotGluablePairMorphism(
                     "circle edge %s collapsed on one side only" % eb)
     index_pairs = [(p.out_index, p.in_index) for p in match.pairs]

@@ -9,10 +9,11 @@ is the incidence matrix of a graph on the 0-cells plus one ground
 node (the incoming part), and it is stored only as that graph's arcs,
 one ``(plus, minus)`` pair of endpoints per 1-cell.  Kernel and
 cokernel bases come from a union-find spanning forest instead of row
-reduction; they are the bases leftmost-pivot row reduction would pick,
-so every sign below is reproducible.  Only the lift corrections still
-solve by row reduction, on a dense copy of the columns they need.  Each
-complex is read off the graph's maps through name-to-position dicts.
+reduction, and so does the split of a gluing's connecting map; they are
+the bases leftmost-pivot row reduction would pick, so every sign below
+is reproducible.  Only the lift corrections still solve by row
+reduction, on a dense copy of the columns they need.  Each complex is
+read off the graph's maps through name-to-position dicts.
 It is built once per graph object, by :func:`relative_chain_complex`,
 and kept on the graph: a graph is immutable, and any one graph is the
 source or target of many morphisms and gluings, which all share its
@@ -25,9 +26,9 @@ sent to zero); its preimages give the projection onto a quotient and
 the section of a collapse, which :func:`morphism_det_sign` checks to be
 the exact inverse of the forward map on H1 and H0.  Every chain, basis
 vector and coordinate vector holds Python ``int``s: incidence matrices
-are totally unimodular, so even the lift corrections stay integral.
-``Fraction`` enters only through :func:`linalg.det`, the kernel of the
-connecting map, and the scalars built from their ratios.
+are totally unimodular, so even the lift corrections stay integral, and
+so are the determinants.  ``Fraction`` enters only in the det-line
+scalars, the ratios of those determinants.
 
 The determinant line of a complex is the top exterior power of its
 degree-1 homology tensored with the dual top power of its degree-0
@@ -78,7 +79,8 @@ class ChainComplexPair:
     differential; an endpoint outside ``0..len(basis0)`` raises.
 
     The bases are the ones leftmost-pivot row reduction would choose,
-    read off a union-find scan of the arcs in basis order.  An arc that
+    read off a union-find scan of the arcs in basis order
+    (:func:`_forest_bases`).  An arc that
     joins two components is a pivot; every other arc is free, and its
     ``h1_basis`` vector is its fundamental cycle in the spanning forest
     of the pivots (a 1 at the free column, entries in {0, +-1}).  The
@@ -106,38 +108,10 @@ class ChainComplexPair:
                "arc endpoints do not lie on the 0-cells and ground")
         self._pos1 = {c: i for i, c in enumerate(self.basis1)}
         self._pos0 = {c: i for i, c in enumerate(self.basis0)}
-        # union-find over the 0-cells and ground, arcs in basis order
-        root = list(range(n0 + 1))
-        forest = [[] for _ in range(n0 + 1)]
-        free1 = []
-        for j, (p, m) in enumerate(zip(self.plus, self.minus)):
-            a, b = _find(root, p), _find(root, m)
-            if a == b:
-                free1.append(j)
-            else:
-                root[a] = b
-                forest[p].append((m, j, -1))
-                forest[m].append((p, j, 1))
-        self._free1 = tuple(free1)
-        top = [_find(root, u) for u in range(n0 + 1)]
-        ground = top[n0]
-        last = {}
-        for i in range(n0):
-            last[top[i]] = i
-        self._free0 = tuple(sorted(i for r, i in last.items() if r != ground))
-        slot = {top[i]: k for k, i in enumerate(self._free0)}
-        self._class0 = tuple(slot.get(top[i]) for i in range(n0))
-        up, depth = _root_forest(forest)
-        self._cycles = tuple(
-            _fundamental_cycle(up, depth, j, self.plus[j], self.minus[j])
-            for j in free1)
-        h1 = []
-        for cycle in self._cycles:
-            v = [0] * n1
-            for j, x in cycle.items():
-                v[j] = x
-            h1.append(tuple(v))
-        self.h1_basis = tuple(h1)
+        self._free1, self._free0, self._class0, self._cycles = \
+            _forest_bases(self.plus, self.minus, n0)
+        self.h1_basis = tuple(tuple(cycle.get(j, 0) for j in range(n1))
+                              for cycle in self._cycles)
 
     # -- ranks ------------------------------------------------------------
 
@@ -216,6 +190,42 @@ class ChainComplexPair:
             return self.positions0()[label]
         except KeyError:
             raise InvalidParameter("%r is not a 0-cell" % (label,)) from None
+
+
+def _forest_bases(plus, minus, n0):
+    """``(free1, free0, class0, cycles)`` of the arcs from ``minus[j]``
+    to ``plus[j]`` on ``n0`` nodes and ground (node ``n0``), read off
+    one union-find scan of the arcs in order.
+
+    ``free1`` lists the arcs that close a cycle, every other arc joining
+    two components; ``cycles[k]`` is the fundamental cycle of
+    ``free1[k]`` as a ``{arc: +-1}`` dict; ``free0`` lists the last node
+    of each component not joined to ground, and ``class0[i]`` is the
+    position in ``free0`` of node ``i``'s component, or None on ground's.
+    """
+    root = list(range(n0 + 1))
+    forest = [[] for _ in range(n0 + 1)]
+    free1 = []
+    for j, (p, m) in enumerate(zip(plus, minus)):
+        a, b = _find(root, p), _find(root, m)
+        if a == b:
+            free1.append(j)
+        else:
+            root[a] = b
+            forest[p].append((m, j, -1))
+            forest[m].append((p, j, 1))
+    top = [_find(root, u) for u in range(n0 + 1)]
+    ground = top[n0]
+    last = {}
+    for i in range(n0):
+        last[top[i]] = i
+    free0 = tuple(sorted(i for r, i in last.items() if r != ground))
+    slot = {top[i]: k for k, i in enumerate(free0)}
+    class0 = tuple(slot.get(top[i]) for i in range(n0))
+    up, depth = _root_forest(forest)
+    cycles = tuple(_fundamental_cycle(up, depth, j, plus[j], minus[j])
+                   for j in free1)
+    return tuple(free1), free0, class0, cycles
 
 
 def _root_forest(forest):
@@ -526,28 +536,31 @@ def _split_connecting(delta_cols, n0):
     """``(kernel, pivots, complement)`` of a connecting map given as its
     list of columns over an ``n0``-dimensional H0.
 
-    One row reduction of ``[delta | I]``, the map beside the ``n0`` unit
-    columns, gives all three.  Its pivots among the map's columns are
-    those of ``delta`` alone, and each free column there gives a kernel
-    vector with a 1 at that column.  Its pivots among the unit columns
-    index the units a left-to-right greedy scan adds to the image: every
-    free column of ``delta`` lies in the span of the pivot columns to
-    its left, so it changes no later pivot.
+    A lifted fundamental cycle leaves and re-enters the subcomplex at
+    most once, so each column holds at most one +1 and at most one -1;
+    anything else raises.  Each column is then an arc on the ``n0``
+    classes plus ground, and one spanning forest
+    (:func:`_forest_bases`) gives all three: the kernel is the
+    fundamental cycles, the pivots are the arcs that join two
+    components, and the unit vectors at the free nodes complement the
+    image.  Kernel and pivots are the ones leftmost-pivot row reduction
+    would pick.
     """
+    plus, minus = [], []
+    for v in delta_cols:
+        ends = {1: n0, -1: n0}
+        for i, x in enumerate(v):
+            if x:
+                _check(ends.get(x) == n0,
+                       "connecting map is not an incidence matrix")
+                ends[x] = i
+        plus.append(ends[1])
+        minus.append(ends[-1])
+    free1, free0, _, cycles = _forest_bases(plus, minus, n0)
     n = len(delta_cols)
-    r, pivots = linalg.rref([[v[i] for v in delta_cols]
-                             + [int(k == i) for k in range(n0)]
-                             for i in range(n0)])
-    piv = [p for p in pivots if p < n]
-    complement = [p - n for p in pivots if p >= n]
-    kernel = []
-    for j in sorted(set(range(n)) - set(piv)):
-        v = [0] * n
-        v[j] = 1
-        for row, p in zip(r, piv):
-            v[p] = -row[j]
-        kernel.append(v)
-    return kernel, piv, complement
+    kernel = [[cycle.get(j, 0) for j in range(n)] for cycle in cycles]
+    pivots = sorted(set(range(n)) - set(free1))
+    return kernel, pivots, list(free0)
 
 
 def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
@@ -558,8 +571,8 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     four base changes: splitting H1(B) over H1(A) and the kernel of the
     connecting map, splitting H1(C) over that kernel, splitting H0(A)
     over the connecting image, and splitting H0(B) under H0(C).  The
-    kernel, the image and its unit complement come from one row
-    reduction (:func:`_split_connecting`), and the kernel lifts solve
+    kernel, the image and its unit complement come from one spanning
+    forest (:func:`_split_connecting`), and the kernel lifts solve
     against one dense copy of A's differential.
     """
     nB1, nB0 = len(B.basis1), len(B.basis0)
@@ -583,7 +596,7 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     # s2: (kernel basis | chosen complements) against the H1(C) basis
     unitsW = [[int(k == p) for k in range(len(C.h1_basis))] for p in piv]
     s2 = linalg.det(kerK + unitsW)
-    # s3: (connecting images | greedy unit complement) in H0(A)
+    # s3: (connecting images | unit complement) in H0(A)
     s3 = linalg.det([delta_cols[p] for p in piv]
                     + [[int(k == q) for k in range(A.rank_h0)]
                        for q in comp_idx])
@@ -610,7 +623,7 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     s4 = linalg.det(cols0)
     _check(s1 and s2 and s3 and s4, "six-term base change is singular")
     _check(B.degree == A.degree + C.degree, "degrees fail to add")
-    return (s1 * s4) / (s2 * s3)
+    return Fraction(s1 * s4, s2 * s3)
 
 
 def _restrict(cc, idx1, idx0):
@@ -640,7 +653,7 @@ def _drop_scalar(cc, dropped_halves, dropped_cells):
     incl1, incl0 = [(i,) for i in keep1], [(i,) for i in keep0]
     _check_chain_map(sub, cc, incl1, incl0)
     det1, det0 = _quasi_iso_dets(sub, cc, incl1, incl0, ResultInvalid)
-    return sub, det1 * det0
+    return sub, Fraction(det1 * det0)
 
 
 def _gluing_scalar(g1, g2, match):
@@ -721,7 +734,7 @@ def gluing_det_iso(g1, g2, match, d):
         raise InvalidParameter("tensor powers need d >= 0")
     try:
         scalar = _gluing_scalar(g1, g2, match)
-    except (ResultInvalid, InvariantViolation) as exc:
+    except ResultInvalid as exc:
         raise NotGluable(str(exc)) from exc
     # the first gluing kept all three complexes on their graphs
     ccG = relative_chain_complex(match._glued[0])

@@ -1,38 +1,30 @@
-"""Small exact matrix routines used by the homology module.
+"""Small exact integer matrix routines used by the homology module.
 
-Matrices are lists of rows of Python ``int``s; a ``Fraction`` appears
-only where a row reduction divides by a pivot other than +-1, and in
-the determinant, which is always returned as a ``Fraction`` so that
-ratios of determinants stay exact.  The homology bases and
-differentials themselves are integer graph data in
-:mod:`fatcob.homology`; what is left here are the determinants of the
-small induced matrices (an exact determinant does not change under
-transposition, so callers pass lists of columns), the lift corrections
-(:func:`solve`), and the one reduction of a connecting map beside the
-unit columns (:func:`rref`), which gives its kernel and the unit
-complement of its image together.  Incidence matrices are
-totally unimodular, so their row reductions meet only +-1 pivots and
-stay integral.  Everything is deterministic: row reduction always
-picks the leftmost usable pivot column and the first nonzero row below
-it, so repeated runs give identical bases and signs.
+Matrices are lists of rows of Python ``int``s, and every result is an
+``int``: the ratios of determinants are formed by the callers in
+:mod:`fatcob.homology`.  The homology bases and differentials
+themselves are integer graph data there; what is left here are the
+determinants of the small induced matrices (an exact determinant does
+not change under transposition, so callers pass lists of columns) and
+the lift corrections (:func:`solve`, through :func:`rref`) on incidence
+columns.  Incidence matrices are totally unimodular, so their row
+reductions meet only +-1 pivots and stay integral; any other pivot
+raises.  Everything is deterministic: row reduction always picks the
+leftmost usable pivot column and the first nonzero row below it, so
+repeated runs give identical bases and signs.
 """
 
-import math
-from fractions import Fraction
-
 from .errors import InvariantViolation
-
-_ONE = Fraction(1)
 
 
 def rref(m):
     """Reduced row echelon form; returns ``(R, pivot_columns)``.
 
-    Each step divides and subtracts only at the columns where the pivot
-    row is nonzero: every other entry would be divided or have zero
+    Each step negates and subtracts only at the columns where the pivot
+    row is nonzero: every other entry would be negated or have zero
     subtracted, which leaves its value unchanged.  A pivot of 1 leaves
     its row as it is and a pivot of -1 negates it, so integer rows stay
-    integers; only another pivot divides, through ``Fraction``.
+    integers; any other pivot raises :class:`InvariantViolation`.
     """
     r = [list(row) for row in m]
     rows = len(r)
@@ -55,9 +47,8 @@ def rref(m):
             for k in support:
                 prow[k] = -prow[k]
         elif pv != 1:
-            inv = 1 / Fraction(pv)
-            for k in support:
-                prow[k] = prow[k] * inv
+            raise InvariantViolation("row reduction met the pivot %r, not +-1"
+                                     % (pv,))
         for i in range(rows):
             row = r[i]
             f = row[col]
@@ -72,7 +63,12 @@ def rref(m):
 
 
 def solve(m, b):
-    """One exact solution of ``m x = b`` (free variables zero), or None."""
+    """One exact solution of ``m x = b`` (free variables zero), or None.
+
+    ``m`` is totally unimodular.  An inconsistent system may also raise
+    from :func:`rref`, when its right-hand side becomes a pivot other
+    than +-1.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if rows == 0:
@@ -88,29 +84,25 @@ def solve(m, b):
 
 
 def det(m):
-    """Exact determinant of a square matrix of ints or ``Fraction``s, as a
-    :class:`Fraction`.
+    """Exact determinant of a square matrix of ``int``s, as an ``int``.
 
-    Each row is first scaled by the lcm of its entries' denominators, so
-    the elimination runs on integers; the product of the scales divides
-    out at the end.  Fraction-free Bareiss elimination (Bareiss 1968):
-    step ``k`` replaces every entry below and right of the pivot by the
-    2x2 minor with the pivot, divided by the previous pivot, a division
-    that is always exact.  The last pivot is then the determinant.
-    The empty matrix, whose determinant is 1, returns one shared
-    ``Fraction(1)`` at once.
+    Fraction-free Bareiss elimination (Bareiss 1968): step ``k``
+    replaces every entry below and right of the pivot by the 2x2 minor
+    with the pivot, divided by the previous pivot, a division that is
+    always exact.  The last pivot is then the determinant.  The empty
+    matrix has determinant 1.  An entry that is not an ``int`` raises
+    :class:`InvariantViolation`.
     """
     n = len(m)
     if not n:
-        return _ONE
+        return 1
     a = []
-    scale = 1
     for row in m:
         if len(row) != n:
             raise InvariantViolation("determinant needs a square matrix")
-        lcm = math.lcm(*[x.denominator for x in row])
-        a.append([x.numerator * (lcm // x.denominator) for x in row])
-        scale *= lcm
+        if not all(type(x) is int for x in row):
+            raise InvariantViolation("determinant needs integer entries")
+        a.append(list(row))
     sign = 1
     prev = 1
     for k in range(n):
@@ -121,7 +113,7 @@ def det(m):
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         rowk = a[k]
         pv = rowk[k]
         for i in range(k + 1, n):
@@ -130,4 +122,4 @@ def det(m):
             for j in range(k + 1, n):
                 row[j] = (pv * row[j] - f * rowk[j]) // prev
         prev = pv
-    return Fraction(sign * prev, scale)
+    return sign * prev

@@ -5,6 +5,7 @@ from fatcob.errors import (
     DanglingHalfEdge,
     EdgeCountMismatch,
     InvalidMatch,
+    InvariantViolation,
     NotGluable,
     NotGluablePairMorphism,
     ResultInvalid,
@@ -662,6 +663,27 @@ class TestGlueOnce:
         assert glue(c, c, m) == glue(c, c, gluable(c, c))
         assert gluing_det_iso(c, c, m, 2) == \
             gluing_det_iso(c, c, gluable(c, c), 2)
+
+    def test_internal_failure_is_not_reported_as_not_gluable(
+            self, monkeypatch):
+        # a broken six-term sequence is a bug, not a domain error: it
+        # reaches the caller as itself, and the match keeps no scalar
+        from fatcob import homology
+        a, b, m = subdivision_match(
+            fx.oc_disjoint_union(fx.torus_with_out(), fx.cylinder()),
+            fx.pants())
+
+        def broken(cols, n0):
+            raise InvariantViolation("connecting map is not an incidence "
+                                     "matrix")
+
+        monkeypatch.setattr(homology, "_split_connecting", broken)
+        with pytest.raises(InvariantViolation) as info:
+            gluing_det_iso(a, b, m, 1)
+        assert not isinstance(info.value, NotGluable)
+        assert m._det_line is None
+        monkeypatch.undo()
+        assert gluing_det_iso(a, b, m, 1).scalar == 1
 
     def test_slots_leave_equality_hash_and_repr(self):
         a, b, m = subdivision_match(fx.pants(), fx.cylinder())

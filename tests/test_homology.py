@@ -120,8 +120,8 @@ def simplicial_pair_ranks(triangles, sub_edges, sub_vertices):
             d1[v_idx[b]][j] += 1
         if a in v_idx:
             d1[v_idx[a]][j] -= 1
-    rank_d2 = len(linalg.rref(d2)[1])
-    rank_d1 = len(linalg.rref(d1)[1])
+    rank_d2 = len(reference_rref(d2)[1])
+    rank_d1 = len(reference_rref(d1)[1])
     h1 = len(rel_e) - rank_d1 - rank_d2
     h0 = len(rel_v) - rank_d1
     return h1, h0
@@ -847,8 +847,9 @@ class TestKeptComplex:
 
 
 def reference_rref(m):
-    """Leftmost-pivot reduced row echelon form, every row update dense."""
-    r = [list(row) for row in m]
+    """Leftmost-pivot reduced row echelon form over the rationals, every
+    row update dense."""
+    r = [[Fraction(x) for x in row] for row in m]
     rows = len(r)
     cols = len(r[0]) if rows else 0
     pivots = []
@@ -953,6 +954,21 @@ def six_term_drop_scalar(cc, halves, cells):
                                          drop1, drop0)
 
 
+@st.composite
+def incidence_columns(draw, max_n0, max_n):
+    """``(n0, columns)`` of a random incidence matrix over ``n0`` nodes
+    and ground: each column is an arc between two random nodes, ground
+    left out, so a loop or an arc at ground alone is a zero column."""
+    n0 = draw(st.integers(0, max_n0))
+    cols = []
+    for _ in range(draw(st.integers(0, max_n))):
+        col = [0] * (n0 + 1)
+        col[draw(st.integers(0, n0))] += 1
+        col[draw(st.integers(0, n0))] -= 1
+        cols.append(col[:n0])
+    return n0, cols
+
+
 class TestDenseReference:
     """The union-find bases against dense leftmost-pivot row reduction."""
 
@@ -1052,29 +1068,100 @@ class TestDenseReference:
         assert cc.rank_h0 - cc.rank_h1 == n0 - n1
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(st.fractions(-3, 3, max_denominator=3),
-                             min_size=4, max_size=4), max_size=4))
-    def test_rref_matches_dense_rref(self, m):
-        assert linalg.rref(m) == reference_rref(m)
+    @given(st.data())
+    def test_rref_matches_dense_rref(self, data):
+        # incidence matrices are totally unimodular: the integer
+        # reduction meets only +-1 pivots and equals the rational one
+        n0, cols = data.draw(incidence_columns(4, 5))
+        m = [list(row) for row in zip(*cols)]
+        r, pivots = linalg.rref(m)
+        assert (r, pivots) == reference_rref(m)
+        assert all(type(x) is int for row in r for x in row)
+        # any other pivot raises instead of dividing
+        for bad in ([[2, 1]], [[1, 1], [1, -1]], [[0, -3], [0, 1]]):
+            with pytest.raises(InvariantViolation, match="pivot"):
+                linalg.rref(bad)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_connecting_split_matches_two_reductions(self, data):
-        # the one reduction of [delta | I] against the kernel of delta's
-        # own reduction and the pivots of [delta_piv | I] over it
-        n0 = data.draw(st.integers(0, 5))
-        n = data.draw(st.integers(0, 6))
-        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
-        cols = data.draw(st.lists(st.lists(entry, min_size=n0, max_size=n0),
-                                  min_size=n, max_size=n))
-        zero_row = data.draw(st.one_of(st.none(), st.integers(0, 4)))
-        zero_col = data.draw(st.one_of(st.none(), st.integers(0, 5)))
-        for j, col in enumerate(cols):
-            for i in range(n0):
-                if i == zero_row or j == zero_col:
-                    col[i] = 0
-        assert homology._split_connecting(cols, n0) == \
-            reference_connecting_split(cols, n0)
+        # the spanning forest of the columns' arcs against the kernel of
+        # delta's own reduction and the pivots of [delta_piv | I] over it
+        n0, cols = data.draw(incidence_columns(5, 6))
+        kernel, pivots, comp = homology._split_connecting(cols, n0)
+        ref_kernel, ref_pivots, _ = reference_connecting_split(cols, n0)
+        assert (kernel, pivots) == (ref_kernel, ref_pivots)
+        # the units at the complement complete the image to a basis of
+        # the integer lattice
+        assert comp == sorted(set(comp))
+        units = [[int(k == q) for k in range(n0)] for q in comp]
+        assert linalg.det([cols[p] for p in pivots] + units) in (1, -1)
+        # a column that is not an arc raises
+        if n0 and cols:
+            j = data.draw(st.integers(0, len(cols) - 1))
+            i = data.draw(st.integers(0, n0 - 1))
+            bad = [list(col) for col in cols]
+            if n0 > 1 and data.draw(st.booleans()):
+                bad[j] = [0] * n0
+                bad[j][i] = bad[j][(i + 1) % n0] = 1
+            else:
+                bad[j][i] = 2
+            with pytest.raises(InvariantViolation, match="incidence"):
+                homology._split_connecting(bad, n0)
+
+    def test_integer_checks_raise_under_optimize(self):
+        script = (
+            "from fractions import Fraction\n"
+            "from fatcob import homology, linalg\n"
+            "from fatcob.errors import InvariantViolation\n"
+            "assert False, 'asserts are on'\n"
+            "for call in (lambda: linalg.rref([[1, 1], [1, -1]]),\n"
+            "             lambda: linalg.det([[Fraction(1)]]),\n"
+            "             lambda: homology._split_connecting([[2]], 1),\n"
+            "             lambda: homology._split_connecting([[1, 1]], 2)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except InvariantViolation as exc:\n"
+            "        print('raised', exc)\n")
+        out = run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "raised row reduction met the pivot -2, not +-1",
+            "raised determinant needs integer entries",
+            "raised connecting map is not an incidence matrix",
+            "raised connecting map is not an incidence matrix"]
+
+    def test_reference_split_keeps_the_gluing_scalar(self, monkeypatch):
+        # the two dense reductions in place of the spanning forest give
+        # every fuzzed gluing with a nonzero H0(A) the same scalar
+        from test_gluing import fuzz_compositions
+        split = homology._split_connecting
+        ranks, nonzero = [], []
+
+        def spy(cols, n0):
+            ranks.append(n0)
+            nonzero.append(any(map(any, cols)))
+            return split(cols, n0)
+
+        cases = []
+        monkeypatch.setattr(homology, "_split_connecting", spy)
+        for g1, g2, pairs in fuzz_compositions():
+            a, b, m = subdivision_match(g1, g2, pairs)
+            scalar = homology._compute_gluing_scalar(a, b, m)
+            if ranks.pop():
+                cases.append((a, b, m, scalar))
+        assert len(cases) > 20 and sum(nonzero) > 5
+
+        def reference_split(cols, n0):
+            # the rational reference kernel, back in the integers that
+            # the determinants take
+            kernel, pivots, comp = reference_connecting_split(cols, n0)
+            assert all(x.denominator == 1 for v in kernel for x in v)
+            return [[int(x) for x in v] for v in kernel], pivots, comp
+
+        monkeypatch.setattr(homology, "_split_connecting", reference_split)
+        for a, b, m, scalar in cases:
+            assert homology._compute_gluing_scalar(a, b, m) == scalar
 
     def test_out_of_range_endpoints_raise_under_optimize(self):
         # one 0-cell, so ground is 1 and the endpoints must lie in 0..1
@@ -1238,27 +1325,25 @@ def cofactor_det(m):
 
 @st.composite
 def square_matrices(draw):
-    """Integer, rational or mixed square matrices up to 6x6, often with
-    a zero leading pivot or a row that is a multiple of another."""
+    """Integer square matrices up to 6x6, often with a zero leading
+    pivot or a row that is a multiple of another."""
     n = draw(st.integers(0, 6))
     ints = st.integers(-4, 4)
-    fracs = st.fractions(-3, 3, max_denominator=4)
-    entry = draw(st.sampled_from([ints, fracs, st.one_of(ints, fracs)]))
-    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+    m = draw(st.lists(st.lists(ints, min_size=n, max_size=n),
                       min_size=n, max_size=n))
     if n and draw(st.booleans()):
         m[0][0] = 0
     if n > 1 and draw(st.booleans()):
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                              unique=True))
-        c = draw(st.one_of(ints, fracs))
+        c = draw(ints)
         m[i] = [c * x for x in m[j]]
     return m
 
 
 class TestIntegerArithmetic:
-    """Homology vectors are ints; ``Fraction`` appears only in the
-    determinants and the scalars built from them."""
+    """Homology vectors and determinants are ints; ``Fraction`` appears
+    only in the det-line scalars, the ratios of determinants."""
 
     FIXTURES = (fx.interval, fx.cylinder, fx.pants, fx.mouthpiece, fx.flaps,
                 fx.torus_with_out, fx.open_closed_example, fx.interval_in_in)
@@ -1279,20 +1364,27 @@ class TestIntegerArithmetic:
     def test_det_matches_cofactor_expansion(self, m):
         before = [list(row) for row in m]
         d = linalg.det(m)
-        assert type(d) is Fraction
+        assert type(d) is int
         assert d == cofactor_det(m)
         assert m == before
 
     def test_det_edge_cases(self):
-        assert linalg.det([]) == 1
-        assert linalg.det([[0, 1], [1, 0]]) == -1
-        assert linalg.det([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
-        assert linalg.det([[Fraction(1, 2), 1], [1, 2]]) == 0
-        assert linalg.det([[0, 0], [0, 5]]) == 0
-        assert type(linalg.det([[3]])) is Fraction
+        for m, d in (([], 1), ([[0, 1], [1, 0]], -1),
+                     ([[0, 2, 1], [0, 1, 3], [4, 0, 0]], 20),
+                     ([[0, 0], [0, 5]], 0), ([[3]], 3)):
+            assert linalg.det(m) == d and type(linalg.det(m)) is int
         for m in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
             with pytest.raises(InvariantViolation, match="square"):
                 linalg.det(m)
+        # a Fraction or a float raises, even an integral one
+        for m in ([[Fraction(1, 2), 1], [1, 2]], [[Fraction(1)]],
+                  [[1, 0], [0, 1.0]]):
+            with pytest.raises(InvariantViolation, match="integer"):
+                linalg.det(m)
+
+    def test_linalg_has_no_fractions(self):
+        assert not hasattr(linalg, "Fraction")
+        assert not hasattr(linalg, "math")
 
     def test_fixture_complexes_hold_ints(self):
         graphs = [mk() for mk in self.FIXTURES]
@@ -1345,6 +1437,24 @@ class TestIntegerArithmetic:
             homology._induced_h1_matrix(A, B, cm.f_eH)
             homology._induced_h0_matrix(A, B, cm.f_eEV)
         assert made == []
-        # the counter does see the determinant's one Fraction
-        linalg.det([[2]])
+        # nor does a determinant; the counter does see the det-line
+        # scalar's Fraction
+        assert linalg.det([[2]]) == 2 and made == []
+        gluing_det_iso(*subdivision_match(fx.cylinder(), fx.cylinder()), 1)
         assert made
+
+    def test_morphism_det_sign_makes_no_fraction(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        singles, pairs = census_morphism_pairs(3)
+        ms = singles + [compose(m2, m1) for m2, m1 in pairs]
+        assert len(ms) > 150
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        signs = [morphism_det_sign(m) for m in ms]
+        assert made == []
+        assert set(signs) == {1, -1}
