@@ -1341,6 +1341,20 @@ def square_matrices(draw):
     return m
 
 
+def count_fractions(monkeypatch):
+    """From now on, record the arguments of every ``Fraction`` made in
+    the returned list."""
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return made
+
+
 class TestIntegerArithmetic:
     """Homology vectors and determinants are ints; ``Fraction`` appears
     only in the det-line scalars, the ratios of determinants."""
@@ -1418,17 +1432,10 @@ class TestIntegerArithmetic:
                 assert type(gluing_det_iso(a, b, m, d).scalar) is Fraction
 
     def test_no_fraction_while_building_or_mapping(self, monkeypatch):
-        made = []
-        new = Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            made.append(args)
-            return new(cls, *args, **kwargs)
-
         singles, _ = census_morphism_pairs(3)
         assert len(singles) >= 20
         graphs = [mk() for mk in self.FIXTURES]
-        monkeypatch.setattr(Fraction, "__new__", counted)
+        made = count_fractions(monkeypatch)
         for g in graphs:
             relative_chain_complex(g)
         for m in singles:
@@ -1444,17 +1451,10 @@ class TestIntegerArithmetic:
         assert made
 
     def test_morphism_det_sign_makes_no_fraction(self, monkeypatch):
-        made = []
-        new = Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            made.append(args)
-            return new(cls, *args, **kwargs)
-
         singles, pairs = census_morphism_pairs(3)
         ms = singles + [compose(m2, m1) for m2, m1 in pairs]
         assert len(ms) > 150
-        monkeypatch.setattr(Fraction, "__new__", counted)
+        made = count_fractions(monkeypatch)
         signs = [morphism_det_sign(m) for m in ms]
         assert made == []
         assert set(signs) == {1, -1}
