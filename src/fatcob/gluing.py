@@ -51,6 +51,7 @@ from .openclosed import (
     CIRCLE,
     INTERVAL,
     OpenClosedFatGraph,
+    _require_decorated,
     cobordism_signature,
     require_admissible,
 )
@@ -141,6 +142,8 @@ def _slot_pairs(g1, g2, pairs):
     given pair must be two ``int`` slot indices in range, and every slot
     is used at most once; otherwise :class:`InvalidMatch` is raised.
     """
+    _require_decorated(g1)
+    _require_decorated(g2)
     if pairs is None:
         sig1 = cobordism_signature(g1)
         sig2 = cobordism_signature(g2)
@@ -450,24 +453,24 @@ def glue_morphisms(m1, m2, match):
     src, sdata = glue(s1, s2, match, with_data=True)
     tgt, tdata = glue(t1, t2, tmatch, with_data=True)
 
-    def map_vertex2(w):
-        # image of a g2-side vertex of the target gluing
-        img = tdata.vertex_image(2, w)
+    def target_image(side, w):
+        # image of a vertex of the side's target in the target gluing
+        img = tdata.vertex_image(side, w)
         if img is None:
             raise ResultInvalid("image vertex %s vanished in the target" % w)
         return img
 
     vmap = {}
     for v in s1.base.vertices:
-        if v in sdata.dropped_vertices1:
-            continue
-        vmap[sdata.prefix1 + v] = tdata.prefix1 + m1.vertex_map[v]
+        img = sdata.vertex_image(1, v)
+        if img is not None:
+            vmap[img] = target_image(1, m1.vertex_map[v])
     for v in s2.base.vertices:
         img = sdata.vertex_image(2, v)
         if img is None or img in vmap:
             continue
         if img.startswith(sdata.prefix2):
-            vmap[img] = map_vertex2(m2.vertex_map[v])
+            vmap[img] = target_image(2, m2.vertex_map[v])
     hmap = {}
     for side, s, m, dropped in ((1, s1, m1, sdata.dropped_edges1),
                                 (2, s2, m2, sdata.dropped_edges2)):

@@ -58,13 +58,21 @@ from .errors import (InvalidMorphism, InvalidParameter, InvariantViolation,
                      NotGluable, ResultInvalid)
 from .graphs import _find
 from .morphisms import validate_morphism
-from .openclosed import incoming_partition
+from .openclosed import _require_decorated, incoming_partition
 
 
 def _check(ok, message):
     """Raise :class:`InvariantViolation` unless ``ok``, also under -O."""
     if not ok:
         raise InvariantViolation(message)
+
+
+def _require_count(n, what):
+    """Raise :class:`InvalidParameter` unless ``n``, a tensor power or a
+    manifold dimension, is a nonnegative ``int`` (``bool`` refused)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise InvalidParameter("%s must be a nonnegative int, not %r"
+                               % (what, n))
 
 
 class ChainComplexPair:
@@ -273,6 +281,7 @@ def relative_chain_complex(g):
     in ``g``'s ``_cc`` slot; later calls return that same object.  A
     call that raises keeps nothing.
     """
+    _require_decorated(g)
     if g._cc is not None:
         return g._cc
     part = incoming_partition(g)
@@ -300,8 +309,7 @@ def relative_euler_char(g):
 
 def operation_degree(g, dim):
     """Degree shift of the operation on a ``dim``-manifold's loop homology."""
-    if dim < 0:
-        raise InvalidParameter("manifold dimension must be nonnegative")
+    _require_count(dim, "manifold dimension")
     return dim * relative_euler_char(g)
 
 
@@ -344,8 +352,7 @@ def swap(l1, l2):
 
 
 def power(line, d):
-    if d < 0:
-        raise InvalidParameter("tensor powers need d >= 0")
+    _require_count(d, "tensor power")
     return GradedLine(d * line.degree, line.scalar ** d)
 
 
@@ -730,8 +737,7 @@ def gluing_det_iso(g1, g2, match, d):
     scalar is the d=1 scalar to the d-th power, which the match
     computes once for every d.
     """
-    if d < 0:
-        raise InvalidParameter("tensor powers need d >= 0")
+    _require_count(d, "tensor power")
     try:
         scalar = _gluing_scalar(g1, g2, match)
     except ResultInvalid as exc:
@@ -823,8 +829,7 @@ def skew_associativity_sign(d):
     compared in the frame given by the arcs linking consecutive inputs
     of the three-input composite; the ratio is -1 to the d-th power.
     """
-    if d < 0:
-        raise InvalidParameter("dimension must be nonnegative")
+    _require_count(d, "manifold dimension")
     from .fixtures import pants, subdivided_incoming
     inner = pants()
     k_out = len(inner.leaf_cycle_normal_form(inner.out_leaves[0])) - 2

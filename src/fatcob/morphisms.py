@@ -185,15 +185,14 @@ def require_valid(m):
     return m
 
 
-def collapse_edges(g, forest):
-    """Collapse a cycle-free set of edges; returns ``(graph, morphism)``.
+def _forest_representatives(base, forest):
+    """Each vertex of ``base`` mapped to the least vertex of its tree in
+    ``forest``, a set of edge names.
 
-    The cyclic order at a merged vertex is the corner walk around the
-    collapsed tree: from a surviving half-edge, keep skipping collapsed
-    fans until the next survivor.
+    Raises :class:`UnknownEdge` for a name that is not an edge, and
+    :class:`ForestContainsCycle` at the first edge, in name order, that
+    closes a cycle.
     """
-    base = base_of(g)
-    forest = set(forest)
     for e in forest:
         base.edge_halves(e)  # raises UnknownEdge
     # acyclicity via union-find
@@ -211,6 +210,19 @@ def collapse_edges(g, forest):
         r = min(vs)
         for v in vs:
             rep[v] = r
+    return rep
+
+
+def collapse_edges(g, forest):
+    """Collapse a cycle-free set of edges; returns ``(graph, morphism)``.
+
+    The cyclic order at a merged vertex is the corner walk around the
+    collapsed tree: from a surviving half-edge, keep skipping collapsed
+    fans until the next survivor.
+    """
+    base = base_of(g)
+    forest = set(forest)
+    rep = _forest_representatives(base, forest)
     collapsed = {h for h in base.half_edges if base.edge_of(h) in forest}
 
     def skip(h):

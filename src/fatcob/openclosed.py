@@ -157,10 +157,19 @@ class AdmissibilityWitness(namedtuple("AdmissibilityWitness",
         return "leaf %s: %s (%s)" % (self.leaf, self.reason, self.cell)
 
 
+def _require_decorated(g):
+    """Raise :class:`NotAdmissible` unless ``g`` is a decorated graph:
+    a bare fat graph has no incoming boundary to be admissible over."""
+    if not isinstance(g, OpenClosedFatGraph):
+        raise NotAdmissible("a %s has no In/Out leaf decorations"
+                            % type(g).__name__)
+
+
 def _incoming_circles(g):
     """``(circles, witness)``: the vertex and edge sets of each closed
     incoming leaf's circle, keyed by leaf, or ``None`` and the first
     :class:`AdmissibilityWitness` found; one walk of each circle."""
+    _require_decorated(g)
     base = g.base
     circles = {}
     for v in g.in_leaves:
@@ -201,7 +210,8 @@ def is_admissible(g):
     traverse ``k`` distinct edges through ``k`` distinct vertices, and
     the circles of distinct closed incoming leaves must be disjoint in
     vertices and edges.  The leaf edge itself is exempt: the walk
-    always crosses it twice.
+    always crosses it twice.  A bare fat graph raises
+    :class:`NotAdmissible`.
     """
     _, witness = _incoming_circles(g)
     return (True, None) if witness is None else (False, witness)
@@ -298,6 +308,7 @@ class CobordismSignature(namedtuple(
 def _cycle_classes(g):
     """The surface invariants of ``g`` and the class of each of its
     boundary cycles, in cycle order."""
+    _require_decorated(g)
     base = g.base
     surf = base.surface_invariants()
     # a closed leaf owns its cycle; open ones are kept in In/Out order
@@ -374,9 +385,9 @@ def check_positive_boundary(g):
     inputs).  Each component needs at least one cycle that is not of
     this kind.
     """
+    surf, classes = _cycle_classes(g)
     base = g.base
     bc = base.boundary_cycles()
-    surf, classes = _cycle_classes(g)
     open_in = {v for v in g.in_leaves if v not in g.closed}
 
     def completely_incoming(cls):

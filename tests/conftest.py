@@ -1,7 +1,11 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+# the shared corpus asserts as the test modules do, also under -O
+pytest.register_assert_rewrite("corpus")
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")

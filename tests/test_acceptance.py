@@ -8,6 +8,7 @@ contract, none is calibrated after the fact.
 import os
 import random
 import time
+from itertools import islice
 from math import comb, factorial
 
 import make_golden
@@ -31,10 +32,9 @@ from fatcob.morphisms import (
 )
 from fatcob.openclosed import cobordism_signature, incoming_partition
 
-from test_gluing import composed_signature_oracle, composition_cases, \
-    glued_component_data, strip_names
-from test_homology import admissible_census_decorations, census_morphism_pairs
-from test_morphisms import _forests, random_relabel
+from corpus import admissible_census_decorations, census_morphism_pairs, \
+    collapses_off_leaves, composed_signature_oracle, composition_cases, \
+    forests, glued_component_data, random_relabel, strip_names
 
 
 def ok(line):
@@ -90,8 +90,7 @@ def test_criterion_04_morphism_suite():
         g = entry.graph
         before = sorted((c.genus, c.boundary_count, c.euler_characteristic)
                         for c in g.surface_invariants().components)
-        forests = [f for f in _forests(g) if f]
-        for f1 in forests:
+        for f1 in forests(g)[1:]:
             g1, m1 = collapse_edges(g, f1)
             okv, why = validate_morphism(m1)
             assert okv, why
@@ -99,13 +98,13 @@ def test_criterion_04_morphism_suite():
                 (c.genus, c.boundary_count, c.euler_characteristic)
                 for c in g1.surface_invariants().components)
             assert before == after
-            for f2 in [f for f in _forests(g1) if f]:
+            for f2 in forests(g1)[1:]:
                 g2, m2 = collapse_edges(g1, f2)
                 m21 = compose(m2, m1)
                 okv, why = validate_morphism(m21)
                 assert okv, why
                 pairs += 1
-                for f3 in [f for f in _forests(g2) if f]:
+                for f3 in forests(g2)[1:]:
                     _, m3 = collapse_edges(g2, f3)
                     left = compose(m3, m21)
                     right = compose(compose(m3, m2), m1)
@@ -115,14 +114,8 @@ def test_criterion_04_morphism_suite():
     # decorated: cobordism signatures survive collapses
     sig_checked = 0
     for oc in admissible_census_decorations(3):
-        special_edges = {oc.base.edge_of(oc.base.leaf_half(v))
-                         for v in oc.special}
-        for f in [f for f in _forests(oc.base) if f
-                  and not set(f) & special_edges][:4]:
-            try:
-                out, _ = collapse_edges(oc, f)
-            except Exception:
-                continue
+        collapses = collapses_off_leaves(oc, forests(oc.base)[1:])
+        for out, _ in islice(collapses, 4):
             s0, s1 = cobordism_signature(oc), cobordism_signature(out)
             assert s0.source == s1.source and s0.target == s1.target
             assert sorted((c.genus, c.boundary_count)
@@ -203,14 +196,8 @@ def test_criterion_08_sign_calculus():
             morphism_det_sign(m2) * morphism_det_sign(m1)
     for mk in (fx.cylinder, fx.pants, fx.mouthpiece, fx.flaps):
         oc = mk()
-        edges = [e for e in oc.base.edges()
-                 if e not in {oc.base.edge_of(oc.base.leaf_half(v))
-                              for v in oc.special}]
-        for e in edges:
-            try:
-                _, m = collapse_edges(oc, [e])
-            except Exception:
-                continue
+        one_edge = [f for f in forests(oc.base) if len(f) == 1]
+        for _, m in collapses_off_leaves(oc, one_edge):
             assert morphism_det_sign(m) in (1, -1)
     signs = [skew_associativity_sign(d) for d in (0, 1, 2, 3)]
     assert signs == [1, -1, 1, -1]

@@ -1,0 +1,44 @@
+"""The sizes of the shared census corpora, and the collapses they build."""
+
+import pytest
+
+import corpus
+from fatcob import morphisms
+from fatcob.census import enumerate_fat_graphs
+
+
+@pytest.fixture
+def collapsed(monkeypatch):
+    """The forest of every collapse built, by the corpus or directly."""
+    made = []
+    collapse = morphisms.collapse_edges
+
+    def counted(g, forest):
+        made.append(forest)
+        return collapse(g, forest)
+
+    for module in (morphisms, corpus):
+        monkeypatch.setattr(module, "collapse_edges", counted)
+    return made
+
+
+def test_forests_build_no_collapse(collapsed):
+    entries = enumerate_fat_graphs(4)
+    assert sum(len(corpus.forests(e.graph)) for e in entries) == 584
+    assert collapsed == []
+
+
+@pytest.mark.parametrize("builder, max_edges, sizes, built", [
+    (corpus.census_collapse_pairs, 3, (102, 40), 142),
+    (corpus.census_collapse_pairs, 4, (1238, 966), 2205),
+    (corpus.census_morphism_pairs, 3, (130, 63), 193),
+    (corpus.census_morphism_pairs, 4, (1308, 924), 2234),
+], ids=["collapse-pairs-3", "collapse-pairs-4", "morphism-pairs-3",
+        "morphism-pairs-4"])
+def test_pair_builders(collapsed, builder, max_edges, sizes, built):
+    # each collapse is built once and kept unless it is inadmissible:
+    # at 4 edges, one for census_collapse_pairs and two for
+    # census_morphism_pairs
+    singles, pairs = builder(max_edges)
+    assert (len(singles), len(pairs)) == sizes
+    assert len(collapsed) == built

@@ -1,5 +1,7 @@
 import pytest
 
+from corpus import cap, composed_signature_oracle, composition_cases, \
+    fuzz_compositions, glued_component_data, strip_names
 from fatcob import fixtures as fx
 from fatcob.errors import (
     DanglingHalfEdge,
@@ -28,143 +30,6 @@ from fatcob.openclosed import (
     decorate,
     is_admissible,
 )
-
-
-def composed_signature_oracle(g1, g2, match):
-    """Composite surface data from the two signatures alone.
-
-    Components merge along matched pairs, Euler characteristics add
-    with one unit lost per interval gluing, matched circle cycles
-    disappear in pairs, and open matches merge their two boundary
-    cycles; genus then follows from the classification of surfaces.
-    Nothing here looks at the glued graph.
-    """
-    sides = {1: g1, 2: g2}
-    comp_of = {}
-    chi = {}
-    for side, g in sides.items():
-        for idx, comp in enumerate(g.base.surface_invariants().components):
-            comp_of[(side, comp.vertices[0])] = (side, idx)
-            chi[(side, idx)] = comp.euler_characteristic
-
-    def comp_key(side, vertex):
-        g = sides[side]
-        for comp in g.base.surface_invariants().components:
-            if vertex in comp.vertices:
-                return comp_of[(side, comp.vertices[0])]
-        raise AssertionError
-
-    parent = {k: k for k in chi}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    cyc_parent = {}
-    cycles = {}
-    for side, g in sides.items():
-        for i in range(len(g.base.boundary_cycles())):
-            cyc_parent[(side, i)] = (side, i)
-
-    def cfind(x):
-        while cyc_parent[x] != x:
-            cyc_parent[x] = cyc_parent[cyc_parent[x]]
-            x = cyc_parent[x]
-        return x
-
-    dead_cycles = set()
-    open_pairs = 0
-    for pair in match.pairs:
-        a = comp_key(1, pair.out_leaf)
-        b = comp_key(2, pair.in_leaf)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-        c1 = (1, g1.leaf_cycle_index(pair.out_leaf))
-        c2 = (2, g2.leaf_cycle_index(pair.in_leaf))
-        if pair.kind == "circle":
-            dead_cycles.update((c1, c2))
-        else:
-            open_pairs += 1
-            ra, rb = cfind(c1), cfind(c2)
-            if ra != rb:
-                cyc_parent[ra] = rb
-    # surviving boundary cycles, attributed to merged components
-    for side, g in sides.items():
-        bc = g.base.boundary_cycles()
-        for i, cyc in enumerate(bc.cycles):
-            if (side, i) in dead_cycles:
-                continue
-            comp = comp_key(side, g.base.source(cyc[0]))
-            cycles.setdefault(cfind((side, i)), comp)
-    out_chi = {}
-    out_b = {}
-    for k, x in chi.items():
-        out_chi[find(k)] = out_chi.get(find(k), 0) + x
-    out_chi[find(next(iter(chi)))] -= 0
-    for pair in match.pairs:
-        if pair.kind == "interval":
-            out_chi[find(comp_key(1, pair.out_leaf))] -= 1
-    for cyc_rep, comp in cycles.items():
-        out_b[find(comp)] = out_b.get(find(comp), 0) + 1
-    data = []
-    for k in sorted(set(find(x) for x in chi)):
-        c = out_chi.get(k, 0)
-        b = out_b.get(k, 0)
-        two_g = 2 - c - b
-        assert two_g >= 0 and two_g % 2 == 0
-        data.append((two_g // 2, b, c))
-    return sorted(data)
-
-
-def glued_component_data(g):
-    return sorted((c.genus, c.boundary_count, c.euler_characteristic)
-                  for c in g.base.surface_invariants().components)
-
-
-def composition_cases():
-    cyl = fx.cylinder()
-    pants = fx.pants()
-    mouth = fx.mouthpiece()
-    flaps = fx.flaps()
-    seg = fx.interval()
-    oc6 = fx.open_closed_example()
-    cases = []
-
-    def full(g1, g2):
-        a, b, m = subdivision_match(g1, g2)
-        cases.append((a, b, m))
-
-    def partial(g1, g2, pairs):
-        a, b, m = subdivision_match(g1, g2, pairs)
-        cases.append((a, b, m))
-
-    full(cyl, cyl)
-    full(fx.subdivided_incoming(cyl, 3), cyl)
-    full(pants, cyl)
-    full(mouth, cyl)
-    full(seg, seg)
-    full(seg, mouth)
-    full(oc6, flaps)
-    full(fx.oc_disjoint_union(cyl, cyl), pants)
-    full(fx.oc_disjoint_union(mouth, mouth), pants)
-    full(fx.oc_disjoint_union(cyl, mouth), pants)
-    full(fx.oc_disjoint_union(seg, seg), flaps)
-    full(fx.oc_disjoint_union(flaps, cyl),
-         fx.oc_disjoint_union(seg, cyl))
-    partial(pants, pants, [(0, 0)])
-    partial(pants, pants, [(0, 1)])
-    partial(seg, flaps, [(0, 0)])
-    partial(seg, flaps, [(0, 1)])
-    partial(mouth, pants, [(0, 1)])
-    partial(cyl, pants, [(0, 0)])
-    partial(flaps, flaps, [(0, 1)])
-    partial(fx.oc_disjoint_union(pants, cyl), pants, [(0, 0), (1, 1)])
-    partial(oc6, flaps, [(0, 0)])
-    partial(pants, oc6, [(0, 0)])
-    return cases
 
 
 class TestGluable:
@@ -285,28 +150,6 @@ class TestSubdivisionMatch:
     def test_subdivision_policy_is_immaterial(self):
         # growing the deficient cycle at its last edge instead of its
         # first must give an isomorphic composite
-        def match_last(g1, g2, pairs):
-            while True:
-                deficit = None
-                for oi, ii in pairs:
-                    v_out = g1.out_leaves[oi]
-                    if v_out not in g1.closed:
-                        continue
-                    a = g1.leaf_cycle_normal_form(v_out)[2:]
-                    b = g2.leaf_cycle_normal_form(g2.in_leaves[ii])[2:]
-                    if len(a) != len(b):
-                        deficit = (a, b)
-                        break
-                if deficit is None:
-                    return g1, g2, gluable(g1, g2, pairs)
-                a, b = deficit
-                if len(a) < len(b):
-                    nb, _ = g1.base.subdivide_edge(g1.base.edge_of(a[-1]))
-                    g1 = g1.with_base(nb)
-                else:
-                    nb, _ = g2.base.subdivide_edge(g2.base.edge_of(b[-1]))
-                    g2 = g2.with_base(nb)
-
         for g1, g2, pairs in (
                 (fx.pants(), fx.cylinder(), [(0, 0)]),
                 (fx.subdivided_incoming(fx.cylinder(), 2),
@@ -314,21 +157,15 @@ class TestSubdivisionMatch:
                 (fx.pants(), fx.pants(), [(0, 1)]),
                 (fx.pants(), fx.open_closed_example(), [(0, 0)])):
             a1, b1, m1 = subdivision_match(g1, g2, pairs)
-            a2, b2, m2 = match_last(g1, g2, pairs)
+            a2, b2, m2 = reference_subdivision_match(g1, g2, pairs,
+                                                     at=-1)
             assert is_isomorphic(glue(a1, b1, m1), glue(a2, b2, m2))
 
 
-def cap():
-    """A disk with one closed outgoing circle: a bare leaf edge, so the
-    outgoing cycle has no circle edge."""
-    g = new_fat_graph(["p", "q"], [("e", "p", "q")],
-                      {"p": ["e.0"], "q": ["e.1"]})
-    return decorate(g, [], ["q"], {"q"})
-
-
-def reference_subdivision_match(g1, g2, pairs):
+def reference_subdivision_match(g1, g2, pairs, at=0):
     """The subdivision loop as it ran on decorated graphs, decorating
-    after every step; ``pairs`` must be given."""
+    after every step; ``pairs`` must be given.  Each step splits the
+    circle edge at position ``at`` of the smaller cycle."""
     while True:
         deficit = None
         for oi, ii in pairs:
@@ -345,12 +182,12 @@ def reference_subdivision_match(g1, g2, pairs):
             return g1, g2, gluable(g1, g2, pairs)
         oi, ii, a, b = deficit
         if len(a) < len(b):
-            edge = g1.base.edge_of(a[0]) if a else \
+            edge = g1.base.edge_of(a[at]) if a else \
                 g1.base.edge_of(g1.base.leaf_half(g1.out_leaves[oi]))
             new_base, _ = g1.base.subdivide_edge(edge)
             g1 = g1.with_base(new_base)
         else:
-            edge = g2.base.edge_of(b[0])
+            edge = g2.base.edge_of(b[at])
             new_base, _ = g2.base.subdivide_edge(edge)
             g2 = g2.with_base(new_base)
 
@@ -512,17 +349,6 @@ class TestGlue:
                 canonical_form(strip_names(right))
 
 
-def strip_names(oc):
-    """Rename cells canonically so nesting prefixes do not matter."""
-    base = oc.base
-    vmap = {v: "v%03d" % i for i, v in enumerate(base.vertices)}
-    emap = {e: "e%03d" % i for i, e in enumerate(base.edges())}
-    renamed = base.relabel(vmap, emap)
-    return type(oc)(renamed, [vmap[v] for v in oc.in_leaves],
-                    [vmap[v] for v in oc.out_leaves],
-                    {vmap[v] for v in oc.closed})
-
-
 class TestGlueChecks:
     """``glue`` turns a FatcobError of the glued graph or of its
     decorations into ResultInvalid, and lets any other exception (a
@@ -543,30 +369,6 @@ class TestGlueChecks:
         monkeypatch.setattr(cls, "_validate", broken)
         with pytest.raises(expected, match=str(error)):
             glue(c, c, match)
-
-
-def fuzz_compositions(count=60, seed=424242):
-    """Seeded random single-pair compositions of decorated census graphs,
-    as ``(g1, g2, pairs)`` with matching leaf kinds."""
-    import random
-    from fatcob.census import admissible_decorations, enumerate_fat_graphs
-    rng = random.Random(seed)
-    pool = []
-    for e in enumerate_fat_graphs(3):
-        pool.extend(admissible_decorations(e.graph))
-    with_out = [g for g in pool if g.out_leaves]
-    with_in = [g for g in pool if g.in_leaves]
-    out = []
-    while len(out) < count:
-        g1 = rng.choice(with_out)
-        g2 = rng.choice(with_in)
-        oi = rng.randrange(len(g1.out_leaves))
-        ii = rng.randrange(len(g2.in_leaves))
-        if (g1.out_leaves[oi] in g1.closed) != \
-                (g2.in_leaves[ii] in g2.closed):
-            continue
-        out.append((g1, g2, [(oi, ii)]))
-    return out
 
 
 class TestRandomCompositions:

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import data_path, run_optimized
+from corpus import admissible_census_decorations, cap, census_collapse_pairs, \
+    census_collapses, census_morphism_pairs, collapses_off_leaves, forests, \
+    fuzz_compositions
 from fatcob import fixtures as fx
-from fatcob.census import enumerate_fat_graphs
-from fatcob.errors import (DecorationDestroyed, EdgeCountMismatch,
-                           FatcobError, ForestContainsCycle,
-                           InvalidMorphism, InvalidParameter,
-                           InvariantViolation, NotAdmissible, ResultInvalid,
-                           SignatureMismatch)
+from fatcob.errors import (EdgeCountMismatch, FatcobError, InvalidMorphism,
+                           InvalidParameter, InvariantViolation,
+                           NotAdmissible, ResultInvalid, SignatureMismatch)
 from fatcob.fgformat import load, parse_graph, serialize
 from fatcob import gluing
 from fatcob.gluing import gluable, glue_morphisms, subdivision_match
@@ -39,11 +39,6 @@ from fatcob.morphisms import (
     identity_morphism,
 )
 from fatcob.openclosed import decorate, incoming_partition, is_admissible
-
-
-def glue_of(a, b, m):
-    from fatcob.gluing import glue
-    return glue(a, b, m)
 
 
 def fixture_gluings():
@@ -177,15 +172,6 @@ class TestRanks:
             assert cc.rank_h0 - cc.rank_h1 == part.euler_difference
 
 
-def admissible_census_decorations(max_edges):
-    """Admissible decorations of every census graph's leaves."""
-    from fatcob.census import admissible_decorations
-    out = []
-    for entry in enumerate_fat_graphs(max_edges):
-        out.extend(admissible_decorations(entry.graph))
-    return out
-
-
 class TestDegrees:
     def test_relative_euler_char(self):
         assert relative_euler_char(fx.cylinder()) == 0
@@ -256,12 +242,47 @@ class TestGradedLines:
         lambda: gluing_det_iso(fx.cylinder(), fx.cylinder(),
                                gluable(fx.cylinder(), fx.cylinder()), -1),
         lambda: skew_associativity_sign(-1),
+        lambda: operation_degree(fx.pants(), 1.5),
+        lambda: power(GradedLine(1, Fraction(1)), 0.5),
+        lambda: gluing_det_iso(fx.cylinder(), fx.cylinder(),
+                               gluable(fx.cylinder(), fx.cylinder()), 1.5),
+        lambda: skew_associativity_sign(1.5),
+        lambda: operation_degree(fx.pants(), True),
+        lambda: power(GradedLine(1, Fraction(1)), True),
+        lambda: gluing_det_iso(fx.cylinder(), fx.cylinder(),
+                               gluable(fx.cylinder(), fx.cylinder()), True),
+        lambda: skew_associativity_sign(True),
     ], ids=["operation_degree", "GradedLine", "power", "gluing_det_iso",
-            "skew_associativity_sign"])
+            "skew_associativity_sign", "operation_degree-float",
+            "power-float", "gluing_det_iso-float",
+            "skew_associativity_sign-float", "operation_degree-bool",
+            "power-bool", "gluing_det_iso-bool",
+            "skew_associativity_sign-bool"])
     def test_bad_arguments_raise_fatcob_errors(self, call):
         with pytest.raises(FatcobError) as info:
             call()
         assert isinstance(info.value, ValueError)
+
+
+class TestUndecoratedGraphs:
+    """A bare fat graph where decorations are needed raises
+    NotAdmissible, not an AttributeError."""
+
+    @pytest.mark.parametrize("call", [
+        relative_chain_complex,
+        lambda g: morphism_det_sign(identity_morphism(g)),
+        is_admissible,
+        lambda g: operation_degree(g, 1),
+        openclosed.cobordism_signature,
+        openclosed.check_positive_boundary,
+        lambda g: gluable(g, fx.cylinder()),
+        lambda g: subdivision_match(fx.cylinder(), g, [(0, 0)]),
+    ], ids=["relative_chain_complex", "morphism_det_sign", "is_admissible",
+            "operation_degree", "cobordism_signature",
+            "check_positive_boundary", "gluable", "subdivision_match"])
+    def test_entry_point(self, call):
+        with pytest.raises(NotAdmissible, match="has no In/Out leaf"):
+            call(fx.figure4())
 
 
 class TestChainMaps:
@@ -381,35 +402,6 @@ class TestChainMaps:
             assert dense_product(f0, dA, n1) == dense_product(dB, f1, n1)
 
 
-def census_collapses(max_edges):
-    """Every admissible collapse of a nonempty forest off the special
-    leaves, on the admissible census decorations with at most
-    ``max_edges`` edges, and every composite of two such collapses."""
-    singles, pairs = census_collapse_pairs(max_edges)
-    return singles, [compose(m2, m1) for m2, m1 in pairs]
-
-
-def census_collapse_pairs(max_edges):
-    """The single collapses of :func:`census_collapses` and the pairs
-    ``(m2, m1)`` of collapses behind its composites, in the same order."""
-    from test_morphisms import _forests
-
-    def collapses(oc):
-        special = {oc.base.edge_of(oc.base.leaf_half(v)) for v in oc.special}
-        for f in _forests(oc.base):
-            if f and not set(f) & special:
-                out, m = collapse_edges(oc, f)
-                if is_admissible(out)[0]:
-                    yield out, m
-
-    singles, pairs = [], []
-    for oc in admissible_census_decorations(max_edges):
-        for mid, m1 in collapses(oc):
-            singles.append(m1)
-            pairs.extend((m2, m1) for _, m2 in collapses(mid))
-    return singles, pairs
-
-
 def dense_chain_map(m, A, B):
     """``(f1, f0)`` of ``m`` as dense 0/1 matrices (rows over ``B``'s
     cells): a half-edge goes to its image, a midpoint to its image
@@ -445,43 +437,6 @@ def densify(cell_map, rows):
 def dense_product(a, b, cols):
     return [[sum(row[k] * b[k][j] for k in range(len(b)))
              for j in range(cols)] for row in a]
-
-
-def census_morphism_pairs(max_edges=3):
-    """Composable admissible collapse pairs from decorated census graphs."""
-    from test_morphisms import _forests
-    pairs = []
-    singles = []
-    for oc in admissible_census_decorations(max_edges):
-        if not oc.in_leaves and not oc.out_leaves:
-            continue
-        forests = _forests(oc.base)
-        special_edges = {oc.base.edge_of(oc.base.leaf_half(v))
-                         for v in oc.special}
-        usable = [f for f in forests if not (set(f) & special_edges)]
-        for f1 in usable[:6]:
-            try:
-                mid, m1 = collapse_edges(oc, f1)
-            except Exception:
-                continue
-            ok, _ = is_admissible(mid)
-            if not ok:
-                continue
-            singles.append(m1)
-            from test_morphisms import _forests as forests2
-            for f2 in [f for f in forests2(mid.base) if f][:3]:
-                se2 = {mid.base.edge_of(mid.base.leaf_half(v))
-                       for v in mid.special}
-                if set(f2) & se2:
-                    continue
-                try:
-                    end, m2 = collapse_edges(mid, f2)
-                except Exception:
-                    continue
-                ok, _ = is_admissible(end)
-                if ok:
-                    pairs.append((m2, m1))
-    return singles, pairs
 
 
 class TestMorphismDetSign:
@@ -640,7 +595,7 @@ class TestGluingDetIso:
         ccA = relative_chain_complex(a)
         assert (ccA.rank_h1, ccA.rank_h0) == (2, 1)
         line = gluing_det_iso(a, b, m, 1)
-        ccG = relative_chain_complex(glue_of(a, b, m))
+        ccG = relative_chain_complex(gluing.glue(a, b, m))
         assert (ccG.rank_h1, ccG.rank_h0) == (2, 0)
         assert line.degree == 2
         assert line.scalar != 0
@@ -892,6 +847,14 @@ def reference_connecting_split(cols, n0):
     return kernel, piv, [c - len(piv) for c in pivots if c >= len(piv)]
 
 
+def reference_integer_split(cols, n0):
+    """:func:`reference_connecting_split` with its kernel back in the
+    integers that the determinants take."""
+    kernel, pivots, comp = reference_connecting_split(cols, n0)
+    assert all(x.denominator == 1 for v in kernel for x in v)
+    return [[int(x) for x in v] for v in kernel], pivots, comp
+
+
 def assert_matches_reference(cc, d):
     """Bases, classes and coordinates of ``cc`` equal those of dense row
     reduction of the differential ``d`` and of its transpose."""
@@ -1134,7 +1097,6 @@ class TestDenseReference:
     def test_reference_split_keeps_the_gluing_scalar(self, monkeypatch):
         # the two dense reductions in place of the spanning forest give
         # every fuzzed gluing with a nonzero H0(A) the same scalar
-        from test_gluing import fuzz_compositions
         split = homology._split_connecting
         ranks, nonzero = [], []
 
@@ -1151,17 +1113,38 @@ class TestDenseReference:
             if ranks.pop():
                 cases.append((a, b, m, scalar))
         assert len(cases) > 20 and sum(nonzero) > 5
-
-        def reference_split(cols, n0):
-            # the rational reference kernel, back in the integers that
-            # the determinants take
-            kernel, pivots, comp = reference_connecting_split(cols, n0)
-            assert all(x.denominator == 1 for v in kernel for x in v)
-            return [[int(x) for x in v] for v in kernel], pivots, comp
-
-        monkeypatch.setattr(homology, "_split_connecting", reference_split)
+        monkeypatch.setattr(homology, "_split_connecting",
+                            reference_integer_split)
         for a, b, m, scalar in cases:
             assert homology._compute_gluing_scalar(a, b, m) == scalar
+
+    @pytest.mark.parametrize("pairs, column, scalar", [
+        ([(0, 0), (1, 1)], [1, -1], Fraction(1)),
+        ([(0, 1), (1, 0)], [-1, 1], Fraction(-1))])
+    def test_two_h0_classes_joined_by_the_connecting_map(
+            self, monkeypatch, pairs, column, scalar):
+        # two caps into the pants: the caps are two H0 classes of the
+        # first complex and the connecting map is one arc joining them,
+        # so its unit complement is where the forest and dense reduction
+        # part: the forest keeps the last node of the class, reduction
+        # the first.  The scalar is the same either way
+        a, b, m = subdivision_match(fx.oc_disjoint_union(cap(), cap()),
+                                    fx.pants(), pairs)
+        split = homology._split_connecting
+        seen = []
+
+        def spy(cols, n0):
+            seen.append((n0, cols))
+            return split(cols, n0)
+
+        monkeypatch.setattr(homology, "_split_connecting", spy)
+        got = homology._compute_gluing_scalar(a, b, m)
+        assert (type(got), got, seen) == (Fraction, scalar, [(2, [column])])
+        assert split([column], 2) == ([], [0], [1])
+        assert reference_connecting_split([column], 2) == ([], [0], [0])
+        monkeypatch.setattr(homology, "_split_connecting",
+                            reference_integer_split)
+        assert homology._compute_gluing_scalar(a, b, m) == scalar
 
     def test_out_of_range_endpoints_raise_under_optimize(self):
         # one 0-cell, so ground is 1 and the endpoints must lie in 0..1
@@ -1202,7 +1185,7 @@ class TestCylinderIdentity:
         for g1, g2, original in jobs:
             a, b, m = subdivision_match(g1, g2, [(0, 0)])
             scalar = _gluing_scalar(a, b, m)
-            glued = glue_of(a, b, m)
+            glued = gluing.glue(a, b, m)
             back = find_isomorphism(glued, original)
             assert back is not None
             assert scalar * morphism_det_scalar(back) == 1
@@ -1210,17 +1193,11 @@ class TestCylinderIdentity:
 
 def off_circle_collapses(g, circle_halves):
     """Every single-edge collapse of ``g`` off the edges of
-    ``circle_halves``, as a morphism."""
+    ``circle_halves`` and of its special leaves, as a morphism."""
     circle = {g.base.edge_of(h) for h in circle_halves}
-    out = []
-    for e in g.base.edges():
-        if e in circle:
-            continue
-        try:
-            out.append(collapse_edges(g, [e])[1])
-        except (DecorationDestroyed, ForestContainsCycle):
-            continue    # a special leaf's edge or a loop
-    return out
+    one_edge = [f for f in forests(g.base) if len(f) == 1
+                and f[0] not in circle]
+    return [m for _, m in collapses_off_leaves(g, one_edge)]
 
 
 def reversed_names(g):

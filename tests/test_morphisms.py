@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_optimized
+from corpus import admissible_census_decorations, forests, random_relabel
 from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs, genus_distribution
 from fatcob.errors import (
@@ -26,15 +27,6 @@ from fatcob.morphisms import (
     validate_morphism,
 )
 from fatcob.openclosed import OpenClosedFatGraph, cobordism_signature
-
-
-def random_relabel(g, rng):
-    vmap = {v: "rv%03d" % i for i, v in
-            enumerate(rng.sample(list(g.vertices), len(g.vertices)))}
-    edges = list(g.edges())
-    emap = {e: "re%03d" % i for i, e in
-            enumerate(rng.sample(edges, len(edges)))}
-    return g.relabel(vmap, emap)
 
 
 class TestValidate:
@@ -161,12 +153,11 @@ class TestCompose:
         entries = enumerate_fat_graphs(4)
         checked = 0
         for e in entries:
-            forests = [f for f in _forests(e.graph) if f]
-            for f1 in forests[:3]:
+            for f1 in forests(e.graph)[1:4]:
                 g1, m1 = collapse_edges(e.graph, f1)
-                for f2 in [f for f in _forests(g1) if f][:2]:
+                for f2 in forests(g1)[1:3]:
                     g2, m2 = collapse_edges(g1, f2)
-                    for f3 in [f for f in _forests(g2) if f][:2]:
+                    for f3 in forests(g2)[1:3]:
                         _, m3 = collapse_edges(g2, f3)
                         left = compose(m3, compose(m2, m1))
                         right = compose(compose(m3, m2), m1)
@@ -194,39 +185,13 @@ def _rotation_orbit_count(n):
     return len(orbits)
 
 
-def _forests(g):
-    """Acyclic edge subsets that leave every component some edge."""
-    edges = sorted(g.edges())
-    comp_edges = {}
-    for vs, hs in g.connected_components():
-        vset = set(vs)
-        comp_edges[vs[0]] = {e for e in edges
-                             if g.source(g.edge_halves(e)[0]) in vset}
-    out = [frozenset()]
-    for e in edges:
-        grown = []
-        for f in out:
-            cand = f | {e}
-            if any(cand >= es for es in comp_edges.values()):
-                continue
-            try:
-                collapse_edges(g, cand)
-            except ForestContainsCycle:
-                continue
-            grown.append(cand)
-        out.extend(grown)
-    return [sorted(f) for f in out]
-
-
 class TestMorphismInvariants:
     def test_collapses_preserve_surface_data(self):
         for e in enumerate_fat_graphs(3):
             g = e.graph
             before = sorted((c.genus, c.boundary_count)
                             for c in g.surface_invariants().components)
-            for f in _forests(g):
-                if not f:
-                    continue
+            for f in forests(g)[1:]:
                 out, m = collapse_edges(g, f)
                 ok, why = validate_morphism(m)
                 assert ok, why
@@ -695,9 +660,7 @@ class TestPrunedKernel:
         assert isinstance(info.value, ValueError)
 
     def test_decorated_canonical_forms_match_all_starts(self):
-        from fatcob.census import admissible_decorations
-        decorated = [oc for e in enumerate_fat_graphs(3)
-                     for oc in admissible_decorations(e.graph)]
+        decorated = admissible_census_decorations(3)
         assert len(decorated) > 100
         for oc in decorated:
             assert canonical_form(oc) == _reference_canonical_form(oc)
@@ -785,9 +748,7 @@ class TestDecoratedCodes:
         assert _component_codes(g) == _all_starts_component_codes(g)
 
     def test_census_decorations(self):
-        from fatcob.census import admissible_decorations
-        decorated = [oc for e in enumerate_fat_graphs(4)
-                     for oc in admissible_decorations(e.graph)]
+        decorated = admissible_census_decorations(4)
         assert len(decorated) == 688
         for oc in decorated:
             self.check(oc)
