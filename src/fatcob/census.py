@@ -68,7 +68,7 @@ from .errors import (
     InvariantViolation,
     NonIntegerGenus,
 )
-from .graphs import new_fat_graph
+from .graphs import half_id, new_fat_graph
 
 DEFAULT_MAX_EDGES = 8
 # a pairing keeps its slot numbers in bytes: at most 256 slots
@@ -214,8 +214,8 @@ def _build_graph(parts, pairing):
             name = "e%02d" % idx
             idx += 1
             edges.append((name, vnames[slot_vertex[p]], vnames[slot_vertex[q]]))
-            slot_half[p] = name + ".0"
-            slot_half[q] = name + ".1"
+            slot_half[p] = half_id(name, 0)
+            slot_half[q] = half_id(name, 1)
     orders = {}
     off = 0
     for j, k in enumerate(parts):

@@ -39,12 +39,19 @@ acyclic, out of the first graph's complex: a quasi-isomorphism.  The
 rest spans a subcomplex of the glued graph's own complex, with the
 second graph's complex as quotient, and the one six-term exact
 homology sequence of that extension produces the gluing isomorphism of
-determinant lines; composing the two ways of stacking three pairs of
-pants detects the dimension-parity sign of the composition product.
-That isomorphism on the d-th tensor power is the d=1 scalar to the
-d-th power times a Koszul sign, so a :class:`~fatcob.gluing.GluingMatch`
-glues and runs the six-term sequence once and keeps that scalar for
-every d; the complexes stay on their graphs.
+determinant lines.  That isomorphism on the d-th tensor power is the
+d=1 scalar to the d-th power times a Koszul sign, so a
+:class:`~fatcob.gluing.GluingMatch` glues and runs the six-term sequence
+once and keeps that scalar for every d; the complexes stay on their
+graphs.
+
+The two ways of stacking two pairs of pants give gluing scalars on two
+glued graphs.  Each scalar is carried along admissible collapses, by
+their det-line signs, to a graph both glued graphs collapse onto, and
+there the ratio is the dimension-parity sign of the composition
+product.  Collapses and isomorphisms keep the ordered incoming circles,
+and in genus 0 an arc between two of them has one class, so every
+common graph gives the same ratio.
 """
 
 from __future__ import annotations
@@ -57,8 +64,9 @@ from ._record import Record
 from .errors import (InvalidMorphism, InvalidParameter, InvariantViolation,
                      NotGluable, ResultInvalid)
 from .graphs import _find
-from .morphisms import validate_morphism
-from .openclosed import _require_decorated, incoming_partition
+from .morphisms import (canonical_form, collapse_edges, compose,
+                        find_isomorphism, validate_morphism)
+from .openclosed import _require_decorated, incoming_partition, is_admissible
 
 
 def _check(ok, message):
@@ -755,87 +763,76 @@ def gluing_det_iso(g1, g2, match, d):
 # skew-associativity of the composition product
 
 
-def _circle_vertices(g, leaf):
-    return {g.base.source(h) for h in g.circle_edges(leaf)}
+def _collapse_closure(m):
+    """Every graph that admissible collapses of one edge, never a loop or
+    a special leaf's edge, reach from ``m``'s target, keyed by canonical
+    form, with the composite morphism from ``m``'s source that found it."""
+    reached = {canonical_form(m.target): m}
+    todo = [m]
+    while todo:
+        path = todo.pop(0)
+        g = path.target
+        base = g.base
+        leaf_edges = {base.edge_of(base.leaf_half(v)) for v in g.special}
+        for e in base.edges():
+            u, w = base.edge_ends(e)
+            if u == w or e in leaf_edges:
+                continue
+            out, step = collapse_edges(g, [e])
+            key = canonical_form(out)
+            if key not in reached and is_admissible(out)[0]:
+                reached[key] = compose(step, path)
+                todo.append(reached[key])
+    return reached
 
 
-def _arc_class(cc, g, from_vertices, to_vertices):
-    """H1 class of an arc between two incoming circles.
-
-    Breadth-first search through the extra edges; the chain of a step
-    from ``u`` along edge ``e`` contributes the half at ``u`` minus the
-    half at the far end, so its boundary telescopes to endpoint terms,
-    which vanish relative to the incoming part.
-    """
-    base = g.base
-    extra = {name for kind, name in cc.basis0 if kind == "E"}
-    adj = {}
-    for e in sorted(extra):
-        u, v = base.edge_ends(e)
-        adj.setdefault(u, []).append((e, v))
-        adj.setdefault(v, []).append((e, u))
-    prev = {v: None for v in sorted(from_vertices)}
-    queue = sorted(from_vertices)
-    found = None
-    while queue:
-        u = queue.pop(0)
-        if u in to_vertices:
-            found = u
-            break
-        for e, w in adj.get(u, ()):
-            if w not in prev:
-                prev[w] = (u, e)
-                queue.append(w)
-    _check(found is not None, "incoming circles are not linked by extra edges")
-    chain = [0] * len(cc.basis1)
-    cur = found
-    while prev[cur] is not None:
-        u, e = prev[cur]
-        h0, h1 = base.edge_halves(e)
-        if base.source(h0) == u:
-            near, far = h0, h1
-        else:
-            near, far = h1, h0
-        chain[cc.index1(near)] += 1
-        chain[cc.index1(far)] -= 1
-        cur = u
-    return cc.h1_coords(chain)
-
-
-def _composite_coefficient(inner, outer, in_slot):
-    """Scalar of one stacking, measured in the geometric arc frame."""
+def _stacking_closure(inner, outer, in_slot):
+    """``(scalar, closure)`` of gluing ``inner`` into input ``in_slot`` of
+    ``outer``: the d=1 gluing scalar, and the :func:`_collapse_closure`
+    of the glued graph, inputs in composite order, smoothed by collapsing
+    the least-named edge at each bivalent vertex."""
     from .gluing import gluable
     match = gluable(inner, outer, pairs=[(0, in_slot)])
     scalar = _gluing_scalar(inner, outer, match)
     glued = match._glued[0]
-    ccG = relative_chain_complex(glued)
     if in_slot == 1:
+        # the relative complex does not depend on the input order
         glued = glued.reorder_inputs(
             (glued.in_leaves[2], glued.in_leaves[0], glued.in_leaves[1]))
-    circles = [_circle_vertices(glued, v) for v in glued.in_leaves]
-    gamma12 = _arc_class(ccG, glued, circles[0], circles[1])
-    gamma23 = _arc_class(ccG, glued, circles[1], circles[2])
-    det_geo = linalg.det([gamma12, gamma23])
-    _check(det_geo != 0, "arc classes fail to frame the glued homology")
-    return scalar / det_geo
+    base = glued.base
+    forest = {min(base.edge_of(h) for h in base.fan(v))
+              for v in base.bivalent_vertices()}
+    smooth, m = collapse_edges(glued, forest)
+    _check(is_admissible(smooth)[0], "smoothing made a stacking inadmissible")
+    return scalar, _collapse_closure(m)
+
+
+def _transport_ratio(left, right, key):
+    """Ratio of two :func:`_stacking_closure` scalars carried to the graph
+    ``key`` that both closures reach, left onto right by isomorphism."""
+    (s_left, reached_left), (s_right, reached_right) = left, right
+    m_left, m_right = reached_left[key], reached_right[key]
+    psi = find_isomorphism(m_left.target, m_right.target)
+    return (s_left * morphism_det_sign(compose(psi, m_left))
+            / (s_right * morphism_det_sign(m_right)))
 
 
 def skew_associativity_sign(d):
     """Ratio of the two ways of stacking two multiplications.
 
-    Both stackings feed one pair-of-pants into an input of a second
+    Both stackings feed one pair of pants into an input of a second
     one whose incoming circles were pre-subdivided to the size of the
-    outgoing cycle.  The two composite det-line isomorphisms are
-    compared in the frame given by the arcs linking consecutive inputs
-    of the three-input composite; the ratio is -1 to the d-th power.
+    outgoing cycle.  Each gluing scalar is carried by det-line transport
+    to the least graph, by canonical form, that collapses of both glued
+    graphs reach; the ratio is -1 to the d-th power.
     """
     _require_count(d, "manifold dimension")
     from .fixtures import pants, subdivided_incoming
     inner = pants()
     k_out = len(inner.leaf_cycle_normal_form(inner.out_leaves[0])) - 2
     outer = subdivided_incoming(pants(), k_out)
-    c_left = _composite_coefficient(inner, outer, 0)
-    c_right = _composite_coefficient(inner, outer, 1)
-    ratio = c_left / c_right
+    left, right = (_stacking_closure(inner, outer, slot) for slot in (0, 1))
+    common = min(left[1].keys() & right[1].keys())
+    ratio = _transport_ratio(left, right, common)
     _check(ratio in (1, -1), "stacking comparison is not a sign")
     return 1 if (ratio ** d) > 0 else -1

@@ -369,8 +369,10 @@ def smooth_undecorated_bivalent(g):
     Decorations sit on valence-1 leaves, which smoothing never touches,
     so every bivalent vertex is undecorated; embedded incoming circles
     just lose subdivision points.  Returns ``(graph, correspondence)``
-    and the result is revalidated.
+    and the result is revalidated.  A bare fat graph raises
+    :class:`NotAdmissible`.
     """
+    _require_decorated(g)
     base, corr = g.base.smooth_bivalent()
     out = OpenClosedFatGraph(base, g.in_leaves, g.out_leaves, g.closed)
     return out, corr

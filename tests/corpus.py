@@ -59,6 +59,16 @@ def forests(g):
     return [sorted(f) for f in out]
 
 
+def single_edges(g):
+    """The one-edge forests of :func:`forests`, in its order, without
+    building the others: each edge that is no loop and not the only edge
+    of its component."""
+    alone = {g.edge_of(hs[0]) for _, hs in g.connected_components()
+             if len(hs) == 2}
+    return [[e] for e in sorted(g.edges())
+            if e not in alone and len(set(g.edge_ends(e))) == 2]
+
+
 def collapses_off_leaves(oc, forest_list):
     """``(graph, morphism)`` of collapsing ``oc`` along each forest of
     ``forest_list`` that avoids its special-leaf edges, in order and

@@ -34,7 +34,7 @@ from fatcob.openclosed import cobordism_signature, incoming_partition
 
 from corpus import admissible_census_decorations, census_morphism_pairs, \
     collapses_off_leaves, composed_signature_oracle, composition_cases, \
-    forests, glued_component_data, random_relabel, strip_names
+    forests, glued_component_data, random_relabel, single_edges, strip_names
 
 
 def ok(line):
@@ -194,11 +194,14 @@ def test_criterion_08_sign_calculus():
     for m2, m1 in pairs:
         assert morphism_det_sign(compose(m2, m1)) == \
             morphism_det_sign(m2) * morphism_det_sign(m1)
+    fixture_collapses = 0
     for mk in (fx.cylinder, fx.pants, fx.mouthpiece, fx.flaps):
-        oc = mk()
-        one_edge = [f for f in forests(oc.base) if len(f) == 1]
-        for _, m in collapses_off_leaves(oc, one_edge):
-            assert morphism_det_sign(m) in (1, -1)
+        for oc in (mk(), fx.subdivided_incoming(mk(), 3)):
+            for _, m in collapses_off_leaves(oc, single_edges(oc.base)):
+                assert morphism_det_sign(m) in (1, -1)
+                fixture_collapses += 1
+    # 2 on the fixtures themselves, 11 once their inputs are subdivided
+    assert fixture_collapses == 13
     signs = [skew_associativity_sign(d) for d in (0, 1, 2, 3)]
     assert signs == [1, -1, 1, -1]
     ok("criterion 8: det-sign functoriality on %d composable pairs, "

@@ -28,6 +28,16 @@ def test_forests_build_no_collapse(collapsed):
     assert collapsed == []
 
 
+def test_single_edges_are_the_one_edge_forests():
+    graphs = [e.graph for e in enumerate_fat_graphs(5)]
+    assert len(graphs) == 1004
+    graphs += [g.base for a, b, _ in corpus.composition_cases()
+               for g in (a, b)]
+    for g in graphs:
+        assert corpus.single_edges(g) == \
+            [f for f in corpus.forests(g) if len(f) == 1]
+
+
 @pytest.mark.parametrize("builder, max_edges, sizes, built", [
     (corpus.census_collapse_pairs, 3, (102, 40), 142),
     (corpus.census_collapse_pairs, 4, (1238, 966), 2205),

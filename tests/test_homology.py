@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import data_path, run_optimized
 from corpus import admissible_census_decorations, cap, census_collapse_pairs, \
-    census_collapses, census_morphism_pairs, collapses_off_leaves, forests, \
-    fuzz_compositions
+    census_collapses, census_morphism_pairs, collapses_off_leaves, \
+    fuzz_compositions, single_edges
 from fatcob import fixtures as fx
 from fatcob.errors import (EdgeCountMismatch, FatcobError, InvalidMorphism,
                            InvalidParameter, InvariantViolation,
@@ -29,7 +29,6 @@ from fatcob.homology import (
     skew_associativity_sign,
     swap,
     tensor,
-    _composite_coefficient,
 )
 from fatcob import linalg, morphisms, openclosed
 from fatcob.morphisms import (
@@ -277,9 +276,11 @@ class TestUndecoratedGraphs:
         openclosed.check_positive_boundary,
         lambda g: gluable(g, fx.cylinder()),
         lambda g: subdivision_match(fx.cylinder(), g, [(0, 0)]),
+        openclosed.smooth_undecorated_bivalent,
     ], ids=["relative_chain_complex", "morphism_det_sign", "is_admissible",
             "operation_degree", "cobordism_signature",
-            "check_positive_boundary", "gluable", "subdivision_match"])
+            "check_positive_boundary", "gluable", "subdivision_match",
+            "smooth_undecorated_bivalent"])
     def test_entry_point(self, call):
         with pytest.raises(NotAdmissible, match="has no In/Out leaf"):
             call(fx.figure4())
@@ -576,14 +577,6 @@ class TestGluingDetIso:
             d1 = relative_chain_complex(a)
             d2 = relative_chain_complex(b)
             assert line.degree == d1.degree + d2.degree
-
-    def test_pants_pants_two_orders_differ_by_sign(self):
-        inner = fx.pants()
-        k = len(inner.leaf_cycle_normal_form(inner.out_leaves[0])) - 2
-        outer = fx.subdivided_incoming(fx.pants(), k)
-        c_left = _composite_coefficient(inner, outer, 0)
-        c_right = _composite_coefficient(inner, outer, 1)
-        assert c_left / c_right == -1
 
     def test_nonzero_connecting_map(self):
         # a genus-one piece with no incoming boundary keeps a degree-0
@@ -1195,8 +1188,7 @@ def off_circle_collapses(g, circle_halves):
     """Every single-edge collapse of ``g`` off the edges of
     ``circle_halves`` and of its special leaves, as a morphism."""
     circle = {g.base.edge_of(h) for h in circle_halves}
-    one_edge = [f for f in forests(g.base) if len(f) == 1
-                and f[0] not in circle]
+    one_edge = [f for f in single_edges(g.base) if f[0] not in circle]
     return [m for _, m in collapses_off_leaves(g, one_edge)]
 
 
@@ -1289,6 +1281,22 @@ class TestSkewAssociativity:
         assert skew_associativity_sign(1) == -1
         assert skew_associativity_sign(2) == 1
         assert skew_associativity_sign(3) == -1
+
+    def test_every_common_collapse_target_gives_minus_one(self):
+        inner, outer, _ = skew_stackings()[0]
+        left, right = (homology._stacking_closure(inner, outer, slot)
+                       for slot in (0, 1))
+        assert left[0] == right[0] == 1
+        common = left[1].keys() & right[1].keys()
+        assert (len(left[1]), len(right[1]), len(common)) == (10, 10, 4)
+        assert [homology._transport_ratio(left, right, key)
+                for key in sorted(common)] == [-1] * 4
+
+    def test_sign_comes_from_the_collapses(self, monkeypatch):
+        # both gluing scalars are 1, so the -1 is the collapses' det-line
+        # signs
+        monkeypatch.setattr(homology, "morphism_det_sign", lambda m: 1)
+        assert skew_associativity_sign(1) == 1
 
 
 def cofactor_det(m):
