@@ -57,6 +57,7 @@ orbit, and an orbit member that is not a pairing each raise
 from __future__ import annotations
 
 import os
+from itertools import product
 from math import factorial
 from operator import itemgetter
 
@@ -64,7 +65,7 @@ from . import _canon
 from ._record import FrozenRecord
 from .errors import (
     BoundExceeded,
-    FatcobError,
+    ClosedSharesCycle,
     InvariantViolation,
     NonIntegerGenus,
 )
@@ -446,19 +447,17 @@ def admissible_decorations(graph):
         raise BoundExceeded(
             "%d leaves is beyond the decoration bound %d"
             % (len(leaves), MAX_DECORATED_LEAVES))
-    assignments = [[]]
-    for v in leaves:
-        assignments = [a + [(v, r)] for a in assignments
-                       for r in ("-", "i", "o", "I", "O")]
     seen = set()
     out = []
-    for assign in assignments:
+    for roles in product("-ioIO", repeat=len(leaves)):
+        assign = list(zip(leaves, roles))
         ins = [v for v, r in assign if r in ("i", "I")]
         outs = [v for v, r in assign if r in ("o", "O")]
         closed = {v for v, r in assign if r in ("I", "O")}
         try:
             oc = decorate(graph, ins, outs, closed)
-        except FatcobError:
+        except ClosedSharesCycle:
+            # the one refusal a role assignment can meet
             continue
         if not is_admissible(oc)[0]:
             continue

@@ -26,11 +26,7 @@ from .homology import (
     skew_associativity_sign,
 )
 from .morphisms import base_of, canonical_form, is_isomorphic
-from .openclosed import (
-    OpenClosedFatGraph,
-    cobordism_signature,
-    is_admissible,
-)
+from .openclosed import cobordism_signature, is_admissible
 
 USAGE_EXIT = 3
 PARSE_EXIT = 2
@@ -63,12 +59,6 @@ def _sign_str(s):
     return "+1" if s > 0 else "-1"
 
 
-def _require_decorated(g, what):
-    if not isinstance(g, OpenClosedFatGraph):
-        raise FatcobError("%s needs in/out decorations in the file" % what)
-    return g
-
-
 def cmd_validate(args):
     g = fgformat.load(args.file)
     base = base_of(g)
@@ -99,7 +89,7 @@ def cmd_boundary(args):
 
 
 def cmd_admissible(args):
-    g = _require_decorated(fgformat.load(args.file), "admissible")
+    g = fgformat.load(args.file)
     ok, witness = is_admissible(g)
     if ok:
         return "admissible", {"admissible": True}, 0
@@ -108,7 +98,7 @@ def cmd_admissible(args):
 
 
 def cmd_signature(args):
-    g = _require_decorated(fgformat.load(args.file), "signature")
+    g = fgformat.load(args.file)
     sig = cobordism_signature(g)
     genera = [c.genus for c in sig.components]
     bounds = [c.boundary_count for c in sig.components]
@@ -124,8 +114,8 @@ def cmd_signature(args):
 
 
 def cmd_glue(args):
-    g1 = _require_decorated(fgformat.load(args.first), "glue")
-    g2 = _require_decorated(fgformat.load(args.second), "glue")
+    g1 = fgformat.load(args.first)
+    g2 = fgformat.load(args.second)
     if args.subdivide:
         g1, g2, match = subdivision_match(g1, g2)
     else:
@@ -136,21 +126,21 @@ def cmd_glue(args):
 
 
 def cmd_homology(args):
-    g = _require_decorated(fgformat.load(args.file), "homology")
+    g = fgformat.load(args.file)
     cc = relative_chain_complex(g)
     return ("H1=%d H0=%d" % (cc.rank_h1, cc.rank_h0),
             {"h1": cc.rank_h1, "h0": cc.rank_h0}, 0)
 
 
 def cmd_degree(args):
-    g = _require_decorated(fgformat.load(args.file), "degree")
+    g = fgformat.load(args.file)
     deg = operation_degree(g, args.dim)
     return str(deg), {"degree": deg}, 0
 
 
 def cmd_det_sign(args):
-    g1 = _require_decorated(fgformat.load(args.first), "det-sign")
-    g2 = _require_decorated(fgformat.load(args.second), "det-sign")
+    g1 = fgformat.load(args.first)
+    g2 = fgformat.load(args.second)
     g1, g2, match = subdivision_match(g1, g2)
     line = gluing_det_iso(g1, g2, match, 1)
     return (_sign_str(line.sign),
@@ -239,8 +229,8 @@ def build_parser():
     p = add("enumerate", cmd_enumerate)
     p.add_argument("--edges", type=_int_range(0), required=True)
     p.add_argument("--one-vertex", action="store_true")
-    p.add_argument("--genus", type=int, default=None)
-    p.add_argument("--min-valence", type=int, default=1)
+    p.add_argument("--genus", type=_int_range(0), default=None)
+    p.add_argument("--min-valence", type=_int_range(0), default=1)
     add("canon", cmd_canon, file=".fg file")
     add("iso", cmd_iso, first="left .fg file", second="right .fg file")
     return parser

@@ -4,6 +4,11 @@ Every structural or semantic failure raises a subclass of
 :class:`FatcobError`, so callers can catch the whole family at once.
 The CLI maps these to exit code 1 (domain failure) while
 :class:`ParseError` is mapped to exit code 2.
+
+A domain error is raised once, by the check that decides it, and no
+handler relabels it.  :class:`NotGluable` is the family of gluability
+failures.  :class:`InvariantViolation` and :class:`ResultInvalid` mark
+internal faults: they reach the caller as themselves.
 """
 
 
@@ -89,12 +94,17 @@ class BoundExceeded(FatcobError):
 
 # -- gluing ------------------------------------------------------------------
 
-class SignatureMismatch(FatcobError):
+class NotGluable(FatcobError):
+    """The pair of graphs cannot be glued: the base of every
+    gluability failure."""
+
+
+class SignatureMismatch(NotGluable):
     """The outgoing boundary of the first graph does not match the incoming
     boundary of the second as ordered 1-manifolds."""
 
 
-class EdgeCountMismatch(FatcobError):
+class EdgeCountMismatch(NotGluable):
     """A matched pair of boundary cycles carries different edge counts."""
 
     def __init__(self, pair_index, k_out, k_in):
@@ -114,11 +124,7 @@ class ResultInvalid(FatcobError):
     """Gluing produced an invalid graph (internal invariant violation)."""
 
 
-class NotGluable(FatcobError):
-    """The pair of graphs cannot be glued."""
-
-
-class NotGluablePairMorphism(FatcobError):
+class NotGluablePairMorphism(NotGluable):
     """A pair of morphisms collapses a circle edge on one side of a matched
     cycle but not the corresponding edge on the other side."""
 

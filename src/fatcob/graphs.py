@@ -289,9 +289,10 @@ class FatGraph:
                     cyc.append(cur)
                     cur = self.omega(cur)
                 seen.update(cyc)
-                lo = min(range(len(cyc)), key=lambda i: cyc[i])
-                cycles.append(tuple(cyc[lo:] + cyc[:lo]))
-            cycles.sort(key=lambda c: c[0])
+                # the halves are walked in sorted order, so the first
+                # unseen one is the least of its cycle: each cycle starts
+                # there and the cycles come out sorted
+                cycles.append(tuple(cyc))
             h2c = {}
             for i, cyc in enumerate(cycles):
                 for h in cyc:
@@ -318,11 +319,10 @@ class FatGraph:
         halves = {}
         for h in self._halves:
             halves.setdefault(_find(parent, source[h]), []).append(h)
-        # both lists are filled in sorted order
-        comps = [(tuple(vs), tuple(halves.get(r, ())))
-                 for r, vs in groups.items()]
-        comps.sort(key=lambda c: c[0][0])
-        return tuple(comps)
+        # both lists are filled in sorted order, and the groups are met
+        # in order of their least vertex, so the components come out sorted
+        return tuple((tuple(vs), tuple(halves.get(r, ())))
+                     for r, vs in groups.items())
 
     def surface_invariants(self):
         """Genus, boundary count and Euler characteristic per component.

@@ -62,7 +62,7 @@ from fractions import Fraction
 from . import linalg
 from ._record import Record
 from .errors import (InvalidMorphism, InvalidParameter, InvariantViolation,
-                     NotGluable, ResultInvalid)
+                     ResultInvalid)
 from .graphs import _find
 from .morphisms import (canonical_form, collapse_edges, compose,
                         find_isomorphism, validate_morphism)
@@ -744,12 +744,15 @@ def gluing_det_iso(g1, g2, match, d):
     Koszul sign of interleaving the d copies of the two factors.  The
     scalar is the d=1 scalar to the d-th power, which the match
     computes once for every d.
+
+    Raises :class:`InvalidParameter` for a bad ``d`` and
+    :class:`InvalidMatch` for a match computed for other graphs.  An
+    internal fault surfaces as itself, never as :class:`NotGluable`:
+    :class:`ResultInvalid` from the gluing or the cell bookkeeping,
+    :class:`InvariantViolation` from a failed consistency check.
     """
     _require_count(d, "tensor power")
-    try:
-        scalar = _gluing_scalar(g1, g2, match)
-    except ResultInvalid as exc:
-        raise NotGluable(str(exc)) from exc
+    scalar = _gluing_scalar(g1, g2, match)
     # the first gluing kept all three complexes on their graphs
     ccG = relative_chain_complex(match._glued[0])
     deg1 = relative_chain_complex(g1).degree

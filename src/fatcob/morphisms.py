@@ -35,7 +35,6 @@ from types import MappingProxyType
 
 from .errors import (
     DecorationDestroyed,
-    FatcobError,
     ForestContainsCycle,
     InvalidMorphism,
     Mismatch,
@@ -252,13 +251,10 @@ def collapse_edges(g, forest):
             if u in special or w in special:
                 raise DecorationDestroyed(
                     "collapsing %r removes a special leaf" % e)
-        try:
-            out = OpenClosedFatGraph(
-                out, [vmap[v] for v in g.in_leaves],
-                [vmap[v] for v in g.out_leaves],
-                {vmap[v] for v in g.closed})
-        except FatcobError as exc:
-            raise DecorationDestroyed(str(exc)) from exc
+        out = OpenClosedFatGraph(
+            out, [vmap[v] for v in g.in_leaves],
+            [vmap[v] for v in g.out_leaves],
+            {vmap[v] for v in g.closed})
     morph = Morphism(g, out, vmap, hmap)
     return out, require_valid(morph)
 

@@ -195,13 +195,24 @@ def test_criterion_08_sign_calculus():
         assert morphism_det_sign(compose(m2, m1)) == \
             morphism_det_sign(m2) * morphism_det_sign(m1)
     fixture_collapses = 0
-    for mk in (fx.cylinder, fx.pants, fx.mouthpiece, fx.flaps):
+    negative = []
+    for mk in (fx.cylinder, fx.pants, fx.mouthpiece, fx.flaps,
+               fx.open_closed_example):
         for oc in (mk(), fx.subdivided_incoming(mk(), 3)):
             for _, m in collapses_off_leaves(oc, single_edges(oc.base)):
-                assert morphism_det_sign(m) in (1, -1)
+                sign = morphism_det_sign(m)
+                assert sign in (1, -1)
                 fixture_collapses += 1
-    # 2 on the fixtures themselves, 11 once their inputs are subdivided
-    assert fixture_collapses == 13
+                if sign == -1:
+                    (edge,) = {oc.base.edge_of(h)
+                               for h, img in m.half_map.items()
+                               if img is None}
+                    negative.append((mk.__name__, oc.base.num_edges(), edge))
+    # 6 on the fixtures themselves, 18 once their inputs are subdivided;
+    # collapsing r1 of the open-closed example reverses its det line
+    assert fixture_collapses == 24
+    assert negative == [("open_closed_example", 11, "r1"),
+                        ("open_closed_example", 13, "r1")]
     signs = [skew_associativity_sign(d) for d in (0, 1, 2, 3)]
     assert signs == [1, -1, 1, -1]
     ok("criterion 8: det-sign functoriality on %d composable pairs, "

@@ -75,6 +75,30 @@ class TestExitCodes:
         assert err.startswith("usage: ")
         assert "argument --edges: -1 is below 0" in err
 
+    @pytest.mark.parametrize("option,value", [("--genus", "-1"),
+                                              ("--min-valence", "-3")])
+    def test_negative_enumerate_bound_is_usage_error(self, capsys, option,
+                                                     value):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["enumerate", "--edges", "2", option, value])
+        assert info.value.code == 3
+        assert "argument %s: %s is below 0" % (option, value) \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["admissible", "fig4.fg"],
+        ["signature", "fig4.fg"],
+        ["glue", "pants.fg", "fig4.fg"],
+        ["homology", "fig4.fg"],
+        ["degree", "--dim", "2", "fig4.fg"],
+        ["det-sign", "fig4.fg", "pants.fg"],
+    ], ids=lambda argv: argv[0])
+    def test_bare_graph_is_domain_failure(self, capsys, argv):
+        argv = [data_path(a) if a.endswith(".fg") else a for a in argv]
+        code, _ = run_cli(argv)
+        assert code == 1
+        assert "has no In/Out leaf decorations" in capsys.readouterr().err
+
     def test_jobs_is_not_an_option(self):
         with pytest.raises(SystemExit) as info:
             run_cli(["enumerate", "--edges", "1", "--jobs", "2"])

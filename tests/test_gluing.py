@@ -51,6 +51,14 @@ class TestGluable:
         with pytest.raises(SignatureMismatch):
             gluable(fx.interval(), fx.cylinder())
 
+    def test_not_gluable_is_the_family_of_gluability_failures(self):
+        for second, cls in ((fx.pants, SignatureMismatch),
+                            (fx.cylinder, EdgeCountMismatch)):
+            with pytest.raises(NotGluable) as info:
+                gluable(fx.pants(), second())
+            assert type(info.value) is cls
+        assert issubclass(NotGluablePairMorphism, NotGluable)
+
     @pytest.mark.parametrize("match", [gluable, subdivision_match])
     @pytest.mark.parametrize("pairs", [
         [(0, 0), (-1, 1)],      # -1 would be the one outgoing leaf again
@@ -458,8 +466,10 @@ class TestGlueOnce:
         monkeypatch.setattr(FatGraph, "_validate", broken)
         with pytest.raises(ResultInvalid):
             glue(c, c, m)
-        with pytest.raises(NotGluable):
+        # an internal fault, not a gluability failure
+        with pytest.raises(ResultInvalid) as info:
             gluing_det_iso(c, c, m, 1)
+        assert not isinstance(info.value, NotGluable)
         assert m._glued is None and m._det_line is None
         monkeypatch.undo()
         assert glue(c, c, m) == glue(c, c, gluable(c, c))

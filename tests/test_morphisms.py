@@ -10,9 +10,11 @@ from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs, genus_distribution
 from fatcob.errors import (
     BoundExceeded,
+    DecorationDestroyed,
     DisconnectedGraph,
     FatcobError,
     ForestContainsCycle,
+    InvariantViolation,
     Mismatch,
 )
 from fatcob.graphs import new_fat_graph
@@ -124,6 +126,22 @@ class TestCollapse:
         assert before.target == after.target
         assert [(c.genus, c.boundary_count) for c in before.components] == \
             [(c.genus, c.boundary_count) for c in after.components]
+
+    @pytest.mark.parametrize("mk", [fx.pants, fx.flaps, fx.interval,
+                                    fx.open_closed_example])
+    def test_special_leaf_edge_destroys_decoration(self, mk):
+        # the special-leaf check is the one source of DecorationDestroyed;
+        # the same edge of the bare graph collapses
+        oc = mk()
+        edges = sorted({oc.base.edge_of(oc.base.leaf_half(v))
+                        for v in oc.special})
+        assert edges
+        for e in edges:
+            with pytest.raises(DecorationDestroyed,
+                               match="collapsing %r removes" % e):
+                collapse_edges(oc, [e])
+            out, m = collapse_edges(oc.base, [e])
+            assert out.num_edges() == oc.base.num_edges() - 1
 
     def test_two_steps_equal_one(self):
         g = fx.pants().base
@@ -793,24 +811,28 @@ class TestCensusChecks:
         assert out.stdout.startswith("raised census bookkeeping broken")
 
     def test_decorate_bug_propagates(self, monkeypatch):
+        # only ClosedSharesCycle refuses a role assignment; a bug or an
+        # internal fault of decorate reaches the caller as itself
         from fatcob import openclosed
         from fatcob.census import admissible_decorations
 
-        def broken(*args, **kwargs):
-            raise RuntimeError("bug in decorate")
+        for cls in (RuntimeError, InvariantViolation):
+            def broken(*args, **kwargs):
+                raise cls("bug in decorate")
 
-        monkeypatch.setattr(openclosed, "decorate", broken)
-        with pytest.raises(RuntimeError, match="bug in decorate"):
-            admissible_decorations(fx.flaps().base)
+            monkeypatch.setattr(openclosed, "decorate", broken)
+            with pytest.raises(cls, match="bug in decorate"):
+                admissible_decorations(fx.flaps().base)
 
     def test_collapse_decoration_bug_propagates(self, monkeypatch):
-        # only a FatcobError of the collapsed decoration becomes
-        # DecorationDestroyed; a bug in its validation propagates
+        # the special-leaf check alone raises DecorationDestroyed; a bug
+        # or an internal fault in validating the collapsed decoration
+        # reaches the caller as itself
         g = fx.pants()
+        for cls in (RuntimeError, InvariantViolation):
+            def broken(self):
+                raise cls("bug in validation")
 
-        def broken(self):
-            raise RuntimeError("bug in validation")
-
-        monkeypatch.setattr(OpenClosedFatGraph, "_validate", broken)
-        with pytest.raises(RuntimeError, match="bug in validation"):
-            collapse_edges(g, ["r1"])
+            monkeypatch.setattr(OpenClosedFatGraph, "_validate", broken)
+            with pytest.raises(cls, match="bug in validation"):
+                collapse_edges(g, ["r1"])
