@@ -436,7 +436,8 @@ def admissible_decorations(graph):
 
     Each leaf may stay bare or become an open/closed incoming or
     outgoing leaf; the In/Out orderings follow leaf-name order.
-    Results are deduplicated by decorated canonical form.  A graph with
+    Results are deduplicated by decorated canonical form, for which
+    the kernel runs once on ``graph``.  A graph with
     more than ``MAX_DECORATED_LEAVES`` leaves raises
     :class:`BoundExceeded`.
     """

@@ -29,6 +29,14 @@ it touches; :meth:`FatGraph.subdivide_edge` builds its result after one
 move, while :meth:`FatGraph.smooth_bivalent` and the circle growth used
 to match boundary sizes (:func:`_grow_circle`) make a whole run of
 moves and build and validate the result once, not once per move.
+
+Kept results.  A graph is immutable, so two of its invariants are
+computed on first use and kept on it, as immutable records every later
+call shares: :meth:`FatGraph.boundary_cycles` and
+:meth:`FatGraph.surface_invariants`.  Many decorated graphs and
+morphisms share one base graph, and each asks for both.  The
+canonical-labelling kernel's runs are kept on the graph the same way,
+by :mod:`fatcob.morphisms`.
 """
 
 from __future__ import annotations
@@ -76,10 +84,14 @@ class FatGraph:
     and per-vertex cyclic orders.  Direct construction from the
     ``source`` and ``sigma`` maps is allowed and fully validated; the
     pairing of the halves ``e.0`` and ``e.1`` comes from their ids.
+    ``_runs`` holds the canonical-labelling kernel's runs on its
+    components once :func:`fatcob.morphisms.canonical_form` has made
+    them.
     """
 
     __slots__ = ("_vertices", "_halves", "_source", "_involution", "_sigma",
-                 "_fibers", "_edge_of", "_edge_ends", "_isolated", "_bcycles")
+                 "_fibers", "_edge_of", "_edge_ends", "_isolated", "_bcycles",
+                 "_surface", "_runs")
 
     def __init__(self, source, sigma, isolated=()):
         self._source = dict(source)
@@ -90,7 +102,7 @@ class FatGraph:
         self._isolated = frozenset(isolated)
         self._edge_of = {}
         self._edge_ends = {}
-        self._bcycles = None
+        self._bcycles = self._surface = self._runs = None
         self._validate()
 
     # -- construction helpers -------------------------------------------
@@ -335,6 +347,8 @@ class FatGraph:
             raise IsolatedVertex(
                 "surface invariants are undefined for isolated vertices: %s"
                 % sorted(self._isolated))
+        if self._surface is not None:
+            return self._surface
         h2c = self.boundary_cycles().half_edge_to_cycle
         comps = []
         for vs, hs in self.connected_components():
@@ -350,7 +364,8 @@ class FatGraph:
             comps.append(ComponentSignature(
                 genus=two_g // 2, boundary_count=b, euler_characteristic=chi,
                 vertices=vs, cycles=cycles))
-        return SurfaceSignature(components=tuple(comps))
+        self._surface = SurfaceSignature(components=tuple(comps))
+        return self._surface
 
     # -- homotopy-neutral moves --------------------------------------------
 

@@ -10,19 +10,26 @@ the collapsed half-edges deleted.  Decorated graphs additionally
 require order-preserving bijections on the In/Out lists and a
 bijection on the closed subset.
 
-Every morphism the library returns (:func:`collapse_edges`,
-:func:`compose`, :func:`find_isomorphism` and the gluing of
-:mod:`fatcob.gluing`) has passed :func:`require_valid` exactly once:
-that marks it checked and makes its ``vertex_map`` and ``half_map``
+Every morphism the library returns is checked once, when it is made,
+and then marked checked: its ``vertex_map`` and ``half_map`` become
 read-only views, so their entries cannot change after the check and
-nothing downstream validates it again.  Only the entries are frozen:
-reassigning ``source``, ``target`` or a whole map of a checked
-morphism leaves the mark set, so build a new ``Morphism`` instead.  A
-morphism built directly with ``Morphism(...)`` or
-:func:`identity_morphism` is unchecked and keeps plain dicts.
+nothing downstream validates it again.  :func:`compose`,
+:func:`find_isomorphism` and the gluing of :mod:`fatcob.gluing` run
+the full :func:`validate_morphism` scan through :func:`require_valid`.
+:func:`collapse_edges` builds its target itself, each surviving
+half-edge keeping its name, so its local check :func:`_check_collapse`
+reads only what can be wrong: the forest's images, the trees, the
+survivors' sources and the fans, by the boundary walk.  Only
+the entries are frozen: reassigning ``source``, ``target`` or a whole
+map of a checked morphism leaves the mark set, so build a new
+``Morphism`` instead.  A morphism built directly with ``Morphism(...)``
+or :func:`identity_morphism`, or copied with :mod:`copy` or
+:mod:`pickle`, is unchecked and keeps plain dicts.
 
 Canonical forms are computed per connected component by one call of
-the canonical-labelling kernel (:mod:`fatcob._canon`).  A decorated
+the canonical-labelling kernel (:mod:`fatcob._canon`), kept on the
+graph, so all the decorations of one graph share those calls
+(:func:`_kernel_runs`).  A decorated
 component's code is the kernel code, ``|``, and the smallest decoration
 string over the kernel's winning starts, which are its automorphisms;
 two graphs are isomorphic exactly when their canonical byte strings
@@ -55,7 +62,8 @@ class Morphism:
     of ``h`` is collapsed; the image of a collapsed half-edge is then
     the image vertex of its source.  Isomorphisms are the morphisms
     with no ``None`` values and bijective maps.  ``_checked`` is set
-    only by :func:`require_valid`, which also freezes the two maps.
+    by :func:`require_valid` and by :func:`collapse_edges`' local
+    check, which also freeze the two maps; a copy starts unchecked.
     """
 
     __slots__ = ("source", "target", "vertex_map", "half_map", "_checked")
@@ -66,6 +74,12 @@ class Morphism:
         self.vertex_map = dict(vertex_map)
         self.half_map = dict(half_map)
         self._checked = False
+
+    def __reduce__(self):
+        # read-only views do not pickle: a copy gets plain dicts and is
+        # validated on first use
+        return Morphism, (self.source, self.target, dict(self.vertex_map),
+                          dict(self.half_map))
 
     def collapsed_halves(self):
         return {h for h, img in self.half_map.items() if img is None}
@@ -178,9 +192,14 @@ def require_valid(m):
         ok, why = validate_morphism(m)
         if not ok:
             raise InvalidMorphism(why)
-        m.vertex_map = MappingProxyType(m.vertex_map)
-        m.half_map = MappingProxyType(m.half_map)
-        m._checked = True
+        _mark_checked(m)
+    return m
+
+
+def _mark_checked(m):
+    m.vertex_map = MappingProxyType(m.vertex_map)
+    m.half_map = MappingProxyType(m.half_map)
+    m._checked = True
     return m
 
 
@@ -217,12 +236,20 @@ def collapse_edges(g, forest):
 
     The cyclic order at a merged vertex is the corner walk around the
     collapsed tree: from a surviving half-edge, keep skipping collapsed
-    fans until the next survivor.
+    fans until the next survivor.  The morphism comes back checked by
+    :func:`_check_collapse`, not by the full :func:`validate_morphism`
+    scan.
     """
     base = base_of(g)
     forest = set(forest)
     rep = _forest_representatives(base, forest)
-    collapsed = {h for h in base.half_edges if base.edge_of(h) in forest}
+    if isinstance(g, OpenClosedFatGraph):
+        special = set(g.special)
+        for e in sorted(forest):
+            if special.intersection(base.edge_ends(e)):
+                raise DecorationDestroyed(
+                    "collapsing %r removes a special leaf" % e)
+    collapsed = {h for e in forest for h in base.edge_halves(e)}
 
     def skip(h):
         x = base.next_at_vertex(h)
@@ -232,31 +259,80 @@ def collapse_edges(g, forest):
 
     source = {}
     sigma = {}
+    hmap = {}
     for h in base.half_edges:
         if h in collapsed:
+            hmap[h] = None
             continue
+        hmap[h] = h
         source[h] = rep[base.source(h)]
         sigma[h] = skip(h)
-    # a component whose edges were all collapsed survives as a point
-    isolated = {rep[v] for v in base.isolated_vertices}
-    carrying = set(source.values())
-    isolated |= {r for r in set(rep.values()) if r not in carrying}
-    out = FatGraph(source, sigma, isolated=frozenset(isolated))
-    vmap = dict(rep)
-    hmap = {h: (None if h in collapsed else h) for h in base.half_edges}
+    # a tree or isolated vertex that carries no surviving half-edge
+    # survives as a point
+    out = FatGraph(source, sigma,
+                   isolated=frozenset(rep.values()) - set(source.values()))
     if isinstance(g, OpenClosedFatGraph):
-        special = set(g.special)
-        for e in forest:
-            u, w = base.edge_ends(e)
-            if u in special or w in special:
-                raise DecorationDestroyed(
-                    "collapsing %r removes a special leaf" % e)
         out = OpenClosedFatGraph(
-            out, [vmap[v] for v in g.in_leaves],
-            [vmap[v] for v in g.out_leaves],
-            {vmap[v] for v in g.closed})
-    morph = Morphism(g, out, vmap, hmap)
-    return out, require_valid(morph)
+            out, [rep[v] for v in g.in_leaves],
+            [rep[v] for v in g.out_leaves],
+            {rep[v] for v in g.closed})
+    morph = Morphism(g, out, rep, hmap)
+    _check_collapse(morph, forest)
+    return out, _mark_checked(morph)
+
+
+def _check_collapse(m, forest):
+    """Check the collapse ``m`` of the edge set ``forest``, made by
+    :func:`collapse_edges`; raise :class:`InvalidMorphism` if it is not
+    a morphism.
+
+    Each surviving half-edge must be its own image, so it has one
+    preimage and keeps its partner, and the decorations are images of
+    the source's.  What is left is checked: the forest's images, the
+    trees, the survivors' sources, and the fans, merged or not, by
+    stepping the target's boundary walk along the source's.
+    """
+    src, tgt = base_of(m.source), base_of(m.target)
+    vmap, hmap = m.vertex_map, m.half_map
+    if vmap.keys() != set(src.vertices) \
+            or hmap.keys() != set(src.half_edges):
+        raise InvalidMorphism("a map is not total")
+    forest = sorted(forest)
+    source = src.source_map
+    collapsed = set()
+    for e in forest:
+        h0, h1 = src.edge_halves(e)
+        if hmap[h0] is not None or hmap[h1] is not None:
+            raise InvalidMorphism("forest edge %s is not collapsed" % e)
+        if vmap[source[h0]] != vmap[source[h1]]:
+            raise InvalidMorphism("collapsed edge of %s has endpoints with "
+                                  "different images" % h0)
+        collapsed.update((h0, h1))
+    # every forest edge lies in one preimage, so |V| - |F| images make
+    # the forest acyclic and each preimage one of its trees
+    images = set(vmap.values())
+    if len(images) != len(src.vertices) - len(forest) \
+            or len(images) != len(tgt.vertices) \
+            or not images.issuperset(tgt.vertices):
+        raise InvalidMorphism("the vertex preimages are not the trees of "
+                              "the forest")
+    halves = tgt.half_edges
+    if len(halves) != len(src.half_edges) - len(collapsed) \
+            or tuple(map(hmap.get, halves)) != halves:
+        raise InvalidMorphism("a surviving half-edge is not its own image")
+    # each survivor starts at the image of its source
+    if list(map(tgt.source_map.get, halves)) \
+            != list(map(vmap.get, map(source.get, halves))):
+        raise InvalidMorphism("a surviving half-edge moved off the image "
+                              "of its source")
+    # the target's boundary walk is the source's without the collapsed
+    # half-edges: this fixes every fan, merged or not
+    step = tgt.omega
+    for cyc in src.boundary_cycles().cycles:
+        kept = [h for h in cyc if h not in collapsed]
+        for h, nxt in zip(kept, kept[1:] + kept[:1]):
+            if step(h) != nxt:
+                raise InvalidMorphism("boundary walk broken at %s" % h)
 
 
 def compose(m2, m1):
@@ -305,6 +381,23 @@ def _decoration_entries(g, comp_halves, special):
     return entries
 
 
+def _kernel_runs(base):
+    """Each connected component of ``base`` as ``(half-edges, positions,
+    kernel code, winners)`` from one kernel run, or ``None`` for an
+    isolated vertex.  They are made once and kept on ``base``, which is
+    immutable, so all its decorations share them."""
+    if base._runs is None:
+        runs = []
+        for _, hs in base.connected_components():
+            if not hs:
+                runs.append(None)
+                continue
+            idx, sigma, inv = _dense(base, hs)
+            runs.append((hs, idx) + _canon.min_code(sigma, inv, len(hs)))
+        base._runs = tuple(runs)
+    return base._runs
+
+
 def _component_codes(g):
     """Per-component (code, relabelling) pairs, unsorted.
 
@@ -312,17 +405,15 @@ def _component_codes(g):
     canonical integer label; isolated vertices yield a bare marker
     code.
     """
-    base = base_of(g)
     decorated = isinstance(g, OpenClosedFatGraph)
     special = _special_leaves(g) if decorated else None
     out = []
-    for vs, hs in base.connected_components():
-        if not hs:
+    for run in _kernel_runs(base_of(g)):
+        if run is None:
             out.append((b"\x00|", {}))
             continue
-        idx, sigma, inv = _dense(base, hs)
+        hs, idx, code, winners = run
         n = len(hs)
-        code, winners = _canon.min_code(sigma, inv, n)
         code += b"|"
         nl = winners[0][1]
         if decorated:

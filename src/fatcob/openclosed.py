@@ -54,14 +54,18 @@ class OpenClosedFatGraph:
                 "leaves %s are both incoming and outgoing"
                 % sorted(set(self._in) & set(self._out)))
         for v in special:
-            if v not in g.vertices or not g.is_leaf(v):
+            # the fan table: a name that is no vertex has valence 0
+            if not g.is_leaf(v):
                 raise NotALeaf("%r is not a valence-1 vertex" % v)
         if not self._closed <= set(special):
             raise ClosedNotSpecial(
                 "closed leaves %s are not special"
                 % sorted(self._closed - set(special)))
+        if not self._closed:
+            return
         # each closed leaf must own its boundary cycle
-        cyc_of = {v: self.leaf_cycle_index(v) for v in special}
+        h2c = g.boundary_cycles().half_edge_to_cycle
+        cyc_of = {v: h2c[g.leaf_half(v)] for v in special}
         for v in sorted(self._closed):
             mine = cyc_of[v]
             others = [w for w in special if w != v and cyc_of[w] == mine]
@@ -311,12 +315,13 @@ def _cycle_classes(g):
     _require_decorated(g)
     base = g.base
     surf = base.surface_invariants()
+    h2c = base.boundary_cycles().half_edge_to_cycle
     # a closed leaf owns its cycle; open ones are kept in In/Out order
     closed_at, open_at = {}, {}
     for side, leaves in enumerate((g.in_leaves, g.out_leaves)):
         kind = ("incoming_circle", "outgoing_circle")[side]
         for v in leaves:
-            i = g.leaf_cycle_index(v)
+            i = h2c[base.leaf_half(v)]
             if v in g.closed:
                 closed_at[i] = BoundaryCycleClass(i, kind, closed_leaf=v)
             else:

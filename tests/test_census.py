@@ -364,6 +364,64 @@ class TestOneVertexMinValence:
                 n for n in (1, 2, 3) if 2 * n >= min_valence}
 
 
+def reference_decorations(graph):
+    """``admissible_decorations`` by its former loop: every role
+    assignment decorated and keyed by ``canonical_form`` on a fresh copy
+    of ``graph``, so no key shares a kernel run."""
+    from itertools import product
+    from fatcob.errors import ClosedSharesCycle
+    from fatcob.morphisms import canonical_form
+    leaves = sorted(v for v in graph.vertices if graph.is_leaf(v))
+    seen, out = set(), []
+    for roles in product("-ioIO", repeat=len(leaves)):
+        assign = list(zip(leaves, roles))
+        try:
+            oc = openclosed.decorate(
+                graph.relabel(), [v for v, r in assign if r in "iI"],
+                [v for v, r in assign if r in "oO"],
+                {v for v, r in assign if r in "IO"})
+        except ClosedSharesCycle:
+            continue
+        key = canonical_form(oc)
+        if openclosed.is_admissible(oc)[0] and key not in seen:
+            seen.add(key)
+            out.append((oc, key))
+    return out
+
+
+class TestDecorationKeys:
+    """The decorations of one graph share one kernel run, and their keys
+    and order are those of keying each one on its own."""
+
+    def test_census_decorations_through_4_edges(self, monkeypatch):
+        from fatcob.morphisms import canonical_form
+        runs = []
+        real = _canon.min_code
+
+        def counted(*args):
+            runs.append(args)
+            return real(*args)
+
+        digest = hashlib.sha256()
+        total = 0
+        for e in enumerate_fat_graphs(4):
+            want = reference_decorations(e.graph)
+            monkeypatch.setattr(_canon, "min_code", counted)
+            del runs[:]
+            got = census.admissible_decorations(e.graph)
+            keys = [canonical_form(oc) for oc in got]
+            monkeypatch.setattr(_canon, "min_code", real)
+            assert len(runs) == 1
+            assert list(zip(got, keys)) == want
+            for oc in got:
+                digest.update(repr((oc.in_leaves, oc.out_leaves,
+                                    sorted(oc.closed))).encode())
+            total += len(got)
+        assert total == 688
+        assert digest.hexdigest() == ("25327e19e5661e7b782d38a6df3b9337"
+                                      "9eaaf46ac8b9c7bd7fa509150812d784")
+
+
 class TestDecorationBound:
     def test_more_than_six_leaves_raise_at_once(self, monkeypatch):
         def no_work(*args):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_optimized
-from corpus import admissible_census_decorations, forests, random_relabel
+from corpus import (
+    admissible_census_decorations,
+    census_collapse_pairs,
+    forests,
+    random_relabel,
+)
 from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs, genus_distribution
 from fatcob.errors import (
@@ -14,10 +19,11 @@ from fatcob.errors import (
     DisconnectedGraph,
     FatcobError,
     ForestContainsCycle,
+    InvalidMorphism,
     InvariantViolation,
     Mismatch,
 )
-from fatcob.graphs import new_fat_graph
+from fatcob.graphs import FatGraph, new_fat_graph
 from fatcob.morphisms import (
     Morphism,
     canonical_form,
@@ -143,6 +149,26 @@ class TestCollapse:
             out, m = collapse_edges(oc.base, [e])
             assert out.num_edges() == oc.base.num_edges() - 1
 
+    def test_decoration_destroyed_before_the_target_is_built(
+            self, monkeypatch):
+        from fatcob import morphisms
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return FatGraph(*args, **kwargs)
+
+        monkeypatch.setattr(morphisms, "FatGraph", counted)
+        oc = fx.pants()
+        for e in ("L1", "L2", "M"):
+            with pytest.raises(DecorationDestroyed) as info:
+                collapse_edges(oc, ["r1", e])
+            assert str(info.value) == \
+                "collapsing %r removes a special leaf" % e
+        assert built == []
+        collapse_edges(oc, ["r1"])
+        assert len(built) == 1
+
     def test_two_steps_equal_one(self):
         g = fx.pants().base
         one, m_one = collapse_edges(g, ["r1", "r2"])
@@ -152,6 +178,66 @@ class TestCollapse:
         both = compose(m2, m1)
         assert both.vertex_map == m_one.vertex_map
         assert both.half_map == m_one.half_map
+
+
+class TestLocalCollapseCheck:
+    """``collapse_edges`` checks only what its construction can get
+    wrong; the full scan must agree with it, and a forged result must
+    fail both."""
+
+    def test_census_collapses_pass_the_full_scan(self):
+        singles, pairs = census_collapse_pairs(3)
+        made = singles + [m2 for m2, _ in pairs]
+        assert len(singles) == 102 and len(made) > 102
+        for m in made:
+            assert m._checked
+            assert validate_morphism(m) == (True, None)
+
+    @staticmethod
+    def check(forged, match):
+        from fatcob.morphisms import _check_collapse
+        assert validate_morphism(forged)[0] is False
+        with pytest.raises(InvalidMorphism, match=match):
+            _check_collapse(forged, ["r1"])
+
+    def test_fan_out_of_corner_walk_order(self):
+        out, m = collapse_edges(fx.pants(), ["r1"])
+        b = out.base
+        fan = list(b.fan("u1"))
+        assert fan == ["L1.1", "a1.0", "r2.0", "M.1", "a1.1"]
+        fan[2], fan[3] = fan[3], fan[2]
+        sigma = {h: b.next_at_vertex(h) for h in b.half_edges}
+        sigma.update(zip(fan, fan[1:] + fan[:1]))
+        forged = out.with_base(FatGraph(b.source_map, sigma))
+        self.check(Morphism(m.source, forged, m.vertex_map, m.half_map),
+                   "boundary walk")
+
+    def test_collapse_edges_runs_the_check(self, monkeypatch):
+        # every fan reversed, merged or not: with no forest, only the
+        # unmerged fans are wrong
+        from fatcob import morphisms
+
+        def reversed_fans(source, sigma, isolated=()):
+            return FatGraph(source, {b: a for a, b in sigma.items()},
+                            isolated)
+
+        monkeypatch.setattr(morphisms, "FatGraph", reversed_fans)
+        for forest in (["r1"], []):
+            with pytest.raises(InvalidMorphism, match="boundary walk"):
+                collapse_edges(fx.pants(), forest)
+
+    def test_vertex_image_splits_a_tree(self):
+        out, m = collapse_edges(fx.pants(), ["r1"])
+        vmap = dict(m.vertex_map, w="u2")
+        self.check(Morphism(m.source, out, vmap, m.half_map),
+                   "different images")
+
+    def test_surviving_half_edge_mapped_to_none(self):
+        out, m = collapse_edges(fx.pants(), ["r1"])
+        for lost in (["a2.0"], ["a2.0", "a2.1"]):
+            hmap = dict(m.half_map, **dict.fromkeys(lost))
+            self.check(Morphism(m.source, out, m.vertex_map, hmap),
+                       "not its own image")
 
 
 class TestCompose:

@@ -14,7 +14,8 @@ from types import MappingProxyType
 import pytest
 
 from conftest import run_python
-from fatcob import census, fgformat, gluing, graphs, homology, openclosed
+from fatcob import (census, fgformat, gluing, graphs, homology, morphisms,
+                    openclosed)
 from fatcob import fixtures as fx
 from fatcob.errors import InvalidParameter
 from fatcob.homology import GradedLine
@@ -183,6 +184,17 @@ def test_copies_keep_the_fields_and_start_with_empty_caches(duplicate):
         with pytest.raises(AttributeError):
             setattr(twin, record._fields[0], None)
     assert duplicate(entry).graph == entry.graph
+    # a checked morphism's copy is unchecked, with plain dicts, and is
+    # validated on first use
+    _, m = morphisms.collapse_edges(fx.pants(), ["r1"])
+    assert m._checked and type(m.half_map) is MappingProxyType
+    twin = duplicate(m)
+    assert type(twin) is morphisms.Morphism and not twin._checked
+    assert (twin.source, twin.target) == (m.source, m.target)
+    assert type(twin.vertex_map) is type(twin.half_map) is dict
+    assert twin.vertex_map == m.vertex_map and twin.half_map == m.half_map
+    assert homology.morphism_det_sign(twin) == homology.morphism_det_sign(m)
+    assert morphisms.require_valid(twin)._checked
 
 
 def test_caches_stay_out_of_equality_and_repr():
