@@ -68,6 +68,7 @@ from .errors import (
     ClosedSharesCycle,
     InvariantViolation,
     NonIntegerGenus,
+    _require_count,
 )
 from .graphs import half_id, new_fat_graph
 
@@ -384,14 +385,17 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
     ``cobordism`` switches the census to decorated graphs: the leaves
     of every class are marked incoming/outgoing/closed in all
     admissible ways and the classes whose cobordism type matches are
-    returned (see :func:`admissible_decorations`).
+    returned (see :func:`admissible_decorations`).  A ``max_edges``
+    that is not an ``int`` raises :class:`InvalidParameter`, and a
+    negative or too large one :class:`BoundExceeded`.
     """
+    if isinstance(max_edges, int) and max_edges < 0:
+        raise BoundExceeded("max_edges must be nonnegative")
+    _require_count(max_edges, "max_edges")
     limit = bound if bound is not None else _edge_bound()
     if max_edges > limit:
         raise BoundExceeded(
             "max_edges=%d exceeds the configured bound %d" % (max_edges, limit))
-    if max_edges < 0:
-        raise BoundExceeded("max_edges must be nonnegative")
     if max_edges > MAX_PAIRING_EDGES:
         raise BoundExceeded(
             "max_edges=%d exceeds %d, the most edges whose slots fit in "

@@ -8,7 +8,9 @@ The CLI maps these to exit code 1 (domain failure) while
 A domain error is raised once, by the check that decides it, and no
 handler relabels it.  :class:`NotGluable` is the family of gluability
 failures.  :class:`InvariantViolation` and :class:`ResultInvalid` mark
-internal faults: they reach the caller as themselves.
+internal faults: they reach the caller as themselves.  The rule for
+count arguments, :func:`_require_count`, is kept here, where every
+module can import it.
 """
 
 
@@ -133,7 +135,17 @@ class NotGluablePairMorphism(NotGluable):
 
 class InvalidParameter(FatcobError, ValueError):
     """A numeric argument lies outside its domain: a negative manifold
-    dimension or tensor power, or a zero graded-line scalar."""
+    dimension or tensor power, an edge bound that is not an ``int``, or
+    a zero graded-line scalar."""
+
+
+def _require_count(n, what):
+    """Raise :class:`InvalidParameter` unless ``n``, a count such as a
+    tensor power or a manifold dimension, is a nonnegative ``int``
+    (``bool`` refused)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise InvalidParameter("%s must be a nonnegative int, not %r"
+                               % (what, n))
 
 
 # -- file format -------------------------------------------------------------

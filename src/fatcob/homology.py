@@ -17,9 +17,9 @@ read off the graph's maps through name-to-position dicts.
 It is built once per graph object, by :func:`relative_chain_complex`,
 and kept on the graph: a graph is immutable, and any one graph is the
 source or target of many morphisms and gluings, which all share its
-complex, so the complex is stored read-only.  A morphism that
-:func:`fatcob.morphisms.require_valid` already checked is not
-validated again.  A chain map between two complexes is
+complex, so the complex is stored read-only.  A morphism that passed
+the one morphism check in :func:`fatcob.morphisms.require_valid` is
+not validated again.  A chain map between two complexes is
 a cell map, which sends each source cell to a sum of target cells with
 coefficient +1, stored as the tuple of their indices (empty for a cell
 sent to zero); its preimages give the projection onto a quotient and
@@ -62,7 +62,7 @@ from fractions import Fraction
 from . import linalg
 from ._record import Record
 from .errors import (InvalidMorphism, InvalidParameter, InvariantViolation,
-                     ResultInvalid)
+                     ResultInvalid, _require_count)
 from .graphs import _find
 from .morphisms import (canonical_form, collapse_edges, compose,
                         find_isomorphism, validate_morphism)
@@ -73,14 +73,6 @@ def _check(ok, message):
     """Raise :class:`InvariantViolation` unless ``ok``, also under -O."""
     if not ok:
         raise InvariantViolation(message)
-
-
-def _require_count(n, what):
-    """Raise :class:`InvalidParameter` unless ``n``, a tensor power or a
-    manifold dimension, is a nonnegative ``int`` (``bool`` refused)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise InvalidParameter("%s must be a nonnegative int, not %r"
-                               % (what, n))
 
 
 class ChainComplexPair:

@@ -8,23 +8,23 @@ preimage, the preimage of every target vertex is a tree, and the
 boundary walk of the target is the boundary walk of the source with
 the collapsed half-edges deleted.  Decorated graphs additionally
 require order-preserving bijections on the In/Out lists and a
-bijection on the closed subset.
+bijection on the closed subset, and map only to decorated graphs.
 
 Every morphism the library returns is checked once, when it is made,
-and then marked checked: its ``vertex_map`` and ``half_map`` become
-read-only views, so their entries cannot change after the check and
-nothing downstream validates it again.  :func:`compose`,
-:func:`find_isomorphism` and the gluing of :mod:`fatcob.gluing` run
-the full :func:`validate_morphism` scan through :func:`require_valid`.
-:func:`collapse_edges` builds its target itself, each surviving
-half-edge keeping its name, so its local check :func:`_check_collapse`
-reads only what can be wrong: the forest's images, the trees, the
-survivors' sources and the fans, by the boundary walk.  Only
-the entries are frozen: reassigning ``source``, ``target`` or a whole
-map of a checked morphism leaves the mark set, so build a new
-``Morphism`` instead.  A morphism built directly with ``Morphism(...)``
-or :func:`identity_morphism`, or copied with :mod:`copy` or
-:mod:`pickle`, is unchecked and keeps plain dicts.
+by :func:`require_valid`, and then marked checked: its ``vertex_map``
+and ``half_map`` become read-only views, so their entries cannot
+change after the check and nothing downstream validates it again.
+There is one check, :func:`validate_morphism`, for collapses,
+composites, isomorphisms and gluings alike.  It has two branches: when
+the surviving half-edges keep their names, as in
+:func:`collapse_edges`, their partners need no check, since a
+half-edge's partner is named by its id; otherwise the survivors must
+map one-to-one onto the target's half-edges and partners onto
+partners.  Only the entries are frozen: reassigning ``source``,
+``target`` or a whole map of a checked morphism leaves the mark set,
+so build a new ``Morphism`` instead.  A morphism built directly with
+``Morphism(...)`` or :func:`identity_morphism`, or copied with
+:mod:`copy` or :mod:`pickle`, is unchecked and keeps plain dicts.
 
 Canonical forms are computed per connected component by one call of
 the canonical-labelling kernel (:mod:`fatcob._canon`), kept on the
@@ -62,8 +62,8 @@ class Morphism:
     of ``h`` is collapsed; the image of a collapsed half-edge is then
     the image vertex of its source.  Isomorphisms are the morphisms
     with no ``None`` values and bijective maps.  ``_checked`` is set
-    by :func:`require_valid` and by :func:`collapse_edges`' local
-    check, which also freeze the two maps; a copy starts unchecked.
+    by :func:`require_valid`, which also freezes the two maps; a copy
+    starts unchecked.
     """
 
     __slots__ = ("source", "target", "vertex_map", "half_map", "_checked")
@@ -104,102 +104,102 @@ def identity_morphism(g):
 
 
 def validate_morphism(m):
-    """Check all morphism conditions; returns (ok, witness)."""
-    src, tgt = base_of(m.source), base_of(m.target)
+    """Check all morphism conditions; returns ``(ok, witness)``.
+
+    One check, with two branches chosen from the input.  When every
+    target half-edge is its own image and every other source half-edge
+    maps to ``None``, as in :func:`collapse_edges`, the survivors keep
+    their names.  A half-edge's partner is the other half of the edge
+    its id names, in both graphs, so then each survivor keeps its
+    partner and has one preimage, and the collapsed halves make whole
+    edges.  Otherwise the survivors must map one-to-one onto the
+    target's half-edges, and partners onto partners.  Both branches
+    then check the trees, the sources, the boundary walk and the
+    decorations.
+    """
+    s, t = m.source, m.target
+    decorated = isinstance(s, OpenClosedFatGraph)
+    if decorated != isinstance(t, OpenClosedFatGraph):
+        return False, "one graph is decorated and the other is not"
+    src, tgt = (s.base, t.base) if decorated else (s, t)
     vmap, hmap = m.vertex_map, m.half_map
-    if set(vmap) != set(src.vertices):
+    if vmap.keys() != set(src.vertices):
         return False, "vertex map is not total"
-    if set(hmap) != set(src.half_edges):
+    if hmap.keys() != set(src.half_edges):
         return False, "half-edge map is not total"
-    tverts, thalves = set(tgt.vertices), set(tgt.half_edges)
-    for v, w in vmap.items():
-        if w not in tverts:
-            return False, "vertex %s maps outside the target" % v
-    for h, img in hmap.items():
-        hbar = src.partner(h)
-        if img is None:
-            if hmap[hbar] is not None:
-                return False, "edge of %s is half collapsed" % h
-            if vmap[src.source(h)] != vmap[src.source(hbar)]:
-                return False, ("collapsed edge of %s has endpoints with "
-                               "different images" % h)
-        else:
-            if img not in thalves:
-                return False, "half-edge %s maps outside the target" % h
-            if hmap[hbar] != tgt.partner(img):
+    halves = tgt.half_edges
+    collapsed = [h for h in src.half_edges if hmap[h] is None]
+    if tuple(map(hmap.get, halves)) == halves \
+            and len(collapsed) + len(halves) == len(src.half_edges):
+        kept = images = halves
+    else:
+        kept = [h for h in src.half_edges if hmap[h] is not None]
+        images = [hmap[h] for h in kept]
+        if len(images) != len(halves) or set(images) != set(halves):
+            return False, ("the surviving half-edges do not map one-to-one "
+                           "onto the target's")
+        for h in kept:
+            if hmap[src.partner(h)] != tgt.partner(hmap[h]):
                 return False, "involution broken at %s" % h
-            if vmap[src.source(h)] != tgt.source(img):
-                return False, "source map broken at %s" % h
-    # every target half-edge hit exactly once
-    hits = {}
-    for h, img in hmap.items():
-        if img is not None:
-            hits[img] = hits.get(img, 0) + 1
-    for h1 in thalves:
-        if hits.get(h1, 0) != 1:
-            return False, ("target half-edge %s has %d preimages"
-                           % (h1, hits.get(h1, 0)))
-    # vertex preimages are trees: with one edge fewer than vertices and
-    # no loop, a preimage is connected
-    pre_v, pre_e = {}, {}
-    for v in src.vertices:
-        pre_v.setdefault(vmap[v], []).append(v)
-    for h, img in hmap.items():
-        if img is None:
-            pre_e.setdefault(vmap[src.source(h)], set()).add(src.edge_of(h))
-    parent = {v: v for v in src.vertices}
-    for v1 in tgt.vertices:
-        verts = pre_v.get(v1, [])
-        if not verts:
-            return False, "target vertex %s has no preimage" % v1
-        edges = sorted(pre_e.get(v1, ()))
-        if len(edges) != len(verts) - 1:
-            return False, ("preimage of %s is not a tree: %d vertices, "
-                           "%d collapsed edges" % (v1, len(verts), len(edges)))
-        for e in edges:
-            a, b = (_find(parent, x) for x in src.edge_ends(e))
-            if a == b:
-                return False, "preimage of %s contains a loop at %s" % (v1, a)
-            parent[a] = b
-    # boundary cycles: target walk = source walk minus collapsed cells
-    for h in src.half_edges:
-        if hmap[h] is None:
-            continue
-        cur = src.omega(h)
-        while hmap[cur] is None:
-            cur = src.omega(cur)
-        if tgt.omega(hmap[h]) != hmap[cur]:
-            return False, "boundary walk broken at %s" % h
-    # decorations
-    if isinstance(m.source, OpenClosedFatGraph) \
-            and isinstance(m.target, OpenClosedFatGraph):
-        s, t = m.source, m.target
-        if len(s.in_leaves) != len(t.in_leaves) or any(
-                vmap[a] != b for a, b in zip(s.in_leaves, t.in_leaves)):
+    # the collapsed edges lie each in one preimage and make a forest, so
+    # |V| - |F| images make every preimage one of its trees
+    edges = dict.fromkeys(map(src.edge_of, collapsed))
+    parent = {}
+    for e in edges:
+        a, b = src.edge_ends(e)
+        if vmap[a] != vmap[b]:
+            return False, ("collapsed edge %s has endpoints with different "
+                           "images" % e)
+        a = _find(parent, parent.setdefault(a, a))
+        b = _find(parent, parent.setdefault(b, b))
+        if a == b:
+            return False, "preimage of %s contains a loop at %s" % (vmap[a], a)
+        parent[a] = b
+    vimages = set(vmap.values())
+    if len(vimages) != len(src.vertices) - len(edges):
+        return False, ("vertex preimages are not trees: %d vertices, %d "
+                       "collapsed edges, %d images"
+                       % (len(src.vertices), len(edges), len(vimages)))
+    if vimages != set(tgt.vertices):
+        lost = set(tgt.vertices) - vimages
+        return False, ("target vertex %s has no preimage" % min(lost) if lost
+                       else "a vertex maps outside the target")
+    starts = list(map(vmap.get, map(src.source_map.get, kept)))
+    ends = list(map(tgt.source_map.get, images))
+    if starts != ends:
+        h = next(h for h, a, b in zip(kept, starts, ends) if a != b)
+        return False, "source map broken at %s" % h
+    # each boundary cycle of the source, without its collapsed
+    # half-edges, is one of the target's
+    cycles = tgt.boundary_cycles()
+    for cyc in src.boundary_cycles().cycles:
+        walk = tuple([x for x in map(hmap.get, cyc) if x is not None])
+        if walk:
+            c = cycles.cycle_of(walk[0])
+            i = c.index(walk[0])
+            if c[i:] + c[:i] != walk:
+                return False, "boundary walk broken along %s" % cyc[0]
+    if decorated:
+        if tuple(map(vmap.get, s.in_leaves)) != t.in_leaves:
             return False, "incoming leaf order not preserved"
-        if len(s.out_leaves) != len(t.out_leaves) or any(
-                vmap[a] != b for a, b in zip(s.out_leaves, t.out_leaves)):
+        if tuple(map(vmap.get, s.out_leaves)) != t.out_leaves:
             return False, "outgoing leaf order not preserved"
-        if {vmap[v] for v in s.closed} != set(t.closed) \
+        if set(map(vmap.get, s.closed)) != t.closed \
                 or len(s.closed) != len(t.closed):
             return False, "closed subset not preserved"
     return True, None
 
 
 def require_valid(m):
-    """Validate ``m`` once, then mark it checked with read-only maps."""
+    """Validate ``m`` once, then mark it checked, its two maps made
+    read-only views."""
     if not m._checked:
         ok, why = validate_morphism(m)
         if not ok:
             raise InvalidMorphism(why)
-        _mark_checked(m)
-    return m
-
-
-def _mark_checked(m):
-    m.vertex_map = MappingProxyType(m.vertex_map)
-    m.half_map = MappingProxyType(m.half_map)
-    m._checked = True
+        m.vertex_map = MappingProxyType(m.vertex_map)
+        m.half_map = MappingProxyType(m.half_map)
+        m._checked = True
     return m
 
 
@@ -236,9 +236,8 @@ def collapse_edges(g, forest):
 
     The cyclic order at a merged vertex is the corner walk around the
     collapsed tree: from a surviving half-edge, keep skipping collapsed
-    fans until the next survivor.  The morphism comes back checked by
-    :func:`_check_collapse`, not by the full :func:`validate_morphism`
-    scan.
+    fans until the next survivor.  Each surviving half-edge keeps its
+    name, and the morphism comes back checked by :func:`require_valid`.
     """
     base = base_of(g)
     forest = set(forest)
@@ -276,63 +275,7 @@ def collapse_edges(g, forest):
             out, [rep[v] for v in g.in_leaves],
             [rep[v] for v in g.out_leaves],
             {rep[v] for v in g.closed})
-    morph = Morphism(g, out, rep, hmap)
-    _check_collapse(morph, forest)
-    return out, _mark_checked(morph)
-
-
-def _check_collapse(m, forest):
-    """Check the collapse ``m`` of the edge set ``forest``, made by
-    :func:`collapse_edges`; raise :class:`InvalidMorphism` if it is not
-    a morphism.
-
-    Each surviving half-edge must be its own image, so it has one
-    preimage and keeps its partner, and the decorations are images of
-    the source's.  What is left is checked: the forest's images, the
-    trees, the survivors' sources, and the fans, merged or not, by
-    stepping the target's boundary walk along the source's.
-    """
-    src, tgt = base_of(m.source), base_of(m.target)
-    vmap, hmap = m.vertex_map, m.half_map
-    if vmap.keys() != set(src.vertices) \
-            or hmap.keys() != set(src.half_edges):
-        raise InvalidMorphism("a map is not total")
-    forest = sorted(forest)
-    source = src.source_map
-    collapsed = set()
-    for e in forest:
-        h0, h1 = src.edge_halves(e)
-        if hmap[h0] is not None or hmap[h1] is not None:
-            raise InvalidMorphism("forest edge %s is not collapsed" % e)
-        if vmap[source[h0]] != vmap[source[h1]]:
-            raise InvalidMorphism("collapsed edge of %s has endpoints with "
-                                  "different images" % h0)
-        collapsed.update((h0, h1))
-    # every forest edge lies in one preimage, so |V| - |F| images make
-    # the forest acyclic and each preimage one of its trees
-    images = set(vmap.values())
-    if len(images) != len(src.vertices) - len(forest) \
-            or len(images) != len(tgt.vertices) \
-            or not images.issuperset(tgt.vertices):
-        raise InvalidMorphism("the vertex preimages are not the trees of "
-                              "the forest")
-    halves = tgt.half_edges
-    if len(halves) != len(src.half_edges) - len(collapsed) \
-            or tuple(map(hmap.get, halves)) != halves:
-        raise InvalidMorphism("a surviving half-edge is not its own image")
-    # each survivor starts at the image of its source
-    if list(map(tgt.source_map.get, halves)) \
-            != list(map(vmap.get, map(source.get, halves))):
-        raise InvalidMorphism("a surviving half-edge moved off the image "
-                              "of its source")
-    # the target's boundary walk is the source's without the collapsed
-    # half-edges: this fixes every fan, merged or not
-    step = tgt.omega
-    for cyc in src.boundary_cycles().cycles:
-        kept = [h for h in cyc if h not in collapsed]
-        for h, nxt in zip(kept, kept[1:] + kept[:1]):
-            if step(h) != nxt:
-                raise InvalidMorphism("boundary walk broken at %s" % h)
+    return out, require_valid(Morphism(g, out, rep, hmap))
 
 
 def compose(m2, m1):

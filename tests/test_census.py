@@ -32,7 +32,7 @@ from fatcob.census import (
     _vertex_of_slot,
     enumerate_fat_graphs,
 )
-from fatcob.errors import BoundExceeded, InvariantViolation
+from fatcob.errors import BoundExceeded, InvalidParameter, InvariantViolation
 from fatcob.graphs import new_fat_graph
 
 
@@ -352,6 +352,19 @@ class TestPartitionPruning:
             enumerate_fat_graphs(129, bound=129)
         with pytest.raises(BoundExceeded, match="129 exceeds 128"):
             enumerate_fat_graphs(129, bound=200, one_vertex=True)
+
+    @pytest.mark.parametrize("bad", [2.5, True, False, "3", None])
+    def test_edge_bound_that_is_no_int_is_refused(self, bad):
+        # the count rule of the tensor powers; a bool is no count
+        with pytest.raises(InvalidParameter,
+                           match="max_edges must be a nonnegative int"):
+            enumerate_fat_graphs(bad)
+
+    def test_negative_edge_bound_keeps_its_error(self):
+        with pytest.raises(BoundExceeded, match="must be nonnegative"):
+            enumerate_fat_graphs(-1)
+        with pytest.raises(BoundExceeded, match="must be nonnegative"):
+            enumerate_fat_graphs(-1, bound=-5)
 
 
 class TestOneVertexMinValence:

@@ -10,6 +10,7 @@ from corpus import (
     census_collapse_pairs,
     forests,
     random_relabel,
+    strip_names,
 )
 from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs, genus_distribution
@@ -32,6 +33,7 @@ from fatcob.morphisms import (
     find_isomorphism,
     identity_morphism,
     is_isomorphic,
+    require_valid,
     validate_morphism,
 )
 from fatcob.openclosed import OpenClosedFatGraph, cobordism_signature
@@ -76,9 +78,9 @@ class TestValidate:
     def test_preimage_with_a_cycle_is_not_a_tree(self):
         g = new_fat_graph(["a", "b"], [("x", "a", "b"), ("y", "a", "b")],
                           {"a": ["x.0", "y.0"], "b": ["x.1", "y.1"]})
+        # the union-find meets the cycle at its second edge
         ok, why = validate_morphism(self._onto_point(g))
-        assert (ok, why) == (False, "preimage of u is not a tree: "
-                             "2 vertices, 2 collapsed edges")
+        assert (ok, why) == (False, "preimage of u contains a loop at b")
 
     def test_preimage_loop_witness_is_the_first_edge(self):
         # two loops and one isolated vertex: the edge count is right,
@@ -90,13 +92,24 @@ class TestValidate:
         assert (ok, why) == (False, "preimage of u contains a loop at a")
 
     def test_disconnected_preimage_is_not_a_tree(self):
-        # a disconnected forest has too few edges, so the count catches
-        # it before any union-find
+        # the collapsed edges make a forest of two trees, which the
+        # count of vertex images catches
         g = new_fat_graph(["a", "b", "c"], [("x", "a", "b")],
                           {"a": ["x.0"], "b": ["x.1"]}, isolated=["c"])
         ok, why = validate_morphism(self._onto_point(g))
-        assert (ok, why) == (False, "preimage of u is not a tree: "
-                             "3 vertices, 1 collapsed edges")
+        assert (ok, why) == (False, "vertex preimages are not trees: "
+                             "3 vertices, 1 collapsed edges, 1 images")
+
+    def test_decorated_and_bare_graphs_do_not_map(self):
+        # the identity maps, in both directions
+        oc = fx.pants()
+        b = oc.base
+        ids = ({v: v for v in b.vertices}, {h: h for h in b.half_edges})
+        for src, tgt in ((oc, b), (b, oc)):
+            assert validate_morphism(Morphism(src, tgt, *ids)) == \
+                (False, "one graph is decorated and the other is not")
+            with pytest.raises(InvalidMorphism, match="decorated"):
+                require_valid(Morphism(src, tgt, *ids))
 
     def test_boundary_walk_violation_detected(self):
         # swap the images of two parallel edges at one end only
@@ -181,9 +194,10 @@ class TestCollapse:
 
 
 class TestLocalCollapseCheck:
-    """``collapse_edges`` checks only what its construction can get
-    wrong; the full scan must agree with it, and a forged result must
-    fail both."""
+    """A collapse keeps its survivors' names, so the one morphism check
+    reads it in its survivor-name branch; a forged collapse must fail
+    there, and again in the renamed branch once it is composed with a
+    renaming isomorphism."""
 
     def test_census_collapses_pass_the_full_scan(self):
         singles, pairs = census_collapse_pairs(3)
@@ -194,11 +208,20 @@ class TestLocalCollapseCheck:
             assert validate_morphism(m) == (True, None)
 
     @staticmethod
-    def check(forged, match):
-        from fatcob.morphisms import _check_collapse
+    def renaming(g):
+        """An isomorphism from ``g`` onto a copy with every cell
+        renamed."""
+        iso = find_isomorphism(g, strip_names(g))
+        assert not set(iso.half_map.values()) & set(g.base.half_edges)
+        return iso
+
+    @classmethod
+    def check(cls, forged, match):
         assert validate_morphism(forged)[0] is False
         with pytest.raises(InvalidMorphism, match=match):
-            _check_collapse(forged, ["r1"])
+            require_valid(forged)
+        with pytest.raises(InvalidMorphism, match=match):
+            compose(cls.renaming(forged.target), forged)
 
     def test_fan_out_of_corner_walk_order(self):
         out, m = collapse_edges(fx.pants(), ["r1"])
@@ -233,11 +256,25 @@ class TestLocalCollapseCheck:
                    "different images")
 
     def test_surviving_half_edge_mapped_to_none(self):
+        # a survivor lost leaves the survivor-name branch
         out, m = collapse_edges(fx.pants(), ["r1"])
         for lost in (["a2.0"], ["a2.0", "a2.1"]):
             hmap = dict(m.half_map, **dict.fromkeys(lost))
             self.check(Morphism(m.source, out, m.vertex_map, hmap),
-                       "not its own image")
+                       "do not map one-to-one")
+
+    def test_swapped_partners(self):
+        # a1 and a2 trade the images of their second halves: still one
+        # to one, but partners no longer map to partners
+        out, m = collapse_edges(fx.pants(), ["r1"])
+        renamed = compose(self.renaming(out), m)
+        hmap = dict(renamed.half_map)
+        hmap["a1.1"], hmap["a2.1"] = hmap["a2.1"], hmap["a1.1"]
+        forged = Morphism(m.source, renamed.target, renamed.vertex_map, hmap)
+        assert validate_morphism(forged) == (False, "involution broken at "
+                                             "a1.0")
+        with pytest.raises(InvalidMorphism, match="involution broken"):
+            require_valid(forged)
 
 
 class TestCompose:
