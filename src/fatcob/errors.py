@@ -153,16 +153,11 @@ def _require_count(n, what):
 class ParseError(FatcobError):
     """Syntax error in a .fg document."""
 
-    def __init__(self, message, line=None, column=None):
-        loc = ""
+    def __init__(self, message, line=None):
         if line is not None:
-            loc = "line %d" % line
-            if column is not None:
-                loc += ", column %d" % column
-            loc = " (" + loc + ")"
-        super().__init__(message + loc)
+            message += " (line %d)" % line
+        super().__init__(message)
         self.line = line
-        self.column = column
 
 
 class SemanticError(FatcobError):

@@ -118,8 +118,19 @@ def parse_graph(text):
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    """Parse the ``.fg`` file at ``path``, which must be UTF-8; a byte
+    order mark is read as text, so it fails the header check."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line as parse numbers lines: the text before it,
+        # then one character in its place
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError("invalid UTF-8 byte 0x%02x" % data[exc.start],
+                         line=line) from None
+    return parse_graph(text)
 
 
 def _token(kind, name):

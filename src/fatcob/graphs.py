@@ -23,12 +23,18 @@ that equal inputs give byte-identical outputs.
 Validation.  Every graph is validated in full once it is built:
 ``FatGraph(...)``, :func:`new_fat_graph` (and so the ``.fg`` parser),
 :meth:`FatGraph.relabel`, :func:`disjoint_union`, the gluing of
-:mod:`fatcob.gluing` and the moves.  A move edits working copies of
-the maps of a graph that already passed, renaming only the half-edges
-it touches; :meth:`FatGraph.subdivide_edge` builds its result after one
-move, while :meth:`FatGraph.smooth_bivalent` and the circle growth used
-to match boundary sizes (:func:`_grow_circle`) make a whole run of
-moves and build and validate the result once, not once per move.
+:mod:`fatcob.gluing` and the moves.  The check walks sigma once per
+vertex, from the least half-edge there: every step must stay at the
+vertex and the walk must first return after as many steps as the
+vertex has half-edges, so sigma is one cycle on each fan.  That walk
+is kept as the vertex's fan, which :meth:`FatGraph.fan`, the valence
+and the leaf queries read without walking sigma again.  A move edits
+working copies of the maps of a graph that already passed, renaming
+only the half-edges it touches; :meth:`FatGraph.subdivide_edge` builds
+its result after one move, while :meth:`FatGraph.smooth_bivalent` and
+the circle growth used to match boundary sizes (:func:`_grow_circle`)
+make a whole run of moves and build and validate the result once, not
+once per move.
 
 Kept results.  A graph is immutable, so two of its invariants are
 computed on first use and kept on it, as immutable records every later
@@ -90,7 +96,7 @@ class FatGraph:
     """
 
     __slots__ = ("_vertices", "_halves", "_source", "_involution", "_sigma",
-                 "_fibers", "_edge_of", "_edge_ends", "_isolated", "_bcycles",
+                 "_fans", "_edge_of", "_edge_ends", "_isolated", "_bcycles",
                  "_surface", "_runs")
 
     def __init__(self, source, sigma, isolated=()):
@@ -108,33 +114,32 @@ class FatGraph:
     # -- construction helpers -------------------------------------------
 
     def _validate(self):
-        halves = set(self._halves)
-        if set(self._sigma) != halves:
+        source, sigma = self._source, self._sigma
+        if sigma.keys() != source.keys():
             raise DanglingHalfEdge("sigma not total on half-edges")
-        # sigma orbits must equal the source fibers; each fiber is kept,
-        # in half-edge order, for the per-vertex queries below
         fibers = {}
         for h in self._halves:
-            fibers.setdefault(self._source[h], []).append(h)
-        seen = set()
-        for h in self._halves:
-            if h in seen:
-                continue
-            orbit = set()
-            cur = h
-            while cur not in orbit:
-                orbit.add(cur)
-                cur = self._sigma[cur]
-                if cur not in halves:
+            fibers.setdefault(source[h], []).append(h)
+        # one sigma walk per fiber from its least half-edge, kept as the
+        # fan: it must stay in the fiber and first return after len(hs)
+        fans = self._fans = {}
+        for v, hs in fibers.items():
+            fan = [hs[0]]
+            cur = sigma[hs[0]]
+            while cur != hs[0]:
+                if cur not in source:
                     raise DanglingHalfEdge("sigma leaves the half-edge set")
-            if cur != h or orbit != set(fibers[self._source[h]]):
+                if source[cur] != v or len(fan) == len(hs):
+                    break
+                fan.append(cur)
+                cur = sigma[cur]
+            if cur != hs[0] or len(fan) != len(hs):
                 raise WrongVertexOrder(
                     "orbit of sigma through %r differs from the half-edge "
-                    "fan at %r" % (h, self._source[h]))
-            seen |= orbit
-        self._fibers = {v: tuple(hs) for v, hs in fibers.items()}
+                    "fan at %r" % (hs[0], v))
+            fans[v] = tuple(fan)
         for v in self._isolated:
-            if v in fibers:
+            if v in fans:
                 raise WrongVertexOrder(
                     "vertex %r flagged isolated but carries half-edges" % v)
         # edge names and the pairing from half ids
@@ -147,7 +152,7 @@ class FatGraph:
         inv = self._involution = {}
         for e in sorted(set(self._edge_of.values())):
             h0, h1 = half_id(e, 0), half_id(e, 1)
-            if h0 not in halves or h1 not in halves:
+            if h0 not in source or h1 not in source:
                 raise DanglingHalfEdge("edge %r is missing a half" % e)
             self._edge_ends[e] = (h0, h1)
             inv[h0], inv[h1] = h1, h0
@@ -209,18 +214,10 @@ class FatGraph:
 
     def fan(self, v):
         """Half-edges at ``v`` in cyclic order, starting at the smallest."""
-        if v not in self._fibers:
-            return ()
-        start = self._fibers[v][0]
-        out = [start]
-        cur = self._sigma[start]
-        while cur != start:
-            out.append(cur)
-            cur = self._sigma[cur]
-        return tuple(out)
+        return self._fans.get(v, ())
 
     def valence(self, v):
-        return len(self._fibers.get(v, ()))
+        return len(self._fans.get(v, ()))
 
     def is_leaf(self, v):
         return self.valence(v) == 1
@@ -231,9 +228,9 @@ class FatGraph:
     def leaf_half(self, v):
         """The unique half-edge at the leaf ``v`` (the smallest one at any
         other vertex)."""
-        if v not in self._fibers:
+        if v not in self._fans:
             raise UnknownEdge("vertex %r carries no half-edge" % v)
-        return self._fibers[v][0]
+        return self._fans[v][0]
 
     def leaf_cycle_normal_form(self, v):
         """The boundary cycle of the leaf ``v`` rotated to
@@ -245,7 +242,7 @@ class FatGraph:
         raises :class:`~fatcob.errors.NotALeaf`.
         """
         alpha = self.leaf_half(v)        # at the leaf
-        if len(self._fibers[v]) != 1:
+        if len(self._fans[v]) != 1:
             raise NotALeaf("%r is not a valence-1 vertex" % v)
         beta = self._involution[alpha]   # at the attachment vertex
         cyc = self.boundary_cycles().cycle_of(beta)
@@ -290,25 +287,22 @@ class FatGraph:
         canonical function of the graph.
         """
         if self._bcycles is None:
-            seen = set()
-            cycles = []
+            sigma, inv = self._sigma, self._involution
+            cycles, h2c = [], {}
             for h in self._halves:
-                if h in seen:
+                if h in h2c:
                     continue
-                cyc = [h]
-                cur = self.omega(h)
-                while cur != h:
-                    cyc.append(cur)
-                    cur = self.omega(cur)
-                seen.update(cyc)
                 # the halves are walked in sorted order, so the first
-                # unseen one is the least of its cycle: each cycle starts
-                # there and the cycles come out sorted
+                # unindexed one is the least of its cycle: each cycle
+                # starts there and the cycles come out sorted
+                i = len(cycles)
+                cyc = []
+                cur = h
+                while cur not in h2c:
+                    h2c[cur] = i
+                    cyc.append(cur)
+                    cur = sigma[inv[cur]]
                 cycles.append(tuple(cyc))
-            h2c = {}
-            for i, cyc in enumerate(cycles):
-                for h in cyc:
-                    h2c[h] = i
             self._bcycles = BoundaryCycles(tuple(cycles), h2c)
         return self._bcycles
 
@@ -320,9 +314,9 @@ class FatGraph:
         Isolated vertices form singleton components.
         """
         parent = {v: v for v in self._vertices}
-        source, inv = self._source, self._involution
-        for h in self._halves:
-            a, b = _find(parent, source[h]), _find(parent, source[inv[h]])
+        source = self._source
+        for h0, h1 in self._edge_ends.values():
+            a, b = _find(parent, source[h0]), _find(parent, source[h1])
             if a != b:
                 parent[a] = b
         groups = {}
@@ -406,7 +400,7 @@ class FatGraph:
         removal.
         """
         ed = _Edit(self)
-        at = {v: list(self._fibers[v]) for v in self.bivalent_vertices()}
+        at = {v: list(self._fans[v]) for v in self.bivalent_vertices()}
         chain = {}      # joined edge -> the edges of self it covers
         smoothed = set()
         for v, halves in at.items():
@@ -713,16 +707,17 @@ def disjoint_union(g1, g2, prefix1="1:", prefix2="2:"):
     Raises :class:`DuplicateName` if a renamed vertex or edge of ``g1``
     meets one of ``g2``.
     """
-    r1 = g1.relabel({v: prefix1 + v for v in g1.vertices},
-                    {e: prefix1 + e for e in g1.edges()})
-    r2 = g2.relabel({v: prefix2 + v for v in g2.vertices},
-                    {e: prefix2 + e for e in g2.edges()})
-    for kind, a, b in (("vertex", r1.vertices, r2.vertices),
-                       ("edge", r1.edges(), r2.edges())):
-        clash = sorted(set(a) & set(b))
+    for kind, a, b in (("vertex", g1.vertices, g2.vertices),
+                       ("edge", g1.edges(), g2.edges())):
+        clash = sorted({prefix1 + x for x in a} & {prefix2 + x for x in b})
         if clash:
             raise DuplicateName("%s %r is named in both graphs of the "
                                 "union" % (kind, clash[0]))
-    return FatGraph({**r1._source, **r2._source},
-                    {**r1._sigma, **r2._sigma},
-                    isolated=r1.isolated_vertices | r2.isolated_vertices)
+    # the prefixed half-edge ``prefix + "e.0"`` is the half ``.0`` of
+    # the prefixed edge ``prefix + "e"``
+    source, sigma, isolated = {}, {}, set()
+    for g, p in ((g1, prefix1), (g2, prefix2)):
+        source.update({p + h: p + g._source[h] for h in g._halves})
+        sigma.update({p + h: p + g._sigma[h] for h in g._halves})
+        isolated.update(p + v for v in g._isolated)
+    return FatGraph(source, sigma, isolated=isolated)

@@ -12,16 +12,30 @@ from fatcob.errors import ForestContainsCycle
 from fatcob.gluing import subdivision_match
 from fatcob.graphs import new_fat_graph
 from fatcob.morphisms import _forest_representatives, collapse_edges, compose
-from fatcob.openclosed import decorate, is_admissible
+from fatcob.openclosed import OpenClosedFatGraph, decorate, is_admissible
+
+
+def relabel(g, vmap, emap):
+    """``g``, bare or decorated, with its cells renamed through ``vmap``
+    and ``emap``; a decorated graph's leaves follow their vertices."""
+    if not isinstance(g, OpenClosedFatGraph):
+        return g.relabel(vmap, emap)
+    return type(g)(g.base.relabel(vmap, emap),
+                   [vmap[v] for v in g.in_leaves],
+                   [vmap[v] for v in g.out_leaves],
+                   {vmap[v] for v in g.closed})
 
 
 def random_relabel(g, rng):
+    """``g``, bare or decorated, with its vertices and edges renamed in a
+    random order drawn from ``rng``."""
+    base = g.base if isinstance(g, OpenClosedFatGraph) else g
     vmap = {v: "rv%03d" % i for i, v in
-            enumerate(rng.sample(list(g.vertices), len(g.vertices)))}
-    edges = list(g.edges())
+            enumerate(rng.sample(list(base.vertices), len(base.vertices)))}
+    edges = list(base.edges())
     emap = {e: "re%03d" % i for i, e in
             enumerate(rng.sample(edges, len(edges)))}
-    return g.relabel(vmap, emap)
+    return relabel(g, vmap, emap)
 
 
 def admissible_census_decorations(max_edges):
@@ -216,10 +230,7 @@ def strip_names(oc):
     base = oc.base
     vmap = {v: "v%03d" % i for i, v in enumerate(base.vertices)}
     emap = {e: "e%03d" % i for i, e in enumerate(base.edges())}
-    renamed = base.relabel(vmap, emap)
-    return type(oc)(renamed, [vmap[v] for v in oc.in_leaves],
-                    [vmap[v] for v in oc.out_leaves],
-                    {vmap[v] for v in oc.closed})
+    return relabel(oc, vmap, emap)
 
 
 def fuzz_compositions(count=60, seed=424242):

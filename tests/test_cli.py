@@ -52,6 +52,15 @@ class TestExitCodes:
         code, _ = run_cli(["validate", str(bad)])
         assert code == 2
 
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path,
+                                                       capsys):
+        bad = tmp_path / "bad.fg"
+        bad.write_bytes(b"fatgraph\nvertex \xff\xfe\n")
+        code, _ = run_cli(["validate", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "parse error: invalid UTF-8 byte 0xff (line 2)\n"
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as info:
             run_cli(["degree", data_path("pants.fg")])  # missing --dim

@@ -1,8 +1,11 @@
 """The sizes of the shared census corpora, and the collapses they build."""
 
+import random
+
 import pytest
 
 import corpus
+from fatcob import fixtures as fx
 from fatcob import morphisms
 from fatcob.census import enumerate_fat_graphs
 
@@ -52,3 +55,18 @@ def test_pair_builders(collapsed, builder, max_edges, sizes, built):
     singles, pairs = builder(max_edges)
     assert (len(singles), len(pairs)) == sizes
     assert len(collapsed) == built
+
+
+def test_relabel_carries_the_decoration():
+    oc = fx.pants()
+    vmap = {v: v.upper() for v in oc.base.vertices}
+    emap = {e: "x" + e for e in oc.base.edges()}
+    out = corpus.relabel(oc, vmap, emap)
+    assert out.base == oc.base.relabel(vmap, emap)
+    assert out.in_leaves == tuple(v.upper() for v in oc.in_leaves)
+    assert out.out_leaves == tuple(v.upper() for v in oc.out_leaves)
+    assert out.closed == {v.upper() for v in oc.closed}
+    # a decorated graph's base is renamed by the same draws as the bare one
+    oc = fx.open_closed_example()
+    assert corpus.random_relabel(oc, random.Random(4)).base == \
+        corpus.random_relabel(oc.base, random.Random(4))

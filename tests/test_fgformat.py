@@ -7,7 +7,7 @@ from corpus import admissible_census_decorations
 from fatcob import fixtures as fx
 from fatcob.census import enumerate_fat_graphs
 from fatcob.errors import ParseError, SemanticError, WrongVertexOrder
-from fatcob.fgformat import parse, parse_graph, serialize
+from fatcob.fgformat import load, parse, parse_graph, serialize
 from fatcob.graphs import new_fat_graph
 from fatcob.morphisms import is_isomorphic
 from fatcob.openclosed import OpenClosedFatGraph
@@ -77,6 +77,35 @@ class TestParse:
         g = parse_graph("fatgraph\nvertex u\nvertex w isolated\n"
                         "edge a u u\norder u a.0 a.1\n")
         assert g.is_isolated("w")
+
+
+class TestLoad:
+    @pytest.mark.parametrize("data,line", [
+        (b"\xff", 1),
+        (b"fatgraph\nvertex \xff\xfe\n", 2),
+        (b"fatgraph\r\nvertex u\rvertex \xc3(\n", 3),
+        (b"fatgraph\nvertex \xc3\xa9\n\nedge \xe2\x82", 4),
+    ])
+    def test_bytes_that_are_not_utf8(self, tmp_path, data, line):
+        path = tmp_path / "bad.fg"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            load(str(path))
+        assert info.value.line == line
+        assert str(info.value).endswith("(line %d)" % line)
+
+    def test_byte_order_mark_is_text(self, tmp_path):
+        path = tmp_path / "bom.fg"
+        path.write_bytes(b"\xef\xbb\xbf" + FIG4_TEXT.encode())
+        with pytest.raises(ParseError) as info:
+            load(str(path))
+        assert str(info.value) == "missing fatgraph header (line 1)"
+
+    def test_utf8_names(self, tmp_path):
+        path = tmp_path / "names.fg"
+        path.write_bytes("fatgraph\nvertex \u00e9\nedge a \u00e9 \u00e9\n"
+                         "order \u00e9 a.0 a.1\n".encode())
+        assert load(str(path)).vertices == ("\u00e9",)
 
 
 class TestRoundTrip:

@@ -75,6 +75,31 @@ class TestConstruction:
         assert g.is_isolated("v")
 
 
+class TestOneWalk:
+    """``FatGraph(source, sigma)`` walks sigma once per vertex and refuses
+    any sigma that is not one cycle on each fan."""
+
+    U4 = {"a.0": "u", "a.1": "u", "b.0": "u", "b.1": "u"}
+
+    @pytest.mark.parametrize("source, sigma, error, match", [
+        (U4, {"a.0": "a.1", "a.1": "a.0", "b.0": "b.1", "b.1": "b.0"},
+         WrongVertexOrder, "through 'a.0' differs .* at 'u'"),
+        # a.0 -> a.1 -> b.0 -> a.1: the walk never returns to a.0
+        (dict(U4, **{"b.1": "v"}),
+         {"a.0": "a.1", "a.1": "b.0", "b.0": "a.1", "b.1": "b.1"},
+         WrongVertexOrder, "through 'a.0' differs .* at 'u'"),
+        ({"a.0": "u", "a.1": "v", "b.0": "u", "b.1": "v"},
+         {"a.0": "a.1", "a.1": "b.1", "b.0": "a.0", "b.1": "b.0"},
+         WrongVertexOrder, "through 'a.0' differs .* at 'u'"),
+        ({"a.0": "u", "a.1": "u"}, {"a.0": "z.0", "a.1": "a.0"},
+         DanglingHalfEdge, "leaves the half-edge set"),
+    ], ids=["two cycles at one vertex", "not injective",
+            "step onto another vertex", "value outside the half-edges"])
+    def test_refused(self, source, sigma, error, match):
+        with pytest.raises(error, match=match):
+            FatGraph(source, sigma)
+
+
 class TestBoundaryCycles:
     def test_figure4_walk(self):
         # sigma=(ABCD)(EFGH), pairing A-E etc gives walk (AFCH)(BGDE)
@@ -318,7 +343,7 @@ def assert_as_built_afresh(g):
     assert g.half_edges == fresh.half_edges
     assert g.vertices == fresh.vertices
     assert g.edges() == fresh.edges()
-    assert g._fibers == fresh._fibers
+    assert g._fans == fresh._fans
     assert g._edge_of == fresh._edge_of
     assert g._edge_ends == fresh._edge_ends
 
@@ -449,6 +474,40 @@ class TestRelabel:
                 assert [got.next_at_vertex(h) for h in got.half_edges] == [
                     want.next_at_vertex(h) for h in want.half_edges]
             assert g.relabel() == g
+
+    def test_disjoint_union_builds_once(self, monkeypatch):
+        def three_builds(g1, g2, p1, p2):
+            r1 = g1.relabel({v: p1 + v for v in g1.vertices},
+                            {e: p1 + e for e in g1.edges()})
+            r2 = g2.relabel({v: p2 + v for v in g2.vertices},
+                            {e: p2 + e for e in g2.edges()})
+            return FatGraph({**r1._source, **r2._source},
+                            {**r1._sigma, **r2._sigma},
+                            isolated=r1.isolated_vertices
+                            | r2.isolated_vertices)
+
+        graphs = relabel_cases()
+        pairs = list(zip(graphs, graphs[1:] + graphs[:1]))
+        wants = [three_builds(g1, g2, "1:", "2:") for g1, g2 in pairs]
+        built = []
+        init = FatGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FatGraph, "__init__", counted)
+        for (g1, g2), want in zip(pairs, wants):
+            del built[:]
+            got = disjoint_union(g1, g2)
+            assert len(built) == 1
+            assert got == want
+            assert list(got.source_map.items()) == list(
+                want.source_map.items())
+            assert [got.fan(v) for v in got.vertices] == [
+                want.fan(v) for v in want.vertices]
+            assert got.edges() == want.edges()
+            assert got.isolated_vertices == want.isolated_vertices
 
     def test_disjoint_union_matches_the_comprehensions(self):
         g1, g2 = fx.figure4(), fx.pants().base

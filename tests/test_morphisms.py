@@ -375,14 +375,7 @@ class TestCanonicalForm:
         for oc in (fx.cylinder(), fx.pants(), fx.open_closed_example()):
             want = canonical_form(oc)
             for _ in range(200):
-                g2 = random_relabel(oc.base, rng)
-                # recover the leaf names under the relabeling
-                iso = find_isomorphism(oc.base, g2)
-                relabeled = type(oc)(
-                    g2, [iso.vertex_map[v] for v in oc.in_leaves],
-                    [iso.vertex_map[v] for v in oc.out_leaves],
-                    {iso.vertex_map[v] for v in oc.closed})
-                assert canonical_form(relabeled) == want
+                assert canonical_form(random_relabel(oc, rng)) == want
 
     def test_loop_vs_segment(self):
         seg = new_fat_graph(["u", "v"], [("e", "u", "v")],
