@@ -7,7 +7,8 @@ circle ``(l lbar B1 ... Bk)`` of the second: the circles are traversed
 with opposite orientations, so edge ``B_i`` is identified with the
 reversal of ``A_{k+1-i}`` (indices mod ``k``), both leaf edges and leaf
 vertices disappear, and the cells of the second graph that hung on the
-circle are reattached through ``s(B_i) -> s(reversal of A_{k+1-i})``.
+circle hang on the first graph's circle through
+``s(B_i) -> s(reversal of A_{k+1-i})``.
 A matched *open* pair simply merges the two leaf vertices into one
 bivalent junction.
 
@@ -18,6 +19,14 @@ each ``reversal of B_i`` replaced by ``A_{k+1-i}``; the vertex fans are
 recovered from the walk.  Matching is partial: unmatched outgoing
 leaves of the first graph and unmatched incoming leaves of the second
 stay boundary of the composite.
+
+Where each cell went is recorded once, in :class:`GlueData`: for each
+input graph, read-only maps of its half-edges, edges and vertices to
+their cells in the glued graph, ``None`` for a dropped cell.  A cell of
+the second graph's matched circle, and an open in-leaf, map to the
+cell of the first graph they are identified with.  The ``1:``/``2:``
+renaming is made only where the maps are filled; the det-line scalar
+of :mod:`fatcob.homology` and :func:`glue_morphisms` read the maps.
 
 A :class:`GluingMatch` is frozen and its graphs are immutable, so a
 match glues once: :func:`glue` keeps the glued graph and its
@@ -52,7 +61,6 @@ from .openclosed import (
     INTERVAL,
     OpenClosedFatGraph,
     _require_decorated,
-    cobordism_signature,
     require_admissible,
 )
 
@@ -86,7 +94,8 @@ class GluingMatch(FrozenRecord):
 
     The two slots hold what a gluing along the match computed, filled
     on first success and ignored by equality, hashing and ``repr``:
-    ``_glued`` is ``(glued graph, GlueData)`` from :func:`glue`, and
+    ``_glued`` is ``(glued graph, GlueData)`` from :func:`glue`, the
+    second the per-side maps of each input cell to its glued cell, and
     ``_det_line`` is the d = 1 scalar of
     :func:`fatcob.homology._gluing_scalar`.
     """
@@ -145,12 +154,11 @@ def _slot_pairs(g1, g2, pairs):
     _require_decorated(g1)
     _require_decorated(g2)
     if pairs is None:
-        sig1 = cobordism_signature(g1)
-        sig2 = cobordism_signature(g2)
-        if sig1.target != sig2.source:
-            raise SignatureMismatch(
-                "outgoing %s does not match incoming %s"
-                % (list(sig1.target), list(sig2.source)))
+        target = [_leaf_kind(g1, v) for v in g1.out_leaves]
+        source = [_leaf_kind(g2, v) for v in g2.in_leaves]
+        if target != source:
+            raise SignatureMismatch("outgoing %s does not match incoming %s"
+                                    % (target, source))
         return [(i, i) for i in range(len(g1.out_leaves))]
     counts = (len(g1.out_leaves), len(g2.in_leaves))
     checked = []
@@ -284,37 +292,16 @@ def _subdivision_runs(b1, b2, circles):
             run.append([leaf, 1])
 
 
-class GlueData(namedtuple(
-        "GlueData",
-        "prefix1 prefix2 dropped_vertices1 dropped_edges1 "
-        "dropped_vertices2 dropped_edges2 reattach junctions")):
-    """Where the cells went: renaming prefixes, dropped cells of both
-    sides, and the reattachment map for g2's matched circle vertices.
+class GlueData(namedtuple("GlueData", "halves edges vertices")):
+    """Where the cells went: ``halves[i]``, ``edges[i]`` and
+    ``vertices[i]`` send each cell of input graph ``i`` (0 for g1, 1
+    for g2) to its cell in the glued graph, or to ``None`` when the
+    gluing drops it.
 
-    ``reattach`` maps a g2 vertex name to its result vertex name, and
-    ``junctions`` a g2 open in-leaf to its result junction vertex.  A
-    match hands the same instance to every caller, so the two maps
-    are read-only views."""
+    A cell of a matched g2 circle, and a matched g2 open in-leaf, map
+    to the g1 cell they are identified with.  A match hands the same
+    instance to every caller, so the six maps are read-only views."""
     __slots__ = ()
-
-    def half_image(self, side, h):
-        """Name of the result half-edge made from input half-edge ``h``
-        of ``side`` (1 or 2): its edge name takes the side's prefix."""
-        return (self.prefix1 if side == 1 else self.prefix2) + h
-
-    def vertex_image(self, side, v):
-        """Result vertex carrying the given input vertex, or None."""
-        if side == 1:
-            if v in self.dropped_vertices1:
-                return None
-            return self.prefix1 + v
-        if v in self.reattach:
-            return self.reattach[v]
-        if v in self.junctions:
-            return self.junctions[v]
-        if v in self.dropped_vertices2:
-            return None
-        return self.prefix2 + v
 
 
 def glue(g1, g2, match, with_data=False):
@@ -323,7 +310,8 @@ def glue(g1, g2, match, with_data=False):
     Incoming data of the result is g1's incoming list followed by the
     unmatched incoming leaves of g2; outgoing data is the unmatched
     outgoing leaves of g1 followed by g2's outgoing list.  Cells are
-    renamed with ``1:``/``2:`` prefixes.  The result is validated and
+    renamed with ``1:``/``2:`` prefixes, and the :class:`GlueData`
+    records each cell's new name.  The result is validated and
     is always admissible (its incoming circles are untouched copies).
 
     The match glues once: the first success is kept on it and returned
@@ -340,91 +328,79 @@ def glue(g1, g2, match, with_data=False):
 def _glue(g1, g2, match):
     """The glued graph and its :class:`GlueData`, computed afresh."""
     b1, b2 = g1.base, g2.base
-    p1, p2 = "1:", "2:"
-    dropped_v1, dropped_e1 = set(), set()
-    dropped_v2, dropped_e2 = set(), set()
-    reattach = {}
-    junctions = {}
-    subst = {}     # g2 half -> the g1 half replacing it in the walk
+    # each cell keeps its name behind its side's prefix unless the
+    # match drops it or identifies it with a cell of g1
+    halves, edges, vertices = maps = ([], [], [])
+    for p, b in (("1:", b1), ("2:", b2)):
+        halves.append({h: p + h for h in b.half_edges})
+        edges.append({e: p + e for e in b.edges()})
+        vertices.append({v: p + v for v in b.vertices})
     for pair in match.closed_pairs:
-        dropped_v1.add(pair.out_leaf)
-        dropped_e1.add(b1.edge_of(b1.leaf_half(pair.out_leaf)))
-        dropped_v2.add(pair.in_leaf)
-        dropped_e2.add(b2.edge_of(b2.leaf_half(pair.in_leaf)))
+        for i, b, leaf in ((0, b1, pair.out_leaf), (1, b2, pair.in_leaf)):
+            e = b.edge_of(b.leaf_half(leaf))
+            vertices[i][leaf] = edges[i][e] = None
+            for h in b.edge_halves(e):
+                halves[i][h] = None
         for bh, ah in pair.identified_halves(g1):
-            dropped_e2.add(b2.edge_of(bh))
-            dropped_v2.add(b2.source(bh))
-            # s(B_i) -> s(reversal of A_{k+1-i})
-            reattach[b2.source(bh)] = p1 + b1.source(ah)
-            # walk replacement: reversal of B_i -> A_{k+1-i}
-            subst[b2.partner(bh)] = b1.partner(ah)
+            # B_i -> reversal of A_{k+1-i}, so s(B_i) -> s(reversal of
+            # A_{k+1-i}) and the reversal of B_i -> A_{k+1-i}
+            halves[1][bh] = halves[0][ah]
+            halves[1][b2.partner(bh)] = halves[0][b1.partner(ah)]
+            edges[1][b2.edge_of(bh)] = edges[0][b1.edge_of(ah)]
+            vertices[1][b2.source(bh)] = vertices[0][b1.source(ah)]
     for pair in match.open_pairs:
-        dropped_v2.add(pair.in_leaf)
-        junctions[pair.in_leaf] = p1 + pair.out_leaf
-    data = GlueData(p1, p2, frozenset(dropped_v1), frozenset(dropped_e1),
-                    frozenset(dropped_v2), frozenset(dropped_e2),
-                    MappingProxyType(reattach), MappingProxyType(junctions))
-    rh = data.half_image
+        vertices[1][pair.in_leaf] = vertices[0][pair.out_leaf]
 
-    dropped_h1 = {h for h in b1.half_edges if b1.edge_of(h) in dropped_e1}
-    dropped_h2 = {h for h in b2.half_edges if b2.edge_of(h) in dropped_e2}
-    keep1 = [h for h in b1.half_edges if h not in dropped_h1]
-    keep2 = [h for h in b2.half_edges if h not in dropped_h2]
-
+    # a g2 half-edge identified with a g1 one is already placed
     source = {}
-    for h in keep1:
-        source[rh(1, h)] = p1 + b1.source(h)
-    for h in keep2:
-        source[rh(2, h)] = data.vertex_image(2, b2.source(h))
+    for b, ren, vren in zip((b1, b2), halves, vertices):
+        for h, img in ren.items():
+            if img is not None and img not in source:
+                source[img] = vren[b.source(h)]
 
     # assemble the boundary walk of the composite
-    matched_out_cycles = {g1.leaf_cycle_index(p.out_leaf)
-                          for p in match.closed_pairs}
-    matched_in_cycles = {g2.leaf_cycle_index(p.in_leaf)
-                         for p in match.closed_pairs}
+    matched = ({g1.leaf_cycle_index(p.out_leaf) for p in match.closed_pairs},
+               {g2.leaf_cycle_index(p.in_leaf) for p in match.closed_pairs})
     omega = {}
-    for ci, cyc in enumerate(b1.boundary_cycles().cycles):
-        if ci in matched_out_cycles:
-            continue
-        ren = [rh(1, h) for h in cyc]
-        for i, h in enumerate(ren):
-            omega[h] = ren[(i + 1) % len(ren)]
-    for ci, cyc in enumerate(b2.boundary_cycles().cycles):
-        if ci in matched_in_cycles:
-            continue
-        ren = [rh(1, subst[h]) if h in subst else rh(2, h) for h in cyc]
-        for i, h in enumerate(ren):
-            omega[h] = ren[(i + 1) % len(ren)]
-    if set(omega) != set(source):
+    for b, ren, skip in zip((b1, b2), halves, matched):
+        for ci, cyc in enumerate(b.boundary_cycles().cycles):
+            if ci in skip:
+                continue
+            walk = [ren[h] for h in cyc]
+            for i, h in enumerate(walk):
+                omega[h] = walk[(i + 1) % len(walk)]
+    if omega.keys() != source.keys():
         raise ResultInvalid(
             "boundary-walk surgery lost half-edges: %s"
-            % sorted(set(source) ^ set(omega))[:4])
+            % sorted(source.keys() ^ omega.keys())[:4])
     # sigma = omega . partner, then patch the open-pair junctions
     sigma = {h: omega[_other_half(h)] for h in source}
     for pair in match.open_pairs:
-        ha = rh(1, b1.leaf_half(pair.out_leaf))
-        hb = rh(2, b2.leaf_half(pair.in_leaf))
+        ha = halves[0][b1.leaf_half(pair.out_leaf)]
+        hb = halves[1][b2.leaf_half(pair.in_leaf)]
         sigma[ha] = hb
         sigma[hb] = ha
-    isolated = {p1 + v for v in b1.isolated_vertices} | \
-        {p2 + v for v in b2.isolated_vertices}
+    v1, v2 = vertices
+    isolated = {v1[v] for v in b1.isolated_vertices} | \
+        {v2[v] for v in b2.isolated_vertices}
     try:
         base = FatGraph(source, sigma, isolated=isolated)
     except FatcobError as exc:
         raise ResultInvalid("glued graph failed validation: %s" % exc) from exc
     matched_in = {p.in_leaf for p in match.pairs}
     matched_out = {p.out_leaf for p in match.pairs}
-    in_leaves = [p1 + v for v in g1.in_leaves] + \
-        [p2 + v for v in g2.in_leaves if v not in matched_in]
-    out_leaves = [p1 + v for v in g1.out_leaves if v not in matched_out] + \
-        [p2 + v for v in g2.out_leaves]
-    closed = {p1 + v for v in g1.closed if v not in matched_out} | \
-        {p2 + v for v in g2.closed if v not in matched_in}
+    in_leaves = [v1[v] for v in g1.in_leaves] + \
+        [v2[v] for v in g2.in_leaves if v not in matched_in]
+    out_leaves = [v1[v] for v in g1.out_leaves if v not in matched_out] + \
+        [v2[v] for v in g2.out_leaves]
+    closed = {v1[v] for v in g1.closed if v not in matched_out} | \
+        {v2[v] for v in g2.closed if v not in matched_in}
     try:
         out = OpenClosedFatGraph(base, in_leaves, out_leaves, closed)
     except FatcobError as exc:
         raise ResultInvalid("glued decorations failed: %s" % exc) from exc
     require_admissible(out)
+    data = GlueData(*(tuple(map(MappingProxyType, side)) for side in maps))
     return out, data
 
 
@@ -453,31 +429,22 @@ def glue_morphisms(m1, m2, match):
     src, sdata = glue(s1, s2, match, with_data=True)
     tgt, tdata = glue(t1, t2, tmatch, with_data=True)
 
-    def target_image(side, w):
-        # image of a vertex of the side's target in the target gluing
-        img = tdata.vertex_image(side, w)
+    def target_image(cells, i, c):
+        # image of a cell of side i's target in the target gluing
+        img = cells[i][c]
         if img is None:
-            raise ResultInvalid("image vertex %s vanished in the target" % w)
+            raise ResultInvalid("image %s vanished in the target" % c)
         return img
 
-    vmap = {}
-    for v in s1.base.vertices:
-        img = sdata.vertex_image(1, v)
-        if img is not None:
-            vmap[img] = target_image(1, m1.vertex_map[v])
-    for v in s2.base.vertices:
-        img = sdata.vertex_image(2, v)
-        if img is None or img in vmap:
-            continue
-        if img.startswith(sdata.prefix2):
-            vmap[img] = target_image(2, m2.vertex_map[v])
-    hmap = {}
-    for side, s, m, dropped in ((1, s1, m1, sdata.dropped_edges1),
-                                (2, s2, m2, sdata.dropped_edges2)):
-        for h in s.base.half_edges:
-            if s.base.edge_of(h) in dropped:
-                continue
-            img = m.half_map[h]
-            hmap[sdata.half_image(side, h)] = \
-                None if img is None else tdata.half_image(side, img)
+    # a g2 cell identified with a g1 one is mapped through g1
+    vmap, hmap = {}, {}
+    for i, m in enumerate((m1, m2)):
+        for v, img in sdata.vertices[i].items():
+            if img is not None and img not in vmap:
+                vmap[img] = target_image(tdata.vertices, i, m.vertex_map[v])
+        for h, img in sdata.halves[i].items():
+            if img is not None and img not in hmap:
+                t = m.half_map[h]
+                hmap[img] = None if t is None else \
+                    target_image(tdata.halves, i, t)
     return require_valid(Morphism(src, tgt, vmap, hmap))

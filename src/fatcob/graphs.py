@@ -275,10 +275,6 @@ class FatGraph:
 
     # -- derived structure -------------------------------------------------
 
-    def omega(self, h):
-        """The boundary-walk permutation ``sigma . partner``."""
-        return self._sigma[self._involution[h]]
-
     def boundary_cycles(self):
         """Cycle decomposition of the boundary walk.
 

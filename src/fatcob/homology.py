@@ -64,8 +64,10 @@ from ._record import Record
 from .errors import (InvalidMorphism, InvalidParameter, InvariantViolation,
                      ResultInvalid, _require_count)
 from .graphs import _find
+# validate_morphism is not called here, but
+# perfbench/test_perfbench.py reads it from this module
 from .morphisms import (canonical_form, collapse_edges, compose,
-                        find_isomorphism, validate_morphism)
+                        find_isomorphism, require_valid, validate_morphism)
 from .openclosed import _require_decorated, incoming_partition, is_admissible
 
 
@@ -418,14 +420,12 @@ def chain_map_of_morphism(m):
     when the image lies on the incoming part); midpoints follow their
     edge, collapsed midpoints and vertices go to the image vertex, and
     anything landing on the incoming part is zero in the relative
-    complex.  The pair commutes with the differentials.  Only a morphism
+    complex.  The pair commutes with the differentials.  A morphism
     that :func:`~fatcob.morphisms.require_valid` has not checked, such
-    as one built with ``Morphism(...)``, is validated here.
+    as one built with ``Morphism(...)``, is checked and marked here, so
+    it is validated once however often it is used.
     """
-    if not m._checked:
-        ok, why = validate_morphism(m)
-        if not ok:
-            raise InvalidMorphism(why)
+    require_valid(m)
     src, tgt = m.source, m.target
     # the first build of each complex checks its graph's admissibility,
     # and the graph is immutable, so a kept complex needs no new check
@@ -690,26 +690,25 @@ def _compute_gluing_scalar(g1, g2, match):
     cc1 = relative_chain_complex(g1)
     cc2 = relative_chain_complex(g2)
     glued, data = glue(g1, g2, match, with_data=True)
-    dropped_halves, dropped_cells = set(), set()
-    for e in data.dropped_edges1:
-        dropped_halves.update(g1.base.edge_halves(e))
-        dropped_cells.add(("E", e))
-    dropped_cells.update(("V", v) for v in data.dropped_vertices1)
+    halves1, edges1, vertices1 = (cells[0] for cells in data)
+    dropped_halves = {h for h, img in halves1.items() if img is None}
+    dropped_cells = {("E", e) for e, img in edges1.items() if img is None} | \
+        {("V", v) for v, img in vertices1.items() if img is None}
     if dropped_halves or dropped_cells:
         cc1p, s_drop = _drop_scalar(cc1, dropped_halves, dropped_cells)
     else:
         cc1p, s_drop = cc1, 1
     ccG = relative_chain_complex(glued)
 
-    def glued_cell(side, cell):
+    def glued_cell(i, cell):
         kind, name = cell
-        return (kind, (data.prefix1 if side == 1 else data.prefix2) + name)
+        return (kind, (data.edges if kind == "E" else data.vertices)[i][name])
 
     try:
-        incl1 = [ccG.index1(data.half_image(1, h)) for h in cc1p.basis1]
-        incl0 = [ccG.index0(glued_cell(1, c)) for c in cc1p.basis0]
-        sect1 = [ccG.index1(data.half_image(2, h)) for h in cc2.basis1]
-        sect0 = [ccG.index0(glued_cell(2, c)) for c in cc2.basis0]
+        incl1 = [ccG.index1(data.halves[0][h]) for h in cc1p.basis1]
+        incl0 = [ccG.index0(glued_cell(0, c)) for c in cc1p.basis0]
+        sect1 = [ccG.index1(data.halves[1][h]) for h in cc2.basis1]
+        sect0 = [ccG.index0(glued_cell(1, c)) for c in cc2.basis0]
     except ValueError as exc:
         raise ResultInvalid(
             "glued cells disagree with the two graphs' cells: %s" % exc)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from corpus import cap, composed_signature_oracle, composition_cases, \
@@ -46,9 +48,13 @@ class TestGluable:
             == (0, 1, 2)
 
     def test_signature_mismatch(self):
-        with pytest.raises(SignatureMismatch):
+        with pytest.raises(SignatureMismatch, match=re.escape(
+                "outgoing ['circle'] does not match incoming "
+                "['circle', 'circle']")):
             gluable(fx.cylinder(), fx.pants())
-        with pytest.raises(SignatureMismatch):
+        with pytest.raises(SignatureMismatch, match=re.escape(
+                "outgoing ['interval'] does not match incoming "
+                "['circle']")):
             gluable(fx.interval(), fx.cylinder())
 
     def test_not_gluable_is_the_family_of_gluability_failures(self):
@@ -513,14 +519,39 @@ class TestGlueOnce:
                        (fx.interval(), fx.mouthpiece())):
             a, b, m = subdivision_match(g1, g2)
             _, data = glue(a, b, m, with_data=True)
-            assert data.reattach or data.junctions
-            for view in (data.reattach, data.junctions):
+            # a reattached circle vertex or a junction is a g2 vertex
+            # that maps to a g1 vertex
+            assert any(img is not None and img.startswith("1:")
+                       for img in data.vertices[1].values())
+            views = [view for maps in data for view in maps]
+            assert len(views) == 6
+            for view in views:
                 with pytest.raises(TypeError):
                     view["x"] = "y"
                 with pytest.raises(TypeError):
                     del view["x"]
             # every caller of the match is handed the same data
             assert glue(a, b, m, with_data=True)[1] is data
+
+    def test_glue_data_maps_onto_the_glued_cells(self):
+        for a, b, m in composition_cases():
+            glued, data = glue(a, b, m, with_data=True)
+            base = glued.base
+            for maps, cells, inputs in (
+                    (data.halves, base.half_edges,
+                     (a.base.half_edges, b.base.half_edges)),
+                    (data.edges, base.edges(),
+                     (a.base.edges(), b.base.edges())),
+                    (data.vertices, base.vertices,
+                     (a.base.vertices, b.base.vertices))):
+                # each map is total on its input's cells; the first
+                # graph's kept cells stay apart, and the two sides
+                # together reach every glued cell
+                assert [tuple(view) for view in maps] == list(inputs)
+                kept1 = [c for c in maps[0].values() if c is not None]
+                assert len(set(kept1)) == len(kept1)
+                images = {c for view in maps for c in view.values()}
+                assert images - {None} == set(cells)
 
 
 class TestGlueMorphisms:
@@ -542,6 +573,32 @@ class TestGlueMorphisms:
         gm = glue_morphisms(m1, m2, match)
         ok, why = validate_morphism(gm)
         assert ok, why
+
+    def test_identities_over_open_pairs(self):
+        # an open pair glues two leaves into a junction, which the g2
+        # side reaches through its in-leaf's entry
+        for g2 in (fx.interval(), fx.mouthpiece()):
+            g1 = fx.interval()
+            m = gluable(g1, g2)
+            assert m.open_pairs and not m.closed_pairs
+            gm = glue_morphisms(identity_morphism(g1), identity_morphism(g2),
+                                m)
+            assert validate_morphism(gm) == (True, None)
+            assert gm.is_identity()
+
+    def test_dropped_target_image_is_refused(self):
+        # a forged map onto the matched out-leaf, which the target
+        # gluing drops, is refused for a vertex and for a half-edge
+        # alike, not read as a collapse
+        c = fx.cylinder()
+        for vmap, hmap, lost in (({"u": "q"}, {}, "q"),
+                                 ({}, {"a.0": "M.0"}, "M.0")):
+            m1 = identity_morphism(c)
+            m1.vertex_map.update(vmap)
+            m1.half_map.update(hmap)
+            with pytest.raises(ResultInvalid,
+                               match="image %s vanished" % re.escape(lost)):
+                glue_morphisms(m1, identity_morphism(c), gluable(c, c))
 
     def test_one_sided_collapse_rejected(self):
         g1, g2, match = subdivision_match(

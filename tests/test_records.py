@@ -91,15 +91,15 @@ RECORDS = [
     (gluing.GluingMatch, dict(g1="g1", g2="g2", pairs=()),
      "GluingMatch(g1='g1', g2='g2', pairs=())", True, True),
     (gluing.GlueData,
-     dict(prefix1="1:", prefix2="2:", dropped_vertices1=frozenset(),
-          dropped_edges1=frozenset({"e"}), dropped_vertices2=frozenset(),
-          dropped_edges2=frozenset(),
-          reattach=MappingProxyType({"v": "1:u"}),
-          junctions=MappingProxyType({})),
-     "GlueData(prefix1='1:', prefix2='2:', dropped_vertices1=frozenset(), "
-     "dropped_edges1=frozenset({'e'}), dropped_vertices2=frozenset(), "
-     "dropped_edges2=frozenset(), reattach=mappingproxy({'v': '1:u'}), "
-     "junctions=mappingproxy({}))", True, False),
+     dict(halves=(MappingProxyType({"e.0": None}),
+                  MappingProxyType({"b.1": "1:a.1"})),
+          edges=(MappingProxyType({"e": None}), MappingProxyType({})),
+          vertices=(MappingProxyType({"u": "1:u"}),
+                    MappingProxyType({"v": "1:u"}))),
+     "GlueData(halves=(mappingproxy({'e.0': None}), "
+     "mappingproxy({'b.1': '1:a.1'})), edges=(mappingproxy({'e': None}), "
+     "mappingproxy({})), vertices=(mappingproxy({'u': '1:u'}), "
+     "mappingproxy({'v': '1:u'})))", True, False),
     (homology.GradedLine, dict(degree=-1, scalar=Fraction(-2, 3)),
      "GradedLine(degree=-1, scalar=Fraction(-2, 3))", True, True),
     (homology.ChainMap,
