@@ -65,7 +65,6 @@ from . import _canon
 from ._record import FrozenRecord
 from .errors import (
     BoundExceeded,
-    ClosedSharesCycle,
     InvariantViolation,
     NonIntegerGenus,
     _require_count,
@@ -452,18 +451,22 @@ def admissible_decorations(graph):
         raise BoundExceeded(
             "%d leaves is beyond the decoration bound %d"
             % (len(leaves), MAX_DECORATED_LEAVES))
+    # decorate refuses a closed leaf that shares its boundary cycle with
+    # another special leaf, so those assignments are skipped unbuilt
+    h2c = graph.boundary_cycles().half_edge_to_cycle
+    cycles = [h2c[graph.leaf_half(v)] for v in leaves]
     seen = set()
     out = []
     for roles in product("-ioIO", repeat=len(leaves)):
+        on = [c for c, r in zip(cycles, roles) if r != "-"]
+        if any(r in "IO" and on.count(c) > 1
+               for c, r in zip(cycles, roles)):
+            continue
         assign = list(zip(leaves, roles))
         ins = [v for v, r in assign if r in ("i", "I")]
         outs = [v for v, r in assign if r in ("o", "O")]
         closed = {v for v, r in assign if r in ("I", "O")}
-        try:
-            oc = decorate(graph, ins, outs, closed)
-        except ClosedSharesCycle:
-            # the one refusal a role assignment can meet
-            continue
+        oc = decorate(graph, ins, outs, closed)
         if not is_admissible(oc)[0]:
             continue
         key = canonical_form(oc)

@@ -28,7 +28,12 @@ vertex, from the least half-edge there: every step must stay at the
 vertex and the walk must first return after as many steps as the
 vertex has half-edges, so sigma is one cycle on each fan.  That walk
 is kept as the vertex's fan, which :meth:`FatGraph.fan`, the valence
-and the leaf queries read without walking sigma again.  A move edits
+and the leaf queries read without walking sigma again.  The target of
+a forest collapse (:func:`fatcob.morphisms.collapse_edges`) is the one
+graph built otherwise: ``FatGraph._derived`` copies its source's
+half-edge names, edges and partners less the forest's, makes the same
+walk for the fans, and leaves the rest to the collapse's morphism
+check, so the target is checked once.  A move edits
 working copies of the maps of a graph that already passed, renaming
 only the half-edges it touches; :meth:`FatGraph.subdivide_edge` builds
 its result after one move, while :meth:`FatGraph.smooth_bivalent` and
@@ -156,6 +161,59 @@ class FatGraph:
                 raise DanglingHalfEdge("edge %r is missing a half" % e)
             self._edge_ends[e] = (h0, h1)
             inv[h0], inv[h1] = h1, h0
+
+    @classmethod
+    def _derived(cls, parent, source, sigma, isolated, forest):
+        """The graph of ``source`` and ``sigma`` on the survivors of
+        collapsing the edges ``forest`` of the validated ``parent``.
+
+        The half-edge names, their edges and partners are the parent's
+        less the forest's, so those tables are copied, not re-derived.
+        Only the fans are built: one sigma walk per vertex from its
+        least half-edge, which raises :class:`WrongVertexOrder` when it
+        leaves the vertex's fibre or when the fans do not cover every
+        half-edge exactly once.  The rest is checked by the collapse's
+        morphism check.
+        """
+        g = cls.__new__(cls)
+        g._source, g._sigma = source, sigma
+        edge_of, inv = dict(parent._edge_of), dict(parent._involution)
+        ends = dict(parent._edge_ends)
+        for e in forest:
+            for h in ends.pop(e):
+                del edge_of[h], inv[h]
+        # the parent's tables hold its halves and edges in sorted order,
+        # and deleting keeps the order of the rest
+        g._halves, g._edge_of, g._involution, g._edge_ends = \
+            tuple(edge_of), edge_of, inv, ends
+        if not source.keys() == sigma.keys() == edge_of.keys():
+            raise WrongVertexOrder(
+                "the fans do not cover every half-edge exactly once")
+        fans = g._fans = {}
+        n = len(edge_of)
+        for h in g._halves:
+            v = source[h]
+            if v in fans:
+                continue
+            fan = [h]
+            cur = sigma[h]
+            while cur != h:
+                if source.get(cur) != v or len(fan) == n:
+                    raise WrongVertexOrder(
+                        "orbit of sigma through %r leaves the fan at %r"
+                        % (h, v))
+                fan.append(cur)
+                cur = sigma[cur]
+            fans[v] = tuple(fan)
+        # disjoint fans of source's keys cover them all when their sizes
+        # sum to the count
+        if sum(map(len, fans.values())) != n or isolated & fans.keys():
+            raise WrongVertexOrder(
+                "the fans do not cover every half-edge exactly once")
+        g._isolated = frozenset(isolated)
+        g._vertices = tuple(sorted(fans.keys() | g._isolated))
+        g._bcycles = g._surface = g._runs = None
+        return g
 
     # -- basic accessors --------------------------------------------------
 

@@ -26,10 +26,17 @@ so build a new ``Morphism`` instead.  A morphism built directly with
 ``Morphism(...)`` or :func:`identity_morphism`, or copied with
 :mod:`copy` or :mod:`pickle`, is unchecked and keeps plain dicts.
 
+A collapse's target is checked once too, by that same check.
+:func:`collapse_edges` builds it from its source's tables
+(``FatGraph._derived``, and ``OpenClosedFatGraph._derived`` for the
+decoration), which keep the source's names, edges and partners and
+walk only the fans, in place of validating it as a new graph.
+
 Canonical forms are computed per connected component by one call of
 the canonical-labelling kernel (:mod:`fatcob._canon`), kept on the
 graph, so all the decorations of one graph share those calls
-(:func:`_kernel_runs`).  A decorated
+(:func:`_kernel_runs`); a graph with no isolated vertex is split into
+its components only when the kernel finds it disconnected.  A decorated
 component's code is the kernel code, ``|``, and the smallest decoration
 string over the kernel's winning starts, which are its automorphisms;
 two graphs are isomorphic exactly when their canonical byte strings
@@ -42,6 +49,7 @@ from types import MappingProxyType
 
 from .errors import (
     DecorationDestroyed,
+    DisconnectedGraph,
     ForestContainsCycle,
     InvalidMorphism,
     Mismatch,
@@ -237,7 +245,9 @@ def collapse_edges(g, forest):
     The cyclic order at a merged vertex is the corner walk around the
     collapsed tree: from a surviving half-edge, keep skipping collapsed
     fans until the next survivor.  Each surviving half-edge keeps its
-    name, and the morphism comes back checked by :func:`require_valid`.
+    name, and the morphism comes back checked by :func:`require_valid`,
+    which is also the one check of the target built from ``g``'s
+    tables.
     """
     base = base_of(g)
     forest = set(forest)
@@ -268,10 +278,11 @@ def collapse_edges(g, forest):
         sigma[h] = skip(h)
     # a tree or isolated vertex that carries no surviving half-edge
     # survives as a point
-    out = FatGraph(source, sigma,
-                   isolated=frozenset(rep.values()) - set(source.values()))
+    out = FatGraph._derived(
+        base, source, sigma,
+        frozenset(rep.values()) - set(source.values()), forest)
     if isinstance(g, OpenClosedFatGraph):
-        out = OpenClosedFatGraph(
+        out = OpenClosedFatGraph._derived(
             out, [rep[v] for v in g.in_leaves],
             [rep[v] for v in g.out_leaves],
             {rep[v] for v in g.closed})
@@ -328,16 +339,23 @@ def _kernel_runs(base):
     """Each connected component of ``base`` as ``(half-edges, positions,
     kernel code, winners)`` from one kernel run, or ``None`` for an
     isolated vertex.  They are made once and kept on ``base``, which is
-    immutable, so all its decorations share them."""
+    immutable, so all its decorations share them.  A graph with no
+    isolated vertex is first run whole, and split into its components
+    only when the kernel finds it disconnected."""
+
+    def run(hs):
+        idx, sigma, inv = _dense(base, hs)
+        return (hs, idx) + _canon.min_code(sigma, inv, len(hs))
+
     if base._runs is None:
-        runs = []
-        for _, hs in base.connected_components():
-            if not hs:
-                runs.append(None)
-                continue
-            idx, sigma, inv = _dense(base, hs)
-            runs.append((hs, idx) + _canon.min_code(sigma, inv, len(hs)))
-        base._runs = tuple(runs)
+        if not base.isolated_vertices:
+            try:
+                base._runs = (run(base.half_edges),)
+            except DisconnectedGraph:
+                pass
+        if base._runs is None:
+            base._runs = tuple(run(hs) if hs else None
+                               for _, hs in base.connected_components())
     return base._runs
 
 

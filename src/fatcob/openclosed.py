@@ -43,6 +43,17 @@ class OpenClosedFatGraph:
         self._cc = None
         self._validate()
 
+    @classmethod
+    def _derived(cls, base, in_leaves, out_leaves, closed):
+        """The decoration of a forest collapse's target, kept from its
+        source without the leaf checks: the collapse keeps every special
+        leaf and every boundary cycle, and its morphism check confirms
+        both."""
+        g = cls.__new__(cls)
+        g._base, g._in, g._out = base, tuple(in_leaves), tuple(out_leaves)
+        g._closed, g._cc = frozenset(closed), None
+        return g
+
     def _validate(self):
         g = self._base
         special = list(self._in) + list(self._out)

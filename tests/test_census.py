@@ -435,6 +435,44 @@ class TestDecorationKeys:
                                       "9eaaf46ac8b9c7bd7fa509150812d784")
 
 
+class TestRefusedDecorations:
+    def test_skip_agrees_with_decorate(self, monkeypatch):
+        # admissible_decorations builds exactly the role assignments that
+        # decorate accepts, in product order, and skips the rest unbuilt
+        from itertools import product
+        from fatcob.errors import ClosedSharesCycle
+        real = openclosed.decorate
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        tried = refused = 0
+        for e in enumerate_fat_graphs(4):
+            g = e.graph
+            leaves = sorted(v for v in g.vertices if g.is_leaf(v))
+            accepted = []
+            for roles in product("-ioIO", repeat=len(leaves)):
+                assign = list(zip(leaves, roles))
+                args = (g, [v for v, r in assign if r in "iI"],
+                        [v for v, r in assign if r in "oO"],
+                        {v for v, r in assign if r in "IO"})
+                tried += 1
+                try:
+                    real(*args)
+                except ClosedSharesCycle:
+                    refused += 1
+                    continue
+                accepted.append(args)
+            monkeypatch.setattr(openclosed, "decorate", counted)
+            del built[:]
+            census.admissible_decorations(g)
+            monkeypatch.setattr(openclosed, "decorate", real)
+            assert built == accepted
+        assert (tried, refused) == (1970, 1064)
+
+
 class TestDecorationBound:
     def test_more_than_six_leaves_raise_at_once(self, monkeypatch):
         def no_work(*args):

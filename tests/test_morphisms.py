@@ -23,10 +23,12 @@ from fatcob.errors import (
     InvalidMorphism,
     InvariantViolation,
     Mismatch,
+    WrongVertexOrder,
 )
 from fatcob.graphs import FatGraph, new_fat_graph
 from fatcob.morphisms import (
     Morphism,
+    base_of,
     canonical_form,
     collapse_edges,
     compose,
@@ -164,14 +166,13 @@ class TestCollapse:
 
     def test_decoration_destroyed_before_the_target_is_built(
             self, monkeypatch):
-        from fatcob import morphisms
         built = []
+        for cls in (FatGraph, OpenClosedFatGraph):
+            def counted(_, *args, real=cls._derived, name=cls.__name__):
+                built.append(name)
+                return real(*args)
 
-        def counted(*args, **kwargs):
-            built.append(args)
-            return FatGraph(*args, **kwargs)
-
-        monkeypatch.setattr(morphisms, "FatGraph", counted)
+            monkeypatch.setattr(cls, "_derived", classmethod(counted))
         oc = fx.pants()
         for e in ("L1", "L2", "M"):
             with pytest.raises(DecorationDestroyed) as info:
@@ -180,7 +181,7 @@ class TestCollapse:
                 "collapsing %r removes a special leaf" % e
         assert built == []
         collapse_edges(oc, ["r1"])
-        assert len(built) == 1
+        assert built == ["FatGraph", "OpenClosedFatGraph"]
 
     def test_two_steps_equal_one(self):
         g = fx.pants().base
@@ -237,14 +238,15 @@ class TestLocalCollapseCheck:
 
     def test_collapse_edges_runs_the_check(self, monkeypatch):
         # every fan reversed, merged or not: with no forest, only the
-        # unmerged fans are wrong
-        from fatcob import morphisms
+        # unmerged fans are wrong.  A reversed fan stays in its fibre,
+        # so the target builds and the morphism check refuses it
+        real = FatGraph._derived
 
-        def reversed_fans(source, sigma, isolated=()):
-            return FatGraph(source, {b: a for a, b in sigma.items()},
-                            isolated)
+        def reversed_fans(_, parent, source, sigma, *rest):
+            return real(parent, source, {b: a for a, b in sigma.items()},
+                        *rest)
 
-        monkeypatch.setattr(morphisms, "FatGraph", reversed_fans)
+        monkeypatch.setattr(FatGraph, "_derived", classmethod(reversed_fans))
         for forest in (["r1"], []):
             with pytest.raises(InvalidMorphism, match="boundary walk"):
                 collapse_edges(fx.pants(), forest)
@@ -275,6 +277,73 @@ class TestLocalCollapseCheck:
                                              "a1.0")
         with pytest.raises(InvalidMorphism, match="involution broken"):
             require_valid(forged)
+
+
+class TestDerivedTarget:
+    """A collapse target is built from its source's tables by
+    ``FatGraph._derived``, whose one sigma walk per vertex builds the
+    fans, and is checked once, by the morphism check."""
+
+    def test_census_targets_equal_validated_builds(self):
+        singles, pairs = census_collapse_pairs(4)
+        targets = [m.target for m in singles + [m2 for m2, _ in pairs]]
+        assert len(targets) == 2204
+        for t in targets:
+            b = t.base
+            sigma = {h: b.next_at_vertex(h) for h in b.half_edges}
+            ref = FatGraph(b.source_map, sigma, b.isolated_vertices)
+            assert OpenClosedFatGraph(ref, t.in_leaves, t.out_leaves,
+                                      t.closed) == t
+            assert (b.vertices, b.half_edges, b.edges()) == \
+                (ref.vertices, ref.half_edges, ref.edges())
+            assert [b.fan(v) for v in b.vertices] == \
+                [ref.fan(v) for v in ref.vertices]
+            assert [b.partner(h) for h in b.half_edges] == \
+                [ref.partner(h) for h in ref.half_edges]
+            assert b.boundary_cycles() == ref.boundary_cycles()
+
+    # mutants of the maps collapsing r1 of the pants hands to _derived;
+    # the merged fan at u1 is L1.1 a1.0 r2.0 M.1 a1.1
+
+    @staticmethod
+    def swapped_entry(source, sigma):
+        sigma["a1.0"], sigma["M.1"] = sigma["M.1"], sigma["a1.0"]
+
+    @staticmethod
+    def wrong_representative(source, sigma):
+        source["M.1"] = "w"
+
+    @staticmethod
+    def dropped_half(source, sigma):
+        del source["r2.0"], sigma["r2.0"]
+        sigma["a1.0"] = "M.1"
+
+    @staticmethod
+    def leaves_the_fibre(source, sigma):
+        sigma["a1.0"] = "a2.0"
+
+    @staticmethod
+    def never_returns(source, sigma):
+        sigma["a1.1"] = "a1.0"
+
+    @pytest.mark.parametrize("mutant", [
+        "swapped_entry", "wrong_representative", "dropped_half",
+        "leaves_the_fibre", "never_returns"])
+    @pytest.mark.parametrize("decorated", [True, False])
+    def test_mutants_are_caught(self, monkeypatch, mutant, decorated):
+        real = FatGraph._derived
+
+        def mutated(_, parent, source, sigma, *rest):
+            getattr(self, mutant)(source, sigma)
+            return real(parent, source, sigma, *rest)
+
+        g = fx.pants() if decorated else fx.pants().base
+        out, _ = collapse_edges(g, ["r1"])
+        assert base_of(out).fan("u1") == \
+            ("L1.1", "a1.0", "r2.0", "M.1", "a1.1")
+        monkeypatch.setattr(FatGraph, "_derived", classmethod(mutated))
+        with pytest.raises((InvalidMorphism, WrongVertexOrder)):
+            collapse_edges(g, ["r1"])
 
 
 class TestCompose:
@@ -793,6 +862,26 @@ class TestPrunedKernel:
         assert isinstance(info.value, FatcobError)
         assert isinstance(info.value, ValueError)
 
+    def test_components_are_scanned_only_when_needed(self, monkeypatch):
+        # a graph with no isolated vertex is run whole; its components
+        # are found only once the kernel reports it disconnected
+        from fatcob.graphs import disjoint_union
+        scanned = []
+        real = FatGraph.connected_components
+        monkeypatch.setattr(FatGraph, "connected_components",
+                            lambda g: scanned.append(g) or real(g))
+        one = fx.figure4()
+        two = disjoint_union(fx.single_loop(), fx.figure4())
+        swapped = disjoint_union(fx.figure4(), fx.single_loop())
+        dot = new_fat_graph(["u", "v"], [("a", "u", "u")],
+                            {"u": ["a.0", "a.1"]}, isolated=["v"])
+        for g, runs in ((one, 1), (two, 2), (swapped, 2), (dot, 2)):
+            canonical_form(g)
+            assert len(g._runs) == runs
+        assert scanned == [two, swapped, dot]
+        assert canonical_form(two) == canonical_form(swapped)
+        assert dot._runs[1] is None
+
     def test_decorated_canonical_forms_match_all_starts(self):
         decorated = admissible_census_decorations(3)
         assert len(decorated) > 100
@@ -927,8 +1016,9 @@ class TestCensusChecks:
         assert out.stdout.startswith("raised census bookkeeping broken")
 
     def test_decorate_bug_propagates(self, monkeypatch):
-        # only ClosedSharesCycle refuses a role assignment; a bug or an
-        # internal fault of decorate reaches the caller as itself
+        # a role assignment that decorate would refuse is skipped
+        # before it is built, so a bug or an internal fault of decorate
+        # reaches the caller as itself
         from fatcob import openclosed
         from fatcob.census import admissible_decorations
 
@@ -942,13 +1032,14 @@ class TestCensusChecks:
 
     def test_collapse_decoration_bug_propagates(self, monkeypatch):
         # the special-leaf check alone raises DecorationDestroyed; a bug
-        # or an internal fault in validating the collapsed decoration
+        # or an internal fault in building the collapsed decoration
         # reaches the caller as itself
         g = fx.pants()
         for cls in (RuntimeError, InvariantViolation):
-            def broken(self):
-                raise cls("bug in validation")
+            def broken(*args):
+                raise cls("bug in the decorated build")
 
-            monkeypatch.setattr(OpenClosedFatGraph, "_validate", broken)
-            with pytest.raises(cls, match="bug in validation"):
+            monkeypatch.setattr(OpenClosedFatGraph, "_derived",
+                                classmethod(broken))
+            with pytest.raises(cls, match="bug in the decorated build"):
                 collapse_edges(g, ["r1"])
