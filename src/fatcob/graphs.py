@@ -23,23 +23,24 @@ that equal inputs give byte-identical outputs.
 Validation.  Every graph is validated in full once it is built:
 ``FatGraph(...)``, :func:`new_fat_graph` (and so the ``.fg`` parser),
 :meth:`FatGraph.relabel`, :func:`disjoint_union`, the gluing of
-:mod:`fatcob.gluing` and the moves.  The check walks sigma once per
-vertex, from the least half-edge there: every step must stay at the
-vertex and the walk must first return after as many steps as the
-vertex has half-edges, so sigma is one cycle on each fan.  That walk
-is kept as the vertex's fan, which :meth:`FatGraph.fan`, the valence
-and the leaf queries read without walking sigma again.  The target of
-a forest collapse (:func:`fatcob.morphisms.collapse_edges`) is the one
-graph built otherwise: ``FatGraph._derived`` copies its source's
-half-edge names, edges and partners less the forest's, makes the same
-walk for the fans, and leaves the rest to the collapse's morphism
-check, so the target is checked once.  A move edits
-working copies of the maps of a graph that already passed, renaming
-only the half-edges it touches; :meth:`FatGraph.subdivide_edge` builds
-its result after one move, while :meth:`FatGraph.smooth_bivalent` and
-the circle growth used to match boundary sizes (:func:`_grow_circle`)
-make a whole run of moves and build and validate the result once, not
-once per move.
+:mod:`fatcob.gluing`, the moves and the target of a forest collapse.
+There is one check of the fans, ``FatGraph._validate``.  It walks
+sigma once per vertex, from the least half-edge there: every step must
+stay at the vertex and the walk must first return after as many steps
+as the vertex has half-edges, so sigma is one cycle on each fan.  That
+walk is kept as the vertex's fan, which :meth:`FatGraph.fan`, the
+valence and the leaf queries read without walking sigma again.
+``FatGraph(...)`` then derives the edges and partners from the
+half-edge ids.  The target of a forest collapse
+(:func:`fatcob.morphisms.collapse_edges`) is built by
+``FatGraph._derived``, which copies its source's half-edge names,
+edges and partners less the forest's in place of deriving them, and
+makes the same check of the fans.  A move edits working copies of the
+maps of a graph that already passed, renaming only the half-edges it
+touches; :meth:`FatGraph.subdivide_edge` builds its result after one
+move, while :meth:`FatGraph.smooth_bivalent` and the circle growth used
+to match boundary sizes (:func:`_grow_circle`) make a whole run of
+moves and build and validate the result once, not once per move.
 
 Kept results.  A graph is immutable, so two of its invariants are
 computed on first use and kept on it, as immutable records every later
@@ -52,7 +53,7 @@ by :mod:`fatcob.morphisms`.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from types import MappingProxyType
 
 from ._record import FrozenRecord
@@ -108,59 +109,76 @@ class FatGraph:
         self._source = dict(source)
         self._sigma = dict(sigma)
         self._halves = tuple(sorted(self._source))
-        vs = set(self._source.values()) | set(isolated)
-        self._vertices = tuple(sorted(vs))
         self._isolated = frozenset(isolated)
-        self._edge_of = {}
-        self._edge_ends = {}
         self._bcycles = self._surface = self._runs = None
         self._validate()
-
-    # -- construction helpers -------------------------------------------
-
-    def _validate(self):
-        source, sigma = self._source, self._sigma
-        if sigma.keys() != source.keys():
-            raise DanglingHalfEdge("sigma not total on half-edges")
-        fibers = {}
-        for h in self._halves:
-            fibers.setdefault(source[h], []).append(h)
-        # one sigma walk per fiber from its least half-edge, kept as the
-        # fan: it must stay in the fiber and first return after len(hs)
-        fans = self._fans = {}
-        for v, hs in fibers.items():
-            fan = [hs[0]]
-            cur = sigma[hs[0]]
-            while cur != hs[0]:
-                if cur not in source:
-                    raise DanglingHalfEdge("sigma leaves the half-edge set")
-                if source[cur] != v or len(fan) == len(hs):
-                    break
-                fan.append(cur)
-                cur = sigma[cur]
-            if cur != hs[0] or len(fan) != len(hs):
-                raise WrongVertexOrder(
-                    "orbit of sigma through %r differs from the half-edge "
-                    "fan at %r" % (hs[0], v))
-            fans[v] = tuple(fan)
-        for v in self._isolated:
-            if v in fans:
-                raise WrongVertexOrder(
-                    "vertex %r flagged isolated but carries half-edges" % v)
         # edge names and the pairing from half ids
+        edge_of = self._edge_of = {}
         for h in self._halves:
             name, dot, end = h.rpartition(".")
             if not dot or end not in ("0", "1"):
                 raise DanglingHalfEdge("malformed half-edge id %r" % h)
-            self._edge_of[h] = name
+            edge_of[h] = name
         # keys go in sorted, so edges() reads them in order
         inv = self._involution = {}
-        for e in sorted(set(self._edge_of.values())):
+        ends = self._edge_ends = {}
+        for e in sorted(set(edge_of.values())):
             h0, h1 = half_id(e, 0), half_id(e, 1)
-            if h0 not in source or h1 not in source:
+            if h0 not in edge_of or h1 not in edge_of:
                 raise DanglingHalfEdge("edge %r is missing a half" % e)
-            self._edge_ends[e] = (h0, h1)
+            ends[e] = (h0, h1)
             inv[h0], inv[h1] = h1, h0
+
+    # -- construction helpers -------------------------------------------
+
+    def _validate(self):
+        """Walk the fans of ``_source`` and ``_sigma`` on the sorted
+        ``_halves`` and set ``_fans`` and ``_vertices``."""
+        source, sigma = self._source, self._sigma
+        if sigma.keys() != source.keys():
+            raise DanglingHalfEdge("sigma not total on half-edges")
+        # one sigma walk per vertex from its least half-edge, kept as the
+        # fan: it must stay at the vertex and first return after as many
+        # steps as the vertex has half-edges
+        fans = self._fans = {}
+        n = len(source)
+        for h in self._halves:
+            v = source[h]
+            if v in fans:
+                continue
+            fan = [h]
+            cur = sigma[h]
+            # a walk that never returns is stopped after n steps
+            while cur != h and source.get(cur) == v and len(fan) < n:
+                fan.append(cur)
+                cur = sigma[cur]
+            if cur != h:
+                raise self._fan_error(fans, h, cur)
+            fans[v] = tuple(fan)
+        # returning walks are disjoint fans: they cover every half-edge
+        # when their sizes sum to the count
+        if sum(map(len, fans.values())) != n:
+            raise self._fan_error(fans)
+        isolated = self._isolated
+        if isolated & fans.keys():
+            raise WrongVertexOrder(
+                "vertex %r flagged isolated but carries half-edges"
+                % min(isolated & fans.keys()))
+        self._vertices = tuple(sorted(fans.keys() | isolated))
+
+    def _fan_error(self, fans, h=None, cur=None):
+        """The refusal that a walk bounded by each vertex's count would
+        make: of the first of ``fans`` that misses a half-edge at its
+        vertex, else of the walk from ``h`` that stopped at ``cur``."""
+        size = Counter(self._source.values())
+        short = [fan[0] for v, fan in fans.items() if len(fan) != size[v]]
+        if short:
+            h = short[0]
+        elif cur not in self._source:
+            return DanglingHalfEdge("sigma leaves the half-edge set")
+        return WrongVertexOrder(
+            "orbit of sigma through %r differs from the half-edge fan at %r"
+            % (h, self._source[h]))
 
     @classmethod
     def _derived(cls, parent, source, sigma, isolated, forest):
@@ -168,51 +186,27 @@ class FatGraph:
         collapsing the edges ``forest`` of the validated ``parent``.
 
         The half-edge names, their edges and partners are the parent's
-        less the forest's, so those tables are copied, not re-derived.
-        Only the fans are built: one sigma walk per vertex from its
-        least half-edge, which raises :class:`WrongVertexOrder` when it
-        leaves the vertex's fibre or when the fans do not cover every
-        half-edge exactly once.  The rest is checked by the collapse's
-        morphism check.
+        less the forest's, so those tables are copied, not re-derived;
+        a source or sigma on other half-edges raises
+        :class:`WrongVertexOrder`.  The fans are checked by the same
+        :meth:`_validate` as any other graph's.
         """
         g = cls.__new__(cls)
-        g._source, g._sigma = source, sigma
         edge_of, inv = dict(parent._edge_of), dict(parent._involution)
         ends = dict(parent._edge_ends)
         for e in forest:
             for h in ends.pop(e):
                 del edge_of[h], inv[h]
-        # the parent's tables hold its halves and edges in sorted order,
-        # and deleting keeps the order of the rest
-        g._halves, g._edge_of, g._involution, g._edge_ends = \
-            tuple(edge_of), edge_of, inv, ends
         if not source.keys() == sigma.keys() == edge_of.keys():
             raise WrongVertexOrder(
                 "the fans do not cover every half-edge exactly once")
-        fans = g._fans = {}
-        n = len(edge_of)
-        for h in g._halves:
-            v = source[h]
-            if v in fans:
-                continue
-            fan = [h]
-            cur = sigma[h]
-            while cur != h:
-                if source.get(cur) != v or len(fan) == n:
-                    raise WrongVertexOrder(
-                        "orbit of sigma through %r leaves the fan at %r"
-                        % (h, v))
-                fan.append(cur)
-                cur = sigma[cur]
-            fans[v] = tuple(fan)
-        # disjoint fans of source's keys cover them all when their sizes
-        # sum to the count
-        if sum(map(len, fans.values())) != n or isolated & fans.keys():
-            raise WrongVertexOrder(
-                "the fans do not cover every half-edge exactly once")
+        # the parent's tables hold its halves and edges in sorted order,
+        # and deleting keeps the order of the rest
+        g._source, g._sigma, g._halves = source, sigma, tuple(edge_of)
+        g._edge_of, g._involution, g._edge_ends = edge_of, inv, ends
         g._isolated = frozenset(isolated)
-        g._vertices = tuple(sorted(fans.keys() | g._isolated))
         g._bcycles = g._surface = g._runs = None
+        g._validate()
         return g
 
     # -- basic accessors --------------------------------------------------

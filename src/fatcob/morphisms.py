@@ -26,11 +26,11 @@ so build a new ``Morphism`` instead.  A morphism built directly with
 ``Morphism(...)`` or :func:`identity_morphism`, or copied with
 :mod:`copy` or :mod:`pickle`, is unchecked and keeps plain dicts.
 
-A collapse's target is checked once too, by that same check.
-:func:`collapse_edges` builds it from its source's tables
-(``FatGraph._derived``, and ``OpenClosedFatGraph._derived`` for the
-decoration), which keep the source's names, edges and partners and
-walk only the fans, in place of validating it as a new graph.
+A collapse's target is built from its source's tables by
+``FatGraph._derived``, which keeps the source's names, edges and
+partners and makes the one fan walk of every graph,
+``FatGraph._validate``; its decoration is built and checked as any
+other, by ``OpenClosedFatGraph(...)``.
 
 Canonical forms are computed per connected component by one call of
 the canonical-labelling kernel (:mod:`fatcob._canon`), kept on the
@@ -245,9 +245,10 @@ def collapse_edges(g, forest):
     The cyclic order at a merged vertex is the corner walk around the
     collapsed tree: from a surviving half-edge, keep skipping collapsed
     fans until the next survivor.  Each surviving half-edge keeps its
-    name, and the morphism comes back checked by :func:`require_valid`,
-    which is also the one check of the target built from ``g``'s
-    tables.
+    name, and the morphism comes back checked by :func:`require_valid`.
+    The target is built from ``g``'s tables by ``FatGraph._derived``,
+    with the same check of the fans as any graph, and decorated by
+    ``OpenClosedFatGraph(...)``.
     """
     base = base_of(g)
     forest = set(forest)
@@ -282,7 +283,7 @@ def collapse_edges(g, forest):
         base, source, sigma,
         frozenset(rep.values()) - set(source.values()), forest)
     if isinstance(g, OpenClosedFatGraph):
-        out = OpenClosedFatGraph._derived(
+        out = OpenClosedFatGraph(
             out, [rep[v] for v in g.in_leaves],
             [rep[v] for v in g.out_leaves],
             {rep[v] for v in g.closed})

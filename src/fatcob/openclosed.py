@@ -43,43 +43,30 @@ class OpenClosedFatGraph:
         self._cc = None
         self._validate()
 
-    @classmethod
-    def _derived(cls, base, in_leaves, out_leaves, closed):
-        """The decoration of a forest collapse's target, kept from its
-        source without the leaf checks: the collapse keeps every special
-        leaf and every boundary cycle, and its morphism check confirms
-        both."""
-        g = cls.__new__(cls)
-        g._base, g._in, g._out = base, tuple(in_leaves), tuple(out_leaves)
-        g._closed, g._cc = frozenset(closed), None
-        return g
-
     def _validate(self):
-        g = self._base
-        special = list(self._in) + list(self._out)
-        if len(set(self._in)) != len(self._in) or \
-           len(set(self._out)) != len(self._out):
-            raise InOutOverlap("a leaf is listed twice")
-        if set(self._in) & set(self._out):
+        ins, outs, closed = self._in, self._out, self._closed
+        special = set(ins) | set(outs)
+        if len(special) != len(ins) + len(outs):
+            if len(set(ins)) != len(ins) or len(set(outs)) != len(outs):
+                raise InOutOverlap("a leaf is listed twice")
             raise InOutOverlap(
                 "leaves %s are both incoming and outgoing"
-                % sorted(set(self._in) & set(self._out)))
-        for v in special:
-            # the fan table: a name that is no vertex has valence 0
-            if not g.is_leaf(v):
+                % sorted(set(ins) & set(outs)))
+        # the fan table: a name that is no vertex has no fan
+        fans = self._base._fans
+        for v in ins + outs:
+            if len(fans.get(v, ())) != 1:
                 raise NotALeaf("%r is not a valence-1 vertex" % v)
-        if not self._closed <= set(special):
+        if not closed <= special:
             raise ClosedNotSpecial(
-                "closed leaves %s are not special"
-                % sorted(self._closed - set(special)))
-        if not self._closed:
+                "closed leaves %s are not special" % sorted(closed - special))
+        if not closed:
             return
         # each closed leaf must own its boundary cycle
-        h2c = g.boundary_cycles().half_edge_to_cycle
-        cyc_of = {v: h2c[g.leaf_half(v)] for v in special}
-        for v in sorted(self._closed):
-            mine = cyc_of[v]
-            others = [w for w in special if w != v and cyc_of[w] == mine]
+        h2c = self._base.boundary_cycles().half_edge_to_cycle
+        cyc_of = {v: h2c[fans[v][0]] for v in special}
+        for v in sorted(closed):
+            others = [w for w in special if w != v and cyc_of[w] == cyc_of[v]]
             if others:
                 raise ClosedSharesCycle(
                     "closed leaf %r shares its boundary cycle with %s"

@@ -79,7 +79,9 @@ def main_make():
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv in sorted(CASES.items()):
         code, out = run(argv)
-        assert code == 0, (name, code)
+        if code != 0:
+            raise SystemExit("%s: fatcob %s exited with %r"
+                             % (name, " ".join(argv), code))
         with open(os.path.join(GOLDEN, name + ".txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(out)

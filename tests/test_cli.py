@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import make_golden
-from conftest import GOLDEN_DIR, data_path
+from conftest import GOLDEN_DIR, data_path, run_optimized
 from fatcob import cli
 from fatcob.fgformat import parse_graph
 from fatcob.openclosed import cobordism_signature
@@ -25,6 +25,27 @@ class TestGolden:
                   encoding="utf-8") as fh:
             want = fh.read()
         assert out == want
+
+    def test_make_golden_stops_at_a_failing_command(self):
+        # a failing command writes no golden and names its case, also
+        # under -O
+        proc = run_optimized(
+            "import os, sys, tempfile\n"
+            "sys.path.insert(0, %r)\n"
+            "import make_golden\n"
+            "make_golden.run = lambda argv: (2, 'bad output')\n"
+            "with tempfile.TemporaryDirectory() as d:\n"
+            "    make_golden.GOLDEN = d\n"
+            "    try:\n"
+            "        make_golden.main_make()\n"
+            "    finally:\n"
+            "        print(os.listdir(d))\n"
+            % os.path.dirname(os.path.abspath(make_golden.__file__)))
+        assert proc.returncode == 1
+        assert proc.stdout == "[]\n"
+        first = sorted(make_golden.CASES)[0]
+        assert proc.stderr == "%s: fatcob %s exited with 2\n" % (
+            first, " ".join(make_golden.CASES[first]))
 
 
 class TestExitCodes:

@@ -6,6 +6,7 @@ from fatcob import fixtures as fx
 from fatcob.errors import (
     DanglingHalfEdge,
     DuplicateName,
+    IsolatedVertex,
     UnknownEdge,
     WrongVertexOrder,
 )
@@ -81,7 +82,7 @@ class TestOneWalk:
 
     U4 = {"a.0": "u", "a.1": "u", "b.0": "u", "b.1": "u"}
 
-    @pytest.mark.parametrize("source, sigma, error, match", [
+    refusals = pytest.mark.parametrize("source, sigma, error, match", [
         (U4, {"a.0": "a.1", "a.1": "a.0", "b.0": "b.1", "b.1": "b.0"},
          WrongVertexOrder, "through 'a.0' differs .* at 'u'"),
         # a.0 -> a.1 -> b.0 -> a.1: the walk never returns to a.0
@@ -93,11 +94,34 @@ class TestOneWalk:
          WrongVertexOrder, "through 'a.0' differs .* at 'u'"),
         ({"a.0": "u", "a.1": "u"}, {"a.0": "z.0", "a.1": "a.0"},
          DanglingHalfEdge, "leaves the half-edge set"),
+        # the fan of a.0 misses two half-edges at u, and the walk at v
+        # leaves the half-edges: the first vertex is refused first
+        (dict(U4, **{"b.1": "v"}),
+         {"a.0": "a.0", "a.1": "b.0", "b.0": "a.1", "b.1": "z.0"},
+         WrongVertexOrder, "through 'a.0' differs .* at 'u'"),
     ], ids=["two cycles at one vertex", "not injective",
-            "step onto another vertex", "value outside the half-edges"])
+            "step onto another vertex", "value outside the half-edges",
+            "short fan before a later fault"])
+
+    @refusals
     def test_refused(self, source, sigma, error, match):
         with pytest.raises(error, match=match):
             FatGraph(source, sigma)
+
+    @refusals
+    def test_collapse_target_refused_alike(self, source, sigma, error, match):
+        # a collapse target is built by _derived from a valid parent on
+        # the same half-edge names; with no forest collapsed it must
+        # refuse the maps as FatGraph(...) does
+        hs = sorted(source)
+        parent = FatGraph(dict.fromkeys(hs, "u"),
+                          dict(zip(hs, hs[1:] + hs[:1])))
+        with pytest.raises(error, match=match) as built:
+            FatGraph(source, sigma)
+        with pytest.raises(error) as derived:
+            FatGraph._derived(parent, source, sigma, frozenset(), ())
+        assert type(derived.value) is type(built.value)
+        assert str(derived.value) == str(built.value)
 
 
 class TestBoundaryCycles:
@@ -136,8 +160,10 @@ class TestSurfaceInvariants:
     def test_isolated_vertices_rejected(self):
         g = new_fat_graph(["u", "v"], [("e", "u", "u")],
                           {"u": ["e.0", "e.1"]}, isolated=["v"])
-        with pytest.raises(ValueError):
+        with pytest.raises(IsolatedVertex) as info:
             g.surface_invariants()
+        assert str(info.value) == \
+            "surface invariants are undefined for isolated vertices: ['v']"
 
     def test_band_oracle_on_fixtures(self):
         for g in (fx.figure4(), fx.single_loop(), fx.two_loops_torus(),

@@ -167,13 +167,19 @@ class TestCollapse:
     def test_decoration_destroyed_before_the_target_is_built(
             self, monkeypatch):
         built = []
-        for cls in (FatGraph, OpenClosedFatGraph):
-            def counted(_, *args, real=cls._derived, name=cls.__name__):
-                built.append(name)
-                return real(*args)
+        derived, validate = FatGraph._derived, OpenClosedFatGraph._validate
 
-            monkeypatch.setattr(cls, "_derived", classmethod(counted))
+        def counted_derived(_, *args):
+            built.append("FatGraph")
+            return derived(*args)
+
+        def counted_validate(self):
+            built.append("OpenClosedFatGraph")
+            validate(self)
+
         oc = fx.pants()
+        monkeypatch.setattr(FatGraph, "_derived", classmethod(counted_derived))
+        monkeypatch.setattr(OpenClosedFatGraph, "_validate", counted_validate)
         for e in ("L1", "L2", "M"):
             with pytest.raises(DecorationDestroyed) as info:
                 collapse_edges(oc, ["r1", e])
@@ -281,8 +287,9 @@ class TestLocalCollapseCheck:
 
 class TestDerivedTarget:
     """A collapse target is built from its source's tables by
-    ``FatGraph._derived``, whose one sigma walk per vertex builds the
-    fans, and is checked once, by the morphism check."""
+    ``FatGraph._derived``, which walks the fans by the same
+    ``FatGraph._validate`` as any graph, and decorated by
+    ``OpenClosedFatGraph(...)``; the morphism check covers the rest."""
 
     def test_census_targets_equal_validated_builds(self):
         singles, pairs = census_collapse_pairs(4)
@@ -1039,7 +1046,6 @@ class TestCensusChecks:
             def broken(*args):
                 raise cls("bug in the decorated build")
 
-            monkeypatch.setattr(OpenClosedFatGraph, "_derived",
-                                classmethod(broken))
+            monkeypatch.setattr(OpenClosedFatGraph, "_validate", broken)
             with pytest.raises(cls, match="bug in the decorated build"):
                 collapse_edges(g, ["r1"])

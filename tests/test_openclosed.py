@@ -3,6 +3,7 @@ import pytest
 from conftest import run_optimized
 from fatcob import fixtures as fx
 from fatcob.errors import (
+    ClosedNotSpecial,
     ClosedSharesCycle,
     InOutOverlap,
     NotALeaf,
@@ -26,19 +27,38 @@ class TestDecorate:
         assert oc.closed == {"v"}
         assert oc.open_leaves == ("z", "x", "y")
 
-    def test_in_out_overlap(self):
+    @staticmethod
+    def refused(error, message, g, *roles):
+        with pytest.raises(error) as info:
+            decorate(g, *roles)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_leaf_listed_twice(self):
         g = fx.interval().base
-        with pytest.raises(InOutOverlap):
-            decorate(g, ["p"], ["p"])
+        for roles in ((["p", "p"], []), ([], ["q", "q"])):
+            self.refused(InOutOverlap, "a leaf is listed twice", g, *roles)
+
+    def test_in_out_overlap(self):
+        self.refused(InOutOverlap,
+                     "leaves ['p'] are both incoming and outgoing",
+                     fx.interval().base, ["p"], ["p"])
 
     def test_not_a_leaf(self):
-        with pytest.raises(NotALeaf):
-            decorate(fx.figure4(), ["u"], [])
+        self.refused(NotALeaf, "'u' is not a valence-1 vertex",
+                     fx.figure4(), ["u"], [])
+        # a name that is no vertex has no fan
+        self.refused(NotALeaf, "'w' is not a valence-1 vertex",
+                     fx.interval().base, ["p"], ["w"])
+
+    def test_closed_not_special(self):
+        self.refused(ClosedNotSpecial, "closed leaves ['q'] are not special",
+                     fx.interval().base, ["p"], [], {"q"})
 
     def test_closed_shares_cycle(self):
-        g = fx.interval().base
-        with pytest.raises(ClosedSharesCycle):
-            decorate(g, ["p"], ["q"], {"p"})
+        self.refused(ClosedSharesCycle,
+                     "closed leaf 'p' shares its boundary cycle with ['q']",
+                     fx.interval().base, ["p"], ["q"], {"p"})
 
     def test_leaf_cycle_normal_form(self):
         oc = fx.cylinder()
