@@ -35,12 +35,14 @@ half-edge ids.  The target of a forest collapse
 (:func:`fatcob.morphisms.collapse_edges`) is built by
 ``FatGraph._derived``, which copies its source's half-edge names,
 edges and partners less the forest's in place of deriving them, and
-makes the same check of the fans.  A move edits working copies of the
-maps of a graph that already passed, renaming only the half-edges it
-touches; :meth:`FatGraph.subdivide_edge` builds its result after one
-move, while :meth:`FatGraph.smooth_bivalent` and the circle growth used
-to match boundary sizes (:func:`_grow_circle`) make a whole run of
-moves and build and validate the result once, not once per move.
+makes the same check of the fans; maps on any other half-edges go to
+``FatGraph(...)`` itself, so they are refused or built exactly as there.
+A move edits working copies of the maps of a graph that already
+passed, renaming only the half-edges it touches;
+:meth:`FatGraph.subdivide_edge` builds its result after one move, while
+:meth:`FatGraph.smooth_bivalent` and the circle growth used to match
+boundary sizes (:func:`_grow_circle`) make a whole run of moves and
+build and validate the result once, not once per move.
 
 Kept results.  A graph is immutable, so two of its invariants are
 computed on first use and kept on it, as immutable records every later
@@ -186,20 +188,21 @@ class FatGraph:
         collapsing the edges ``forest`` of the validated ``parent``.
 
         The half-edge names, their edges and partners are the parent's
-        less the forest's, so those tables are copied, not re-derived;
-        a source or sigma on other half-edges raises
-        :class:`WrongVertexOrder`.  The fans are checked by the same
-        :meth:`_validate` as any other graph's.
+        less the forest's, so those tables are copied, not re-derived.
+        A source or sigma on other half-edges is built by the full
+        constructor, so it is refused, with the same class and message,
+        or accepted exactly as ``FatGraph(source, sigma, isolated)``
+        would.  The fans are checked by the same :meth:`_validate` as
+        any other graph's.
         """
-        g = cls.__new__(cls)
         edge_of, inv = dict(parent._edge_of), dict(parent._involution)
         ends = dict(parent._edge_ends)
         for e in forest:
             for h in ends.pop(e):
                 del edge_of[h], inv[h]
         if not source.keys() == sigma.keys() == edge_of.keys():
-            raise WrongVertexOrder(
-                "the fans do not cover every half-edge exactly once")
+            return cls(source, sigma, isolated)
+        g = cls.__new__(cls)
         # the parent's tables hold its halves and edges in sorted order,
         # and deleting keeps the order of the rest
         g._source, g._sigma, g._halves = source, sigma, tuple(edge_of)

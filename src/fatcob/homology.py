@@ -12,8 +12,11 @@ cokernel bases come from a union-find spanning forest instead of row
 reduction, and so does the split of a gluing's connecting map; they are
 the bases leftmost-pivot row reduction would pick, so every sign below
 is reproducible.  Only the lift corrections still solve by row
-reduction, on a dense copy of the columns they need.  Each complex is
-read off the graph's maps through name-to-position dicts.
+reduction: a gluing's kernel lifts on a dense copy of the whole
+differential, a morphism's section lifts on the columns of its
+collapsed cells, restricted to the 0-cells those touch.  Each complex
+is read off the graph's maps through name-to-position dicts, and keeps
+its 0-cells' dicts, so a chain map is read off names as well.
 It is built once per graph object, by :func:`relative_chain_complex`,
 and kept on the graph: a graph is immutable, and any one graph is the
 source or target of many morphisms and gluings, which all share its
@@ -98,16 +101,23 @@ class ChainComplexPair:
     at the free 0-cells: the last 0-cell of each component not joined
     to ground.  The class of a 0-chain sums it over those components.
 
+    A graph's complex, from :func:`relative_chain_complex`, also keeps
+    the 0-cells' positions by name: ``_epos`` maps an edge ``e`` to the
+    index of ``("E", e)`` and ``_vpos`` a vertex ``v`` to that of
+    ``("V", v)``, in basis order, so a chain map is read off names
+    without building those labels; any other complex keeps None there.
+
     A graph's complex is shared by everything that meets the graph, so
     it is read-only: the arcs, the bases and the index lists are tuples,
-    the label-to-index dicts are built here, and nothing changes after
+    the label-to-index dicts are built once, and nothing changes after
     construction.
     """
 
     __slots__ = ("basis1", "basis0", "plus", "minus", "h1_basis",
-                 "_pos1", "_pos0", "_free1", "_free0", "_class0", "_cycles")
+                 "_pos1", "_pos0", "_epos", "_vpos", "_free1", "_free0",
+                 "_class0", "_cycles")
 
-    def __init__(self, basis1, basis0, plus, minus):
+    def __init__(self, basis1, basis0, plus, minus, epos=None, vpos=None):
         self.basis1 = tuple(basis1)
         self.basis0 = tuple(basis0)
         self.plus, self.minus = tuple(plus), tuple(minus)
@@ -118,6 +128,7 @@ class ChainComplexPair:
                "arc endpoints do not lie on the 0-cells and ground")
         self._pos1 = {c: i for i, c in enumerate(self.basis1)}
         self._pos0 = {c: i for i, c in enumerate(self.basis0)}
+        self._epos, self._vpos = epos, vpos
         self._free1, self._free0, self._class0, self._cycles = \
             _forest_bases(self.plus, self.minus, n0)
         self.h1_basis = tuple(tuple(cycle.get(j, 0) for j in range(n1))
@@ -297,7 +308,7 @@ def relative_chain_complex(g):
     plus = [epos[edge_of[h]] for h in part.e_h]
     minus = [vpos.get(source[h], ground) for h in part.e_h]
     basis0 = [("E", e) for e in part.e_e] + [("V", v) for v in part.e_v]
-    cc = ChainComplexPair(part.e_h, basis0, plus, minus)
+    cc = ChainComplexPair(part.e_h, basis0, plus, minus, epos, vpos)
     _check(cc.rank_h0 - cc.rank_h1 == part.euler_difference,
            "homology ranks disagree with the cell count")
     g._cc = cc
@@ -378,21 +389,25 @@ def _scatter(vec, cell_map, n):
 
 def _check_chain_map(F, T, f1, f0):
     """Raise unless ``f0 . dF == dT . f1``, compared 1-cell by 1-cell on
-    the arc endpoints; the ground node maps to and counts as zero.
+    the arc endpoints; the ground node counts as zero.
 
     With every coefficient +1, ``f0[p] - f0[m] == sum(T.plus - T.minus)``
     over the targets is the equality of the nonnegative endpoint counts
-    ``f0[p] + T.minus == f0[m] + T.plus``, each read as a sorted list
-    of target 0-cells with ground left out."""
-    f0 = list(f0) + [()]
+    ``f0[p] + T.minus == T.plus + f0[m]``, each a list of target 0-cells
+    in which ground does not count.  Source ground goes to target
+    ground and each side lists its cells in the order written, so a
+    cell map that follows the arcs gives equal lists at once; only
+    unequal lists are compared again, sorted and with ground left out."""
     ground = len(T.basis0)
+    f0 = list(f0) + [(ground,)]
     tplus, tminus = T.plus, T.minus
     for targets, p, m in zip(f1, F.plus, F.minus):
         lhs = list(f0[p])
-        rhs = list(f0[m])
+        rhs = []
         for t in targets:
             lhs.append(tminus[t])
             rhs.append(tplus[t])
+        rhs.extend(f0[m])
         if lhs != rhs:
             lhs = sorted(u for u in lhs if u != ground)
             rhs = sorted(u for u in rhs if u != ground)
@@ -431,20 +446,25 @@ def chain_map_of_morphism(m):
     # and the graph is immutable, so a kept complex needs no new check
     A = relative_chain_complex(src)
     B = relative_chain_complex(tgt)
-    sbase, tbase = src.base, tgt.base
-    pos1, pos0 = B.positions1(), B.positions0()
-    f1 = [(pos1[m.half_map[h]],) if m.half_map[h] in pos1 else ()
-          for h in A.basis1]
+    halves, source = src.base.edge_halves, src.base.source
+    edge_of = tgt.base.edge_of
+    half_map, vertex_map = m.half_map, m.vertex_map
+    pos1, epos, vpos = B.positions1(), B._epos, B._vpos
+    f1 = []
+    for h in A.basis1:
+        t = pos1.get(half_map[h])
+        f1.append(() if t is None else (t,))
+    # A's 0-cells are its edges' midpoints, then its vertices
     f0 = []
-    for kind, name in A.basis0:
-        if kind == "V":
-            img = ("V", m.vertex_map[name])
-        else:
-            h0, _ = sbase.edge_halves(name)
-            h1 = m.half_map[h0]
-            img = (("V", m.vertex_map[sbase.source(h0)]) if h1 is None
-                   else ("E", tbase.edge_of(h1)))
-        f0.append((pos0[img],) if img in pos0 else ())
+    for e in A._epos:
+        h0 = halves(e)[0]
+        h1 = half_map[h0]
+        t = (vpos.get(vertex_map[source(h0)]) if h1 is None
+             else epos.get(edge_of(h1)))
+        f0.append(() if t is None else (t,))
+    for v in A._vpos:
+        t = vpos.get(vertex_map[v])
+        f0.append(() if t is None else (t,))
     _check_chain_map(A, B, f1, f0)
     return ChainMap(A, B, f_eH=f1, f_eEV=f0)
 
@@ -461,20 +481,37 @@ def _preimages(cell_map, n):
 
 def _induced_h1_matrix(A, B, cell_map):
     """The induced H1 map as its list of columns, which has the same
-    determinant as the matrix."""
-    return [B.h1_coords(_scatter(vec, cell_map, len(B.basis1)))
-            for vec in A.h1_basis]
+    determinant as the matrix: each of ``A``'s fundamental cycles,
+    scattered from its sparse form, in ``B``'s H1 coordinates."""
+    n = len(B.basis1)
+    cols = []
+    for cycle in A._cycles:
+        vec = [0] * n
+        for j, x in cycle.items():
+            for t in cell_map[j]:
+                vec[t] += x
+        cols.append(B.h1_coords(vec))
+    return cols
 
 
 def _induced_h0_matrix(A, B, cell_map):
-    """The induced H0 map as its list of columns."""
-    return [B.h0_class(_scatter(rep, cell_map, len(B.basis0)))
-            for rep in A.h0_basis]
+    """The induced H0 map as its list of columns: the class of the image
+    of each of ``A``'s free 0-cells, read off ``B``'s class table."""
+    n, class0 = B.rank_h0, B._class0
+    cols = []
+    for i in A._free0:
+        col = [0] * n
+        for t in cell_map[i]:
+            k = class0[t]
+            if k is not None:
+                col[k] += 1
+        cols.append(col)
+    return cols
 
 
 def _dense(cc, cols):
     """The differential's columns ``cols`` as dense integer rows over
-    ``basis0``, for :func:`linalg.solve`."""
+    all of ``basis0``, for the gluing's :func:`linalg.solve`."""
     rows = [[0] * len(cols) for _ in range(len(cc.basis0) + 1)]
     for k, j in enumerate(cols):
         rows[cc.plus[j]][k] += 1
@@ -495,6 +532,26 @@ def _quasi_iso_dets(A, B, f1, f0, error):
     return det1, det0
 
 
+def _touched_rows(cc, cols):
+    """``(rows, matrix)``: the 0-cells that the differential's columns
+    ``cols`` touch, in increasing order, and those columns as dense
+    integer rows over them, for :func:`linalg.solve`.  Every other row
+    of the columns is zero."""
+    ground = len(cc.basis0)
+    plus, minus = cc.plus, cc.minus
+    rows = sorted({plus[j] for j in cols} | {minus[j] for j in cols})
+    if rows and rows[-1] == ground:
+        rows.pop()
+    at = {r: i for i, r in enumerate(rows)}
+    matrix = [[0] * len(cols) for _ in rows]
+    for k, j in enumerate(cols):
+        if plus[j] in at:
+            matrix[at[plus[j]]][k] += 1
+        if minus[j] in at:
+            matrix[at[minus[j]]][k] -= 1
+    return rows, matrix
+
+
 def morphism_det_sign(m):
     """Sign of the induced isomorphism on the determinant line.
 
@@ -504,26 +561,50 @@ def morphism_det_sign(m):
     class).  The section is a chain map only up to corrections on the
     collapsed cells, an acyclic subcomplex, so it acts on homology, and
     that action must be the exact inverse of the forward one on H1 and H0.
+
+    The section and the collapsed 1-cells come from one pass over the
+    cell maps.  Each H1 basis cycle is lifted from its sparse form, and
+    its defect must vanish off the 0-cells the collapsed 1-cells touch;
+    the correction solves on those rows only, which gives the solution
+    of the full system, as the other rows are zero on both sides.
     """
     cm = chain_map_of_morphism(m)
     A, B = cm.source_cc, cm.target_cc
     det1_f, det0_f = _quasi_iso_dets(A, B, cm.f_eH, cm.f_eEV,
                                      InvalidMorphism)
-    g1 = _preimages(cm.f_eH, len(B.basis1))
-    _check(all(len(pre) == 1 for pre in g1),
-           "a target half-edge has no unique preimage")
-    g0 = _preimages(cm.f_eEV, len(B.basis0))
-    _check(all(g0), "a target 0-cell has no preimage")
-    g0 = [pre[:1] for pre in g0]
+    g1 = [None] * len(B.basis1)
+    k_cols = []
+    for j, targets in enumerate(cm.f_eH):
+        if not targets:
+            k_cols.append(j)
+        for t in targets:
+            _check(g1[t] is None, "a target half-edge has no unique preimage")
+            g1[t] = j
+    _check(None not in g1, "a target half-edge has no unique preimage")
+    g0 = [None] * len(B.basis0)
+    for i, targets in enumerate(cm.f_eEV):
+        for t in targets:
+            if g0[t] is None:
+                g0[t] = (i,)
+    _check(None not in g0, "a target 0-cell has no preimage")
     # H1 action of the section: lift and correct inside the collapsed
     # cells, which the forward map kills and which carry no homology
-    k_cols = [j for j, targets in enumerate(cm.f_eH) if not targets]
-    d_restricted = _dense(A, k_cols)
+    rows, d_touched = _touched_rows(A, k_cols)
+    touched = set(rows)
+    plus, minus, n1 = A.plus, A.minus, len(A.basis1)
     cols = []
-    for vec in B.h1_basis:
-        lift = _scatter(vec, g1, len(A.basis1))
-        defect = A.boundary(lift)
-        x = linalg.solve(d_restricted, defect)
+    for cycle in B._cycles:
+        lift = [0] * n1
+        defect = dict.fromkeys(rows, 0)
+        for t, c in cycle.items():
+            j = g1[t]
+            lift[j] += c
+            defect[plus[j]] = defect.get(plus[j], 0) + c
+            defect[minus[j]] = defect.get(minus[j], 0) - c
+        defect.pop(len(A.basis0), None)
+        _check(not any(c for i, c in defect.items() if i not in touched),
+               "the lift's defect leaves the collapsed cells")
+        x = linalg.solve(d_touched, [defect[i] for i in rows])
         _check(x is not None, "collapsed cells failed to absorb the defect")
         for idx, col in enumerate(k_cols):
             lift[col] -= x[idx]

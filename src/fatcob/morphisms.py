@@ -361,18 +361,19 @@ def _kernel_runs(base):
 
 
 def _component_codes(g):
-    """Per-component (code, relabelling) pairs, unsorted.
+    """Per-component ``(code, half-edges, labels)`` triples, unsorted.
 
-    The relabelling maps each half-edge of the component to its
-    canonical integer label; isolated vertices yield a bare marker
-    code.
+    ``labels[i]`` is the canonical integer label of the component's
+    half-edge ``half-edges[i]``; only :func:`find_isomorphism` reads
+    them.  An isolated vertex yields a bare marker code and no
+    half-edges.
     """
     decorated = isinstance(g, OpenClosedFatGraph)
     special = _special_leaves(g) if decorated else None
     out = []
     for run in _kernel_runs(base_of(g)):
         if run is None:
-            out.append((b"\x00|", {}))
+            out.append((b"\x00|", (), ()))
             continue
         hs, idx, code, winners = run
         n = len(hs)
@@ -392,7 +393,7 @@ def _component_codes(g):
             best = min(decs)
             nl = winners[decs.index(best)][1]
             code += best
-        out.append((code, dict(zip(hs, nl))))
+        out.append((code, hs, nl))
     return out
 
 
@@ -404,7 +405,7 @@ def canonical_form(g):
     subset.  Component codes are sorted and length-prefixed, so the
     concatenation is unambiguous.
     """
-    codes = sorted(code for code, _ in _component_codes(g))
+    codes = sorted(code for code, _, _ in _component_codes(g))
     return b"".join(_length_prefix(len(c)) + c for c in codes)
 
 
@@ -431,13 +432,13 @@ def find_isomorphism(g1, g2):
         return None
     c1 = sorted(_component_codes(g1), key=lambda p: p[0])
     c2 = sorted(_component_codes(g2), key=lambda p: p[0])
-    if [c for c, _ in c1] != [c for c, _ in c2]:
+    if [c for c, _, _ in c1] != [c for c, _, _ in c2]:
         return None
     b1, b2 = base_of(g1), base_of(g2)
     hmap = {}
-    for (_, r1), (_, r2) in zip(c1, c2):
-        back = {lab: h for h, lab in r2.items()}
-        for h, lab in r1.items():
+    for (_, hs1, nl1), (_, hs2, nl2) in zip(c1, c2):
+        back = dict(zip(nl2, hs2))
+        for h, lab in zip(hs1, nl1):
             hmap[h] = back[lab]
     vmap = {}
     for h, h2 in hmap.items():

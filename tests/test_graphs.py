@@ -81,47 +81,91 @@ class TestOneWalk:
     any sigma that is not one cycle on each fan."""
 
     U4 = {"a.0": "u", "a.1": "u", "b.0": "u", "b.1": "u"}
+    H4 = sorted(U4)
+    # one fan a.0 a.1 b.0 b.1 at u
+    FAN4 = {"a.0": "a.1", "a.1": "b.0", "b.0": "b.1", "b.1": "a.0"}
 
-    refusals = pytest.mark.parametrize("source, sigma, error, match", [
-        (U4, {"a.0": "a.1", "a.1": "a.0", "b.0": "b.1", "b.1": "b.0"},
+    # halves: the half-edge names of a valid parent whose collapse
+    # target _derived builds from the maps
+    refusals = pytest.mark.parametrize("halves, source, sigma, error, match", [
+        (H4, U4, {"a.0": "a.1", "a.1": "a.0", "b.0": "b.1", "b.1": "b.0"},
          WrongVertexOrder, "through 'a.0' differs .* at 'u'"),
         # a.0 -> a.1 -> b.0 -> a.1: the walk never returns to a.0
-        (dict(U4, **{"b.1": "v"}),
+        (H4, dict(U4, **{"b.1": "v"}),
          {"a.0": "a.1", "a.1": "b.0", "b.0": "a.1", "b.1": "b.1"},
          WrongVertexOrder, "through 'a.0' differs .* at 'u'"),
-        ({"a.0": "u", "a.1": "v", "b.0": "u", "b.1": "v"},
+        (H4, {"a.0": "u", "a.1": "v", "b.0": "u", "b.1": "v"},
          {"a.0": "a.1", "a.1": "b.1", "b.0": "a.0", "b.1": "b.0"},
          WrongVertexOrder, "through 'a.0' differs .* at 'u'"),
-        ({"a.0": "u", "a.1": "u"}, {"a.0": "z.0", "a.1": "a.0"},
+        (["a.0", "a.1"], {"a.0": "u", "a.1": "u"},
+         {"a.0": "z.0", "a.1": "a.0"},
          DanglingHalfEdge, "leaves the half-edge set"),
         # the fan of a.0 misses two half-edges at u, and the walk at v
         # leaves the half-edges: the first vertex is refused first
-        (dict(U4, **{"b.1": "v"}),
+        (H4, dict(U4, **{"b.1": "v"}),
          {"a.0": "a.0", "a.1": "b.0", "b.0": "a.1", "b.1": "z.0"},
          WrongVertexOrder, "through 'a.0' differs .* at 'u'"),
+        # key-set faults: the maps miss a parent half-edge or name a new one
+        (H4, U4, {h: x for h, x in FAN4.items() if h != "b.1"},
+         DanglingHalfEdge, "^sigma not total on half-edges$"),
+        (H4, U4, dict(FAN4, **{"c.0": "a.0"}),
+         DanglingHalfEdge, "^sigma not total on half-edges$"),
+        (H4, {h: v for h, v in U4.items() if h != "b.1"}, FAN4,
+         DanglingHalfEdge, "^sigma not total on half-edges$"),
+        (H4, dict(U4, **{"c.0": "u"}), FAN4,
+         DanglingHalfEdge, "^sigma not total on half-edges$"),
+        (H4, dict(U4, **{"c.0": "u"}),
+         dict(FAN4, **{"b.1": "c.0", "c.0": "a.0"}),
+         DanglingHalfEdge, "^edge 'c' is missing a half$"),
+        (H4, {h: v for h, v in U4.items() if h != "b.1"},
+         {"a.0": "a.1", "a.1": "b.0", "b.0": "a.0"},
+         DanglingHalfEdge, "^edge 'b' is missing a half$"),
+        (H4, dict(U4, c="u"), dict(FAN4, **{"b.1": "c", "c": "a.0"}),
+         DanglingHalfEdge, "^malformed half-edge id 'c'$"),
     ], ids=["two cycles at one vertex", "not injective",
             "step onto another vertex", "value outside the half-edges",
-            "short fan before a later fault"])
+            "short fan before a later fault", "sigma entry dropped",
+            "sigma entry added", "source entry dropped", "source entry added",
+            "half-edge added in both", "half-edge dropped in both",
+            "malformed half-edge added in both"])
+
+    @staticmethod
+    def parent(halves):
+        """A valid one-vertex graph on ``halves``."""
+        return FatGraph(dict.fromkeys(halves, "u"),
+                        dict(zip(halves, halves[1:] + halves[:1])))
 
     @refusals
-    def test_refused(self, source, sigma, error, match):
+    def test_refused(self, halves, source, sigma, error, match):
         with pytest.raises(error, match=match):
             FatGraph(source, sigma)
 
     @refusals
-    def test_collapse_target_refused_alike(self, source, sigma, error, match):
-        # a collapse target is built by _derived from a valid parent on
-        # the same half-edge names; with no forest collapsed it must
-        # refuse the maps as FatGraph(...) does
-        hs = sorted(source)
-        parent = FatGraph(dict.fromkeys(hs, "u"),
-                          dict(zip(hs, hs[1:] + hs[:1])))
+    def test_collapse_target_refused_alike(self, halves, source, sigma,
+                                           error, match):
+        # a collapse target is built by _derived from a valid parent;
+        # with no forest collapsed it must refuse the maps as
+        # FatGraph(...) does, those on other half-edges too
         with pytest.raises(error, match=match) as built:
             FatGraph(source, sigma)
         with pytest.raises(error) as derived:
-            FatGraph._derived(parent, source, sigma, frozenset(), ())
+            FatGraph._derived(self.parent(halves), source, sigma,
+                              frozenset(), ())
         assert type(derived.value) is type(built.value)
         assert str(derived.value) == str(built.value)
+
+    def test_collapse_target_on_other_halves_built_alike(self):
+        # a whole edge added in both maps is a valid graph: _derived
+        # builds it as FatGraph(...) does
+        source = dict(self.U4, **{"c.0": "u", "c.1": "u"})
+        sigma = dict(self.FAN4, **{"b.1": "c.0", "c.0": "c.1", "c.1": "a.0"})
+        derived = FatGraph._derived(self.parent(self.H4), source, sigma,
+                                    frozenset(), ())
+        built = FatGraph(source, sigma)
+        assert derived == built
+        assert derived.edges() == built.edges() == ("a", "b", "c")
+        assert [derived.partner(h) for h in derived.half_edges] == \
+            [built.partner(h) for h in built.half_edges]
 
 
 class TestBoundaryCycles:

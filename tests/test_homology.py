@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import data_path, run_optimized
 from corpus import admissible_census_decorations, cap, census_collapse_pairs, \
-    census_collapses, census_morphism_pairs, collapses_off_leaves, \
+    census_collapses, census_morphism_pairs, collapses_off_leaves, forests, \
     fuzz_compositions, single_edges
 from fatcob import fixtures as fx
 from fatcob.errors import (EdgeCountMismatch, FatcobError, InvalidMorphism,
@@ -504,6 +504,249 @@ class TestMorphismDetSign:
             morphism_det_sign(m)
 
 
+def fixture_collapses():
+    """Every admissible collapse of a nonempty forest off the special
+    leaves of the pants, the open-closed example and the pants with its
+    incoming circles subdivided thrice."""
+    out = []
+    for g in (fx.pants(), fx.open_closed_example(),
+              fx.subdivided_incoming(fx.pants(), 3)):
+        out.extend(m for t, m in collapses_off_leaves(g, forests(g.base)[1:])
+                   if is_admissible(t)[0])
+    return out
+
+
+def reference_chain_map(m):
+    """``(A, B, f1, f0)``: the relative complexes of ``m`` and its cell
+    maps, each source cell's image looked up by its label in the
+    target complex, ``("E", e)`` for a midpoint and ``("V", v)`` for a
+    vertex."""
+    A = relative_chain_complex(m.source)
+    B = relative_chain_complex(m.target)
+    sbase, tbase = m.source.base, m.target.base
+    pos1, pos0 = B.positions1(), B.positions0()
+    f1 = [(pos1[m.half_map[h]],) if m.half_map[h] in pos1 else ()
+          for h in A.basis1]
+    f0 = []
+    for kind, name in A.basis0:
+        if kind == "V":
+            img = ("V", m.vertex_map[name])
+        else:
+            h0, _ = sbase.edge_halves(name)
+            h1 = m.half_map[h0]
+            img = (("V", m.vertex_map[sbase.source(h0)]) if h1 is None
+                   else ("E", tbase.edge_of(h1)))
+        f0.append((pos0[img],) if img in pos0 else ())
+    return A, B, f1, f0
+
+
+def reference_scatter(vec, cell_map, n):
+    out = [0] * n
+    for x, targets in zip(vec, cell_map):
+        for t in targets:
+            out[t] += x
+    return out
+
+
+def reference_preimages(cell_map, n):
+    """Entry ``t`` lists, in order, the source cells sent onto ``t``."""
+    pre = [[] for _ in range(n)]
+    for i, targets in enumerate(cell_map):
+        for t in targets:
+            pre[t].append(i)
+    return pre
+
+
+def reference_dense(cc, cols):
+    """The differential's columns ``cols`` as dense rows over every
+    0-cell of ``cc``."""
+    rows = [[0] * len(cols) for _ in range(len(cc.basis0) + 1)]
+    for k, j in enumerate(cols):
+        rows[cc.plus[j]][k] += 1
+        rows[cc.minus[j]][k] -= 1
+    rows.pop()
+    return rows
+
+
+def reference_det_sign(m):
+    """``(f1, f0, dets, solves, sign)`` of ``m`` by the full-row
+    algorithm: dense H1 and H0 images, the section from the preimage
+    lists, and each lift corrected by solving over every 0-cell.
+    ``dets`` is ``[det1_f, det0_f, det1_g, det0_g]`` and ``solves`` the
+    ``(matrix, defect)`` of each solve, over every 0-cell."""
+    A, B, f1, f0 = reference_chain_map(m)
+    n1, n0 = len(A.basis1), len(A.basis0)
+    det1_f = linalg.det([B.h1_coords(reference_scatter(v, f1, len(B.basis1)))
+                         for v in A.h1_basis])
+    det0_f = linalg.det([B.h0_class(reference_scatter(r, f0, len(B.basis0)))
+                         for r in A.h0_basis])
+    g1 = reference_preimages(f1, len(B.basis1))
+    assert all(len(pre) == 1 for pre in g1)
+    g0 = [pre[:1] for pre in reference_preimages(f0, len(B.basis0))]
+    assert all(g0)
+    k_cols = [j for j, targets in enumerate(f1) if not targets]
+    d = reference_dense(A, k_cols)
+    cols, solves = [], []
+    for vec in B.h1_basis:
+        lift = reference_scatter(vec, g1, n1)
+        defect = A.boundary(lift)
+        x = linalg.solve(d, defect)
+        solves.append((d, defect))
+        for idx, col in enumerate(k_cols):
+            lift[col] -= x[idx]
+        cols.append(A.h1_coords(lift))
+    det1_g = linalg.det(cols)
+    det0_g = linalg.det([A.h0_class(reference_scatter(r, g0, n0))
+                         for r in B.h0_basis])
+    assert det1_f * det1_g == 1 and det0_f * det0_g == 1
+    return (f1, f0, [det1_f, det0_f, det1_g, det0_g], solves,
+            1 if det1_f * det0_f > 0 else -1)
+
+
+class TestSectionReference:
+    """``chain_map_of_morphism`` reads the kept position tables, and
+    ``morphism_det_sign`` solves each section lift on the rows that the
+    collapsed cells touch; both must give what the label-keyed map and
+    the full-row solve give."""
+
+    @staticmethod
+    def morphisms():
+        singles, composites = census_collapses(4)
+        ms = singles + composites + fixture_collapses()
+        assert (len(singles), len(composites), len(ms)) == (1238, 966, 2367)
+        return ms
+
+    @staticmethod
+    def recorded(monkeypatch, name):
+        """Replace ``linalg.<name>`` by a recorder of ``(args, result)``."""
+        calls = []
+        real = getattr(linalg, name)
+
+        def spy(*args):
+            out = real(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(linalg, name, spy)
+        return calls
+
+    def test_maps_dets_and_signs_match_the_full_row_reference(
+            self, monkeypatch):
+        signs = []
+        for m in self.morphisms():
+            f1, f0, dets, _, sign = reference_det_sign(m)
+            cm = chain_map_of_morphism(m)
+            assert (cm.f_eH, cm.f_eEV) == (f1, f0)
+            with monkeypatch.context() as mp:
+                calls = self.recorded(mp, "det")
+                assert morphism_det_sign(m) == sign
+            assert [out for _, out in calls] == dets
+            signs.append(sign)
+        assert (signs.count(1), signs.count(-1)) == (1989, 378)
+
+    def test_solve_sees_exactly_the_touched_rows(self, monkeypatch):
+        dropped = 0
+        for m in self.morphisms():
+            *_, solves, _ = reference_det_sign(m)
+            with monkeypatch.context() as mp:
+                calls = self.recorded(mp, "solve")
+                morphism_det_sign(m)
+            assert len(calls) == len(solves)
+            for ((matrix, b), x), (full, defect) in zip(calls, solves):
+                rows = [i for i, row in enumerate(full) if any(row)]
+                assert matrix == [full[i] for i in rows]
+                assert b == [defect[i] for i in rows]
+                assert not any(defect[i] for i in range(len(full))
+                               if i not in rows)
+                assert x == linalg.solve(full, defect)
+                dropped += len(full) - len(rows)
+        assert dropped > 0
+
+    def test_defect_off_the_touched_rows_raises(self, monkeypatch):
+        # collapsing r1 touches the rows of its midpoint and of the
+        # vertex w, where the lift's defect lies; solving without w's
+        # row leaves that defect outside, which the sign refuses before
+        # solving
+        _, m = collapse_edges(fx.pants(), ["r1"])
+        real = homology._touched_rows
+
+        def short(cc, cols):
+            rows, matrix = real(cc, cols)
+            assert [cc.basis0[i] for i in rows] == [("E", "r1"), ("V", "w")]
+            return rows[:-1], matrix[:-1]
+
+        monkeypatch.setattr(homology, "_touched_rows", short)
+        solved = self.recorded(monkeypatch, "solve")
+        with pytest.raises(InvariantViolation,
+                           match="defect leaves the collapsed cells"):
+            morphism_det_sign(m)
+        assert solved == []
+
+    def test_section_checks_survive_optimize(self):
+        # each check of morphism_det_sign, tripped by a patched input,
+        # raises a FatcobError with asserts stripped
+        script = (
+            "from fatcob import fixtures as fx, homology, linalg\n"
+            "from fatcob.errors import FatcobError\n"
+            "from fatcob.homology import ChainComplexPair, ChainMap\n"
+            "from fatcob.morphisms import collapse_edges\n"
+            "assert False, 'asserts are on'\n"
+            "_, m = collapse_edges(fx.pants(), ['r1'])\n"
+            "chain_map = homology.chain_map_of_morphism\n"
+            "solve, det = linalg.solve, linalg.det\n"
+            "touched = homology._touched_rows\n"
+            "def widened(m, loop=False):\n"
+            "    cm = chain_map(m)\n"
+            "    B = cm.target_cc\n"
+            "    x, ground = len(B.basis0), len(B.basis0) + 1\n"
+            "    moved = lambda ends: [ground if u == x else u for u in ends]\n"
+            "    wide = ChainComplexPair(\n"
+            "        B.basis1 + ('x',), B.basis0 + (('V', 'x'),),\n"
+            "        moved(B.plus) + [x], moved(B.minus) + [x if loop\n"
+            "                                               else ground])\n"
+            "    return ChainMap(cm.source_cc, wide, cm.f_eH, cm.f_eEV)\n"
+            "def unmapped(m):\n"
+            "    cm = chain_map(m)\n"
+            "    B, f0 = cm.target_cc, list(cm.f_eEV)\n"
+            "    i = next(i for i, t in enumerate(f0) if t and\n"
+            "             B._class0[t[0]] is None and\n"
+            "             [u for u in f0 if u == t] == [t])\n"
+            "    f0[i] = ()\n"
+            "    return ChainMap(cm.source_cc, B, cm.f_eH, f0)\n"
+            "faults = [\n"
+            "    ('chain_map_of_morphism', widened),\n"
+            "    ('chain_map_of_morphism', lambda m: widened(m, True)),\n"
+            "    ('chain_map_of_morphism', unmapped),\n"
+            "    ('_touched_rows', lambda cc, cols: [\n"
+            "        part[:-1] for part in touched(cc, cols)]),\n"
+            "    ('solve', lambda a, b: None),\n"
+            "    ('solve', lambda a, b: [0] * len(a[0])),\n"
+            "    ('det', lambda a: 2 * det(a)),\n"
+            "]\n"
+            "for name, fault in faults:\n"
+            "    mod = linalg if name in ('solve', 'det') else homology\n"
+            "    real = getattr(mod, name)\n"
+            "    setattr(mod, name, fault)\n"
+            "    try:\n"
+            "        homology.morphism_det_sign(m)\n"
+            "    except FatcobError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+            "    finally:\n"
+            "        setattr(mod, name, real)\n")
+        out = run_optimized(script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "InvariantViolation a target half-edge has no unique preimage",
+            "InvalidMorphism map is not a quasi-isomorphism",
+            "InvariantViolation a target 0-cell has no preimage",
+            "InvariantViolation the lift's defect leaves the collapsed cells",
+            "InvariantViolation collapsed cells failed to absorb the defect",
+            "InvariantViolation vector is not a cycle",
+            "InvariantViolation section is not the inverse of the forward "
+            "map on homology",
+        ]
+
+
 class TestValidateOnce:
     """A morphism the library returns is validated once, when made."""
 
@@ -656,12 +899,12 @@ class TestBuildOnce:
                 inside[-1][1] += 1
             return rref(m)
 
-        def counted_init(cc, basis1, basis0, plus, minus):
+        def counted_init(cc, *args):
             entry = [pending.pop() if pending else None, 0]
             built.append(entry)
             inside.append(entry)
             try:
-                init(cc, basis1, basis0, plus, minus)
+                init(cc, *args)
             finally:
                 inside.pop()
 
