@@ -386,12 +386,18 @@ def enumerate_fat_graphs(max_edges, genus=None, surface=None, cobordism=None,
     admissible ways and the classes whose cobordism type matches are
     returned (see :func:`admissible_decorations`).  A ``max_edges``
     that is not an ``int`` raises :class:`InvalidParameter`, and a
-    negative or too large one :class:`BoundExceeded`.
+    negative or too large one :class:`BoundExceeded`.  A ``bound``, in
+    place of the configured one, that is no nonnegative ``int`` raises
+    :class:`InvalidParameter`.
     """
     if isinstance(max_edges, int) and max_edges < 0:
         raise BoundExceeded("max_edges must be nonnegative")
     _require_count(max_edges, "max_edges")
-    limit = bound if bound is not None else _edge_bound()
+    if bound is None:
+        limit = _edge_bound()
+    else:
+        _require_count(bound, "bound")
+        limit = bound
     if max_edges > limit:
         raise BoundExceeded(
             "max_edges=%d exceeds the configured bound %d" % (max_edges, limit))

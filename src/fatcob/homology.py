@@ -12,11 +12,13 @@ cokernel bases come from a union-find spanning forest instead of row
 reduction, and so does the split of a gluing's connecting map; they are
 the bases leftmost-pivot row reduction would pick, so every sign below
 is reproducible.  Only the lift corrections still solve by row
-reduction: a gluing's kernel lifts on a dense copy of the whole
-differential, a morphism's section lifts on the columns of its
-collapsed cells, restricted to the 0-cells those touch.  Each complex
-is read off the graph's maps through name-to-position dicts, and keeps
-its 0-cells' dicts, so a chain map is read off names as well.
+reduction, all in :func:`_absorb`, on the correcting columns restricted
+to the 0-cells they touch: every subcomplex column for a gluing's
+kernel lifts, the collapsed cells' columns for a morphism's section
+lifts.  A complex keeps each fact in one form: its cycles sparse, and
+a graph's complex its 0-cells' positions by name, the dicts it is read
+off the graph's maps through, so chain maps and a gluing's cell
+bookkeeping are read off names as well.
 It is built once per graph object, by :func:`relative_chain_complex`,
 and kept on the graph: a graph is immutable, and any one graph is the
 source or target of many morphisms and gluings, which all share its
@@ -95,8 +97,9 @@ class ChainComplexPair:
     read off a union-find scan of the arcs in basis order
     (:func:`_forest_bases`).  An arc that
     joins two components is a pivot; every other arc is free, and its
-    ``h1_basis`` vector is its fundamental cycle in the spanning forest
-    of the pivots (a 1 at the free column, entries in {0, +-1}).  The
+    cycle in ``_cycles`` is its fundamental cycle in the spanning forest
+    of the pivots, kept sparse as ``{column: +-1}`` with a 1 at the free
+    column; ``h1_basis`` scatters them into dense tuples on each call.  The
     degree-0 homology is the cokernel, coordinatized by the unit vectors
     at the free 0-cells: the last 0-cell of each component not joined
     to ground.  The class of a 0-chain sums it over those components.
@@ -106,16 +109,17 @@ class ChainComplexPair:
     index of ``("E", e)`` and ``_vpos`` a vertex ``v`` to that of
     ``("V", v)``, in basis order, so a chain map is read off names
     without building those labels; any other complex keeps None there.
+    ``positions0`` builds the label-keyed dict from ``basis0`` on each
+    call.
 
     A graph's complex is shared by everything that meets the graph, so
     it is read-only: the arcs, the bases and the index lists are tuples,
-    the label-to-index dicts are built once, and nothing changes after
+    the kept dicts are built once, and nothing changes after
     construction.
     """
 
-    __slots__ = ("basis1", "basis0", "plus", "minus", "h1_basis",
-                 "_pos1", "_pos0", "_epos", "_vpos", "_free1", "_free0",
-                 "_class0", "_cycles")
+    __slots__ = ("basis1", "basis0", "plus", "minus", "_pos1", "_epos",
+                 "_vpos", "_free1", "_free0", "_class0", "_cycles")
 
     def __init__(self, basis1, basis0, plus, minus, epos=None, vpos=None):
         self.basis1 = tuple(basis1)
@@ -127,18 +131,15 @@ class ChainComplexPair:
                and (not ends or (min(ends) >= 0 and max(ends) <= n0)),
                "arc endpoints do not lie on the 0-cells and ground")
         self._pos1 = {c: i for i, c in enumerate(self.basis1)}
-        self._pos0 = {c: i for i, c in enumerate(self.basis0)}
         self._epos, self._vpos = epos, vpos
         self._free1, self._free0, self._class0, self._cycles = \
             _forest_bases(self.plus, self.minus, n0)
-        self.h1_basis = tuple(tuple(cycle.get(j, 0) for j in range(n1))
-                              for cycle in self._cycles)
 
     # -- ranks ------------------------------------------------------------
 
     @property
     def rank_h1(self):
-        return len(self.h1_basis)
+        return len(self._cycles)
 
     @property
     def rank_h0(self):
@@ -148,6 +149,13 @@ class ChainComplexPair:
     def degree(self):
         """Degree of the determinant line: rank H1 - rank H0."""
         return self.rank_h1 - self.rank_h0
+
+    @property
+    def h1_basis(self):
+        """The fundamental cycles as dense tuples over ``basis1``."""
+        n1 = len(self.basis1)
+        return tuple(tuple(cycle.get(j, 0) for j in range(n1))
+                     for cycle in self._cycles)
 
     @property
     def h0_basis(self):
@@ -197,8 +205,8 @@ class ChainComplexPair:
         return self._pos1
 
     def positions0(self):
-        """``{label: index}`` over ``basis0``; read it, do not change it."""
-        return self._pos0
+        """``{label: index}`` over ``basis0``, built afresh."""
+        return {c: i for i, c in enumerate(self.basis0)}
 
     def index1(self, label):
         try:
@@ -373,20 +381,6 @@ def power(line, d):
 # chain maps of morphisms
 
 
-def _scatter(vec, cell_map, n):
-    """Image of ``vec`` under a cell map, as a length-``n`` vector.
-
-    ``cell_map[i]`` holds the target indices that source cell ``i`` maps
-    to with coefficient +1; ``vec[i]`` is added at each of them.
-    """
-    out = [0] * n
-    for x, targets in zip(vec, cell_map):
-        if x:
-            for t in targets:
-                out[t] += x
-    return out
-
-
 def _check_chain_map(F, T, f1, f0):
     """Raise unless ``f0 . dF == dT . f1``, compared 1-cell by 1-cell on
     the arc endpoints; the ground node counts as zero.
@@ -509,17 +503,6 @@ def _induced_h0_matrix(A, B, cell_map):
     return cols
 
 
-def _dense(cc, cols):
-    """The differential's columns ``cols`` as dense integer rows over
-    all of ``basis0``, for the gluing's :func:`linalg.solve`."""
-    rows = [[0] * len(cols) for _ in range(len(cc.basis0) + 1)]
-    for k, j in enumerate(cols):
-        rows[cc.plus[j]][k] += 1
-        rows[cc.minus[j]][k] -= 1
-    rows.pop()
-    return rows
-
-
 def _quasi_iso_dets(A, B, f1, f0, error):
     """``(det H1(f), det H0(f))`` of cell maps ``f1``, ``f0`` from ``A``
     to ``B``; raises ``error`` unless ``f`` is a quasi-isomorphism."""
@@ -532,24 +515,47 @@ def _quasi_iso_dets(A, B, f1, f0, error):
     return det1, det0
 
 
-def _touched_rows(cc, cols):
-    """``(rows, matrix)``: the 0-cells that the differential's columns
-    ``cols`` touch, in increasing order, and those columns as dense
-    integer rows over them, for :func:`linalg.solve`.  Every other row
-    of the columns is zero."""
+def _place(chain, index, n):
+    """The sparse chain ``{cell: value}`` as a length-``n`` vector, each
+    value added at position ``index[cell]``."""
+    out = [0] * n
+    for j, x in chain.items():
+        out[index[j]] += x
+    return out
+
+
+def _absorb(cc, cols, defects):
+    """For each defect, a 0-chain over ``basis0``, the chain on the
+    differential's columns ``cols`` whose boundary it is, as a list over
+    ``cols``: the :func:`linalg.solve` solution, free variables zero.
+
+    The columns are built once, as dense rows over the 0-cells they
+    touch, in increasing order.  Every other row of the columns is zero,
+    so a defect must vanish there, and the touched rows give the
+    solution of the full system, as leftmost-pivot row reduction drops
+    zero rows.  A defect off those rows or an inconsistent system raises
+    :class:`InvariantViolation`.
+    """
     ground = len(cc.basis0)
     plus, minus = cc.plus, cc.minus
-    rows = sorted({plus[j] for j in cols} | {minus[j] for j in cols})
-    if rows and rows[-1] == ground:
-        rows.pop()
+    rows = sorted({u for j in cols for u in (plus[j], minus[j])} - {ground})
     at = {r: i for i, r in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
+    at[ground] = len(rows)
+    matrix = [[0] * len(cols) for _ in range(len(rows) + 1)]
     for k, j in enumerate(cols):
-        if plus[j] in at:
-            matrix[at[plus[j]]][k] += 1
-        if minus[j] in at:
-            matrix[at[minus[j]]][k] -= 1
-    return rows, matrix
+        matrix[at[plus[j]]][k] += 1
+        matrix[at[minus[j]]][k] -= 1
+    matrix.pop()
+    off = [i for i in range(ground) if i not in at]
+    out = []
+    for defect in defects:
+        _check(not any(defect[i] for i in off),
+               "the lift's defect leaves the absorbing cells")
+        x = linalg.solve(matrix, [defect[i] for i in rows])
+        _check(x is not None,
+               "the lift's defect is no boundary of the absorbing cells")
+        out.append(x)
+    return out
 
 
 def morphism_det_sign(m):
@@ -564,9 +570,7 @@ def morphism_det_sign(m):
 
     The section and the collapsed 1-cells come from one pass over the
     cell maps.  Each H1 basis cycle is lifted from its sparse form, and
-    its defect must vanish off the 0-cells the collapsed 1-cells touch;
-    the correction solves on those rows only, which gives the solution
-    of the full system, as the other rows are zero on both sides.
+    :func:`_absorb` corrects its defect on the collapsed columns.
     """
     cm = chain_map_of_morphism(m)
     A, B = cm.source_cc, cm.target_cc
@@ -589,25 +593,12 @@ def morphism_det_sign(m):
     _check(None not in g0, "a target 0-cell has no preimage")
     # H1 action of the section: lift and correct inside the collapsed
     # cells, which the forward map kills and which carry no homology
-    rows, d_touched = _touched_rows(A, k_cols)
-    touched = set(rows)
-    plus, minus, n1 = A.plus, A.minus, len(A.basis1)
+    lifts = [_place(cycle, g1, len(A.basis1)) for cycle in B._cycles]
+    defects = [A.boundary(v) for v in lifts]
     cols = []
-    for cycle in B._cycles:
-        lift = [0] * n1
-        defect = dict.fromkeys(rows, 0)
-        for t, c in cycle.items():
-            j = g1[t]
-            lift[j] += c
-            defect[plus[j]] = defect.get(plus[j], 0) + c
-            defect[minus[j]] = defect.get(minus[j], 0) - c
-        defect.pop(len(A.basis0), None)
-        _check(not any(c for i, c in defect.items() if i not in touched),
-               "the lift's defect leaves the collapsed cells")
-        x = linalg.solve(d_touched, [defect[i] for i in rows])
-        _check(x is not None, "collapsed cells failed to absorb the defect")
-        for idx, col in enumerate(k_cols):
-            lift[col] -= x[idx]
+    for lift, x in zip(lifts, _absorb(A, k_cols, defects)):
+        for col, y in zip(k_cols, x):
+            lift[col] -= y
         cols.append(A.h1_coords(lift))
     det1_g = linalg.det(cols)
     det0_g = linalg.det(_induced_h0_matrix(B, A, g0))
@@ -660,12 +651,13 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
     connecting map, splitting H1(C) over that kernel, splitting H0(A)
     over the connecting image, and splitting H0(B) under H0(C).  The
     kernel, the image and its unit complement come from one spanning
-    forest (:func:`_split_connecting`), and the kernel lifts solve
-    against one dense copy of A's differential.
+    forest (:func:`_split_connecting`).  C's cycles are lifted into B
+    from their sparse form, once, and :func:`_absorb` corrects the
+    kernel's combinations of those lifts on A's columns.
     """
     nB1, nB0 = len(B.basis1), len(B.basis0)
-    inc1, inc0, sec1, sec0 = ([(b,) for b in index]
-                              for index in (incl1, incl0, sect1, sect0))
+    inc1, inc0, sec0 = ([(b,) for b in index]
+                        for index in (incl1, incl0, sect0))
     outside0 = sorted(set(range(nB0)) - set(incl0))
 
     def a_part0(vec):
@@ -673,16 +665,14 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
                "boundary left the subcomplex")
         return [vec[i] for i in incl0]
 
-    # connecting map on H1(C)
-    delta_cols = []
-    for vec in C.h1_basis:
-        lifted = _scatter(vec, sec1, nB1)
-        delta_cols.append(A.h0_class(a_part0(B.boundary(lifted))))
+    # connecting map on H1(C), read off C's cycles lifted into B
+    lifts = [_place(cycle, sect1, nB1) for cycle in C._cycles]
+    delta_cols = [A.h0_class(a_part0(B.boundary(v))) for v in lifts]
     kerK, piv, comp_idx = _split_connecting(delta_cols, A.rank_h0)
     _check(len(piv) + len(comp_idx) == A.rank_h0,
            "connecting image has no complement")
     # s2: (kernel basis | chosen complements) against the H1(C) basis
-    unitsW = [[int(k == p) for k in range(len(C.h1_basis))] for p in piv]
+    unitsW = [[int(k == p) for k in range(C.rank_h1)] for p in piv]
     s2 = linalg.det(kerK + unitsW)
     # s3: (connecting images | unit complement) in H0(A)
     s3 = linalg.det([delta_cols[p] for p in piv]
@@ -690,18 +680,14 @@ def _ses_det_scalar(A, B, C, incl1, incl0, sect1, sect0):
                        for q in comp_idx])
     # s1: (H1(A) | corrected lifts of the kernel) in H1(B)
     colsB = _induced_h1_matrix(A, B, inc1)
-    dA = _dense(A, range(len(A.basis1)))
-    for kvec in kerK:
-        zC = [0] * len(C.basis1)
-        for c, bvec in zip(kvec, C.h1_basis):
-            for i in range(len(zC)):
-                zC[i] += c * bvec[i]
-        lifted = _scatter(zC, sec1, nB1)
-        defect = a_part0(B.boundary(lifted))
-        y = linalg.solve(dA, defect)
-        _check(y is not None, "kernel lift is not correctable")
-        corrected = [a - b for a, b in zip(lifted, _scatter(y, inc1, nB1))]
-        colsB.append(B.h1_coords(corrected))
+    # each kernel vector's combination of the lifted cycles
+    zB = [[sum(c * x for c, x in zip(kvec, row)) for row in zip(*lifts)]
+          for kvec in kerK]
+    defects = [a_part0(B.boundary(v)) for v in zB]
+    for lifted, y in zip(zB, _absorb(A, range(len(A.basis1)), defects)):
+        for i, x in zip(incl1, y):
+            lifted[i] -= x
+        colsB.append(B.h1_coords(lifted))
     _check(len(colsB) == B.rank_h1, "rank bookkeeping broken in degree 1")
     s1 = linalg.det(colsB)
     # s4: (H0(A) complement | lifts of H0(C)) in H0(B)
@@ -780,17 +766,15 @@ def _compute_gluing_scalar(g1, g2, match):
     else:
         cc1p, s_drop = cc1, 1
     ccG = relative_chain_complex(glued)
-
-    def glued_cell(i, cell):
-        kind, name = cell
-        return (kind, (data.edges if kind == "E" else data.vertices)[i][name])
-
     try:
         incl1 = [ccG.index1(data.halves[0][h]) for h in cc1p.basis1]
-        incl0 = [ccG.index0(glued_cell(0, c)) for c in cc1p.basis0]
         sect1 = [ccG.index1(data.halves[1][h]) for h in cc2.basis1]
-        sect0 = [ccG.index0(glued_cell(1, c)) for c in cc2.basis0]
-    except ValueError as exc:
+        # the glued complex keeps its 0-cells' positions by name
+        incl0, sect0 = ([ccG._epos[data.edges[i][name]] if kind == "E"
+                         else ccG._vpos[data.vertices[i][name]]
+                         for kind, name in cc.basis0]
+                        for i, cc in enumerate((cc1p, cc2)))
+    except (KeyError, ValueError) as exc:
         raise ResultInvalid(
             "glued cells disagree with the two graphs' cells: %s" % exc)
     _check(sorted(incl1 + sect1) == list(range(len(ccG.basis1)))

@@ -360,6 +360,14 @@ class TestPartitionPruning:
                            match="max_edges must be a nonnegative int"):
             enumerate_fat_graphs(bad)
 
+    @pytest.mark.parametrize("bad", [2.5, True, False, "5", -5])
+    def test_bound_that_is_no_count_is_refused(self, bad):
+        # the count rule of max_edges: "5" must not reach the
+        # comparison, nor True pass as the bound 1
+        with pytest.raises(InvalidParameter,
+                           match="bound must be a nonnegative int"):
+            enumerate_fat_graphs(1, bound=bad)
+
     def test_negative_edge_bound_keeps_its_error(self):
         with pytest.raises(BoundExceeded, match="must be nonnegative"):
             enumerate_fat_graphs(-1)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -568,6 +569,25 @@ def reference_dense(cc, cols):
     return rows
 
 
+def touched_rows(cc, cols):
+    """The 0-cells, in increasing order, that the columns ``cols`` of
+    ``cc``'s differential touch."""
+    ends = {u for j in cols for u in (cc.plus[j], cc.minus[j])}
+    return sorted(ends - {len(cc.basis0)})
+
+
+def row_dropped(cc, row):
+    """``cc``'s arcs with the endpoint ``row`` moved to ground, so that
+    :func:`homology._absorb` sees no column touch that row."""
+    ground = len(cc.basis0)
+
+    def moved(ends):
+        return tuple(ground if u == row else u for u in ends)
+
+    return SimpleNamespace(basis0=cc.basis0, plus=moved(cc.plus),
+                           minus=moved(cc.minus))
+
+
 def reference_det_sign(m):
     """``(f1, f0, dets, solves, sign)`` of ``m`` by the full-row
     algorithm: dense H1 and H0 images, the section from the preimage
@@ -664,21 +684,21 @@ class TestSectionReference:
 
     def test_defect_off_the_touched_rows_raises(self, monkeypatch):
         # collapsing r1 touches the rows of its midpoint and of the
-        # vertex w, where the lift's defect lies; solving without w's
-        # row leaves that defect outside, which the sign refuses before
-        # solving
+        # vertex w, where the lift's defect lies; an _absorb whose
+        # columns miss w's row leaves that defect outside, which the
+        # sign refuses before solving
         _, m = collapse_edges(fx.pants(), ["r1"])
-        real = homology._touched_rows
+        real = homology._absorb
 
-        def short(cc, cols):
-            rows, matrix = real(cc, cols)
+        def short(cc, cols, defects):
+            rows = touched_rows(cc, cols)
             assert [cc.basis0[i] for i in rows] == [("E", "r1"), ("V", "w")]
-            return rows[:-1], matrix[:-1]
+            return real(row_dropped(cc, rows[-1]), cols, defects)
 
-        monkeypatch.setattr(homology, "_touched_rows", short)
+        monkeypatch.setattr(homology, "_absorb", short)
         solved = self.recorded(monkeypatch, "solve")
         with pytest.raises(InvariantViolation,
-                           match="defect leaves the collapsed cells"):
+                           match="defect leaves the absorbing cells"):
             morphism_det_sign(m)
         assert solved == []
 
@@ -694,7 +714,7 @@ class TestSectionReference:
             "_, m = collapse_edges(fx.pants(), ['r1'])\n"
             "chain_map = homology.chain_map_of_morphism\n"
             "solve, det = linalg.solve, linalg.det\n"
-            "touched = homology._touched_rows\n"
+            "absorb = homology._absorb\n"
             "def widened(m, loop=False):\n"
             "    cm = chain_map(m)\n"
             "    B = cm.target_cc\n"
@@ -705,6 +725,14 @@ class TestSectionReference:
             "        moved(B.plus) + [x], moved(B.minus) + [x if loop\n"
             "                                               else ground])\n"
             "    return ChainMap(cm.source_cc, wide, cm.f_eH, cm.f_eEV)\n"
+            "def short(cc, cols, defects):\n"
+            "    ground = len(cc.basis0)\n"
+            "    w = max({u for j in cols for u in (cc.plus[j], cc.minus[j])}\n"
+            "            - {ground})\n"
+            "    moved = lambda ends: [ground if u == w else u for u in ends]\n"
+            "    return absorb(ChainComplexPair(cc.basis1, cc.basis0,\n"
+            "                                   moved(cc.plus), moved(cc.minus)),\n"
+            "                  cols, defects)\n"
             "def unmapped(m):\n"
             "    cm = chain_map(m)\n"
             "    B, f0 = cm.target_cc, list(cm.f_eEV)\n"
@@ -717,8 +745,7 @@ class TestSectionReference:
             "    ('chain_map_of_morphism', widened),\n"
             "    ('chain_map_of_morphism', lambda m: widened(m, True)),\n"
             "    ('chain_map_of_morphism', unmapped),\n"
-            "    ('_touched_rows', lambda cc, cols: [\n"
-            "        part[:-1] for part in touched(cc, cols)]),\n"
+            "    ('_absorb', short),\n"
             "    ('solve', lambda a, b: None),\n"
             "    ('solve', lambda a, b: [0] * len(a[0])),\n"
             "    ('det', lambda a: 2 * det(a)),\n"
@@ -739,12 +766,123 @@ class TestSectionReference:
             "InvariantViolation a target half-edge has no unique preimage",
             "InvalidMorphism map is not a quasi-isomorphism",
             "InvariantViolation a target 0-cell has no preimage",
-            "InvariantViolation the lift's defect leaves the collapsed cells",
-            "InvariantViolation collapsed cells failed to absorb the defect",
+            "InvariantViolation the lift's defect leaves the absorbing cells",
+            "InvariantViolation the lift's defect is no boundary of the "
+            "absorbing cells",
             "InvariantViolation vector is not a cycle",
             "InvariantViolation section is not the inverse of the forward "
             "map on homology",
         ]
+
+
+def gluing_cases():
+    """``(g1, g2, match)`` of the fixture gluings and of the seeded fuzz
+    compositions, each matched afresh."""
+    return fixture_gluings() + [subdivision_match(g1, g2, pairs)
+                                for g1, g2, pairs in fuzz_compositions()]
+
+
+class TestKernelLiftReference:
+    """A gluing's kernel lifts are corrected by ``_absorb`` on the rows
+    that the subcomplex's columns touch; each solve must give what
+    solving over every 0-cell gives."""
+
+    def test_kernel_lifts_match_the_full_row_solve(self, monkeypatch):
+        real_absorb, real_solve = homology._absorb, linalg.solve
+        absorbed, solved = [], []
+
+        def spy_absorb(cc, cols, defects):
+            absorbed.append((cc, list(cols), [list(d) for d in defects]))
+            return real_absorb(cc, cols, defects)
+
+        def spy_solve(m, b):
+            out = real_solve(m, b)
+            solved.append(out)
+            return out
+
+        monkeypatch.setattr(homology, "_absorb", spy_absorb)
+        monkeypatch.setattr(linalg, "solve", spy_solve)
+        lifts, nonzero = 0, 0
+        for a, b, m in gluing_cases():
+            del absorbed[:], solved[:]
+            gluing_det_iso(a, b, m, 1)
+            [(A, cols, defects)] = absorbed
+            assert cols == list(range(len(A.basis1)))
+            full = reference_dense(A, cols)
+            assert solved == [real_solve(full, d) for d in defects]
+            lifts += len(defects)
+            nonzero += sum(map(any, defects))
+        assert (lifts, nonzero) == (37, 9)
+
+    def test_a_dropped_touched_row_raises(self, monkeypatch):
+        # an _absorb whose columns miss the first row a defect lies on
+        # must stop the gluing, not let it return a scalar
+        real = homology._absorb
+        dropped = []
+
+        def short(cc, cols, defects):
+            hit = [i for d in defects for i, x in enumerate(d) if x]
+            if hit:
+                dropped.append(hit[0])
+                cc = row_dropped(cc, hit[0])
+            return real(cc, cols, defects)
+
+        monkeypatch.setattr(homology, "_absorb", short)
+        refused = 0
+        for a, b, m in gluing_cases():
+            del dropped[:]
+            try:
+                gluing_det_iso(a, b, m, 1)
+            except InvariantViolation as exc:
+                assert dropped and "defect leaves" in str(exc)
+                refused += 1
+            else:
+                assert not dropped
+        assert refused == 9
+
+
+class TestComplexTables:
+    """A complex keeps each fact in one form: sparse cycles, and 0-cell
+    positions by name on a graph's complex only."""
+
+    @staticmethod
+    def complexes():
+        cc = relative_chain_complex(fx.subdivided_incoming(fx.pants(), 3))
+        keep1 = range(0, len(cc.basis1), 2)
+        keep0 = range(1, len(cc.basis0), 2)
+        return [relative_chain_complex(g) for g in (
+            fx.pants(), fx.open_closed_example(), fx.oc_disjoint_union(
+                fx.torus_with_out(), fx.cylinder()))] + [
+            cc, homology._restrict(cc, keep1, keep0)]
+
+    def test_no_dense_cycles_or_label_table_kept(self):
+        assert "h1_basis" not in ChainComplexPair.__slots__
+        assert "_pos0" not in ChainComplexPair.__slots__
+
+    def test_h1_basis_scatters_the_sparse_cycles(self):
+        for cc in self.complexes():
+            dense = []
+            for cycle in cc._cycles:
+                vec = [0] * len(cc.basis1)
+                for j, x in cycle.items():
+                    vec[j] = x
+                dense.append(tuple(vec))
+            assert cc.h1_basis == tuple(dense)
+            assert cc.rank_h1 == len(cc._cycles)
+        assert any(cc.rank_h1 for cc in self.complexes())
+
+    def test_positions0_agree_with_basis0(self):
+        for cc in self.complexes():
+            pos = {label: i for i, label in enumerate(cc.basis0)}
+            assert cc.positions0() == pos
+            assert [cc.index0(label) for label in cc.basis0] == \
+                list(range(len(cc.basis0)))
+            with pytest.raises(InvalidParameter, match="not a 0-cell"):
+                cc.index0(("V", "nowhere"))
+            if cc._epos is not None:
+                names = {("E", e): i for e, i in cc._epos.items()}
+                names.update((("V", v), i) for v, i in cc._vpos.items())
+                assert names == pos
 
 
 class TestValidateOnce:
@@ -1646,11 +1784,10 @@ class TestIntegerArithmetic:
             assert all(type(x) is int for v in vecs for x in v), g
             # incidence columns are totally unimodular: solve meets only
             # +-1 pivots and its solutions stay integral
-            dense = homology._dense(cc, range(n1))
-            for v in units:
-                x = linalg.solve(dense, cc.boundary(v))
-                assert x is not None
-                assert all(type(y) is int for y in x)
+            xs = homology._absorb(cc, range(n1),
+                                  [cc.boundary(v) for v in units])
+            assert len(xs) == n1
+            assert all(type(y) is int for x in xs for y in x)
         assert {(True, False), (True, True)} <= ranks
 
     def test_gluing_scalars_are_fractions(self):
